@@ -3,9 +3,17 @@
 Vectors live in the quotient of edge space by the all-ones line; the canonical
 representative of a class is the one whose last coordinate vanishes, which
 makes equality a plain tuple comparison and identifies the quotient lattice
-with the integer vectors supported on the remaining coordinates.  Balancing is
-checked with exact integer lattice arithmetic: primitive normal vectors are
-produced from saturations via Hermite reduction, never floats.
+with the integer vectors supported on the remaining coordinates.
+
+Arithmetic is exact, never floating point.  Ranks (cone validation,
+projection, the balancing span test) count the nonzero rows of an integer
+Hermite form.  Balancing indexes the maximal cones by their facets, so each
+codimension-one face visits only its own star.  The chains-of-flats
+subdivision is unimodular (Ardila-Klivans; Feichtner-Sturmfels): when a
+maximal cone's rays form a basis of the lattice points of their span, the
+primitive normal of a facet is the remaining ray, modulo the facet's lattice.
+Any other cone falls back to ``primitive_normal``, which builds the normal
+from saturations via Hermite reduction.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -64,7 +72,7 @@ class QuotientVector:
 
     @property
     def is_integral(self) -> bool:
-        return all(isinstance(_num(c), int) for c in self.coords)
+        return all(c.denominator == 1 for c in self.coords)
 
     def __add__(self, other: "QuotientVector") -> "QuotientVector":
         self._check(other)
@@ -86,15 +94,22 @@ class QuotientVector:
 
     def primitive(self) -> tuple:
         """Primitive integer direction vector of this class."""
-        denom = math.lcm(
-            *(c.denominator for c in self.coords if isinstance(c, Fraction)), 1
-        )
-        ints = [int(c * denom) for c in self.coords]
-        return tuple(ila.primitive_vector(ints))
+        return tuple(ila.primitive_vector(_cleared(self.coords)))
 
     def _check(self, other: "QuotientVector"):
         if self.ambient != other.ambient:
             raise ValueError("vectors over different ambient edge lists")
+
+
+def _cleared(coords: Sequence) -> list[int]:
+    """The rational vector times the lcm of its denominators."""
+    denom = math.lcm(*(c.denominator for c in coords))
+    return [int(c * denom) for c in coords]
+
+
+def _rank(rows: Sequence[Sequence]) -> int:
+    """Rank of rational row vectors: the nonzero rows of an integer Hermite form."""
+    return len(ila.hnf([_cleared(r) for r in rows]))
 
 
 def ray_of_flat(f: Flat, ambient: Sequence[Edge]) -> QuotientVector:
@@ -166,7 +181,7 @@ class Fan:
                 continue
             if validate and cone.dim > 0:
                 coords = [r.coords for r in cone.rays]
-                if ila.rational_rank(coords) != cone.dim:
+                if _rank(coords) != cone.dim:
                     raise ValueError("cone rays are linearly dependent")
             by_rayset[cone.rayset] = cone
         if close_faces:
@@ -228,8 +243,11 @@ def bergman_fan(g: Graph) -> Fan:
         rays = [ray_of_flat(f, ambient) for f in chain]
         cones.append(make_cone(rays, weight=1, provenance=(chain,)))
     fan = Fan(ambient, cones, close_faces=False, validate=True)
-    expected = graph_rank(g, g.full_edge_set()) - 1
-    assert fan.max_dim == max(expected, 0)
+    expected = max(graph_rank(g, g.full_edge_set()) - 1, 0)
+    if fan.max_dim != expected:
+        raise RuntimeError(
+            f"Bergman fan has dimension {fan.max_dim}, expected {expected}"
+        )
     return fan
 
 
@@ -255,7 +273,6 @@ def primitive_normal(sigma: Cone, tau: Cone) -> QuotientVector:
     return QuotientVector(ambient, coords + (0,))
 
 
-@cache
 def _primitive_normal_coords(sigma_coords: tuple, tau_coords: tuple) -> tuple:
     for row in sigma_coords:
         if not all(isinstance(_num(c), int) for c in row):
@@ -270,14 +287,16 @@ def _primitive_normal_coords(sigma_coords: tuple, tau_coords: tuple) -> tuple:
     t_rows = []
     for b in basis_tau:
         coeffs = ila.solve_in_span(basis_sigma, b)
-        assert coeffs is not None and all(c.denominator == 1 for c in coeffs)
+        if coeffs is None or any(c.denominator != 1 for c in coeffs):
+            raise RuntimeError("tau's lattice is not a sublattice of sigma's")
         t_rows.append([int(c) for c in coeffs])
     # the quotient functional: c -> det([T; c]); its coefficient vector has
     # gcd one exactly because tau's lattice is saturated in sigma's
     unit = lambda i: [int(j == i) for j in range(k)]
     functional = [ila.det_int(t_rows + [unit(i)]) for i in range(k)]
     coeffs = ila.solve_coeffs_one(functional)
-    assert coeffs is not None, "quotient lattice is not cyclic of index one"
+    if coeffs is None:
+        raise RuntimeError("quotient lattice is not cyclic of index one")
     # orient into sigma using the ray of sigma that tau misses
     tau_set = set(map(tuple, rows_tau))
     extra = next(r for r in rows_sigma if tuple(r) not in tau_set)
@@ -302,25 +321,47 @@ def is_balanced(fan: Fan) -> BalanceReport:
 
     For each face tau of dimension max_dim - 1, the weighted sum of primitive
     normals of the maximal cones containing tau must lie in tau's rational
-    span.  Exact arithmetic throughout.
+    span.  One pass over the maximal cones indexes them by facet, so each
+    face sums over its own star only.  Each maximal cone is tested once for
+    unimodularity (its rays are integral and span a saturated lattice); for
+    such a cone the remaining ray stands in for the primitive normal, which
+    it equals modulo tau's lattice.  Any other cone falls back to
+    ``primitive_normal``.  Faces are visited in the fan's cone order, so the
+    first failing face is reported.  Exact arithmetic throughout.
     """
     if not fan.is_pure:
         raise ValueError("balancing is only defined for pure fans")
     if fan.max_dim == 0:
         return BalanceReport(True)
-    maximal = fan.cones_of_dim(fan.max_dim)
+    star: dict[frozenset, list[tuple[Cone, QuotientVector]]] = {}
+    for sigma in fan.cones_of_dim(fan.max_dim):
+        for ray in sigma.rays:
+            star.setdefault(sigma.rayset - {ray}, []).append((sigma, ray))
+    unimodular: dict[frozenset, bool] = {}
     for tau in fan.cones_of_dim(fan.max_dim - 1):
-        total = QuotientVector.zero(fan.ambient)
-        for sigma in maximal:
-            if tau.rayset <= sigma.rayset:
-                u = primitive_normal(sigma, tau)
-                total = total + u.scale(sigma.weight)
-        if total.is_zero:
+        total = [0] * len(fan.ambient)
+        for sigma, ray in star.get(tau.rayset, ()):
+            if sigma.rayset not in unimodular:
+                unimodular[sigma.rayset] = _is_unimodular(sigma)
+            u = ray if unimodular[sigma.rayset] else primitive_normal(sigma, tau)
+            total = [t + sigma.weight * c for t, c in zip(total, u.coords)]
+        if not any(total):
             continue
         span_rows = [r.coords for r in tau.rays]
-        if not ila.in_rational_span(span_rows, total.coords):
+        if _rank(span_rows + [total]) != _rank(span_rows):
             return BalanceReport(False, tau)
     return BalanceReport(True)
+
+
+def _is_unimodular(sigma: Cone) -> bool:
+    """Whether sigma's rays are integral and a basis of the integer points of
+    their span."""
+    if not all(r.is_integral for r in sigma.rays):
+        return False
+    m = len(sigma.rays[0].coords) - 1  # canonical reps end in 0
+    rows = [[int(c) for c in r.coords[:-1]] for r in sigma.rays]
+    lattice = ila.hnf(rows)
+    return len(lattice) == len(rows) and lattice == ila.hnf(ila.saturation(rows, m))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +393,7 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
             p = project_vector(ray, gamma)
             if not p.is_zero and p not in image:
                 image.append(p)
-        if image and ila.rational_rank([r.coords for r in image]) != len(image):
+        if image and _rank([r.coords for r in image]) != len(image):
             raise ValueError("projected cone is not simplicial")
         key = frozenset(image)
         slot = merged.setdefault(key, (image, []))

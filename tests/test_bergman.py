@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropfan import (
+    Fan,
     Graph,
     QuotientVector,
     bergman_fan,
@@ -12,12 +13,21 @@ from tropfan import (
     fans_equal,
     is_balanced,
     make_cone,
+    moduli_fan_rad,
     primitive_normal,
     project_fan,
     project_vector,
     ray_of_flat,
 )
-from tropfan.intlinalg import hnf, in_lattice, saturation
+from tropfan.bergman import _is_unimodular, _rank
+from tropfan.intlinalg import (
+    hnf,
+    hnf_reduce,
+    in_lattice,
+    in_rational_span,
+    rational_rank,
+    saturation,
+)
 
 from conftest import flat_of
 
@@ -235,6 +245,133 @@ def test_balancing_requires_pure_fan(k4, k4_flat_labels):
         is_balanced(fan)
 
 
+def quadratic_scan(fan, normals):
+    """The generic balancing check: every codimension-one face against every
+    maximal cone, generic primitive normals, rational span test.  ``normals``
+    memoizes primitive_normal by ray sets, which weights do not change."""
+    maximal = fan.cones_of_dim(fan.max_dim)
+    for tau in fan.cones_of_dim(fan.max_dim - 1):
+        total = QuotientVector.zero(fan.ambient)
+        for sigma in maximal:
+            if tau.rayset <= sigma.rayset:
+                key = (sigma.rayset, tau.rayset)
+                if key not in normals:
+                    normals[key] = primitive_normal(sigma, tau)
+                total = total + normals[key].scale(sigma.weight)
+        if not total.is_zero and not in_rational_span(
+            [r.coords for r in tau.rays], total.coords
+        ):
+            return False, tau
+    return True, None
+
+
+ORACLE_FANS = {
+    "K3": lambda: bergman_fan(Graph.complete([2, 3, 4])),
+    "K4": lambda: bergman_fan(Graph.complete([2, 3, 4, 5])),
+    "K5": lambda: bergman_fan(Graph.complete(range(2, 7))),
+    "M05": lambda: moduli_fan_rad(5, "complete"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FANS))
+def test_missing_ray_is_the_primitive_normal(name):
+    """On unimodular cones the remaining ray, reduced modulo tau's lattice,
+    is the generic primitive normal."""
+    fan = ORACLE_FANS[name]()
+    for sigma in fan.cones_of_dim(fan.max_dim):
+        assert _is_unimodular(sigma)
+        for ray in sigma.rays:
+            tau = make_cone(sigma.rayset - {ray})
+            tau_rows = [list(r.coords[:-1]) for r in tau.rays]
+            shortcut = list(ray.coords[:-1])
+            if tau_rows:
+                shortcut = hnf_reduce(hnf(tau_rows), shortcut)
+            assert tuple(shortcut) + (0,) == primitive_normal(sigma, tau).coords
+
+
+@pytest.mark.parametrize("name", ["K4", "K5"])
+def test_every_single_cone_doubling_matches_quadratic_scan(name):
+    fan = ORACLE_FANS[name]()
+    normals = {}
+    assert quadratic_scan(fan, normals) == (True, None)
+    for sigma in fan.cones_of_dim(fan.max_dim):
+        perturbed = fan.with_weights({sigma.rayset: 2})
+        report = is_balanced(perturbed)
+        expected = quadratic_scan(perturbed, normals)
+        assert (report.balanced, report.failing_face) == expected
+        assert not report.balanced
+
+
+def index_two_fan():
+    """A complete fan in the plane (coordinates x, y of the quotient of K3's
+    edge space) whose cone on a = (1, 0) and b = (1, 2) spans a sublattice of
+    index 2.  At a, the remaining rays b and d would sum to (1, 1), off a's
+    span; the primitive normals (0, 1) and (0, -1) cancel."""
+    ambient = Graph.complete([2, 3, 4]).edges
+    a, b, c, d = (
+        QuotientVector(ambient, (x, y, 0))
+        for x, y in [(1, 0), (1, 2), (-1, -1), (0, -1)]
+    )
+    cones = [make_cone(pair) for pair in [(a, b), (b, c), (c, d), (d, a)]]
+    return Fan(ambient, cones, close_faces=True), make_cone([a, b])
+
+
+def test_index_two_cone_takes_the_fallback():
+    fan, sigma = index_two_fan()
+    assert not _is_unimodular(sigma)
+    assert all(
+        _is_unimodular(c) for c in fan.cones_of_dim(2) if c.rayset != sigma.rayset
+    )
+    report = is_balanced(fan)
+    assert report.balanced
+    assert (report.balanced, report.failing_face) == quadratic_scan(fan, {})
+    perturbed = fan.with_weights({sigma.rayset: 2})
+    report = is_balanced(perturbed)
+    assert not report.balanced
+    assert report.failing_face.rayset < sigma.rayset
+    assert (report.balanced, report.failing_face) == quadratic_scan(perturbed, {})
+
+
+def test_non_primitive_ray_takes_the_fallback():
+    ambient = Graph.complete([2, 3, 4]).edges
+    doubled = QuotientVector(ambient, (2, 0, 0))
+    unit = QuotientVector(ambient, (-1, 0, 0))
+    fan = Fan(ambient, [make_cone([doubled]), make_cone([unit])])
+    assert is_balanced(fan).balanced
+    assert not is_balanced(fan.with_weights({frozenset([doubled]): 2})).balanced
+
+
+entries = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices with some zero rows and some rows that are
+    combinations of earlier ones."""
+    ncols = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+            combo = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
+            rows.append(combo)
+        else:
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@settings(max_examples=300)
+@given(rows=rational_matrices())
+def test_integer_rank_matches_rational_rank(rows):
+    assert _rank(rows) == rational_rank(rows)
+
+
 # ---------------------------------------------------------------------------
 # Projection
 
@@ -256,6 +393,17 @@ def test_project_requires_complete_ambient(gamma_obstruction):
     fan = bergman_fan(gamma_obstruction)
     with pytest.raises(ValueError, match="complete"):
         project_fan(fan, gamma_obstruction)
+
+
+def test_project_rejects_non_simplicial_image(k4):
+    # three independent rays whose images in a three-edge graph's
+    # two-dimensional quotient are distinct, nonzero and dependent
+    rays = [QuotientVector.from_raw(k4.edges, v) for v in
+            ([1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [1, 0, 0, 1, 1, 0])]
+    fan = Fan(k4.edges, [make_cone(rays)], close_faces=True)
+    path = Graph.from_edges([(2, 3), (3, 4), (4, 5)])
+    with pytest.raises(ValueError, match="simplicial"):
+        project_fan(fan, path)
 
 
 def test_projected_fan_equals_bergman_fan_of_subgraph(k4, gamma_obstruction):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import tropfan.bergman as bergman
 from tropfan import (
     EdgeSet,
     Fan,
@@ -13,6 +14,7 @@ from tropfan import (
     RadialType,
     enumerate_flats,
     induced_subgraph,
+    is_balanced,
     make_cone,
     primitive_normal,
     ray_of_flat,
@@ -74,6 +76,11 @@ def test_fan_rejects_dependent_rays(k4):
     r = ray_of_flat(flat_of(k4, [(2, 3)]), k4.edges)
     with pytest.raises(ValueError, match="dependent"):
         Fan(k4.edges, [make_cone([r, r.scale(2)])])
+    s = ray_of_flat(flat_of(k4, [(2, 4)]), k4.edges)
+    with pytest.raises(ValueError, match="dependent"):
+        Fan(k4.edges, [make_cone([r, s, r + s.scale(Fraction(1, 2))])])
+    third = ray_of_flat(flat_of(k4, [(3, 4)]), k4.edges).scale(Fraction(1, 3))
+    assert Fan(k4.edges, [make_cone([r, s, third])]).max_dim == 3
 
 
 def test_fan_rejects_conflicting_weights(k4):
@@ -87,6 +94,24 @@ def test_primitive_normal_needs_integral_rays(k4):
     other = ray_of_flat(flat_of(k4, [(2, 4)]), k4.edges)
     with pytest.raises(ValueError, match="integral"):
         primitive_normal(make_cone([half, other]), make_cone([other]))
+    with pytest.raises(ValueError, match="integral"):
+        is_balanced(Fan(k4.edges, [make_cone([half, other])], close_faces=True))
+
+
+def test_broken_invariants_raise(k4, monkeypatch):
+    """Library invariants are explicit checks, kept under ``python -O``."""
+    monkeypatch.setattr(bergman, "graph_rank", lambda g, edges: 0)
+    with pytest.raises(RuntimeError, match="dimension"):
+        bergman.bergman_fan(k4)
+    monkeypatch.undo()
+    r = ray_of_flat(flat_of(k4, [(2, 3)]), k4.edges)
+    s = ray_of_flat(flat_of(k4, [(2, 4)]), k4.edges)
+    monkeypatch.setattr(bergman.ila, "solve_coeffs_one", lambda g: None)
+    with pytest.raises(RuntimeError, match="cyclic"):
+        primitive_normal(make_cone([r, s]), make_cone([s]))
+    monkeypatch.setattr(bergman.ila, "solve_in_span", lambda rows, target: None)
+    with pytest.raises(RuntimeError, match="sublattice"):
+        primitive_normal(make_cone([r, s]), make_cone([s]))
 
 
 def test_metric_type_validation():
