@@ -8,7 +8,6 @@ Exit status: 0 on success, 1 when a verification suite finds a failure,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Optional
 
 from . import matroid, tropmoduli
 from .bergman import bergman_fan, edge_str, fan_to_json, is_balanced, project_fan
-from .graphs import Graph, parse_graph
+from .graphs import Graph, all_graphs, parse_graph
 from .matroid import SetSystem, enumerate_flats, flats_lattice, verify_matroid_axioms
 from .tropmoduli import moduli_fan_rad, qn_relations_check, verify_injectivity
 
@@ -190,10 +189,7 @@ def cmd_counts(args) -> int:
 def _verify_axioms(out) -> bool:
     ok = True
     for nv in (3, 4):
-        labels = tuple(range(2, 2 + nv))
-        all_edges = list(itertools.combinations(labels, 2))
-        for bits in range(1 << len(all_edges)):
-            g = Graph(labels, tuple(e for i, e in enumerate(all_edges) if bits >> i & 1))
+        for g in all_graphs(range(2, 2 + nv)):
             ground = tuple(g.edges)
             systems = [
                 (SetSystem(ground, members=tuple(matroid.independent_sets(g))), "I"),
@@ -253,24 +249,25 @@ def _verify_balancing(out) -> bool:
 
 
 def _verify_theorem(out, max_vertices: int) -> bool:
+    if not 4 <= max_vertices <= 6:  # verify_injectivity stops at 6 vertices
+        raise ValueError("verify theorem needs --max-vertices between 4 and 6")
     ok = True
     for nv in range(4, max_vertices + 1):
-        labels = tuple(range(2, 2 + nv))
-        all_edges = list(itertools.combinations(labels, 2))
-        pairs = []
-        for bits in range(1 << len(all_edges)):
-            g = Graph(labels, tuple(e for i, e in enumerate(all_edges) if bits >> i & 1))
-            if not g.is_connected():
-                continue
+        graphs = injective = splits = 0
+        for g in all_graphs(range(2, 2 + nv), connected=True):
             report = verify_injectivity(g)
             if not report.agree:
                 out(f"FAIL trichotomy splits on {g.edges}")
-                ok = False
-            pairs.append((report.injective, report.multipartite))
-        out(
-            f"ok: {len(pairs)} connected graphs on {nv} vertices, "
-            f"{sum(1 for a, _ in pairs if a)} with bijective projection, all agreeing"
-        )
+                splits += 1
+            graphs += 1
+            injective += report.injective
+        if splits:
+            ok = False
+        else:
+            out(
+                f"ok: {graphs} connected graphs on {nv} vertices, "
+                f"{injective} with bijective projection, all agreeing"
+            )
     return ok
 
 

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 
 Edge = tuple[int, int]
@@ -216,10 +216,11 @@ def _vertex_partition(g: Graph, s: EdgeSet) -> dict[int, int]:
             v = parent[v]
         return v
 
-    for i, e in enumerate(g.edges):
-        if not s.mask >> i & 1:
-            continue
-        a, b = e
+    mask = s.mask
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        a, b = g.edges[low.bit_length() - 1]
         parent.setdefault(a, a)
         parent.setdefault(b, b)
         ra, rb = find(a), find(b)
@@ -242,8 +243,8 @@ def graph_rank(g: Graph, s: EdgeSet) -> int:
     """Number of non-isolated vertices of ``s`` minus its number of components."""
     if s.graph != g:
         raise ValueError("edge set does not belong to this graph")
-    blocks = components(g, s)
-    return sum(len(b) for b in blocks) - len(blocks)
+    roots = _vertex_partition(g, s)
+    return len(roots) - len(set(roots.values()))
 
 
 def spanning_forest(g: Graph, s: EdgeSet) -> EdgeSet:
@@ -287,6 +288,21 @@ def is_complete_multipartite(g: Graph) -> tuple[bool, Optional[tuple[int, int, i
         if count == 1:
             return False, triple
     return True, None
+
+
+def all_graphs(labels: Iterable[int], connected: bool = False) -> Iterator[Graph]:
+    """Every labeled graph on the given labels, or only the connected ones.
+
+    Graph number ``bits`` has the edges whose positions in the lexicographic
+    list of label pairs are the set bits of ``bits``; graphs come in that
+    order.
+    """
+    labels = tuple(labels)
+    pool = list(combinations(labels, 2))
+    for bits in range(1 << len(pool)):
+        g = Graph(labels, tuple(e for i, e in enumerate(pool) if bits >> i & 1))
+        if not connected or g.is_connected():
+            yield g
 
 
 def induced_subgraph(g: Graph, labels: Iterable[int]) -> Graph:

@@ -292,33 +292,46 @@ def _check_stability_graph(n: int, gamma: Graph):
         raise ValueError("stability graph must be connected")
 
 
+def _vertex_demand(
+    c: TropicalType, v: int, strict_root: bool = False
+) -> Optional[tuple[int, ...]]:
+    """The stability rule at one vertex, with the graph left out.
+
+    Returns None when the vertex is stable for every stability graph, and
+    otherwise the ends of which the graph must join at least two (so an
+    empty tuple means no graph can stabilise it).  A non-root vertex with one
+    bounded edge needs two of its ends joined; with two bounded edges it needs
+    at least one end; more bounded edges always pass.  The root needs two
+    bounded edges or an attached end, where end 1 counts unless
+    ``strict_root`` excludes it.
+    """
+    ends = c.ends_at_vertex(v)
+    d = c.bounded_degree(v)
+    if v == 0:
+        if not strict_root:
+            ok = d >= 2 or len(ends) >= 1
+        else:
+            ok = d >= 2 or len(ends) - 1 >= 1  # end 1 is always present
+    elif d > 2:
+        ok = True
+    elif d == 2:
+        ok = len(ends) != 0
+    else:
+        return ends
+    return None if ok else ()
+
+
 def is_gamma_stable(
     c: TropicalType, gamma: Graph, strict_root: bool = False
 ) -> tuple[bool, Optional[int]]:
-    """Vertex-local stability against a stability graph.
-
-    A non-root vertex with one bounded edge needs two of its ends joined by a
-    graph edge; with two bounded edges it needs at least one end; more bounded
-    edges always pass.  The root needs two bounded edges or an attached end,
-    where end 1 counts unless ``strict_root`` excludes it.  Returns the
-    first unstable vertex, if any.
-    """
+    """Vertex-local stability against a stability graph (the rule is
+    ``_vertex_demand``).  Returns the first unstable vertex, if any."""
     _check_stability_graph(c.n, gamma)
     for v in range(c.num_vertices):
-        ends = c.ends_at_vertex(v)
-        d = c.bounded_degree(v)
-        if v == 0:
-            if not strict_root:
-                ok = d >= 2 or len(ends) >= 1
-            else:
-                ok = d >= 2 or len(ends) - 1 >= 1  # end 1 is always present
-        elif d > 2:
-            ok = True
-        elif d == 2:
-            ok = len(ends) != 0
-        else:
-            ok = any(gamma.has_edge(i, j) for i, j in combinations(ends, 2))
-        if not ok:
+        ends = _vertex_demand(c, v, strict_root)
+        if ends is not None and not any(
+            gamma.has_edge(i, j) for i, j in combinations(ends, 2)
+        ):
             return False, v
     return True, None
 
@@ -581,7 +594,8 @@ def psi_radial_to_cof(c: RadialType) -> ChainOfFlats:
         mask = 0
         for group in groups.values():
             ends = sorted(e for v in group for e in c.type.ends_at_vertex(v))
-            assert len(ends) >= 2
+            if len(ends) < 2:
+                raise RuntimeError(f"level {i} leaves a component with fewer than two ends")
             for a, b in combinations(ends, 2):
                 mask |= 1 << ambient.edge_index[(a, b)]
         flats.append(Flat.from_edge_set(EdgeSet(ambient, mask)))
@@ -662,7 +676,8 @@ def caterpillar_cof(gamma: Graph) -> ChainOfFlats:
         restricted = EdgeSet.from_edges(
             gamma, (e for e in flat.edges.edges if e in gamma.edge_index)
         )
-        assert graph_rank(gamma, restricted) == k
+        if graph_rank(gamma, restricted) != k:
+            raise RuntimeError(f"caterpillar flat {k} loses rank on restriction to gamma")
     return chain
 
 
@@ -685,13 +700,40 @@ class InjectivityReport:
         return self.injective == self.rank_criterion == self.multipartite
 
 
+@cache
+def _flat_demands(n: int) -> tuple[tuple[Flat, Optional[tuple[int, ...]]], ...]:
+    """The proper flats of the complete graph on 2..n, each with what a
+    stability graph must meet for the one-flat chain's type to be stable.
+
+    For each flat, in ``proper_flats`` order: one edge mask (in the complete
+    graph's edge order) per vertex that ``_vertex_demand`` constrains, every
+    one of which a stable graph's edge mask must intersect; None when no graph
+    makes the type stable.  None of this depends on the graph, and n is at
+    most 7 in every caller, so the cache stays small.
+    """
+    ambient = _complete_on(n)
+    idx = ambient.edge_index
+    table = []
+    for f in proper_flats(ambient):
+        typ = psi_cof_to_radial(ChainOfFlats((f,))).type
+        masks = []
+        for v in range(typ.num_vertices):
+            ends = _vertex_demand(typ, v)
+            if ends is not None:
+                masks.append(sum(1 << idx[e] for e in combinations(ends, 2)))
+        table.append((f, None if 0 in masks else tuple(masks)))
+    return tuple(table)
+
+
 def verify_injectivity(gamma: Graph) -> InjectivityReport:
     """Three independent computations of one trichotomy.
 
     (a) edge-restriction is injective on stable flats of the complete graph,
     (b) edge-restriction preserves the rank of every stable flat, and
-    (c) gamma is complete multipartite; the three are checked independently
-    and asserted equivalent.
+    (c) gamma is complete multipartite.  The three are computed independently
+    and returned; ``report.agree`` says whether they agree, and the caller
+    decides what a split means.  Stability is read off ``_flat_demands``, so
+    each flat costs a few mask tests.
     """
     n = gamma.labels[-1]
     if gamma.labels != tuple(range(2, n + 1)) or len(gamma.labels) > 6:
@@ -699,28 +741,35 @@ def verify_injectivity(gamma: Graph) -> InjectivityReport:
     if not gamma.is_connected():
         raise ValueError("stability graph must be connected")
     ambient = _complete_on(n)
-    stable = [f for f in proper_flats(ambient) if flat_gamma_stable(f, gamma)]
-    images = {}
+    gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
+    stable = []
+    for f, demands in _flat_demands(n):
+        if demands is None:
+            continue
+        for m in demands:
+            if not m & gmask:
+                break
+        else:
+            stable.append(f)
+    images = set()
     injective = True
     for f in stable:
-        restricted = frozenset(e for e in f.edges.edges if e in gamma.edge_index)
+        restricted = f.mask & gmask
         if restricted in images:
             injective = False
-        images.setdefault(restricted, f)
+        images.add(restricted)
     rank_ok = True
     witness = None
     for f in stable:
-        restricted = EdgeSet.from_edges(
-            gamma, (e for e in f.edges.edges if e in gamma.edge_index)
-        )
-        if graph_rank(gamma, restricted) != f.rank:
+        # the restriction to gamma, kept in the complete graph's edge order:
+        # its rank does not depend on which graph holds it
+        restricted = EdgeSet(ambient, f.mask & gmask)
+        if graph_rank(ambient, restricted) != f.rank:
             rank_ok = False
             if witness is None:
                 witness = f
     multipartite, triple = is_complete_multipartite(gamma)
-    report = InjectivityReport(injective, rank_ok, multipartite, witness, triple)
-    assert report.agree, "injectivity, rank preservation, and multipartiteness split"
-    return report
+    return InjectivityReport(injective, rank_ok, multipartite, witness, triple)
 
 
 def count_stable_types(n: int, gamma: Graph) -> dict[int, int]:

@@ -54,15 +54,3 @@ def gamma_obstruction():
 def gamma_bipartite():
     """The complete bipartite graph on 2..5 with parts {2,5} and {3,4}."""
     return Graph.from_edges([(2, 3), (2, 4), (3, 5), (4, 5)])
-
-
-def all_graphs(labels):
-    """Every labeled graph on the given labels."""
-    labels = tuple(labels)
-    pool = list(itertools.combinations(labels, 2))
-    for bits in range(1 << len(pool)):
-        yield Graph(labels, tuple(e for i, e in enumerate(pool) if bits >> i & 1))
-
-
-def connected_graphs(labels):
-    return (g for g in all_graphs(labels) if g.is_connected())

@@ -15,6 +15,7 @@ from tropfan import (
     MetricType,
     SetSystem,
     all_chains,
+    all_graphs,
     bases,
     bergman_fan,
     circuits,
@@ -44,8 +45,6 @@ from tropfan import (
 )
 from tropfan.intlinalg import solve_in_span
 from tropfan.matroid import set_partitions
-
-from conftest import all_graphs, connected_graphs
 
 
 class budget:
@@ -181,7 +180,7 @@ def test_criterion_6_main_theorem():
         for nv in (4, 5):
             labels = tuple(range(2, 2 + nv))
             agree = 0
-            for g in connected_graphs(labels):
+            for g in all_graphs(labels, connected=True):
                 rep = verify_injectivity(g)
                 assert rep.agree, g
                 agree += 1

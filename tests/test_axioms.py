@@ -3,6 +3,7 @@ import pytest
 from tropfan import (
     Graph,
     SetSystem,
+    all_graphs,
     bases,
     circuits,
     closure_table,
@@ -10,8 +11,6 @@ from tropfan import (
     rank_table,
     verify_matroid_axioms,
 )
-
-from conftest import all_graphs
 
 
 def cycle_systems(g: Graph):

@@ -75,6 +75,26 @@ def test_verify_suites_pass(capsys):
         assert "ok:" in out
 
 
+def test_verify_theorem_refuses_out_of_range_sizes(capsys):
+    for size in ("3", "7"):
+        status = main(["verify", "theorem", "--max-vertices", size])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert "between 4 and 6" in captured.err
+
+
+def test_verify_theorem_reports_a_split(capsys, monkeypatch):
+    import tropfan.tropmoduli as tropmoduli
+
+    monkeypatch.setattr(tropmoduli, "is_complete_multipartite", lambda g: (False, (2, 3, 4)))
+    status, out = run(capsys, "verify", "theorem")
+    assert status == 1
+    lines = out.splitlines()
+    assert len(lines) == 14  # one per complete multipartite graph on 4 vertices
+    assert all(line.startswith("FAIL trichotomy splits on ") for line in lines)
+
+
 def test_byte_stable_output(capsys):
     _, first = run(capsys, "moduli", "--n", "5", "--graph", "k2-2", "--format", "json")
     _, second = run(capsys, "moduli", "--n", "5", "--graph", "k2-2", "--format", "json")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tropfan import (
     EdgeSet,
     Graph,
+    all_graphs,
     complement,
     components,
     graph_rank,
@@ -16,8 +17,6 @@ from tropfan import (
     parse_graph,
     spanning_forest,
 )
-
-from conftest import all_graphs
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from tropfan import (
     EdgeSet,
     Graph,
     all_chains,
+    all_graphs,
     closure,
     enumerate_chains,
     enumerate_flats,
@@ -19,7 +20,7 @@ from tropfan import (
     rank,
 )
 
-from conftest import all_graphs, flat_of
+from conftest import flat_of
 
 
 def bell_oracle(m: int) -> int:

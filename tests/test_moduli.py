@@ -1,10 +1,15 @@
 import itertools
+import random
 
 import pytest
 
+import tropfan.tropmoduli as tm
+
 from tropfan import (
     Graph,
+    all_graphs,
     bergman_fan,
+    flat_gamma_stable,
     caterpillar_cof,
     fans_equal,
     graph_rank,
@@ -18,9 +23,7 @@ from tropfan import (
     verify_injectivity,
 )
 from tropfan.graphs import EdgeSet
-from tropfan.matroid import set_partitions
-
-from conftest import connected_graphs
+from tropfan.matroid import proper_flats, set_partitions
 
 
 def multipartite_graphs(labels):
@@ -156,7 +159,7 @@ def test_caterpillar_projection_keeps_top_dimension(gamma_obstruction):
 
 
 def test_caterpillar_radial_type_is_a_caterpillar():
-    for gamma in list(connected_graphs((2, 3, 4, 5)))[:10]:
+    for gamma in list(all_graphs((2, 3, 4, 5), connected=True))[:10]:
         chain = caterpillar_cof(gamma)
         rt = psi_cof_to_radial(chain)
         # a caterpillar: nested splits, one vertex per level
@@ -195,7 +198,7 @@ def test_bipartite_report(gamma_bipartite):
 
 def test_trichotomy_all_connected_graphs_four_vertices():
     seen_multipartite = 0
-    for g in connected_graphs((2, 3, 4, 5)):
+    for g in all_graphs((2, 3, 4, 5), connected=True):
         report = verify_injectivity(g)
         assert report.agree
         seen_multipartite += report.multipartite
@@ -207,20 +210,92 @@ def test_size_cap():
         verify_injectivity(Graph.complete(range(2, 9)))
 
 
+def test_split_trichotomy_is_reported_not_raised(k4, monkeypatch):
+    monkeypatch.setattr(tm, "is_complete_multipartite", lambda g: (False, (2, 3, 4)))
+    report = verify_injectivity(k4)
+    assert report.injective and report.rank_criterion and not report.multipartite
+    assert not report.agree
+
+
+def sampled_six_vertex_graphs():
+    """200 seeded random connected graphs on 2..7, plus 50 seeded complete
+    multipartite ones, where restriction is injective."""
+    rng = random.Random(3)
+    labels = tuple(range(2, 8))
+    pool = list(itertools.combinations(labels, 2))
+    sample = {}
+    while len(sample) < 200:
+        bits = rng.getrandbits(len(pool))
+        g = Graph(labels, tuple(e for i, e in enumerate(pool) if bits >> i & 1))
+        if g.is_connected():
+            sample[bits] = g
+    return list(sample.values()) + rng.sample(multipartite_graphs(labels), 50)
+
+
+def oracle_graphs():
+    yield from all_graphs((2, 3, 4, 5), connected=True)
+    yield from all_graphs((2, 3, 4, 5, 6), connected=True)
+    yield from sampled_six_vertex_graphs()
+
+
+def test_flat_table_matches_flat_gamma_stable():
+    for n in (5, 6, 7):
+        ambient = Graph.complete(range(2, n + 1))
+        assert [f for f, _ in tm._flat_demands(n)] == proper_flats(ambient)
+    for gamma in oracle_graphs():
+        n = gamma.labels[-1]
+        ambient = Graph.complete(range(2, n + 1))
+        gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
+        for f, demands in tm._flat_demands(n):
+            stable = demands is not None and all(m & gmask for m in demands)
+            assert stable == flat_gamma_stable(f, gamma), (gamma.edges, f.edges.edges)
+
+
+def verify_injectivity_by_flat(gamma):
+    """The per-flat computation the table replaced: every flat's radial type
+    is rebuilt and checked for stability against gamma."""
+    ambient = Graph.complete(gamma.labels)
+    stable = [f for f in proper_flats(ambient) if flat_gamma_stable(f, gamma)]
+    images = {}
+    injective = True
+    for f in stable:
+        restricted = frozenset(e for e in f.edges.edges if e in gamma.edge_index)
+        if restricted in images:
+            injective = False
+        images.setdefault(restricted, f)
+    rank_ok = True
+    witness = None
+    for f in stable:
+        restricted = EdgeSet.from_edges(
+            gamma, (e for e in f.edges.edges if e in gamma.edge_index)
+        )
+        if graph_rank(gamma, restricted) != f.rank:
+            rank_ok = False
+            if witness is None:
+                witness = f
+    multipartite, triple = is_complete_multipartite(gamma)
+    return tm.InjectivityReport(injective, rank_ok, multipartite, witness, triple)
+
+
+def test_verify_injectivity_matches_per_flat_computation():
+    for gamma in oracle_graphs():
+        assert verify_injectivity(gamma) == verify_injectivity_by_flat(gamma), gamma.edges
+
+
 # ---------------------------------------------------------------------------
 # The main correspondence: image fans and bijectivity
 
 
 def test_projection_image_always_equals_bergman_fan():
     # holds for every connected stability graph, multipartite or not
-    for g in list(connected_graphs((2, 3, 4, 5)))[::3]:
+    for g in list(all_graphs((2, 3, 4, 5), connected=True))[::3]:
         fan = moduli_fan_rad(5, g)
         projected = project_fan(fan, g)
         assert fans_equal(projected, bergman_fan(g))
 
 
 def test_bijectivity_iff_multipartite_four_vertices():
-    for g in connected_graphs((2, 3, 4, 5)):
+    for g in all_graphs((2, 3, 4, 5), connected=True):
         fan = moduli_fan_rad(5, g)
         projected = project_fan(fan, g)
         collision_free = all(len(c.provenance) <= 1 for c in projected.cones)

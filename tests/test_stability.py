@@ -4,6 +4,7 @@ import pytest
 
 from tropfan import (
     Graph,
+    all_graphs,
     enumerate_types,
     flat_gamma_stable,
     is_gamma_stable,
@@ -11,8 +12,6 @@ from tropfan import (
     star_type,
     tropical_type,
 )
-
-from conftest import connected_graphs
 
 
 def k4_minus(*missing):
@@ -76,7 +75,7 @@ def test_stable_type_counts_obstruction(gamma_obstruction):
 def test_stability_monotone_under_adding_edges():
     labels = (2, 3, 4, 5)
     types = [t for ts in enumerate_types(5).values() for t in ts]
-    for small in connected_graphs(labels):
+    for small in all_graphs(labels, connected=True):
         extra = [e for e in itertools.combinations(labels, 2) if e not in small.edges]
         for e in extra:
             big = Graph(labels, tuple(sorted(small.edges + (e,))))
@@ -175,7 +174,7 @@ def _vertex_ok(t, gamma, v):
 
 def test_reduction_confluence_exhaustive_four_vertices():
     types = [t for ts in enumerate_types(5).values() for t in ts]
-    for gamma in connected_graphs((2, 3, 4, 5)):
+    for gamma in all_graphs((2, 3, 4, 5), connected=True):
         for t in types:
             terminals = all_reductions(t, gamma)
             assert len(terminals) == 1
@@ -184,7 +183,7 @@ def test_reduction_confluence_exhaustive_four_vertices():
 
 def test_reduction_confluence_exhaustive_five_vertices():
     types = [t for ts in enumerate_types(6).values() for t in ts]
-    for gamma in connected_graphs((2, 3, 4, 5, 6)):
+    for gamma in all_graphs((2, 3, 4, 5, 6), connected=True):
         for t in types:
             terminals = all_reductions(t, gamma)
             assert len(terminals) == 1
