@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import intlinalg as ila
 from .graphs import Edge, Graph
-from .matroid import ChainOfFlats, Flat, all_chains, graph_rank
+from .matroid import ChainOfFlats, Flat, all_chains, graph_rank, proper_flats
 
 
 def _num(x):
@@ -238,10 +238,11 @@ def bergman_fan(g: Graph) -> Fan:
     """The fan whose cones are spanned by rays of chains of proper nonempty
     flats, all weights one; its dimension is rank(g) - 1."""
     ambient = g.edges
-    cones = []
-    for chain in all_chains(g):
-        rays = [ray_of_flat(f, ambient) for f in chain]
-        cones.append(make_cone(rays, weight=1, provenance=(chain,)))
+    ray_of = {f.mask: ray_of_flat(f, ambient) for f in proper_flats(g)}
+    cones = [
+        make_cone([ray_of[f.mask] for f in chain], weight=1, provenance=(chain,))
+        for chain in all_chains(g)
+    ]
     fan = Fan(ambient, cones, close_faces=False, validate=True)
     expected = max(graph_rank(g, g.full_edge_set()) - 1, 0)
     if fan.max_dim != expected:
@@ -387,10 +388,13 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
             "fan ambient must be the complete graph on the target graph's labels"
         )
     merged: dict[frozenset, tuple[list[QuotientVector], list]] = {}
+    image_of: dict[QuotientVector, QuotientVector] = {}  # each ray's, computed once
     for cone in fan.cones:
         image = []
         for ray in cone.rays:
-            p = project_vector(ray, gamma)
+            p = image_of.get(ray)
+            if p is None:
+                p = image_of[ray] = project_vector(ray, gamma)
             if not p.is_zero and p not in image:
                 image.append(p)
         if image and _rank([r.coords for r in image]) != len(image):
@@ -430,22 +434,29 @@ def edge_str(e: Edge) -> str:
     return f"{e[0]}-{e[1]}"
 
 
-def _chain_json(chain: ChainOfFlats) -> list:
-    return [[edge_str(e) for e in f.edges.edges] for f in chain]
-
-
 def fan_to_json(fan: Fan) -> dict:
     """Stable JSON form: ambient edges, primitive rays, cones by ray indices
     with weights and provenance chains (one list of chains per cone fiber)."""
     rays = sorted({r for c in fan.cones for r in c.rays}, key=lambda r: r.coords)
     index = {r: i for i, r in enumerate(rays)}
+    flat_json: dict[Flat, list[str]] = {}  # each flat's edge strings, built once
+
+    def chain_json(chain: ChainOfFlats) -> list:
+        out = []
+        for f in chain:
+            edges = flat_json.get(f)
+            if edges is None:
+                edges = flat_json[f] = [edge_str(e) for e in f.edges.edges]
+            out.append(edges)
+        return out
+
     cones = []
     for c in fan.cones:
         cones.append(
             {
                 "rays": sorted(index[r] for r in c.rays),
                 "weight": c.weight,
-                "provenance": [_chain_json(ch) for ch in c.provenance],
+                "provenance": [chain_json(ch) for ch in c.provenance],
             }
         )
     return {

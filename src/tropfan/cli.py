@@ -40,15 +40,29 @@ NAMED_GRAPHS = {
 
 def resolve_graph(spec: str) -> Graph:
     """A named graph, ``complete:<m>``, a file path, or inline edge text
-    (commas or semicolons doubling as newlines)."""
+    (commas or semicolons doubling as newlines).  Anything else raises
+    ValueError."""
     if spec in NAMED_GRAPHS:
         return NAMED_GRAPHS[spec]()
     if spec.startswith("complete:"):
         m = int(spec.split(":", 1)[1])
+        if not 0 <= m <= matroid.MAX_FLAT_VERTICES:
+            # every command enumerates flats, which stops at this size
+            raise ValueError(
+                f"complete:<m> needs 0 <= m <= {matroid.MAX_FLAT_VERTICES}, got {m}"
+            )
         return Graph.complete(range(2, m + 2))
     path = Path(spec)
-    if path.exists():
-        return parse_graph(path.read_text())
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. inline edges too long to be a file name
+        is_file = False
+    if is_file:
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read graph file {spec}: {exc}") from exc
+        return parse_graph(text)
     return parse_graph(spec.replace(",", "\n").replace(";", "\n"))
 
 

@@ -22,10 +22,18 @@ def hnf_transform(rows: Mat) -> tuple[list[list[int]], list[list[int]]]:
     above each pivot reduced into [0, pivot).  Zero rows of H sink to the
     bottom.
     """
+    return _hermite(rows, transform=True)
+
+
+def _hermite(
+    rows: Mat, transform: bool
+) -> tuple[list[list[int]], Optional[list[list[int]]]]:
+    """The elimination behind ``hnf_transform``; U is built and returned only
+    when ``transform`` is set (None otherwise)."""
     h = [list(r) for r in rows]
     nrows = len(h)
     ncols = len(h[0]) if nrows else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if transform else None
     pivot_row = 0
     for col in range(ncols):
         # clear the column below pivot_row by gcd steps
@@ -36,14 +44,16 @@ def hnf_transform(rows: Mat) -> tuple[list[list[int]], list[list[int]]]:
             i0 = min(nonzero, key=lambda i: abs(h[i][col]))
             if i0 != pivot_row:
                 h[i0], h[pivot_row] = h[pivot_row], h[i0]
-                u[i0], u[pivot_row] = u[pivot_row], u[i0]
+                if transform:
+                    u[i0], u[pivot_row] = u[pivot_row], u[i0]
             a = h[pivot_row][col]
             done = True
             for i in range(pivot_row + 1, nrows):
                 q = h[i][col] // a
                 if q:
                     _row_sub(h[i], h[pivot_row], q)
-                    _row_sub(u[i], u[pivot_row], q)
+                    if transform:
+                        _row_sub(u[i], u[pivot_row], q)
                 if h[i][col]:
                     done = False
             if done:
@@ -51,13 +61,15 @@ def hnf_transform(rows: Mat) -> tuple[list[list[int]], list[list[int]]]:
         if pivot_row < nrows and h[pivot_row][col] != 0:
             if h[pivot_row][col] < 0:
                 h[pivot_row] = [-x for x in h[pivot_row]]
-                u[pivot_row] = [-x for x in u[pivot_row]]
+                if transform:
+                    u[pivot_row] = [-x for x in u[pivot_row]]
             a = h[pivot_row][col]
             for i in range(pivot_row):
                 q = h[i][col] // a
                 if q:
                     _row_sub(h[i], h[pivot_row], q)
-                    _row_sub(u[i], u[pivot_row], q)
+                    if transform:
+                        _row_sub(u[i], u[pivot_row], q)
             pivot_row += 1
             if pivot_row == nrows:
                 break
@@ -71,8 +83,8 @@ def _row_sub(target: list[int], source: list[int], q: int):
 
 
 def hnf(rows: Mat) -> list[list[int]]:
-    """Nonzero rows of the row Hermite normal form."""
-    h, _ = hnf_transform(rows)
+    """Nonzero rows of the row Hermite normal form (no transform is built)."""
+    h, _ = _hermite(rows, transform=False)
     return [r for r in h if any(r)]
 
 

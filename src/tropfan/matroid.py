@@ -37,8 +37,9 @@ class Flat:
     def graph(self) -> Graph:
         return self.edges.graph
 
-    @property
+    @cached_property
     def rank(self) -> int:
+        # chain validation asks for it once per flat of every chain
         return sum(len(b) - 1 for b in self.blocks)
 
     @property
@@ -63,7 +64,7 @@ class ChainOfFlats:
 
     def __post_init__(self):
         for f in self.flats:
-            if f.mask == 0 or f.mask == f.graph.full_edge_set().mask:
+            if not 0 < f.mask < (1 << len(f.graph.edges)) - 1:
                 raise ValueError("chain flats must be proper and nonempty")
         for a, b in zip(self.flats, self.flats[1:]):
             if a.graph != b.graph:
@@ -127,7 +128,7 @@ def set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]
             yield part[:i] + (tuple(sorted((first,) + block)),) + part[i + 1 :]
 
 
-_MAX_FLAT_VERTICES = 10
+MAX_FLAT_VERTICES = 10
 
 
 def enumerate_flats(g: Graph) -> list[Flat]:
@@ -136,8 +137,8 @@ def enumerate_flats(g: Graph) -> list[Flat]:
     Each vertex partition induces a cluster graph on the ambient complete
     graph; its restriction to ``g`` is a flat, and all flats arise this way.
     """
-    if g.num_vertices > _MAX_FLAT_VERTICES:
-        raise ValueError(f"flat enumeration capped at {_MAX_FLAT_VERTICES} vertices")
+    if g.num_vertices > MAX_FLAT_VERTICES:
+        raise ValueError(f"flat enumeration capped at {MAX_FLAT_VERTICES} vertices")
     idx = g.edge_index
     seen: dict[int, Flat] = {}
     for part in set_partitions(g.labels):

@@ -6,10 +6,22 @@ at least trivalent; it is determined by its set of splits (the end bipartition
 each bounded edge induces, recorded as the side avoiding end 1), so types are
 stored canonically as laminar split families.  The root is the vertex carrying
 end 1.  A radial alignment orders the non-root vertices into levels by their
-distance from the root; radially aligned types correspond to chains of flats
-of the complete graph on labels 2..n, and both directions of that bijection
+distance from the root.  Radially aligned types correspond to chains of flats
+of the complete graph on labels 2..n: the non-root vertices are the distinct
+nontrivial blocks of the chain's flats.  Both directions of that bijection
 are implemented here, as is the coordinate translation between the
 distance-class space of curves and the edge space of the complete graph.
+
+The moduli fan is built straight from chains of flats.  Stability against a
+graph only constrains the leaf vertices of a radial type, which are the
+minimal nontrivial blocks of its chain: the root carries end 1, and every
+other vertex has two children, or one child (a strictly smaller block) and an
+end.  A leaf block needs an edge of the graph inside it, and every nontrivial
+block contains a minimal one, so a chain's type is stable exactly when each
+of its one-flat types is.  ``_flat_demands`` tabulates those per-flat
+conditions once per n, and ``moduli_fan_rad`` and ``verify_injectivity`` read
+them off as edge masks.  The route through types, alignments and
+``psi_radial_to_cof`` stays public and is the test oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from .graphs import (
     is_complete_multipartite,
     spanning_forest,
 )
-from .matroid import ChainOfFlats, Flat, proper_flats
+from .matroid import ChainOfFlats, Flat, all_chains, proper_flats
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +631,12 @@ def chain_gamma_stable(f: ChainOfFlats, gamma: Graph) -> bool:
 def moduli_fan_rad(n: int, gamma: Union[Graph, str] = "complete") -> Fan:
     """The fan of radially aligned stable types in complete-graph edge space.
 
-    Enumerates the stable combinatorial types, refines each by its radial
-    alignments, and embeds every radial type as the cone of its chain of
-    flats.  Projecting the result onto the stability graph's edges gives the
-    image fan.
+    Walks the chains of flats of the complete graph on 2..n and keeps a chain
+    when each of its flats is stable for gamma (``_stable_flats``); by the
+    leaf-block argument in the module docstring, these are exactly the chains
+    of the gamma-stable radial types.  Each kept chain's cone is spanned by
+    the rays of its flats, computed once per flat.  Projecting the result
+    onto the stability graph's edges gives the image fan.
     """
     if not 4 <= n <= 7:
         raise ValueError("moduli fans support 4 <= n <= 7")
@@ -631,17 +645,15 @@ def moduli_fan_rad(n: int, gamma: Union[Graph, str] = "complete") -> Fan:
     if not isinstance(gamma, Graph):
         raise ValueError("gamma must be a Graph or the string 'complete'")
     _check_stability_graph(n, gamma)
-    ambient = _complete_on(n).edges
-    cones = []
-    for d, types in sorted(enumerate_types(n).items()):
-        for typ in types:
-            if not is_gamma_stable(typ, gamma)[0]:
-                continue
-            for radial in radial_alignments(typ):
-                chain = psi_radial_to_cof(radial)
-                rays = [ray_of_flat(flat, ambient) for flat in chain]
-                cones.append(make_cone(rays, weight=1, provenance=(chain,)))
-    return Fan(ambient, cones, close_faces=False, validate=True)
+    ambient = _complete_on(n)
+    gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
+    ray_of = {f.mask: ray_of_flat(f, ambient.edges) for f in _stable_flats(n, gmask)}
+    cones = [
+        make_cone([ray_of[f.mask] for f in chain], weight=1, provenance=(chain,))
+        for chain in all_chains(ambient)
+        if all(f.mask in ray_of for f in chain)
+    ]
+    return Fan(ambient.edges, cones, close_faces=False, validate=True)
 
 
 def caterpillar_cof(gamma: Graph) -> ChainOfFlats:
@@ -708,8 +720,11 @@ def _flat_demands(n: int) -> tuple[tuple[Flat, Optional[tuple[int, ...]]], ...]:
     For each flat, in ``proper_flats`` order: one edge mask (in the complete
     graph's edge order) per vertex that ``_vertex_demand`` constrains, every
     one of which a stable graph's edge mask must intersect; None when no graph
-    makes the type stable.  None of this depends on the graph, and n is at
-    most 7 in every caller, so the cache stays small.
+    makes the type stable.  The constrained vertices are the flat's nontrivial
+    blocks, each a leaf asking for an edge inside it.  None of this depends
+    on the graph, and n is at most 7 in every caller, so the cache stays
+    small.  Read through ``_stable_flats`` by ``moduli_fan_rad`` (a chain is
+    stable when all its flats are) and ``verify_injectivity``.
     """
     ambient = _complete_on(n)
     idx = ambient.edge_index
@@ -725,6 +740,22 @@ def _flat_demands(n: int) -> tuple[tuple[Flat, Optional[tuple[int, ...]]], ...]:
     return tuple(table)
 
 
+def _stable_flats(n: int, gmask: int) -> list[Flat]:
+    """The proper flats of the complete graph on 2..n, in ``proper_flats``
+    order, whose one-flat type is stable for the graph with edge mask
+    ``gmask`` (in the complete graph's edge order)."""
+    stable = []
+    for f, demands in _flat_demands(n):
+        if demands is None:
+            continue
+        for m in demands:  # a plain loop: all() pays for a generator per flat
+            if not m & gmask:
+                break
+        else:
+            stable.append(f)
+    return stable
+
+
 def verify_injectivity(gamma: Graph) -> InjectivityReport:
     """Three independent computations of one trichotomy.
 
@@ -732,8 +763,8 @@ def verify_injectivity(gamma: Graph) -> InjectivityReport:
     (b) edge-restriction preserves the rank of every stable flat, and
     (c) gamma is complete multipartite.  The three are computed independently
     and returned; ``report.agree`` says whether they agree, and the caller
-    decides what a split means.  Stability is read off ``_flat_demands``, so
-    each flat costs a few mask tests.
+    decides what a split means.  Stability is read off ``_flat_demands``
+    (through ``_stable_flats``), so each flat costs a few mask tests.
     """
     n = gamma.labels[-1]
     if gamma.labels != tuple(range(2, n + 1)) or len(gamma.labels) > 6:
@@ -742,15 +773,7 @@ def verify_injectivity(gamma: Graph) -> InjectivityReport:
         raise ValueError("stability graph must be connected")
     ambient = _complete_on(n)
     gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
-    stable = []
-    for f, demands in _flat_demands(n):
-        if demands is None:
-            continue
-        for m in demands:
-            if not m & gmask:
-                break
-        else:
-            stable.append(f)
+    stable = _stable_flats(n, gmask)
     images = set()
     injective = True
     for f in stable:

@@ -1,7 +1,13 @@
+import itertools
 import json
+import tempfile
+from pathlib import Path
 
-from tropfan.cli import main, resolve_graph
-from tropfan import Graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tropfan.cli import NAMED_GRAPHS, main, resolve_graph
+from tropfan import Graph, parse_graph
 
 
 def run(capsys, *argv):
@@ -155,3 +161,65 @@ def test_golden_moduli_document(capsys):
     )
     assert status == 0
     assert out == golden.read_text()
+
+
+# ---------------------------------------------------------------------------
+# Malformed graph specs are refused with ValueError, so the CLI exits 2
+
+
+def returns_graph_or_value_error(fn, spec):
+    try:
+        g = fn(spec)
+    except ValueError:
+        return None
+    assert isinstance(g, Graph)
+    return g
+
+
+_edge_list = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=70).map(
+    lambda es: ",".join(f"{a}-{b}" for a, b in es)
+)
+_ascii_texts = st.one_of(
+    st.text(alphabet="0123456789-,;: \n\tverticsomplt", max_size=40), _edge_list
+)
+graph_texts = st.one_of(_ascii_texts, st.text(max_size=30))
+graph_specs = st.one_of(
+    graph_texts,
+    st.sampled_from(sorted(NAMED_GRAPHS)),
+    st.text(alphabet="0123456789-+_ x", max_size=7).map(lambda s: "complete:" + s),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=graph_texts)
+def test_parse_graph_fuzz(text):
+    returns_graph_or_value_error(parse_graph, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=graph_specs)
+def test_resolve_graph_fuzz(spec):
+    returns_graph_or_value_error(resolve_graph, spec)
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=_ascii_texts)  # ASCII: the file is read in the locale's encoding
+def test_resolve_graph_file_fuzz(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_text(text)
+        from_file = returns_graph_or_value_error(resolve_graph, str(path))
+        assert from_file == returns_graph_or_value_error(parse_graph, text)
+
+
+def test_long_inline_graph_is_not_a_file_name():
+    # longer than any file name: read as inline edges, not an OSError
+    spec = ",".join(f"{a}-{b}" for a, b in itertools.combinations(range(2, 25), 2))
+    assert len(spec) > 255
+    assert resolve_graph(spec) == Graph.complete(range(2, 25))
+
+
+def test_unusable_graph_specs_exit_2(tmp_path, capsys):
+    for spec in (str(tmp_path), "complete:11", "complete:-1", "complete:x"):
+        assert main(["flats", "--graph", spec]) == 2, spec
+        assert capsys.readouterr().err.startswith("error: ")

@@ -32,6 +32,7 @@ def matrices(rows, cols):
 @given(m=matrices(3, 4))
 def test_hnf_transform_is_unimodular(m):
     h, u = hnf_transform(m)
+    assert hnf(m) == [r for r in h if any(r)]  # the same form, built without U
     assert det_int(u) in (1, -1)
     for i in range(len(m)):
         got = [sum(u[i][k] * m[k][j] for k in range(len(m))) for j in range(len(m[0]))]

@@ -6,22 +6,29 @@ import pytest
 import tropfan.tropmoduli as tm
 
 from tropfan import (
+    Fan,
     Graph,
     all_graphs,
     bergman_fan,
+    enumerate_types,
     flat_gamma_stable,
     caterpillar_cof,
     fans_equal,
     graph_rank,
     is_balanced,
     is_complete_multipartite,
+    is_gamma_stable,
+    make_cone,
     moduli_fan_rad,
     project_fan,
     project_vector,
     psi_cof_to_radial,
+    psi_radial_to_cof,
+    radial_alignments,
     ray_of_flat,
     verify_injectivity,
 )
+from tropfan.bergman import fan_to_json
 from tropfan.graphs import EdgeSet
 from tropfan.matroid import proper_flats, set_partitions
 
@@ -125,6 +132,53 @@ def test_path_stability_gives_two_opposite_rays():
     assert [r.coords for r in projected.rays] == [(-1, 0), (1, 0)]
     assert is_balanced(projected).balanced
     assert fans_equal(projected, bergman_fan(path))
+
+
+def typed_radial_cones(n):
+    """The type route's graph-independent half: every combinatorial type with
+    n ends, paired with the cones of its radial alignments, each embedded
+    through ``psi_radial_to_cof``."""
+    ambient = Graph.complete(range(2, n + 1)).edges
+    out = []
+    for _, by_dim in sorted(enumerate_types(n).items()):
+        for typ in by_dim:
+            cones = []
+            for radial in radial_alignments(typ):
+                chain = psi_radial_to_cof(radial)
+                rays = [ray_of_flat(f, ambient) for f in chain]
+                cones.append(make_cone(rays, weight=1, provenance=(chain,)))
+            out.append((typ, cones))
+    return ambient, out
+
+
+def moduli_fan_by_types(gamma, ambient, typed_cones):
+    """The type route the chain walk replaced: the radial cones of every
+    gamma-stable combinatorial type.  Validation is left to the fan under
+    test, whose cones must be equal."""
+    cones = [c for typ, cs in typed_cones if is_gamma_stable(typ, gamma)[0] for c in cs]
+    return Fan(ambient, cones, close_faces=False, validate=False)
+
+
+def assert_same_moduli_fan(n, gamma, typed):
+    fan = moduli_fan_rad(n, gamma)
+    oracle = moduli_fan_by_types(gamma, *typed)
+    assert fan.cones == oracle.cones, gamma.edges
+    assert [c.provenance for c in fan.cones] == [c.provenance for c in oracle.cones]
+    assert fan_to_json(fan) == fan_to_json(oracle)
+
+
+def test_chain_walk_matches_type_route_up_to_six_ends():
+    for n in (4, 5, 6):
+        typed = typed_radial_cones(n)
+        for gamma in all_graphs(range(2, n + 1), connected=True):
+            assert_same_moduli_fan(n, gamma, typed)
+
+
+def test_chain_walk_matches_type_route_seven_ends():
+    typed = typed_radial_cones(7)
+    path = Graph.from_edges([(2, 4), (4, 6), (6, 3), (3, 5), (5, 7)])
+    for gamma in (Graph.complete(range(2, 8)), path):
+        assert_same_moduli_fan(7, gamma, typed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tropfan import (
     Graph,
     all_chains,
@@ -60,3 +63,55 @@ def test_chain_serialization(k4):
     assert doc == [["2-3"], ["2-3", "2-4", "3-4"]]
     rt = psi_cof_to_radial(chains[0])
     assert radial_from_json(radial_to_json(rt)) == rt
+
+
+# ---------------------------------------------------------------------------
+# Round trips on generated types, under any vertex numbering
+
+
+@st.composite
+def tropical_types(draw):
+    """A type from a random laminar family: candidate splits are kept when
+    compatible with every split kept so far."""
+    n = draw(st.integers(4, 8))
+    candidates = draw(
+        st.lists(st.sets(st.integers(2, n), min_size=2, max_size=n - 2), max_size=8)
+    )
+    kept = []
+    for s in map(frozenset, candidates):
+        if all(s <= t or t <= s or not s & t for t in kept):
+            kept.append(s)
+    return tropical_type(n, kept)
+
+
+def renumbered(draw, doc):
+    """The same tree with fresh vertex ids and random edge orientations."""
+    ids = sorted({v for e in doc["edges"] for v in e} | set(doc["ends_at"].values()))
+    fresh = draw(st.lists(st.integers(0, 99), min_size=len(ids), max_size=len(ids), unique=True))
+    new_id = dict(zip(ids, fresh))
+    edges = []
+    for u, v in doc["edges"]:
+        edge = [new_id[u], new_id[v]]
+        edges.append(edge[::-1] if draw(st.booleans()) else edge)
+    out = dict(doc, edges=edges, ends_at={e: new_id[v] for e, v in doc["ends_at"].items()})
+    if "levels" in doc:
+        out["levels"] = [[new_id[v] for v in block] for block in doc["levels"]]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_type_round_trip_fuzz(data):
+    t = data.draw(tropical_types())
+    doc = type_to_json(t)
+    assert type_from_json(json.loads(json.dumps(doc))) == t
+    assert type_from_json(renumbered(data.draw, doc)) == t
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_radial_round_trip_fuzz(data):
+    rt = data.draw(tropical_types().map(radial_alignments).flatmap(st.sampled_from))
+    doc = radial_to_json(rt)
+    assert radial_from_json(json.loads(json.dumps(doc))) == rt
+    assert radial_from_json(renumbered(data.draw, doc)) == rt
