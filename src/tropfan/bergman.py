@@ -6,14 +6,19 @@ makes equality a plain tuple comparison and identifies the quotient lattice
 with the integer vectors supported on the remaining coordinates.
 
 Arithmetic is exact, never floating point.  Ranks (cone validation,
-projection, the balancing span test) count the nonzero rows of an integer
-Hermite form.  Balancing indexes the maximal cones by their facets, so each
-codimension-one face visits only its own star.  The chains-of-flats
-subdivision is unimodular (Ardila-Klivans; Feichtner-Sturmfels): when a
-maximal cone's rays form a basis of the lattice points of their span, the
-primitive normal of a facet is the remaining ray, modulo the facet's lattice.
-Any other cone falls back to ``primitive_normal``, which builds the normal
-from saturations via Hermite reduction.
+projection) and the balancing span test run on the fraction-free echelon
+kernel ``intlinalg.echelon``.  Balancing indexes the maximal cones by their
+facets, so each codimension-one face visits only its own star.  The
+chains-of-flats subdivision is unimodular (Ardila-Klivans;
+Feichtner-Sturmfels): the canonical rays of a chain are signed indicators
+of a laminar family of edge sets (the flats and the complements of those
+holding the last edge), so their matrix is totally unimodular and the kernel
+finds a unit pivot at every step, which proves that the rays are a basis of
+the lattice points of their span.  For such a cone the primitive normal of
+a facet is the remaining ray, modulo the facet's lattice.  A cone the kernel
+cannot settle is tested with Hermite forms of its rays and their
+saturation, and a cone that fails falls back to ``primitive_normal``, which
+builds the normal from saturations via Hermite reduction.
 """
 
 from __future__ import annotations
@@ -107,9 +112,15 @@ def _cleared(coords: Sequence) -> list[int]:
     return [int(c * denom) for c in coords]
 
 
+def _integral(rows: Sequence[Sequence]) -> list:
+    """The rows with denominators cleared in those that hold a Fraction."""
+    # ``in`` over map(type, ...) scans in C; most rows hold ints only
+    return [_cleared(r) if Fraction in map(type, r) else r for r in rows]
+
+
 def _rank(rows: Sequence[Sequence]) -> int:
-    """Rank of rational row vectors: the nonzero rows of an integer Hermite form."""
-    return len(ila.hnf([_cleared(r) for r in rows]))
+    """Rank of rational row vectors, by the echelon kernel."""
+    return len(ila.echelon(_integral(rows))[0])
 
 
 def ray_of_flat(f: Flat, ambient: Sequence[Edge]) -> QuotientVector:
@@ -327,8 +338,10 @@ def is_balanced(fan: Fan) -> BalanceReport:
     unimodularity (its rays are integral and span a saturated lattice); for
     such a cone the remaining ray stands in for the primitive normal, which
     it equals modulo tau's lattice.  Any other cone falls back to
-    ``primitive_normal``.  Faces are visited in the fan's cone order, so the
-    first failing face is reported.  Exact arithmetic throughout.
+    ``primitive_normal``.  The span test echelonizes tau's rays once and
+    reduces the sum against them.  Faces are visited in the fan's cone
+    order, so the first failing face is reported.  Exact arithmetic
+    throughout.
     """
     if not fan.is_pure:
         raise ValueError("balancing is only defined for pure fans")
@@ -348,21 +361,28 @@ def is_balanced(fan: Fan) -> BalanceReport:
             total = [t + sigma.weight * c for t, c in zip(total, u.coords)]
         if not any(total):
             continue
-        span_rows = [r.coords for r in tau.rays]
-        if _rank(span_rows + [total]) != _rank(span_rows):
+        *span_rows, total = _integral([r.coords for r in tau.rays] + [total])
+        span, pivots, _ = ila.echelon(span_rows)
+        if any(ila.echelon_reduce(span, pivots, total)):
             return BalanceReport(False, tau)
     return BalanceReport(True)
 
 
 def _is_unimodular(sigma: Cone) -> bool:
     """Whether sigma's rays are integral and a basis of the integer points of
-    their span."""
+    their span.
+
+    Settled by the echelon kernel when it finds a unit pivot at every step
+    (a basis) or loses a row (dependent rays); any other cone is compared
+    with the Hermite form of its saturation."""
     if not all(r.is_integral for r in sigma.rays):
         return False
     m = len(sigma.rays[0].coords) - 1  # canonical reps end in 0
     rows = [[int(c) for c in r.coords[:-1]] for r in sigma.rays]
-    lattice = ila.hnf(rows)
-    return len(lattice) == len(rows) and lattice == ila.hnf(ila.saturation(rows, m))
+    independent, _, unit = ila.echelon(rows)
+    if len(independent) < len(rows):
+        return False
+    return unit or ila.hnf(rows) == ila.hnf(ila.saturation(rows, m))
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def cmd_project(args) -> int:
 
 def cmd_counts(args) -> int:
     if args.complete is not None:
-        g = Graph.complete(range(2, args.complete + 2))
+        g = resolve_graph(f"complete:{args.complete}")  # with its size check
     else:
         g = resolve_graph(args.graph)
     flats = enumerate_flats(g)

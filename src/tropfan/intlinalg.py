@@ -1,18 +1,105 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything here runs on plain Python ints and ``fractions.Fraction``; no
-floating point.  The integer side provides row Hermite forms with transform
-matrices, kernels, lattice saturations and membership tests, which is what
-the primitive-normal-vector computation needs.
+floating point.  Ranks, rational span tests and the unimodularity shortcut
+run on one fraction-free row echelon kernel, ``echelon``, which pivots on a
+unit entry whenever one exists.  Row Hermite forms with transform matrices,
+kernels, lattice saturations and membership tests serve the primitive
+normal vectors and the cases the kernel cannot settle.  The Fraction
+routines at the end serve the generic primitive normal, the inverse behind
+psi, and the tests as oracles.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 Vec = Sequence[int]
 Mat = Sequence[Sequence[int]]
+
+
+def echelon(rows: Mat) -> tuple[list[list[int]], list[int], bool]:
+    """Fraction-free row echelon form of integer rows.
+
+    Returns ``(E, pivots, unit)``: the nonzero rows E of an echelon form, the
+    pivot column of each row, and whether every pivot is 1 or -1.  Zero rows
+    are dropped, so ``len(E)`` is the rank.  Each step pivots on a unit
+    entry of a remaining row when there is one, and eliminates by exact
+    integer row subtraction; with no unit entry left it pivots on a smallest
+    entry, cross-multiplies and divides each changed row by its gcd.  Row i
+    of E vanishes in the pivot columns of rows 0..i-1.
+
+    When ``unit`` holds and no row was dropped, every step was unimodular
+    and the pivot columns of E form a triangular minor of determinant 1 or
+    -1, so the input rows are a basis of the integer points of their span.
+    """
+    pending = [list(r) for r in rows if any(r)]
+    out: list[list[int]] = []
+    pivots: list[int] = []
+    unit = True
+    while pending:
+        pick = _unit_entry(pending)
+        if pick is None:
+            unit = False
+            pick = min(
+                ((i, j) for i, r in enumerate(pending) for j, x in enumerate(r) if x),
+                key=lambda ij: abs(pending[ij[0]][ij[1]]),
+            )
+        i, col = pick
+        row = pending.pop(i)
+        out.append(row)
+        pivots.append(col)
+        rest = []
+        for r in pending:
+            if r[col]:
+                r = _eliminate(r, row, col)
+                if not any(r):
+                    continue
+            rest.append(r)
+        pending = rest
+    return out, pivots, unit
+
+
+def _unit_entry(rows: list[list[int]]) -> Optional[tuple[int, int]]:
+    """(row, column) of the first 1 or -1 in the first row holding one."""
+    for i, r in enumerate(rows):
+        if 1 in r:
+            return i, r.index(1)
+        if -1 in r:
+            return i, r.index(-1)
+    return None
+
+
+def _eliminate(target: list[int], row: list[int], col: int) -> list[int]:
+    """``target`` with its ``col`` entry cleared by the pivot row ``row``:
+    plain subtraction for a unit pivot, else cross-multiplication and
+    division by the result's gcd.  Its span together with ``row`` is kept."""
+    c = target[col]
+    if not c:
+        return target
+    a = row[col]
+    if a == 1 or a == -1:
+        q = c * a
+        return [x - q * y for x, y in zip(target, row)]
+    g = math.gcd(a, c)
+    a, c = a // g, c // g
+    out = [a * x - c * y for x, y in zip(target, row)]
+    g = math.gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def echelon_reduce(rows: Mat, pivots: Sequence[int], vec: Vec) -> list[int]:
+    """``vec`` eliminated against ``echelon`` rows and their pivot columns.
+
+    The result is zero exactly when ``vec`` lies in the rational span of the
+    rows (a nonzero result is a multiple of ``vec`` minus that span, not a
+    canonical representative)."""
+    v = list(vec)
+    for row, col in zip(rows, pivots):
+        v = _eliminate(v, row, col)
+    return v
 
 
 def hnf_transform(rows: Mat) -> tuple[list[list[int]], list[list[int]]]:

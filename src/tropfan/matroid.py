@@ -186,7 +186,14 @@ def _containment_successors(flats: Sequence[Flat]) -> list[list[int]]:
 def all_chains(g: Graph) -> Iterator[ChainOfFlats]:
     """Every strictly increasing chain of proper nonempty flats, the empty
     chain included, in canonical (lexicographic on flat order) order."""
-    flats = proper_flats(g)
+    yield from _chain_walk(proper_flats(g))
+
+
+def _chain_walk(flats: Sequence[Flat]) -> Iterator[ChainOfFlats]:
+    """Every strictly increasing chain drawn from ``flats`` (proper flats of
+    one graph, in canonical order), the empty chain first, lexicographic on
+    that order.  On a subset of ``proper_flats`` this is the subsequence of
+    ``all_chains`` whose flats all lie in the subset."""
     succ = _containment_successors(flats)
 
     def extend(prefix: list[int], start_choices: Iterable[int]) -> Iterator[list[int]]:

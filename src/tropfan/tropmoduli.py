@@ -42,7 +42,7 @@ from .graphs import (
     is_complete_multipartite,
     spanning_forest,
 )
-from .matroid import ChainOfFlats, Flat, all_chains, proper_flats
+from .matroid import ChainOfFlats, Flat, _chain_walk, proper_flats
 
 
 # ---------------------------------------------------------------------------
@@ -631,11 +631,11 @@ def chain_gamma_stable(f: ChainOfFlats, gamma: Graph) -> bool:
 def moduli_fan_rad(n: int, gamma: Union[Graph, str] = "complete") -> Fan:
     """The fan of radially aligned stable types in complete-graph edge space.
 
-    Walks the chains of flats of the complete graph on 2..n and keeps a chain
-    when each of its flats is stable for gamma (``_stable_flats``); by the
-    leaf-block argument in the module docstring, these are exactly the chains
-    of the gamma-stable radial types.  Each kept chain's cone is spanned by
-    the rays of its flats, computed once per flat.  Projecting the result
+    Walks the chains of flats of the complete graph on 2..n whose flats are
+    all stable for gamma (``_stable_flats``), never building the others; by
+    the leaf-block argument in the module docstring, these are exactly the
+    chains of the gamma-stable radial types.  Each chain's cone is spanned
+    by the rays of its flats, computed once per flat.  Projecting the result
     onto the stability graph's edges gives the image fan.
     """
     if not 4 <= n <= 7:
@@ -647,11 +647,11 @@ def moduli_fan_rad(n: int, gamma: Union[Graph, str] = "complete") -> Fan:
     _check_stability_graph(n, gamma)
     ambient = _complete_on(n)
     gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
-    ray_of = {f.mask: ray_of_flat(f, ambient.edges) for f in _stable_flats(n, gmask)}
+    stable = _stable_flats(n, gmask)
+    ray_of = {f.mask: ray_of_flat(f, ambient.edges) for f in stable}
     cones = [
         make_cone([ray_of[f.mask] for f in chain], weight=1, provenance=(chain,))
-        for chain in all_chains(ambient)
-        if all(f.mask in ray_of for f in chain)
+        for chain in _chain_walk(stable)
     ]
     return Fan(ambient.edges, cones, close_faces=False, validate=True)
 

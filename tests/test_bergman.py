@@ -19,6 +19,7 @@ from tropfan import (
     project_vector,
     ray_of_flat,
 )
+from tropfan import intlinalg as ila
 from tropfan.bergman import _is_unimodular, _rank
 from tropfan.intlinalg import (
     hnf,
@@ -370,6 +371,101 @@ def rational_matrices(draw):
 @given(rows=rational_matrices())
 def test_integer_rank_matches_rational_rank(rows):
     assert _rank(rows) == rational_rank(rows)
+
+
+def hermite_unimodular(sigma):
+    """The Hermite route: integral rays whose Hermite form equals that of
+    their saturation."""
+    if not all(r.is_integral for r in sigma.rays):
+        return False
+    rows = [[int(c) for c in r.coords[:-1]] for r in sigma.rays]
+    lattice = hnf(rows)
+    return len(lattice) == len(rows) and lattice == hnf(saturation(rows, len(rows[0])))
+
+
+def cone_of_rows(rows):
+    """The cone on the given integer rows, as quotient vectors ending in 0."""
+    ambient = tuple((2, j) for j in range(3, len(rows[0]) + 4))  # a star's edges
+    return make_cone(QuotientVector(ambient, tuple(r) + (0,)) for r in rows)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the Hermite fallbacks of ``_is_unimodular`` (the only caller
+    of ``saturation`` on that path)."""
+    calls = []
+    original = ila.saturation
+
+    def counted(rows, ncols):
+        calls.append(rows)
+        return original(rows, ncols)
+
+    monkeypatch.setattr(ila, "saturation", counted)
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 4).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.sampled_from([0, 0, 1, -1, 2, -2, 3, 4]), min_size=ncols, max_size=ncols),
+            min_size=1,
+            max_size=ncols,
+        )
+    )
+)
+def test_is_unimodular_matches_hermite_route(rows):
+    sigma = cone_of_rows(rows)
+    assert _is_unimodular(sigma) == hermite_unimodular(sigma)
+
+
+@pytest.mark.parametrize(
+    "rows, expected, fallback",
+    [
+        ([[2, 3]], True, True),  # saturated, but no unit entry
+        ([[2, 3], [3, 5]], True, True),  # determinant 1, no unit entry
+        ([[2, 4]], False, True),  # index 2 in its saturation
+        ([[1, 0], [1, 2]], False, True),  # index 2
+        ([[1, 0], [1, 1]], True, False),
+        ([[1, 2], [2, 4]], False, False),  # dependent rays
+        ([[-1, -1, 0], [0, -1, 0]], True, False),
+    ],
+)
+def test_is_unimodular_examples(rows, expected, fallback, fallbacks):
+    sigma = cone_of_rows(rows)
+    assert _is_unimodular(sigma) is expected
+    assert hermite_unimodular(sigma) is expected
+    assert bool(fallbacks) is fallback
+
+
+def path_on(n):
+    return Graph.from_edges([(v, v + 1) for v in range(2, n)])
+
+
+UNIT_PIVOT_FANS = {
+    **{f"K{m}": lambda m=m: bergman_fan(Graph.complete(range(2, m + 2))) for m in (3, 4, 5, 6)},
+    **{f"M0{n}": lambda n=n: moduli_fan_rad(n, "complete") for n in (5, 6)},
+    **{f"M0{n}-path": lambda n=n: moduli_fan_rad(n, path_on(n)) for n in (5, 6)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_PIVOT_FANS))
+def test_chains_of_flats_take_unit_pivots(name, fallbacks):
+    """Every maximal cone of these fans is settled by the echelon kernel's
+    unit pivots, with no Hermite fallback."""
+    fan = UNIT_PIVOT_FANS[name]()
+    maximal = fan.cones_of_dim(fan.max_dim)
+    assert maximal and all(_is_unimodular(sigma) for sigma in maximal)
+    assert fallbacks == []
+
+
+def test_fallback_cones_are_counted(fallbacks):
+    """The index-two cone and a non-primitive ray have no unit pivot."""
+    _, sigma = index_two_fan()
+    doubled = make_cone([QuotientVector(sigma.rays[0].ambient, (2, 0, 0))])
+    assert not _is_unimodular(sigma)
+    assert not _is_unimodular(doubled)
+    assert len(fallbacks) == 2
 
 
 # ---------------------------------------------------------------------------

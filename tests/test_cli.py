@@ -223,3 +223,12 @@ def test_unusable_graph_specs_exit_2(tmp_path, capsys):
     for spec in (str(tmp_path), "complete:11", "complete:-1", "complete:x"):
         assert main(["flats", "--graph", spec]) == 2, spec
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_counts_complete_out_of_range_exits_2(capsys):
+    # refused before any graph is built, as for --graph complete:<m>
+    for m in ("-3", "11", "3000"):
+        assert main(["counts", "--complete", m]) == 2, m
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs 0 <= m <= 10" in captured.err, m

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from tropfan.intlinalg import (
     det_int,
+    echelon,
+    echelon_reduce,
     hnf,
     hnf_transform,
     in_lattice,
@@ -130,3 +132,58 @@ def test_orthogonal_complement_dimensions():
     assert len(comp) == 2
     for v in comp:
         assert v[0] + v[1] == 0
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices with some zero rows, some rows that are
+    integer combinations of earlier ones, and entries often away from +-1."""
+    ncols = draw(st.integers(1, 5))
+    entries = st.one_of(small_int, st.sampled_from([0, 2, -2, 3, 4, -6]))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(small_int, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@settings(max_examples=400)
+@given(m=integer_matrices(), vec=st.lists(small_int, min_size=5, max_size=5))
+def test_echelon_matches_rational_elimination(m, vec):
+    rows, pivots, unit = echelon(m)
+    assert len(rows) == len(pivots) == rational_rank(m)
+    assert rational_rank(rows + m) == len(rows)  # the same span
+    for i, (row, col) in enumerate(zip(rows, pivots)):
+        assert row[col] != 0
+        assert all(row[c] == 0 for c in pivots[:i])
+    assert unit == all(row[col] in (1, -1) for row, col in zip(rows, pivots))
+    if m:
+        target = vec[: len(m[0])]
+        assert (not any(echelon_reduce(rows, pivots, target))) == in_rational_span(m, target)
+        for r in m:  # every input row lies in the span
+            assert not any(echelon_reduce(rows, pivots, r))
+
+
+def test_echelon_prefers_unit_pivots():
+    # the unit entry of the second row is taken first, so every pivot is a unit
+    rows, pivots, unit = echelon([[2, 3], [1, 1]])
+    assert (rows[0], pivots[0], unit) == ([1, 1], 0, True)
+    assert echelon([[2, 3]])[2] is False
+    assert echelon([[0, 0], [0, 0]]) == ([], [], True)
+    assert echelon([]) == ([], [], True)
+
+
+@settings(max_examples=200)
+@given(m=integer_matrices())
+def test_unit_echelon_means_saturated(m):
+    """Independent rows echelonized with unit pivots only are a basis of the
+    integer points of their span."""
+    rows, _, unit = echelon(m)
+    if unit and m and len(rows) == len(m):
+        assert hnf(m) == hnf(saturation(m, len(m[0])))
