@@ -14,11 +14,12 @@ Feichtner-Sturmfels): the canonical rays of a chain are signed indicators
 of a laminar family of edge sets (the flats and the complements of those
 holding the last edge), so their matrix is totally unimodular and the kernel
 finds a unit pivot at every step, which proves that the rays are a basis of
-the lattice points of their span.  For such a cone the primitive normal of
-a facet is the remaining ray, modulo the facet's lattice.  A cone the kernel
-cannot settle is tested with Hermite forms of its rays and their
-saturation, and a cone that fails falls back to ``primitive_normal``, which
-builds the normal from saturations via Hermite reduction.
+the lattice points of their span; ``intlinalg.saturation`` then hands them
+back unchanged.  For such a cone the primitive normal of a facet is the
+remaining ray, modulo the facet's lattice.  A cone the kernel cannot settle
+is tested with Hermite forms of its rays and their saturation, and a cone
+that fails falls back to ``primitive_normal``, which builds the normal from
+saturations via Hermite reduction.
 """
 
 from __future__ import annotations
@@ -372,17 +373,17 @@ def _is_unimodular(sigma: Cone) -> bool:
     """Whether sigma's rays are integral and a basis of the integer points of
     their span.
 
-    Settled by the echelon kernel when it finds a unit pivot at every step
-    (a basis) or loses a row (dependent rays); any other cone is compared
-    with the Hermite form of its saturation."""
+    ``saturation`` hands back rays that the echelon kernel certifies with a
+    unit pivot at every step, and a shorter basis for dependent rays; any
+    other basis is compared with the rays by Hermite forms."""
     if not all(r.is_integral for r in sigma.rays):
         return False
     m = len(sigma.rays[0].coords) - 1  # canonical reps end in 0
     rows = [[int(c) for c in r.coords[:-1]] for r in sigma.rays]
-    independent, _, unit = ila.echelon(rows)
-    if len(independent) < len(rows):
-        return False
-    return unit or ila.hnf(rows) == ila.hnf(ila.saturation(rows, m))
+    basis = ila.saturation(rows, m)
+    if basis == rows:
+        return True
+    return len(basis) == len(rows) and ila.hnf(rows) == ila.hnf(basis)
 
 
 # ---------------------------------------------------------------------------

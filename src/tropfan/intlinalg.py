@@ -1,13 +1,14 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything here runs on plain Python ints and ``fractions.Fraction``; no
-floating point.  Ranks, rational span tests and the unimodularity shortcut
-run on one fraction-free row echelon kernel, ``echelon``, which pivots on a
-unit entry whenever one exists.  Row Hermite forms with transform matrices,
-kernels, lattice saturations and membership tests serve the primitive
-normal vectors and the cases the kernel cannot settle.  The Fraction
-routines at the end serve the generic primitive normal, the inverse behind
-psi, and the tests as oracles.
+floating point.  Ranks, rational span tests and lattice saturation run on
+one fraction-free row echelon kernel, ``echelon``, which pivots on a unit
+entry whenever one exists; rows it echelonizes with unit pivots only are
+already a basis of their saturation.  Row Hermite forms with transform
+matrices, kernels, double orthogonal complements and membership tests serve
+the primitive normal vectors and the cases the kernel cannot settle.  The
+Fraction routines at the end serve the generic primitive normal, the
+inverse behind psi, and the tests as oracles.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ Mat = Sequence[Sequence[int]]
 
 
 def echelon(rows: Mat) -> tuple[list[list[int]], list[int], bool]:
-    """Fraction-free row echelon form of integer rows.
+    """Row echelon form of integer rows, fraction-free.
 
     Returns ``(E, pivots, unit)``: the nonzero rows E of an echelon form, the
     pivot column of each row, and whether every pivot is 1 or -1.  Zero rows
@@ -195,9 +196,19 @@ def orthogonal_complement(rows: Mat, ncols: int) -> list[list[int]]:
 def saturation(rows: Mat, ncols: int) -> list[list[int]]:
     """Basis of (rational row span of M) intersected with Z^ncols.
 
-    Computed as the double orthogonal complement; integer kernels are always
-    saturated.
+    When ``echelon`` pivots on units only, its rows are such a basis: unit
+    eliminations keep the lattice, and the pivot columns give a triangular
+    minor of determinant 1 or -1.  Independent rows so certified come back
+    as given (copied), so a caller can tell that they are a basis of their
+    saturation by comparing them with the result.  Any other input is
+    saturated as the double orthogonal complement; integer kernels are
+    always saturated.
     """
+    independent, _, unit = echelon(rows)
+    if unit:
+        if len(independent) == len(rows):
+            return [list(r) for r in rows]
+        return independent
     comp = orthogonal_complement(rows, ncols)
     return orthogonal_complement(comp, ncols)
 

@@ -26,11 +26,17 @@ from tropfan.intlinalg import (
     hnf_reduce,
     in_lattice,
     in_rational_span,
+    orthogonal_complement,
     rational_rank,
-    saturation,
 )
 
 from conftest import flat_of
+
+
+def saturated_hnf(rows, m):
+    """Lattice oracle: the Hermite form of the saturation of ``rows`` in
+    Z^m, by double orthogonal complement."""
+    return hnf(orthogonal_complement(orthogonal_complement(rows, m), m))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +162,7 @@ def test_primitive_normal_generates_quotient(k4, k4_flat_labels):
     tau = make_cone([r11])
     u = primitive_normal(sigma, tau)
     m = len(k4.edges) - 1
-    basis_sigma = hnf(saturation([r.coords[:-1] for r in sigma.rays], m))
+    basis_sigma = saturated_hnf([r.coords[:-1] for r in sigma.rays], m)
     basis_tau = [list(r.coords[:-1]) for r in tau.rays]
     with_u = hnf(basis_tau + [list(u.coords[:-1])])
     with_2u = hnf(basis_tau + [[2 * c for c in u.coords[:-1]]])
@@ -187,7 +193,7 @@ def test_every_normal_generates_in_k4_fan(k4):
             if not tau.rayset <= sigma.rayset:
                 continue
             u = primitive_normal(sigma, tau)
-            basis_sigma = hnf(saturation([r.coords[:-1] for r in sigma.rays], m))
+            basis_sigma = saturated_hnf([r.coords[:-1] for r in sigma.rays], m)
             assert hnf(basis_tau + [list(u.coords[:-1])]) == basis_sigma
 
 
@@ -197,12 +203,12 @@ def test_every_normal_generates_in_k5_fan():
     m = len(k5.edges) - 1
     maximal = fan.cones_of_dim(fan.max_dim)
     for tau in fan.cones_of_dim(fan.max_dim - 1):
-        basis_tau = hnf(saturation([list(r.coords[:-1]) for r in tau.rays], m))
+        basis_tau = saturated_hnf([list(r.coords[:-1]) for r in tau.rays], m)
         for sigma in maximal:
             if not tau.rayset <= sigma.rayset:
                 continue
             u = primitive_normal(sigma, tau)
-            basis_sigma = hnf(saturation([r.coords[:-1] for r in sigma.rays], m))
+            basis_sigma = saturated_hnf([r.coords[:-1] for r in sigma.rays], m)
             assert hnf(basis_tau + [list(u.coords[:-1])]) == basis_sigma
             assert hnf(basis_tau + [[2 * c for c in u.coords[:-1]]]) != basis_sigma
 
@@ -380,7 +386,7 @@ def hermite_unimodular(sigma):
         return False
     rows = [[int(c) for c in r.coords[:-1]] for r in sigma.rays]
     lattice = hnf(rows)
-    return len(lattice) == len(rows) and lattice == hnf(saturation(rows, len(rows[0])))
+    return len(lattice) == len(rows) and lattice == saturated_hnf(rows, len(rows[0]))
 
 
 def cone_of_rows(rows):
@@ -391,16 +397,17 @@ def cone_of_rows(rows):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Counts the Hermite fallbacks of ``_is_unimodular`` (the only caller
-    of ``saturation`` on that path)."""
+    """Records each orthogonal complement taken.  ``saturation`` takes two
+    for each input the echelon kernel cannot settle by unit pivots, and
+    those inputs are the Hermite fallbacks of ``_is_unimodular``."""
     calls = []
-    original = ila.saturation
+    original = ila.orthogonal_complement
 
     def counted(rows, ncols):
         calls.append(rows)
         return original(rows, ncols)
 
-    monkeypatch.setattr(ila, "saturation", counted)
+    monkeypatch.setattr(ila, "orthogonal_complement", counted)
     return calls
 
 
@@ -465,7 +472,7 @@ def test_fallback_cones_are_counted(fallbacks):
     doubled = make_cone([QuotientVector(sigma.rays[0].ambient, (2, 0, 0))])
     assert not _is_unimodular(sigma)
     assert not _is_unimodular(doubled)
-    assert len(fallbacks) == 2
+    assert len(fallbacks) == 2 * 2  # two complements for each cone
 
 
 # ---------------------------------------------------------------------------

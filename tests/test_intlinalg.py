@@ -186,4 +186,24 @@ def test_unit_echelon_means_saturated(m):
     integer points of their span."""
     rows, _, unit = echelon(m)
     if unit and m and len(rows) == len(m):
-        assert hnf(m) == hnf(saturation(m, len(m[0])))
+        assert hnf(m) == hnf(complement_saturation(m, len(m[0])))
+
+
+def complement_saturation(m, ncols):
+    return orthogonal_complement(orthogonal_complement(m, ncols), ncols)
+
+
+@settings(max_examples=300)
+@given(m=integer_matrices())
+def test_saturation_matches_double_complement(m):
+    """Same lattice as the double complement; rows certified by unit pivots
+    come back as given, and dependent ones as a shorter basis."""
+    if not m:
+        return
+    ncols = len(m[0])
+    basis = saturation(m, ncols)
+    assert len(basis) == rational_rank(m)
+    assert hnf(basis) == hnf(complement_saturation(m, ncols))
+    rows, _, unit = echelon(m)
+    if unit and len(rows) == len(m):
+        assert basis == m
