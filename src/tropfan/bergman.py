@@ -167,16 +167,15 @@ def make_cone(
 class Fan:
     """A weighted polyhedral fan given by its (simplicial) cones.
 
-    Cones are deduplicated by ray set; faces spanned by ray subsets are filled
-    in with weight one when ``close_faces`` is set.  Orderings are canonical
-    everywhere so that repeated construction is byte-stable.
+    Cones are deduplicated by ray set, and the cone with no rays is always
+    present.  Orderings are canonical everywhere so that repeated
+    construction is byte-stable.
     """
 
     def __init__(
         self,
         ambient: Sequence[Edge],
         cones: Iterable[Cone],
-        close_faces: bool = False,
         validate: bool = True,
     ):
         self.ambient = tuple(ambient)
@@ -196,12 +195,6 @@ class Fan:
                 if _rank(coords) != cone.dim:
                     raise ValueError("cone rays are linearly dependent")
             by_rayset[cone.rayset] = cone
-        if close_faces:
-            for cone in list(by_rayset.values()):
-                for k in range(cone.dim):
-                    for sub in combinations(cone.rays, k):
-                        face = make_cone(sub)
-                        by_rayset.setdefault(face.rayset, face)
         if frozenset() not in by_rayset:
             by_rayset[frozenset()] = make_cone(())
         self._by_rayset = by_rayset
@@ -239,7 +232,7 @@ class Fan:
             Cone(c.rays, overrides.get(c.rayset, c.weight), c.provenance)
             for c in self.cones
         ]
-        return Fan(self.ambient, cones, close_faces=False, validate=False)
+        return Fan(self.ambient, cones, validate=False)
 
     def census(self) -> tuple[int, ...]:
         """Cone counts by dimension 0..max_dim."""
@@ -255,7 +248,7 @@ def bergman_fan(g: Graph) -> Fan:
         make_cone([ray_of[f.mask] for f in chain], weight=1, provenance=(chain,))
         for chain in all_chains(g)
     ]
-    fan = Fan(ambient, cones, close_faces=False, validate=True)
+    fan = Fan(ambient, cones, validate=True)
     expected = max(graph_rank(g, g.full_edge_set()) - 1, 0)
     if fan.max_dim != expected:
         raise RuntimeError(
@@ -427,7 +420,7 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
         make_cone(rays, weight=1, provenance=tuple(fibers))
         for rays, fibers in merged.values()
     ]
-    return Fan(gamma.edges, cones, close_faces=False, validate=False)
+    return Fan(gamma.edges, cones, validate=False)
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:

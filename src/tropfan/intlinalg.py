@@ -5,10 +5,10 @@ floating point.  Ranks, rational span tests and lattice saturation run on
 one fraction-free row echelon kernel, ``echelon``, which pivots on a unit
 entry whenever one exists; rows it echelonizes with unit pivots only are
 already a basis of their saturation.  Row Hermite forms with transform
-matrices, kernels, double orthogonal complements and membership tests serve
+matrices, kernels, double orthogonal complements and lattice reduction serve
 the primitive normal vectors and the cases the kernel cannot settle.  The
-Fraction routines at the end serve the generic primitive normal, the
-inverse behind psi, and the tests as oracles.
+one Fraction routine, ``solve_in_span`` at the end, serves the generic
+primitive normal, which chains-of-flats fans never reach.
 """
 
 from __future__ import annotations
@@ -231,10 +231,6 @@ def hnf_reduce(basis_hnf: Mat, vec: Vec) -> list[int]:
     return v
 
 
-def in_lattice(basis_hnf: Mat, vec: Vec) -> bool:
-    return not any(hnf_reduce(basis_hnf, vec))
-
-
 def det_int(rows: Mat) -> int:
     """Determinant of a square integer matrix by fraction-free Bareiss."""
     n = len(rows)
@@ -306,27 +302,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 # Rational elimination
 
 
-def rational_rank(rows: Sequence[Sequence]) -> int:
-    m = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 def solve_in_span(rows: Sequence[Sequence], target: Sequence) -> Optional[list[Fraction]]:
     """Coefficients c with sum(c_i * rows_i) == target, or None.
 
@@ -361,28 +336,3 @@ def solve_in_span(rows: Sequence[Sequence], target: Sequence) -> Optional[list[F
     for row, col in pivots:
         coeffs[col] = aug[row][nrows]
     return coeffs
-
-
-def in_rational_span(rows: Sequence[Sequence], target: Sequence) -> bool:
-    return solve_in_span(rows, target) is not None
-
-
-def invert_rational(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Inverse of a square matrix by Gauss-Jordan over the rationals."""
-    n = len(rows)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]

@@ -33,7 +33,6 @@ from functools import cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from . import intlinalg as ila
 from .bergman import Fan, QuotientVector, make_cone, ray_of_flat, _num
 from .graphs import (
     EdgeSet,
@@ -136,11 +135,6 @@ def tropical_type(n: int, splits: Iterable[frozenset]) -> TropicalType:
 
 def star_type(n: int) -> TropicalType:
     return tropical_type(n, ())
-
-
-def splits(c: TropicalType) -> list[frozenset]:
-    """One split per bounded edge: the side of the ends not containing end 1."""
-    return list(c.splits)
 
 
 def _valid_splits(n: int) -> list[frozenset]:
@@ -304,9 +298,7 @@ def _check_stability_graph(n: int, gamma: Graph):
         raise ValueError("stability graph must be connected")
 
 
-def _vertex_demand(
-    c: TropicalType, v: int, strict_root: bool = False
-) -> Optional[tuple[int, ...]]:
+def _vertex_demand(c: TropicalType, v: int) -> Optional[tuple[int, ...]]:
     """The stability rule at one vertex, with the graph left out.
 
     Returns None when the vertex is stable for every stability graph, and
@@ -314,33 +306,25 @@ def _vertex_demand(
     empty tuple means no graph can stabilise it).  A non-root vertex with one
     bounded edge needs two of its ends joined; with two bounded edges it needs
     at least one end; more bounded edges always pass.  The root needs two
-    bounded edges or an attached end, where end 1 counts unless
-    ``strict_root`` excludes it.
+    bounded edges or an attached end, and always passes: it carries end 1.
+    Nor would it fail if end 1 did not count, since the root is at least
+    trivalent, so with at most one bounded edge it holds a second end.
     """
     ends = c.ends_at_vertex(v)
     d = c.bounded_degree(v)
-    if v == 0:
-        if not strict_root:
-            ok = d >= 2 or len(ends) >= 1
-        else:
-            ok = d >= 2 or len(ends) - 1 >= 1  # end 1 is always present
-    elif d > 2:
-        ok = True
-    elif d == 2:
-        ok = len(ends) != 0
-    else:
-        return ends
-    return None if ok else ()
+    if v == 0 or d > 2:
+        return None
+    if d == 2:
+        return None if ends else ()
+    return ends
 
 
-def is_gamma_stable(
-    c: TropicalType, gamma: Graph, strict_root: bool = False
-) -> tuple[bool, Optional[int]]:
+def is_gamma_stable(c: TropicalType, gamma: Graph) -> tuple[bool, Optional[int]]:
     """Vertex-local stability against a stability graph (the rule is
     ``_vertex_demand``).  Returns the first unstable vertex, if any."""
     _check_stability_graph(c.n, gamma)
     for v in range(c.num_vertices):
-        ends = _vertex_demand(c, v, strict_root)
+        ends = _vertex_demand(c, v)
         if ends is not None and not any(
             gamma.has_edge(i, j) for i, j in combinations(ends, 2)
         ):
@@ -348,7 +332,7 @@ def is_gamma_stable(
     return True, None
 
 
-def reduce(c: TropicalType, gamma: Graph, strict_root: bool = False) -> TropicalType:
+def reduce(c: TropicalType, gamma: Graph) -> TropicalType:
     """Contract bounded edges at unstable vertices until the type is stable.
 
     The contracted edge is the canonically first one incident to the first
@@ -356,7 +340,7 @@ def reduce(c: TropicalType, gamma: Graph, strict_root: bool = False) -> Tropical
     confluence property, not assumed).
     """
     while True:
-        stable, v = is_gamma_stable(c, gamma, strict_root)
+        stable, v = is_gamma_stable(c, gamma)
         if stable:
             return c
         c = c.contract_edge(c.incident_edges(v)[0])
@@ -504,34 +488,22 @@ def qn_relations_check(n: int) -> QnRelationsReport:
 # The linear translation into edge space
 
 
-@cache
-def _psi_setup(n: int):
-    edges = tuple(combinations(range(2, n + 1), 2))
-    pairs = pair_list(n)
-    pivots = {(1, j) for j in range(2, n + 1)} | {(2, 3)}
-    free_idx = tuple(i for i, p in enumerate(pairs) if p not in pivots)
-    basis = [frozenset(e) for e in edges[:-1]]  # drop one split: the rest is a basis
-    columns = [rho_split(n, s) for s in basis]
-    matrix = [[col.coords[i] for col in columns] for i in free_idx]
-    inverse = ila.invert_rational(matrix)
-    return edges, free_idx, basis, inverse
-
-
 def psi_linear(v: QnVector) -> QuotientVector:
     """The linear isomorphism onto edge space modulo the all-ones line.
 
-    Determined on the basis of two-element splits: the ray of split {i,j} goes
-    to minus the unit vector of edge (i,j).  Well-definedness amounts to the
-    pair-sum relation landing on the class of the all-ones vector, which is
-    checked by the test suite rather than assumed.
+    Edge (i, j) of the complete graph on 2..n gets minus the basepoint-1
+    Gromov product, -(d(1,i) + d(1,j) - d(i,j)) / 2: minus the depth of the
+    vertex where ends i and j meet, seen from end 1.  It is well defined on
+    distance classes: a vertex-sum perturbation x changes every coordinate
+    by -x_1, a multiple of the all-ones vector, so any representative of the
+    class gives the same image.  The ray of split {i, j} goes to minus the
+    unit vector of edge (i, j), and the pair-sum relation lands on the class
+    of the all-ones vector.
     """
-    edges, free_idx, basis, inverse = _psi_setup(v.n)
-    rhs = [v.coords[i] for i in free_idx]
-    coeffs = [sum(row[j] * rhs[j] for j in range(len(rhs))) for row in inverse]
-    raw = {frozenset(e): Fraction(0) for e in edges}
-    for s, c in zip(basis, coeffs):
-        raw[s] = -c
-    return QuotientVector.from_raw(edges, [raw[frozenset(e)] for e in edges])
+    d = dict(zip(pair_list(v.n), v.coords))
+    edges = list(combinations(range(2, v.n + 1), 2))
+    raw = [-Fraction(d[1, i] + d[1, j] - d[i, j], 2) for i, j in edges]
+    return QuotientVector.from_raw(edges, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +592,6 @@ def flat_gamma_stable(f: Flat, gamma: Graph) -> bool:
     return is_gamma_stable(radial.type, gamma)[0]
 
 
-def chain_gamma_stable(f: ChainOfFlats, gamma: Graph) -> bool:
-    return all(flat_gamma_stable(flat, gamma) for flat in f)
-
-
 # ---------------------------------------------------------------------------
 # Moduli fans, caterpillars, and the injectivity trichotomy
 
@@ -653,7 +621,7 @@ def moduli_fan_rad(n: int, gamma: Union[Graph, str] = "complete") -> Fan:
         make_cone([ray_of[f.mask] for f in chain], weight=1, provenance=(chain,))
         for chain in _chain_walk(stable)
     ]
-    return Fan(ambient.edges, cones, close_faces=False, validate=True)
+    return Fan(ambient.edges, cones, validate=True)
 
 
 def caterpillar_cof(gamma: Graph) -> ChainOfFlats:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from tropfan import ChainOfFlats, EdgeSet, Flat, Graph
+from tropfan import ChainOfFlats, EdgeSet, Fan, Flat, Graph, make_cone
 
 
 @pytest.fixture
@@ -21,6 +21,20 @@ def clique_flat(graph: Graph, *blocks) -> Flat:
 
 def chain_of(graph: Graph, *edge_lists) -> ChainOfFlats:
     return ChainOfFlats(tuple(flat_of(graph, edges) for edges in edge_lists))
+
+
+def closed_fan(ambient, cones) -> Fan:
+    """The fan of the given cones and every face of them; a face that is not
+    among the given cones gets weight one."""
+    cones = list(cones)
+    given = {c.rayset for c in cones}
+    faces = [
+        make_cone(sub)
+        for c in cones
+        for k in range(c.dim)
+        for sub in itertools.combinations(c.rays, k)
+    ]
+    return Fan(ambient, cones + [f for f in faces if f.rayset not in given])
 
 
 @pytest.fixture

@@ -1,0 +1,88 @@
+"""Slow, independent routes that the tests compare the library against.
+
+Rational Gauss-Jordan for ranks, span tests and inverses, lattice membership
+by Hermite reduction, and psi by inverting its matrix on the basis of
+two-element splits.  None of these is on a library path.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+from typing import Sequence
+
+from tropfan import QnVector, QuotientVector, rho_split
+from tropfan.intlinalg import hnf_reduce, solve_in_span
+from tropfan.tropmoduli import pair_list
+
+
+def rational_rank(rows: Sequence[Sequence]) -> int:
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        m[rank] = [x / pv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def in_rational_span(rows: Sequence[Sequence], target: Sequence) -> bool:
+    return solve_in_span(rows, target) is not None
+
+
+def in_lattice(basis_hnf: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
+    return not any(hnf_reduce(basis_hnf, vec))
+
+
+def invert_rational(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Inverse of a square matrix by Gauss-Jordan over the rationals."""
+    n = len(rows)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def psi_by_inverse(v: QnVector) -> QuotientVector:
+    """psi from its values on a basis: the ray of split {i, j} goes to minus
+    the unit vector of edge (i, j).
+
+    The rays of all two-element splits but the last form a basis of the
+    distance classes.  Their canonical coordinates off the pivot pairs (1, j)
+    and (2, 3) form a square matrix; its inverse gives ``v``'s coefficients
+    in that basis, and each coefficient lands, negated, on its edge.  Only
+    the coordinates off the pivot pairs are read, so ``v`` must be canonical.
+    """
+    n = v.n
+    edges = list(combinations(range(2, n + 1), 2))
+    pivots = {(1, j) for j in range(2, n + 1)} | {(2, 3)}
+    free_idx = [i for i, p in enumerate(pair_list(n)) if p not in pivots]
+    basis = edges[:-1]
+    columns = [rho_split(n, s) for s in basis]
+    inverse = invert_rational([[col.coords[i] for col in columns] for i in free_idx])
+    rhs = [v.coords[i] for i in free_idx]
+    coeffs = [sum(a * b for a, b in zip(row, rhs)) for row in inverse]
+    return QuotientVector.from_raw(edges, [-c for c in coeffs] + [0])

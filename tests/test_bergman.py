@@ -21,16 +21,10 @@ from tropfan import (
 )
 from tropfan import intlinalg as ila
 from tropfan.bergman import _is_unimodular, _rank
-from tropfan.intlinalg import (
-    hnf,
-    hnf_reduce,
-    in_lattice,
-    in_rational_span,
-    orthogonal_complement,
-    rational_rank,
-)
+from tropfan.intlinalg import hnf, hnf_reduce, orthogonal_complement
 
-from conftest import flat_of
+from conftest import closed_fan, flat_of
+from oracles import in_lattice, in_rational_span, rational_rank
 
 
 def saturated_hnf(rows, m):
@@ -245,9 +239,7 @@ def test_balancing_requires_pure_fan(k4, k4_flat_labels):
     r1 = ray_of_flat(k4_flat_labels[1], k4.edges)
     r7 = ray_of_flat(k4_flat_labels[7], k4.edges)
     r12 = ray_of_flat(k4_flat_labels[12], k4.edges)
-    from tropfan import Fan
-
-    fan = Fan(k4.edges, [make_cone([r1, r7]), make_cone([r12])], close_faces=True)
+    fan = closed_fan(k4.edges, [make_cone([r1, r7]), make_cone([r12])])
     with pytest.raises(ValueError, match="pure"):
         is_balanced(fan)
 
@@ -320,7 +312,7 @@ def index_two_fan():
         for x, y in [(1, 0), (1, 2), (-1, -1), (0, -1)]
     )
     cones = [make_cone(pair) for pair in [(a, b), (b, c), (c, d), (d, a)]]
-    return Fan(ambient, cones, close_faces=True), make_cone([a, b])
+    return closed_fan(ambient, cones), make_cone([a, b])
 
 
 def test_index_two_cone_takes_the_fallback():
@@ -503,7 +495,7 @@ def test_project_rejects_non_simplicial_image(k4):
     # two-dimensional quotient are distinct, nonzero and dependent
     rays = [QuotientVector.from_raw(k4.edges, v) for v in
             ([1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [1, 0, 0, 1, 1, 0])]
-    fan = Fan(k4.edges, [make_cone(rays)], close_faces=True)
+    fan = closed_fan(k4.edges, [make_cone(rays)])
     path = Graph.from_edges([(2, 3), (3, 4), (4, 5)])
     with pytest.raises(ValueError, match="simplicial"):
         project_fan(fan, path)

@@ -9,17 +9,15 @@ from tropfan.intlinalg import (
     echelon_reduce,
     hnf,
     hnf_transform,
-    in_lattice,
-    in_rational_span,
-    invert_rational,
     left_kernel,
     orthogonal_complement,
     primitive_vector,
-    rational_rank,
     saturation,
     solve_coeffs_one,
     solve_in_span,
 )
+
+from oracles import in_lattice, in_rational_span, invert_rational, rational_rank
 
 small_int = st.integers(-6, 6)
 

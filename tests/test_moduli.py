@@ -156,7 +156,7 @@ def moduli_fan_by_types(gamma, ambient, typed_cones):
     gamma-stable combinatorial type.  Validation is left to the fan under
     test, whose cones must be equal."""
     cones = [c for typ, cs in typed_cones if is_gamma_stable(typ, gamma)[0] for c in cs]
-    return Fan(ambient, cones, close_faces=False, validate=False)
+    return Fan(ambient, cones, validate=False)
 
 
 def assert_same_moduli_fan(n, gamma, typed):
@@ -207,7 +207,7 @@ def test_caterpillar_projection_keeps_top_dimension(gamma_obstruction):
     chain = caterpillar_cof(gamma_obstruction)
     rays = [ray_of_flat(f, Graph.complete([2, 3, 4, 5]).edges) for f in chain]
     images = [project_vector(r, gamma_obstruction) for r in rays]
-    from tropfan.intlinalg import rational_rank
+    from oracles import rational_rank
 
     assert rational_rank([r.coords for r in images]) == len(chain) == 2
 

@@ -28,6 +28,7 @@ from tropfan import (
 from tropfan.tropmoduli import enumerate_types, pair_list
 
 from conftest import chain_of, clique_flat
+from oracles import psi_by_inverse
 
 
 def phi(n, x):
@@ -180,6 +181,29 @@ def test_psi_matches_gromov_oracle(data):
     coords = data.draw(st.lists(st.integers(-6, 6), min_size=npairs, max_size=npairs))
     v = QnVector.from_raw(n, coords)
     assert psi_linear(v) == psi_oracle(v)
+
+
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_psi_matches_matrix_inverse_oracle(data):
+    n = data.draw(st.integers(4, 7))
+    npairs = n * (n - 1) // 2
+    coords = data.draw(st.lists(small_fractions, min_size=npairs, max_size=npairs))
+    v = QnVector.from_raw(n, coords)
+    assert psi_linear(v) == psi_by_inverse(v)
+
+
+def test_psi_reads_only_the_class():
+    """psi of a representative that is not canonical is psi of its class."""
+    n = 6
+    raw = [Fraction(3 * k - 7, k % 3 + 1) for k, _ in enumerate(pair_list(n))]
+    canonical = QnVector.from_raw(n, raw)
+    assert canonical.coords != tuple(raw)
+    assert psi_linear(QnVector(n, tuple(raw))) == psi_linear(canonical)
+    assert psi_linear(canonical) == psi_by_inverse(canonical)
 
 
 def test_psi_is_injective_on_canonical_forms():

@@ -55,17 +55,6 @@ def test_stability_requires_matching_labels():
         is_gamma_stable(t, Graph((2, 3, 4, 5), ((2, 3),)))
 
 
-def test_strict_root_mode_vacuous_on_valid_types():
-    # a valid type's root always has a second end or a second bounded edge
-    # (a split can omit at most one non-root end), so both root readings agree
-    gamma = Graph.complete([2, 3, 4, 5])
-    for d, ts in enumerate_types(5).items():
-        for t in ts:
-            loose = is_gamma_stable(t, gamma)
-            strict = is_gamma_stable(t, gamma, strict_root=True)
-            assert loose == strict
-
-
 def test_stable_type_counts_obstruction(gamma_obstruction):
     from tropfan import count_stable_types
 

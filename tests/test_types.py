@@ -9,7 +9,6 @@ from tropfan import (
     radial_alignments,
     radial_face_census,
     radial_faces,
-    splits,
     star_type,
     tropical_type,
 )
@@ -91,16 +90,16 @@ def test_enumerate_types_range_check():
 
 def test_splits_of_nested_six_end_type():
     t = tropical_type(6, [frozenset({2, 3}), frozenset({4, 5, 6}), frozenset({5, 6})])
-    assert sorted(map(sorted, splits(t))) == [[2, 3], [4, 5, 6], [5, 6]]
+    assert sorted(map(sorted, t.splits)) == [[2, 3], [4, 5, 6], [5, 6]]
 
 
 def test_splits_of_star_are_empty():
-    assert splits(star_type(6)) == []
+    assert star_type(6).splits == ()
 
 
 def test_splits_of_three_branch_seven_end_type():
     t = tropical_type(7, [frozenset({2, 3}), frozenset({4, 5}), frozenset({6, 7})])
-    assert sorted(map(sorted, splits(t))) == [[2, 3], [4, 5], [6, 7]]
+    assert sorted(map(sorted, t.splits)) == [[2, 3], [4, 5], [6, 7]]
 
 
 def test_type_rejects_incompatible_splits():
@@ -128,7 +127,7 @@ def test_type_tree_structure():
 def test_contract_edge_drops_split():
     t = tropical_type(6, [frozenset({2, 3}), frozenset({4, 5, 6}), frozenset({5, 6})])
     c = t.contract_edge((1, 3))
-    assert sorted(map(sorted, splits(c))) == [[2, 3], [4, 5, 6]]
+    assert sorted(map(sorted, c.splits)) == [[2, 3], [4, 5, 6]]
     with pytest.raises(ValueError):
         t.contract_edge((0, 5))
 

@@ -24,7 +24,7 @@ from tropfan import (
     tropical_type,
 )
 
-from conftest import flat_of
+from conftest import closed_fan, flat_of
 
 
 def test_graph_rejects_foreign_endpoints():
@@ -96,7 +96,7 @@ def test_primitive_normal_needs_integral_rays(k4):
     with pytest.raises(ValueError, match="integral"):
         primitive_normal(make_cone([half, other]), make_cone([other]))
     with pytest.raises(ValueError, match="integral"):
-        is_balanced(Fan(k4.edges, [make_cone([half, other])], close_faces=True))
+        is_balanced(closed_fan(k4.edges, [make_cone([half, other])]))
 
 
 def test_broken_invariants_raise(k4, monkeypatch):
