@@ -18,8 +18,8 @@ the lattice points of their span; ``intlinalg.saturation`` then hands them
 back unchanged.  For such a cone the primitive normal of a facet is the
 remaining ray, modulo the facet's lattice.  A cone the kernel cannot settle
 is tested with Hermite forms of its rays and their saturation, and a cone
-that fails falls back to ``primitive_normal``, which builds the normal from
-saturations via Hermite reduction.
+that fails falls back to ``primitive_normal``, which reads the normal off
+one integer functional that vanishes on the facet.
 """
 
 from __future__ import annotations
@@ -267,6 +267,15 @@ def primitive_normal(sigma: Cone, tau: Cone) -> QuotientVector:
     Returns an integer vector in sigma whose class generates the rank-one
     quotient of sigma's saturated span lattice by tau's, oriented into sigma,
     reduced to the canonical representative modulo tau's lattice.
+
+    Closed form: take f, the first vector of the integer orthogonal
+    complement of tau's rays with f . e != 0 for the ray e of sigma that tau
+    misses, signed so that f . e > 0.  On a basis b_1..b_k of sigma's
+    saturated lattice, f takes values f . b_i whose gcd is g; since f's
+    kernel on that lattice is tau's saturated lattice, (f . b_i) / g is the
+    primitive functional of the quotient.  Extended gcd gives integers c_i
+    with sum c_i (f . b_i) / g = 1, and u = sum c_i b_i, reduced by the
+    Hermite form of tau's saturated lattice.
     """
     if not tau.rayset <= sigma.rayset:
         raise ValueError("tau is not a face of sigma")
@@ -286,34 +295,28 @@ def _primitive_normal_coords(sigma_coords: tuple, tau_coords: tuple) -> tuple:
     m = len(sigma_coords[0]) - 1  # canonical reps end in 0; drop that coordinate
     rows_sigma = [[int(c) for c in r[:-1]] for r in sigma_coords]
     rows_tau = [[int(c) for c in r[:-1]] for r in tau_coords]
-    basis_sigma = ila.saturation(rows_sigma, m)
-    basis_tau = ila.saturation(rows_tau, m) if rows_tau else []
-    k = len(basis_sigma)
-    # coordinates of tau's lattice basis inside sigma's
-    t_rows = []
-    for b in basis_tau:
-        coeffs = ila.solve_in_span(basis_sigma, b)
-        if coeffs is None or any(c.denominator != 1 for c in coeffs):
-            raise RuntimeError("tau's lattice is not a sublattice of sigma's")
-        t_rows.append([int(c) for c in coeffs])
-    # the quotient functional: c -> det([T; c]); its coefficient vector has
-    # gcd one exactly because tau's lattice is saturated in sigma's
-    unit = lambda i: [int(j == i) for j in range(k)]
-    functional = [ila.det_int(t_rows + [unit(i)]) for i in range(k)]
-    coeffs = ila.solve_coeffs_one(functional)
-    if coeffs is None:
-        raise RuntimeError("quotient lattice is not cyclic of index one")
-    # orient into sigma using the ray of sigma that tau misses
     tau_set = set(map(tuple, rows_tau))
     extra = next(r for r in rows_sigma if tuple(r) not in tau_set)
-    extra_coeffs = ila.solve_in_span(basis_sigma, extra)
-    orientation = sum(f * c for f, c in zip(functional, extra_coeffs))
-    if orientation < 0:
-        coeffs = [-c for c in coeffs]
+    # f's kernel on sigma's lattice is tau's saturated lattice
+    f = next((f for f in ila.orthogonal_complement(rows_tau, m) if _dot(f, extra)), None)
+    if f is None:
+        raise RuntimeError("no functional vanishes on tau but not on sigma")
+    if _dot(f, extra) < 0:
+        f = [-x for x in f]
+    basis_sigma = ila.saturation(rows_sigma, m)
+    values = [_dot(f, b) for b in basis_sigma]
+    g = math.gcd(*values)
+    coeffs = ila.solve_coeffs_one([v // g for v in values])
+    if coeffs is None:
+        raise RuntimeError("quotient lattice is not cyclic of index one")
     u = [sum(c * b[j] for c, b in zip(coeffs, basis_sigma)) for j in range(m)]
-    if basis_tau:
-        u = ila.hnf_reduce(ila.hnf(basis_tau), u)
+    if rows_tau:
+        u = ila.hnf_reduce(ila.hnf(ila.saturation(rows_tau, m)), u)
     return tuple(u)
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)

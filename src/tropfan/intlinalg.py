@@ -1,20 +1,18 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything here runs on plain Python ints and ``fractions.Fraction``; no
-floating point.  Ranks, rational span tests and lattice saturation run on
-one fraction-free row echelon kernel, ``echelon``, which pivots on a unit
-entry whenever one exists; rows it echelonizes with unit pivots only are
-already a basis of their saturation.  Row Hermite forms with transform
-matrices, kernels, double orthogonal complements and lattice reduction serve
-the primitive normal vectors and the cases the kernel cannot settle.  The
-one Fraction routine, ``solve_in_span`` at the end, serves the generic
-primitive normal, which chains-of-flats fans never reach.
+Everything here runs on plain Python ints; no fractions and no floating
+point.  Ranks, rational span tests and lattice saturation run on one
+fraction-free row echelon kernel, ``echelon``, which pivots on a unit entry
+whenever one exists; rows it echelonizes with unit pivots only are already a
+basis of their saturation.  Row Hermite forms with transform matrices,
+kernels, double orthogonal complements, lattice reduction and the extended
+gcd serve the primitive normal vectors and the cases the kernel cannot
+settle.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional, Sequence
 
 Vec = Sequence[int]
@@ -256,18 +254,10 @@ def det_int(rows: Mat) -> int:
 
 def primitive_vector(vec: Vec) -> list[int]:
     """Divide an integer vector by the gcd of its entries (direction kept)."""
-    g = 0
-    for x in vec:
-        g = _gcd(g, abs(x))
+    g = math.gcd(*vec)
     if g == 0:
         return list(vec)
     return [x // g for x in vec]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def solve_coeffs_one(g: Sequence[int]) -> Optional[list[int]]:
@@ -296,43 +286,3 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return x, y, g
-
-
-# ---------------------------------------------------------------------------
-# Rational elimination
-
-
-def solve_in_span(rows: Sequence[Sequence], target: Sequence) -> Optional[list[Fraction]]:
-    """Coefficients c with sum(c_i * rows_i) == target, or None.
-
-    When the rows are linearly independent the solution is unique.
-    """
-    nrows = len(rows)
-    if nrows == 0:
-        return [] if not any(target) else None
-    ncols = len(rows[0])
-    # columns of the system are the given rows; eliminate on the transpose
-    aug = [[Fraction(rows[i][j]) for i in range(nrows)] + [Fraction(target[j])]
-           for j in range(ncols)]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(nrows):
-        pivot = next((i for i in range(rank, ncols) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        pv = aug[rank][col]
-        aug[rank] = [x / pv for x in aug[rank]]
-        for i in range(ncols):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append((rank, col))
-        rank += 1
-    for i in range(rank, ncols):
-        if aug[i][nrows] != 0:
-            return None
-    coeffs = [Fraction(0)] * nrows
-    for row, col in pivots:
-        coeffs[col] = aug[row][nrows]
-    return coeffs

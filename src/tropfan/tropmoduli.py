@@ -368,17 +368,21 @@ class QnVector:
 
     @classmethod
     def from_raw(cls, n: int, coords: Sequence) -> "QnVector":
+        """The canonical member of the class of ``coords``.
+
+        Closed form: coordinate (1, j) is 0 and coordinate (i, j) is
+        y_ij - y_1i - y_1j + (y_12 + y_13 - y_23).  This is y minus the
+        vertex sum with x_1 = (y_12 + y_13 - y_23) / 2 and x_j = y_1j - x_1,
+        whose halves cancel, so the arithmetic stays in the input's ring.
+        """
         pairs = pair_list(n)
         if len(coords) != len(pairs):
             raise ValueError("coordinate length does not match the pair count")
-        idx = {p: i for i, p in enumerate(pairs)}
-        y12, y13, y23 = coords[idx[(1, 2)]], coords[idx[(1, 3)]], coords[idx[(2, 3)]]
-        x = [Fraction(0)] * (n + 1)  # 1-indexed
-        x[1] = Fraction(y12 + y13 - y23, 2)
-        for j in range(2, n + 1):
-            x[j] = coords[idx[(1, j)]] - x[1]
+        y = dict(zip(pairs, coords))
+        shift = y[1, 2] + y[1, 3] - y[2, 3]
         canon = tuple(
-            _num(c - x[i] - x[j]) for (i, j), c in zip(pairs, coords)
+            0 if i == 1 else _num(c - y[1, i] - y[1, j] + shift)
+            for (i, j), c in zip(pairs, coords)
         )
         return cls(n, canon)
 
@@ -433,24 +437,20 @@ class MetricType:
 
 
 def dist_vector(m: MetricType) -> QnVector:
-    """Canonical class of the vector of pairwise distances between ends."""
+    """Canonical class of the vector of pairwise distances between ends.
+
+    Closed form: the distance class is the positive combination
+    sum_e l_e rho(S_e) of the split rays, so the raw distance of ends i and
+    j is the sum of the lengths l_e of the bounded edges e whose split S_e
+    separates i from j.
+    """
     c = m.type
-    length = dict(zip(c.edges, m.lengths))
-    depth: dict[int, Fraction] = {0: Fraction(0)}
-    parent = {v: u for u, v in c.edges}
-    for u, v in c.edges:  # parents precede children in the sorted edge list
-        depth[v] = depth[u] + length[(u, v)]
-
-    def dist(a: int, b: int) -> Fraction:
-        da, db = depth[a], depth[b]
-        while a != b:
-            if depth[a] >= depth[b]:
-                a = parent[a]
-            else:
-                b = parent[b]
-        return da + db - 2 * depth[a]
-
-    raw = [dist(c.ends_at[i - 1], c.ends_at[j - 1]) for i, j in pair_list(c.n)]
+    # the split of bounded edge (u, v) is the one of its child vertex v
+    weighted = [(c.splits[v - 1], length) for (_, v), length in zip(c.edges, m.lengths)]
+    raw = [
+        sum(length for s, length in weighted if (i in s) != (j in s))
+        for i, j in pair_list(c.n)
+    ]
     return QnVector.from_raw(c.n, raw)
 
 

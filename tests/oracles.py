@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
 from tropfan import QnVector, QuotientVector, rho_split
-from tropfan.intlinalg import hnf_reduce, solve_in_span
+from tropfan.intlinalg import hnf_reduce
 from tropfan.tropmoduli import pair_list
 
 
@@ -35,6 +35,42 @@ def rational_rank(rows: Sequence[Sequence]) -> int:
         if rank == len(m):
             break
     return rank
+
+
+def solve_in_span(rows: Sequence[Sequence], target: Sequence) -> Optional[list[Fraction]]:
+    """Coefficients c with sum(c_i * rows_i) == target, or None.
+
+    When the rows are linearly independent the solution is unique.
+    """
+    nrows = len(rows)
+    if nrows == 0:
+        return [] if not any(target) else None
+    ncols = len(rows[0])
+    # columns of the system are the given rows; eliminate on the transpose
+    aug = [[Fraction(rows[i][j]) for i in range(nrows)] + [Fraction(target[j])]
+           for j in range(ncols)]
+    pivots: list[tuple[int, int]] = []
+    rank = 0
+    for col in range(nrows):
+        pivot = next((i for i in range(rank, ncols) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        pv = aug[rank][col]
+        aug[rank] = [x / pv for x in aug[rank]]
+        for i in range(ncols):
+            if i != rank and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
+        pivots.append((rank, col))
+        rank += 1
+    for i in range(rank, ncols):
+        if aug[i][nrows] != 0:
+            return None
+    coeffs = [Fraction(0)] * nrows
+    for row, col in pivots:
+        coeffs[col] = aug[row][nrows]
+    return coeffs
 
 
 def in_rational_span(rows: Sequence[Sequence], target: Sequence) -> bool:

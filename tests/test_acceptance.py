@@ -43,8 +43,9 @@ from tropfan import (
     verify_injectivity,
     verify_matroid_axioms,
 )
-from tropfan.intlinalg import solve_in_span
 from tropfan.matroid import set_partitions
+
+from oracles import solve_in_span
 
 
 class budget:

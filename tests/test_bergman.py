@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropfan import (
@@ -24,7 +24,7 @@ from tropfan.bergman import _is_unimodular, _rank
 from tropfan.intlinalg import hnf, hnf_reduce, orthogonal_complement
 
 from conftest import closed_fan, flat_of
-from oracles import in_lattice, in_rational_span, rational_rank
+from oracles import in_lattice, in_rational_span, rational_rank, solve_in_span
 
 
 def saturated_hnf(rows, m):
@@ -205,6 +205,34 @@ def test_every_normal_generates_in_k5_fan():
             basis_sigma = saturated_hnf([r.coords[:-1] for r in sigma.rays], m)
             assert hnf(basis_tau + [list(u.coords[:-1])]) == basis_sigma
             assert hnf(basis_tau + [[2 * c for c in u.coords[:-1]]]) != basis_sigma
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_generic_normal_matches_lattice_definition(data):
+    """On integer simplicial cones with no unit pivot: tau's saturated basis
+    plus u spans sigma's saturation and plus 2u does not, u is reduced
+    modulo tau's lattice, and u points into sigma."""
+    m = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, m))
+    entries = st.sampled_from([0, 0, 2, -2, 3, -3, 4, 5, -6])
+    rows = data.draw(
+        st.lists(st.lists(entries, min_size=m, max_size=m), min_size=k, max_size=k)
+    )
+    independent, _, unit = ila.echelon(rows)
+    assume(len(independent) == k and not unit)
+    drop = data.draw(st.integers(0, k - 1))
+    extra, tau_rows = rows[drop], rows[:drop] + rows[drop + 1:]
+    sigma = cone_of_rows(rows)
+    tau = make_cone(r for r in sigma.rays if list(r.coords[:-1]) != extra)
+    u = list(primitive_normal(sigma, tau).coords[:-1])
+    basis_tau = saturated_hnf(tau_rows, m)
+    basis_sigma = saturated_hnf(rows, m)
+    assert hnf(basis_tau + [u]) == basis_sigma
+    assert hnf(basis_tau + [[2 * c for c in u]]) != basis_sigma
+    assert hnf_reduce(basis_tau, u) == u
+    coeffs = solve_in_span(tau_rows + [extra], u)
+    assert coeffs is not None and coeffs[-1] > 0
 
 
 # ---------------------------------------------------------------------------

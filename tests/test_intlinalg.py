@@ -14,10 +14,15 @@ from tropfan.intlinalg import (
     primitive_vector,
     saturation,
     solve_coeffs_one,
-    solve_in_span,
 )
 
-from oracles import in_lattice, in_rational_span, invert_rational, rational_rank
+from oracles import (
+    in_lattice,
+    in_rational_span,
+    invert_rational,
+    rational_rank,
+    solve_in_span,
+)
 
 small_int = st.integers(-6, 6)
 

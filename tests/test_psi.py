@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -28,7 +29,7 @@ from tropfan import (
 from tropfan.tropmoduli import enumerate_types, pair_list
 
 from conftest import chain_of, clique_flat
-from oracles import psi_by_inverse
+from oracles import psi_by_inverse, solve_in_span
 
 
 def phi(n, x):
@@ -68,6 +69,25 @@ def test_canonical_form_kills_vertex_sums(data):
     x = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
     shifted = [c + p for c, p in zip(coords, phi(n, x))]
     assert QnVector.from_raw(n, coords) == QnVector.from_raw(n, shifted)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_canonical_form_stays_in_the_class(data):
+    """The input minus its canonical form is a vertex-sum vector phi(x); x is
+    solved for by rational elimination on the columns phi(e_k)."""
+    n = data.draw(st.integers(4, 7))
+    npairs = n * (n - 1) // 2
+    entry = data.draw(st.sampled_from([
+        st.integers(-9, 9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    ]))
+    raw = data.draw(st.lists(entry, min_size=npairs, max_size=npairs))
+    diff = [r - c for r, c in zip(raw, QnVector.from_raw(n, raw).coords)]
+    columns = [phi(n, [int(i == k) for i in range(n)]) for k in range(n)]
+    x = solve_in_span(columns, diff)
+    assert x is not None
+    assert phi(n, x) == diff
 
 
 def test_canonical_form_has_pivot_zeros():
@@ -123,11 +143,16 @@ def nx_distance_oracle(m: MetricType) -> list:
     ]
 
 
+@functools.cache
+def types_with_edges(n):
+    return [t for ts in enumerate_types(n).values() for t in ts if t.splits]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_dist_vector_matches_networkx(data):
-    types = [t for ts in enumerate_types(5).values() for t in ts if t.splits]
-    t = data.draw(st.sampled_from(types))
+    n = data.draw(st.integers(4, 7))
+    t = data.draw(st.sampled_from(types_with_edges(n)))
     lengths = tuple(
         Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 4)))
         for _ in t.edges
@@ -311,8 +336,6 @@ def test_empty_chain_needs_n():
 
 
 def coefficients_in_cone(point, rays):
-    from tropfan.intlinalg import solve_in_span
-
     return solve_in_span([r.coords for r in rays], point.coords)
 
 

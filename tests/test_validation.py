@@ -110,8 +110,8 @@ def test_broken_invariants_raise(k4, monkeypatch):
     monkeypatch.setattr(bergman.ila, "solve_coeffs_one", lambda g: None)
     with pytest.raises(RuntimeError, match="cyclic"):
         primitive_normal(make_cone([r, s]), make_cone([s]))
-    monkeypatch.setattr(bergman.ila, "solve_in_span", lambda rows, target: None)
-    with pytest.raises(RuntimeError, match="sublattice"):
+    monkeypatch.setattr(bergman.ila, "orthogonal_complement", lambda rows, ncols: [[0] * ncols])
+    with pytest.raises(RuntimeError, match="functional"):
         primitive_normal(make_cone([r, s]), make_cone([s]))
 
 
