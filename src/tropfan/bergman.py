@@ -20,6 +20,9 @@ remaining ray, modulo the facet's lattice.  A cone the kernel cannot settle
 is tested with Hermite forms of its rays and their saturation, and a cone
 that fails falls back to ``primitive_normal``, which reads the normal off
 one integer functional that vanishes on the facet.
+
+Fans are written as JSON by ``fan_json_text``, which gives the bytes of
+``json.dumps(fan_to_json(fan), indent=2)`` without building the dict.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence
 
 from . import intlinalg as ila
@@ -428,16 +432,23 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
 
 def fans_equal(a: Fan, b: Fan) -> bool:
     """Structural equality: same ambient, same cone ray sets (as primitive
-    vectors), and matching weights on maximal cones."""
+    vectors), and matching weights on maximal cones.  Each distinct ray's
+    primitive vector is computed once per call."""
     if a.ambient != b.ambient:
         return False
+    primitive: dict[tuple, tuple] = {}  # canonical coords -> primitive vector
 
     def shape(fan: Fan) -> dict:
         out = {}
-        maximal = set(fan.maximal_cones)
+        maximal = {c.rayset for c in fan.maximal_cones}
         for c in fan.cones:
-            key = frozenset(r.primitive() for r in c.rays)
-            out[key] = c.weight if c in maximal else None
+            key = []
+            for r in c.rays:
+                p = primitive.get(r.coords)
+                if p is None:
+                    p = primitive[r.coords] = r.primitive()
+                key.append(p)
+            out[frozenset(key)] = c.weight if c.rayset in maximal else None
         return out
 
     return shape(a) == shape(b)
@@ -446,14 +457,22 @@ def fans_equal(a: Fan, b: Fan) -> bool:
 # ---------------------------------------------------------------------------
 # Serialization
 
+SCHEMA = 1  # version of every JSON document the CLI writes
+
+_INDENT = "  "  # json.dumps(indent=2)
+
 
 def edge_str(e: Edge) -> str:
     return f"{e[0]}-{e[1]}"
 
 
 def fan_to_json(fan: Fan) -> dict:
-    """Stable JSON form: ambient edges, primitive rays, cones by ray indices
-    with weights and provenance chains (one list of chains per cone fiber)."""
+    """The dict form of a fan: ambient edges, primitive rays, cones by ray
+    indices with weights and provenance chains (one list of chains per cone
+    fiber).
+
+    The CLI writes fans with ``fan_json_text``; this form is its test
+    oracle, through ``json.dumps(fan_to_json(fan), indent=2)``."""
     rays = sorted({r for c in fan.cones for r in c.rays}, key=lambda r: r.coords)
     index = {r: i for i, r in enumerate(rays)}
     flat_json: dict[Flat, list[str]] = {}  # each flat's edge strings, built once
@@ -477,8 +496,103 @@ def fan_to_json(fan: Fan) -> dict:
             }
         )
     return {
-        "schema": 1,
+        "schema": SCHEMA,
         "ambient": [edge_str(e) for e in fan.ambient],
         "rays": [list(r.coords) for r in rays],
         "cones": cones,
     }
+
+
+def json_scalar(x) -> str:
+    """An int, bool or str as ``json.dumps`` writes it.
+
+    Anything else raises TypeError, as ``json.dumps`` does for a Fraction;
+    floats never occur in these exact documents and are refused too."""
+    if x is True or x is False:
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def json_array(items: Sequence[str], depth: int = 0) -> str:
+    """A JSON array of encoded items, laid out as ``json.dumps(indent=2)``
+    lays it out at nesting depth ``depth``."""
+    if not items:
+        return "[]"
+    inner = "\n" + _INDENT * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + _INDENT * depth + "]"
+
+
+def json_object(members: Sequence[tuple[str, str]], depth: int = 0) -> str:
+    """A JSON object of (key, encoded value) members, laid out as
+    ``json.dumps(indent=2)`` lays it out at nesting depth ``depth``."""
+    if not members:
+        return "{}"
+    inner = "\n" + _INDENT * (depth + 1)
+    return (
+        "{"
+        + inner
+        + ("," + inner).join(f"{json_scalar(k)}: {v}" for k, v in members)
+        + "\n"
+        + _INDENT * depth
+        + "}"
+    )
+
+
+def fan_json_text(fan: Fan, depth: int = 0, **fields) -> str:
+    """``json.dumps(doc, indent=2)`` of ``doc = fan_to_json(fan)`` with the
+    scalar ``fields`` appended, for a document at nesting depth ``depth``,
+    without building ``doc``.
+
+    Cones are joined from precomputed separators, and each flat's block of
+    edge strings is encoded once per call: a projected fan's provenance
+    repeats a few hundred flats tens of thousands of times.  Whatever
+    ``json.dumps`` refuses, such as a Fraction coordinate, raises TypeError.
+    """
+    # Rays and flats are looked up by id, which hashes far faster than their
+    # dataclass fields; the fan holds every object for the whole call, and
+    # equal but distinct objects only cost a second, identical encoding.
+    ray_of_id = {id(r): r for c in fan.cones for r in c.rays}
+    rays = sorted(set(ray_of_id.values()), key=lambda r: r.coords)
+    index = {r: i for i, r in enumerate(rays)}
+    index_of_id = {k: index[r] for k, r in ray_of_id.items()}
+    # nl[k] starts a line at nesting depth + k; sep[k] ends an item before it
+    nl = ["\n" + _INDENT * (depth + k) for k in range(7)]
+    sep = ["," + s for s in nl]
+
+    def block(items: Sequence[str], k: int) -> str:
+        """json_array(items, depth + k) from the precomputed separators."""
+        return "[" + nl[k + 1] + sep[k + 1].join(items) + nl[k] + "]" if items else "[]"
+
+    flat_text: dict[int, str] = {}
+
+    def chain_block(chain: ChainOfFlats) -> str:
+        blocks = []
+        for f in chain.flats:
+            text = flat_text.get(id(f))
+            if text is None:
+                edges = [json_scalar(edge_str(e)) for e in f.edges.edges]
+                text = flat_text[id(f)] = block(edges, 5)
+            blocks.append(text)
+        return block(blocks, 4)
+
+    cones = []
+    for c in fan.cones:
+        ids = sorted(index_of_id[id(r)] for r in c.rays)
+        cones.append(
+            "{" + nl[3] + '"rays": ' + block(list(map(str, ids)), 3)
+            + sep[3] + '"weight": ' + json_scalar(c.weight)
+            + sep[3] + '"provenance": ' + block(list(map(chain_block, c.provenance)), 3)
+            + nl[2] + "}"
+        )
+    members = [
+        ("schema", json_scalar(SCHEMA)),
+        ("ambient", block([json_scalar(edge_str(e)) for e in fan.ambient], 1)),
+        ("rays", block([block(list(map(json_scalar, r.coords)), 2) for r in rays], 1)),
+        ("cones", block(cones, 1)),
+    ]
+    members += [(key, json_scalar(value)) for key, value in fields.items()]
+    return json_object(members, depth)

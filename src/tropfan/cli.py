@@ -14,12 +14,20 @@ from pathlib import Path
 from typing import Optional
 
 from . import matroid, tropmoduli
-from .bergman import bergman_fan, edge_str, fan_to_json, is_balanced, project_fan
+from .bergman import (
+    SCHEMA,
+    bergman_fan,
+    edge_str,
+    fan_json_text,
+    is_balanced,
+    json_array,
+    json_object,
+    json_scalar,
+    project_fan,
+)
 from .graphs import Graph, all_graphs, parse_graph
 from .matroid import SetSystem, enumerate_flats, flats_lattice, verify_matroid_axioms
 from .tropmoduli import moduli_fan_rad, qn_relations_check, verify_injectivity
-
-SCHEMA = 1
 
 
 def _petersen() -> Graph:
@@ -130,9 +138,7 @@ def cmd_fan(args) -> int:
     fan = bergman_fan(g)
     balance = is_balanced(fan)
     if args.format == "json":
-        doc = fan_to_json(fan)
-        doc["balanced"] = balance.balanced
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        _emit(fan_json_text(fan, balanced=balance.balanced) + "\n", args.output)
     else:
         lines = [
             "cones by dimension: " + ",".join(map(str, fan.census())),
@@ -148,14 +154,17 @@ def cmd_moduli(args) -> int:
     target = gamma if isinstance(gamma, Graph) else Graph.complete(range(2, args.n + 1))
     projected = project_fan(fan, target)
     if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "n": args.n,
-            "graph": [edge_str(e) for e in target.edges],
-            "radial_fan": fan_to_json(fan),
-            "projected_fan": fan_to_json(projected),
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        graph = [json_scalar(edge_str(e)) for e in target.edges]
+        doc = json_object(
+            [
+                ("schema", json_scalar(SCHEMA)),
+                ("n", json_scalar(args.n)),
+                ("graph", json_array(graph, 1)),
+                ("radial_fan", fan_json_text(fan, 1)),
+                ("projected_fan", fan_json_text(projected, 1)),
+            ]
+        )
+        _emit(doc + "\n", args.output)
     else:
         lines = [
             "radial cones by dimension: " + ",".join(map(str, fan.census())),
@@ -171,7 +180,7 @@ def cmd_project(args) -> int:
     fan = bergman_fan(ambient)
     projected = project_fan(fan, gamma)
     if args.format == "json":
-        _emit(json.dumps(fan_to_json(projected), indent=2) + "\n", args.output)
+        _emit(fan_json_text(projected) + "\n", args.output)
     else:
         _emit(
             "projected cones by dimension: "

@@ -1,0 +1,128 @@
+"""The fan and moduli JSON writer against its oracle, json.dumps(indent=2) of
+the dict form ``fan_to_json``, byte for byte."""
+
+import json
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tropfan import (
+    Fan,
+    Graph,
+    QuotientVector,
+    bergman_fan,
+    fan_json_text,
+    fan_to_json,
+    make_cone,
+    moduli_fan_rad,
+    project_fan,
+)
+from tropfan.cli import NAMED_GRAPHS, main, resolve_graph
+
+
+def oracle(fan: Fan, **fields) -> str:
+    return json.dumps(dict(fan_to_json(fan), **fields), indent=2)
+
+
+def assert_writes_like_oracle(fan: Fan):
+    assert fan_json_text(fan) == oracle(fan)
+    # one level down, as the moduli document nests its two fans
+    nested = json.dumps({"fan": fan_to_json(fan)}, indent=2)
+    assert nested == '{\n  "fan": ' + fan_json_text(fan, 1) + "\n}"
+
+
+@pytest.mark.parametrize("spec", [f"complete:{m}" for m in range(6)] + ["2-3"])
+def test_bergman_fans(spec):
+    assert_writes_like_oracle(bergman_fan(resolve_graph(spec)))
+
+
+def test_extra_fields_follow_the_cones(k4):
+    fan = bergman_fan(k4)
+    assert fan_json_text(fan, balanced=True) == oracle(fan, balanced=True)
+    assert fan_json_text(fan, balanced=False).endswith('  "balanced": false\n}')
+
+
+def test_reweighted_fan(k4):
+    fan = bergman_fan(k4)
+    sigma = fan.cones_of_dim(fan.max_dim)[0]
+    heavy = fan.with_weights({sigma.rayset: 2})
+    assert '"weight": 2' in fan_json_text(heavy)
+    assert_writes_like_oracle(heavy)
+
+
+@pytest.mark.parametrize("name", ["k4-minus-e25", "k4-minus-e35-e45", "k2-2"])
+def test_projected_fans_with_merged_fibers(name):
+    gamma = NAMED_GRAPHS[name]()
+    projected = project_fan(bergman_fan(Graph.complete(gamma.labels)), gamma)
+    assert max(len(c.provenance) for c in projected.cones) > 1
+    assert_writes_like_oracle(projected)
+
+
+def test_moduli_documents_match_the_dict_composition(capsys):
+    written = 0
+    for n in (4, 5, 6):
+        for spec in ["complete", *NAMED_GRAPHS]:
+            gamma = "complete" if spec == "complete" else NAMED_GRAPHS[spec]()
+            try:
+                fan = moduli_fan_rad(n, gamma)
+            except ValueError:
+                continue  # labels other than 2..n; the CLI exits 2
+            target = gamma if isinstance(gamma, Graph) else Graph.complete(range(2, n + 1))
+            doc = {
+                "schema": 1,
+                "n": n,
+                "graph": [f"{a}-{b}" for a, b in target.edges],
+                "radial_fan": fan_to_json(fan),
+                "projected_fan": fan_to_json(project_fan(fan, target)),
+            }
+            assert main(["moduli", "--n", str(n), "--graph", spec, "--format", "json"]) == 0
+            assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+            written += 1
+    assert written == 7
+
+
+@st.composite
+def small_graphs(draw):
+    labels = sorted(draw(st.sets(st.integers(2, 6), min_size=1, max_size=5)))
+    pairs = list(combinations(labels, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(tuple(labels), tuple(sorted(edges)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_random_small_graphs(g):
+    assert_writes_like_oracle(bergman_fan(g))
+    if g.edges:
+        assert_writes_like_oracle(project_fan(bergman_fan(Graph.complete(g.labels)), g))
+
+
+def test_fraction_coordinates_are_refused():
+    ambient = ((2, 3), (2, 4), (3, 4))
+    half = QuotientVector(ambient, (Fraction(1, 2), 0, 0))
+    fan = Fan(ambient, [make_cone([half])], validate=False)
+    with pytest.raises(TypeError):
+        json.dumps(fan_to_json(fan), indent=2)
+    with pytest.raises(TypeError):
+        fan_json_text(fan)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fan", "--graph", "k4"],
+        ["moduli", "--n", "5", "--graph", "k4-minus-e35-e45"],
+        ["project", "--graph", "k2-2"],
+    ],
+)
+def test_cli_documents_bypass_the_json_encoder(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json encoder called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+    assert main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out.startswith("{\n")
