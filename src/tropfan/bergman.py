@@ -5,11 +5,11 @@ representative of a class is the one whose last coordinate vanishes, which
 makes equality a plain tuple comparison and identifies the quotient lattice
 with the integer vectors supported on the remaining coordinates.
 
-Arithmetic is exact, never floating point.  Ranks (cone validation,
-projection) and the balancing span test run on the fraction-free echelon
-kernel ``intlinalg.echelon``.  Balancing indexes the maximal cones by their
-facets, so each codimension-one face visits only its own star.  The
-chains-of-flats subdivision is unimodular (Ardila-Klivans;
+Arithmetic is exact, never floating point.  A cone is validated once, when
+its ``Cone`` is built, with one rank on the fraction-free echelon kernel
+``intlinalg.echelon``; the balancing span test runs on the same kernel.
+Balancing indexes the maximal cones by their facets, so each
+codimension-one face visits only its own star.  The chains-of-flats subdivision is unimodular (Ardila-Klivans;
 Feichtner-Sturmfels): the canonical rays of a chain are signed indicators
 of a laminar family of edge sets (the flats and the complements of those
 holding the last edge), so their matrix is totally unimodular and the kernel
@@ -28,7 +28,7 @@ Fans are written as JSON by ``fan_json_text``, which gives the bytes of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import intlinalg as ila
 from .graphs import Edge, Graph
-from .matroid import ChainOfFlats, Flat, all_chains, graph_rank, proper_flats
+from .matroid import ChainOfFlats, Flat, _chain_walk, graph_rank, proper_flats
 
 
 def _num(x):
@@ -142,11 +142,18 @@ def ray_of_flat(f: Flat, ambient: Sequence[Edge]) -> QuotientVector:
 
 @dataclass(frozen=True)
 class Cone:
-    """A simplicial cone spanned by independent rays, with weight and origin."""
+    """A simplicial cone spanned by independent rays, with weight and origin;
+    both conditions are checked when it is built."""
 
     rays: tuple[QuotientVector, ...]
     weight: int = 1
     provenance: tuple[ChainOfFlats, ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        if type(self.weight) is not int or self.weight < 1:
+            raise ValueError(f"cone weights are positive integers, got {self.weight!r}")
+        if self.rays and _rank([r.coords for r in self.rays]) != len(self.rays):
+            raise ValueError("cone rays are linearly dependent, so it is not simplicial")
 
     @property
     def dim(self) -> int:
@@ -162,10 +169,7 @@ def make_cone(
     weight: int = 1,
     provenance: tuple[ChainOfFlats, ...] = (),
 ) -> Cone:
-    rays = tuple(sorted(set(rays), key=lambda r: r.coords))
-    if weight < 1:
-        raise ValueError("cone weights are positive integers")
-    return Cone(rays, weight, provenance)
+    return Cone(tuple(sorted(set(rays), key=lambda r: r.coords)), weight, provenance)
 
 
 class Fan:
@@ -176,12 +180,7 @@ class Fan:
     construction is byte-stable.
     """
 
-    def __init__(
-        self,
-        ambient: Sequence[Edge],
-        cones: Iterable[Cone],
-        validate: bool = True,
-    ):
+    def __init__(self, ambient: Sequence[Edge], cones: Iterable[Cone]):
         self.ambient = tuple(ambient)
         by_rayset: dict[frozenset, Cone] = {}
         for cone in cones:
@@ -192,12 +191,8 @@ class Fan:
                 merged = existing.provenance + tuple(
                     p for p in cone.provenance if p not in existing.provenance
                 )
-                by_rayset[cone.rayset] = Cone(existing.rays, existing.weight, merged)
+                by_rayset[cone.rayset] = replace(existing, provenance=merged)
                 continue
-            if validate and cone.dim > 0:
-                coords = [r.coords for r in cone.rays]
-                if _rank(coords) != cone.dim:
-                    raise ValueError("cone rays are linearly dependent")
             by_rayset[cone.rayset] = cone
         if frozenset() not in by_rayset:
             by_rayset[frozenset()] = make_cone(())
@@ -232,11 +227,12 @@ class Fan:
         return self._by_rayset.get(rayset)
 
     def with_weights(self, overrides: dict[frozenset, int]) -> "Fan":
+        """The fan with some weights replaced; other cones are shared."""
         cones = [
-            Cone(c.rays, overrides.get(c.rayset, c.weight), c.provenance)
+            replace(c, weight=overrides[c.rayset]) if c.rayset in overrides else c
             for c in self.cones
         ]
-        return Fan(self.ambient, cones, validate=False)
+        return Fan(self.ambient, cones)
 
     def census(self) -> tuple[int, ...]:
         """Cone counts by dimension 0..max_dim."""
@@ -246,19 +242,24 @@ class Fan:
 def bergman_fan(g: Graph) -> Fan:
     """The fan whose cones are spanned by rays of chains of proper nonempty
     flats, all weights one; its dimension is rank(g) - 1."""
-    ambient = g.edges
-    ray_of = {f.mask: ray_of_flat(f, ambient) for f in proper_flats(g)}
-    cones = [
-        make_cone([ray_of[f.mask] for f in chain], weight=1, provenance=(chain,))
-        for chain in all_chains(g)
-    ]
-    fan = Fan(ambient, cones, validate=True)
+    fan = _chain_fan(g, proper_flats(g))
     expected = max(graph_rank(g, g.full_edge_set()) - 1, 0)
     if fan.max_dim != expected:
         raise RuntimeError(
             f"Bergman fan has dimension {fan.max_dim}, expected {expected}"
         )
     return fan
+
+
+def _chain_fan(g: Graph, flats: Sequence[Flat]) -> Fan:
+    """One weight-one cone per chain of ``flats`` (proper flats of g in
+    canonical order), with the chain as provenance."""
+    ray_of = {f.mask: ray_of_flat(f, g.edges) for f in flats}
+    cones = [
+        make_cone([ray_of[f.mask] for f in chain], weight=1, provenance=(chain,))
+        for chain in _chain_walk(flats)
+    ]
+    return Fan(g.edges, cones)
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +375,14 @@ def _is_unimodular(sigma: Cone) -> bool:
     their span.
 
     ``saturation`` hands back rays that the echelon kernel certifies with a
-    unit pivot at every step, and a shorter basis for dependent rays; any
-    other basis is compared with the rays by Hermite forms."""
+    unit pivot at every step; any other basis, as long since the rays are
+    independent, is compared with them by Hermite forms."""
     if not all(r.is_integral for r in sigma.rays):
         return False
     m = len(sigma.rays[0].coords) - 1  # canonical reps end in 0
     rows = [[int(c) for c in r.coords[:-1]] for r in sigma.rays]
     basis = ila.saturation(rows, m)
-    if basis == rows:
-        return True
-    return len(basis) == len(rows) and ila.hnf(rows) == ila.hnf(basis)
+    return basis == rows or ila.hnf(rows) == ila.hnf(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +400,7 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
 
     Rays that project to zero are dropped and coinciding images are merged;
     each image cone keeps every source cone's provenance as its fiber and
-    carries weight one.
+    carries weight one; building each image cone checks its rays once.
     """
     complete_edges = tuple(combinations(gamma.labels, 2))
     if fan.ambient != complete_edges:
@@ -418,8 +417,6 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
                 p = image_of[ray] = project_vector(ray, gamma)
             if not p.is_zero and p not in image:
                 image.append(p)
-        if image and _rank([r.coords for r in image]) != len(image):
-            raise ValueError("projected cone is not simplicial")
         key = frozenset(image)
         slot = merged.setdefault(key, (image, []))
         slot[1].extend(cone.provenance)
@@ -427,7 +424,7 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
         make_cone(rays, weight=1, provenance=tuple(fibers))
         for rays, fibers in merged.values()
     ]
-    return Fan(gamma.edges, cones, validate=False)
+    return Fan(gamma.edges, cones)
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:

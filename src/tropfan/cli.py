@@ -75,10 +75,12 @@ def resolve_graph(spec: str) -> Graph:
 
 
 def _emit(doc: str, output: Optional[str]):
+    """``print`` adds the final newline without copying the document."""
     if output:
-        Path(output).write_text(doc)
+        with open(output, "w") as fh:
+            print(doc, file=fh)
     else:
-        sys.stdout.write(doc)
+        print(doc)
 
 
 def _flat_json(f) -> list[str]:
@@ -94,10 +96,10 @@ def cmd_flats(args) -> int:
             "graph": [edge_str(e) for e in g.edges],
             "flats": [{"edges": _flat_json(f), "rank": f.rank} for f in flats],
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        _emit(json.dumps(doc, indent=2), args.output)
     else:
         lines = [f"rank {f.rank}: {' '.join(_flat_json(f)) or '{}'}" for f in flats]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -112,7 +114,7 @@ def cmd_lattice(args) -> int:
             "flats": [_flat_json(f) for f in flats],
             "covers": [[index[a], index[b]] for a, b in covers],
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        _emit(json.dumps(doc, indent=2), args.output)
     elif args.format == "dot":
         label = lambda f: " ".join(_flat_json(f)) or "{}"
         lines = ["digraph lattice {"]
@@ -121,10 +123,10 @@ def cmd_lattice(args) -> int:
         for a, b in covers:
             lines.append(f"  f{index[a]} -> f{index[b]};")
         lines.append("}")
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit("\n".join(lines), args.output)
     else:
         counts = _flat_counts(flats)
-        _emit("flats: " + ",".join(map(str, counts)) + "\n", args.output)
+        _emit("flats: " + ",".join(map(str, counts)), args.output)
     return 0
 
 
@@ -138,13 +140,13 @@ def cmd_fan(args) -> int:
     fan = bergman_fan(g)
     balance = is_balanced(fan)
     if args.format == "json":
-        _emit(fan_json_text(fan, balanced=balance.balanced) + "\n", args.output)
+        _emit(fan_json_text(fan, balanced=balance.balanced), args.output)
     else:
         lines = [
             "cones by dimension: " + ",".join(map(str, fan.census())),
             f"balanced: {str(balance.balanced).lower()}",
         ]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -164,13 +166,13 @@ def cmd_moduli(args) -> int:
                 ("projected_fan", fan_json_text(projected, 1)),
             ]
         )
-        _emit(doc + "\n", args.output)
+        _emit(doc, args.output)
     else:
         lines = [
             "radial cones by dimension: " + ",".join(map(str, fan.census())),
             "projected cones by dimension: " + ",".join(map(str, projected.census())),
         ]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -180,14 +182,10 @@ def cmd_project(args) -> int:
     fan = bergman_fan(ambient)
     projected = project_fan(fan, gamma)
     if args.format == "json":
-        _emit(fan_json_text(projected) + "\n", args.output)
+        _emit(fan_json_text(projected), args.output)
     else:
-        _emit(
-            "projected cones by dimension: "
-            + ",".join(map(str, projected.census()))
-            + "\n",
-            args.output,
-        )
+        census = ",".join(map(str, projected.census()))
+        _emit(f"projected cones by dimension: {census}", args.output)
     return 0
 
 
@@ -201,7 +199,7 @@ def cmd_counts(args) -> int:
     if g.num_vertices <= 6:
         fan = bergman_fan(g)
         lines.append("cones: " + ",".join(map(str, fan.census())))
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -305,7 +303,7 @@ SUITES = {
 def cmd_verify(args) -> int:
     lines: list[str] = []
     passed = SUITES[args.suite](args, lines.append)
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("\n".join(lines), args.output)
     return 0 if passed else 1
 
 

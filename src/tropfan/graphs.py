@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 Edge = tuple[int, int]
@@ -206,8 +206,9 @@ def parse_graph(text: str) -> Graph:
     return Graph.from_edges(edges, labels)
 
 
-def _vertex_partition(g: Graph, s: EdgeSet) -> dict[int, int]:
-    """Union-find roots for the non-isolated vertices of ``s``."""
+def _union_find(g: Graph, s: EdgeSet) -> tuple[dict[int, int], int]:
+    """One union-find pass over ``s`` in canonical edge order: the root of
+    each non-isolated vertex, and the mask of the greedy spanning forest."""
     parent: dict[int, int] = {}
 
     def find(v: int) -> int:
@@ -216,6 +217,7 @@ def _vertex_partition(g: Graph, s: EdgeSet) -> dict[int, int]:
             v = parent[v]
         return v
 
+    forest = 0
     mask = s.mask
     while mask:
         low = mask & -mask
@@ -226,13 +228,14 @@ def _vertex_partition(g: Graph, s: EdgeSet) -> dict[int, int]:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    return {v: find(v) for v in parent}
+            forest |= low
+    return {v: find(v) for v in parent}, forest
 
 
 def components(g: Graph, s: EdgeSet) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components of ``s``, non-isolated vertices only,
     sorted by smallest member."""
-    roots = _vertex_partition(g, s)
+    roots, _ = _union_find(g, s)
     blocks: dict[int, list[int]] = {}
     for v, r in roots.items():
         blocks.setdefault(r, []).append(v)
@@ -243,7 +246,7 @@ def graph_rank(g: Graph, s: EdgeSet) -> int:
     """Number of non-isolated vertices of ``s`` minus its number of components."""
     if s.graph != g:
         raise ValueError("edge set does not belong to this graph")
-    roots = _vertex_partition(g, s)
+    roots, _ = _union_find(g, s)
     return len(roots) - len(set(roots.values()))
 
 
@@ -251,25 +254,20 @@ def spanning_forest(g: Graph, s: EdgeSet) -> EdgeSet:
     """Greedy maximal acyclic subset of ``s`` in canonical edge order."""
     if s.graph != g:
         raise ValueError("edge set does not belong to this graph")
-    parent: dict[int, int] = {}
+    return EdgeSet(g, _union_find(g, s)[1])
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
 
+def _cluster_mask(g: Graph, blocks: Iterable[Sequence[int]]) -> int:
+    """Mask of g's edges with both ends in one of the blocks, each block an
+    ascending sequence of labels."""
+    idx = g.edge_index
     mask = 0
-    for i, (a, b) in enumerate(g.edges):
-        if not s.mask >> i & 1:
-            continue
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            mask |= 1 << i
-    return EdgeSet(g, mask)
+    for block in blocks:
+        for e in combinations(block, 2):
+            i = idx.get(e)
+            if i is not None:
+                mask |= 1 << i
+    return mask
 
 
 def is_acyclic(g: Graph, s: EdgeSet) -> bool:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .graphs import EdgeSet, Graph, components, graph_rank, is_acyclic
+from .graphs import EdgeSet, Graph, _cluster_mask, components, graph_rank, is_acyclic
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +103,7 @@ def closure(g: Graph, s: EdgeSet) -> Flat:
     """Complete each connected component, then restrict to the graph's edges."""
     if s.graph != g:
         raise ValueError("edge set does not belong to this graph")
-    blocks = components(g, s)
-    mask = 0
-    idx = g.edge_index
-    for b in blocks:
-        for e in combinations(b, 2):
-            i = idx.get(e)
-            if i is not None:
-                mask |= 1 << i
-    return Flat.from_edge_set(EdgeSet(g, mask))
+    return Flat.from_edge_set(EdgeSet(g, _cluster_mask(g, components(g, s))))
 
 
 def set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -139,15 +130,9 @@ def enumerate_flats(g: Graph) -> list[Flat]:
     """
     if g.num_vertices > MAX_FLAT_VERTICES:
         raise ValueError(f"flat enumeration capped at {MAX_FLAT_VERTICES} vertices")
-    idx = g.edge_index
     seen: dict[int, Flat] = {}
     for part in set_partitions(g.labels):
-        mask = 0
-        for block in part:
-            for e in combinations(block, 2):
-                i = idx.get(e)
-                if i is not None:
-                    mask |= 1 << i
+        mask = _cluster_mask(g, part)
         if mask not in seen:
             seen[mask] = Flat.from_edge_set(EdgeSet(g, mask))
     return sorted(seen.values(), key=Flat.sort_key)
@@ -163,15 +148,16 @@ def flats_lattice(g: Graph) -> list[tuple[Flat, Flat]]:
     """Covering pairs (child, parent) of the lattice of flats.
 
     Ranks strictly increase along containment, so a containment with rank
-    difference one is automatically a cover.
+    difference one is automatically a cover; the containments are read off
+    ``_containment_successors``.
     """
     flats = enumerate_flats(g)
-    covers = []
-    for child in flats:
-        for parent in flats:
-            if parent.rank == child.rank + 1 and child.mask & ~parent.mask == 0:
-                covers.append((child, parent))
-    return covers
+    return [
+        (child, flats[j])
+        for child, succ in zip(flats, _containment_successors(flats))
+        for j in succ
+        if flats[j].rank == child.rank + 1
+    ]
 
 
 def _containment_successors(flats: Sequence[Flat]) -> list[list[int]]:

@@ -33,15 +33,16 @@ from functools import cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .bergman import Fan, QuotientVector, make_cone, ray_of_flat, _num
+from .bergman import Fan, QuotientVector, _chain_fan, _num
 from .graphs import (
     EdgeSet,
     Graph,
+    _cluster_mask,
     graph_rank,
     is_complete_multipartite,
     spanning_forest,
 )
-from .matroid import ChainOfFlats, Flat, _chain_walk, proper_flats
+from .matroid import ChainOfFlats, Flat, proper_flats
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +576,13 @@ def psi_radial_to_cof(c: RadialType) -> ChainOfFlats:
         groups: dict[int, list[int]] = {}
         for v in sorted(alive):
             groups.setdefault(top(v), []).append(v)
-        mask = 0
+        blocks = []
         for group in groups.values():
             ends = sorted(e for v in group for e in c.type.ends_at_vertex(v))
             if len(ends) < 2:
                 raise RuntimeError(f"level {i} leaves a component with fewer than two ends")
-            for a, b in combinations(ends, 2):
-                mask |= 1 << ambient.edge_index[(a, b)]
-        flats.append(Flat.from_edge_set(EdgeSet(ambient, mask)))
+            blocks.append(ends)
+        flats.append(Flat.from_edge_set(EdgeSet(ambient, _cluster_mask(ambient, blocks))))
     return ChainOfFlats(tuple(flats))
 
 
@@ -603,8 +603,8 @@ def moduli_fan_rad(n: int, gamma: Union[Graph, str] = "complete") -> Fan:
     all stable for gamma (``_stable_flats``), never building the others; by
     the leaf-block argument in the module docstring, these are exactly the
     chains of the gamma-stable radial types.  Each chain's cone is spanned
-    by the rays of its flats, computed once per flat.  Projecting the result
-    onto the stability graph's edges gives the image fan.
+    by the rays of its flats, computed once per flat (``bergman._chain_fan``).
+    Projecting the result onto the stability graph's edges gives the image fan.
     """
     if not 4 <= n <= 7:
         raise ValueError("moduli fans support 4 <= n <= 7")
@@ -615,13 +615,7 @@ def moduli_fan_rad(n: int, gamma: Union[Graph, str] = "complete") -> Fan:
     _check_stability_graph(n, gamma)
     ambient = _complete_on(n)
     gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
-    stable = _stable_flats(n, gmask)
-    ray_of = {f.mask: ray_of_flat(f, ambient.edges) for f in stable}
-    cones = [
-        make_cone([ray_of[f.mask] for f in chain], weight=1, provenance=(chain,))
-        for chain in _chain_walk(stable)
-    ]
-    return Fan(ambient.edges, cones, validate=True)
+    return _chain_fan(ambient, _stable_flats(n, gmask))
 
 
 def caterpillar_cof(gamma: Graph) -> ChainOfFlats:
@@ -662,9 +656,7 @@ def caterpillar_cof(gamma: Graph) -> ChainOfFlats:
 
 
 def _clique_flat(ambient: Graph, vertices: set[int]) -> Flat:
-    return Flat.from_edge_set(
-        EdgeSet.from_edges(ambient, combinations(sorted(vertices), 2))
-    )
+    return Flat.from_edge_set(EdgeSet(ambient, _cluster_mask(ambient, [sorted(vertices)])))
 
 
 @dataclass(frozen=True)
@@ -695,7 +687,6 @@ def _flat_demands(n: int) -> tuple[tuple[Flat, Optional[tuple[int, ...]]], ...]:
     stable when all its flats are) and ``verify_injectivity``.
     """
     ambient = _complete_on(n)
-    idx = ambient.edge_index
     table = []
     for f in proper_flats(ambient):
         typ = psi_cof_to_radial(ChainOfFlats((f,))).type
@@ -703,7 +694,7 @@ def _flat_demands(n: int) -> tuple[tuple[Flat, Optional[tuple[int, ...]]], ...]:
         for v in range(typ.num_vertices):
             ends = _vertex_demand(typ, v)
             if ends is not None:
-                masks.append(sum(1 << idx[e] for e in combinations(ends, 2)))
+                masks.append(_cluster_mask(ambient, [ends]))
         table.append((f, None if 0 in masks else tuple(masks)))
     return tuple(table)
 
@@ -734,11 +725,10 @@ def verify_injectivity(gamma: Graph) -> InjectivityReport:
     decides what a split means.  Stability is read off ``_flat_demands``
     (through ``_stable_flats``), so each flat costs a few mask tests.
     """
+    if len(gamma.labels) > 6:
+        raise ValueError("verify_injectivity supports at most 6 vertices")
     n = gamma.labels[-1]
-    if gamma.labels != tuple(range(2, n + 1)) or len(gamma.labels) > 6:
-        raise ValueError("stability graph must be labeled 2..n with at most 6 vertices")
-    if not gamma.is_connected():
-        raise ValueError("stability graph must be connected")
+    _check_stability_graph(n, gamma)
     ambient = _complete_on(n)
     gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
     stable = _stable_flats(n, gmask)

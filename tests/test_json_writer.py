@@ -103,7 +103,7 @@ def test_random_small_graphs(g):
 def test_fraction_coordinates_are_refused():
     ambient = ((2, 3), (2, 4), (3, 4))
     half = QuotientVector(ambient, (Fraction(1, 2), 0, 0))
-    fan = Fan(ambient, [make_cone([half])], validate=False)
+    fan = Fan(ambient, [make_cone([half])])
     with pytest.raises(TypeError):
         json.dumps(fan_to_json(fan), indent=2)
     with pytest.raises(TypeError):

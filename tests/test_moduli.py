@@ -93,6 +93,17 @@ def test_moduli_fan_n6_matches_bergman_k5():
     assert fans_equal(fan, bergman_fan(Graph.complete(range(2, 7))))
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_complete_moduli_fan_is_the_bergman_fan_cone_for_cone(n):
+    """Both fans come from ``bergman._chain_fan``: for the complete graph
+    every flat is stable, so the cones, weights and provenance coincide."""
+    moduli = moduli_fan_rad(n, "complete").cones
+    bergman = bergman_fan(Graph.complete(range(2, n + 1))).cones
+    assert [(c.rays, c.weight, c.provenance) for c in moduli] == [
+        (c.rays, c.weight, c.provenance) for c in bergman
+    ]
+
+
 def test_five_end_cone_structure_is_petersen():
     # rays of the five-end space with edges for compatible split pairs
     import networkx as nx
@@ -153,10 +164,9 @@ def typed_radial_cones(n):
 
 def moduli_fan_by_types(gamma, ambient, typed_cones):
     """The type route the chain walk replaced: the radial cones of every
-    gamma-stable combinatorial type.  Validation is left to the fan under
-    test, whose cones must be equal."""
+    gamma-stable combinatorial type."""
     cones = [c for typ, cs in typed_cones if is_gamma_stable(typ, gamma)[0] for c in cs]
-    return Fan(ambient, cones, validate=False)
+    return Fan(ambient, cones)
 
 
 def assert_same_moduli_fan(n, gamma, typed):

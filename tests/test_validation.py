@@ -84,6 +84,24 @@ def test_fan_rejects_dependent_rays(k4):
     assert Fan(k4.edges, [make_cone([r, s, third])]).max_dim == 3
 
 
+@pytest.mark.parametrize("weight", [0, -1, Fraction(3, 2)])
+def test_reweighting_refuses_non_positive_integer_weights(k4, weight):
+    fan = bergman.bergman_fan(k4)
+    sigma = fan.cones_of_dim(fan.max_dim)[0]
+    with pytest.raises(ValueError, match="positive integers"):
+        fan.with_weights({sigma.rayset: weight})
+
+
+def test_cone_built_directly_rejects_dependent_rays(k4):
+    r = ray_of_flat(flat_of(k4, [(2, 3)]), k4.edges)
+    s = ray_of_flat(flat_of(k4, [(2, 4)]), k4.edges)
+    with pytest.raises(ValueError, match="dependent"):
+        bergman.Cone((r, s, r + s))
+    with pytest.raises(ValueError, match="dependent"):
+        bergman.Cone((QuotientVector.zero(k4.edges),))
+    assert bergman.Cone((r, s)).dim == 2
+
+
 def test_fan_rejects_conflicting_weights(k4):
     r = ray_of_flat(flat_of(k4, [(2, 3)]), k4.edges)
     with pytest.raises(ValueError, match="conflicting"):
