@@ -6,10 +6,19 @@ makes equality a plain tuple comparison and identifies the quotient lattice
 with the integer vectors supported on the remaining coordinates.
 
 Arithmetic is exact, never floating point.  A cone is validated once, when
-its ``Cone`` is built, with one rank on the fraction-free echelon kernel
-``intlinalg.echelon``; the balancing span test runs on the same kernel.
-Balancing indexes the maximal cones by their facets, so each
-codimension-one face visits only its own star.  The chains-of-flats subdivision is unimodular (Ardila-Klivans;
+its ``Cone`` is built, by a certificate mod 2: each ray's ``parity`` mask
+holds the odd coordinates of its cleared integer vector, and if XOR
+elimination finds the masks independent, some maximal minor of the integer
+rays is odd, hence nonzero, so the rays are independent over Q.  A cone
+without that certificate is ranked on the fraction-free echelon kernel
+``intlinalg.echelon``, which also runs the balancing span test.  Chain rays
+never need the kernel here: mod 2 they are the chain's flats that miss the
+last edge and the complements of those that hold it, two nested chains of
+nonempty sets with disjoint supports, and their projections onto a
+subgraph's edges reduce the same way.  Balancing indexes the maximal cones
+by their facets, so each codimension-one face visits only its own star.
+
+The chains-of-flats subdivision is unimodular (Ardila-Klivans;
 Feichtner-Sturmfels): the canonical rays of a chain are signed indicators
 of a laminar family of edge sets (the flats and the complements of those
 holding the last edge), so their matrix is totally unimodular and the kernel
@@ -64,6 +73,11 @@ class QuotientVector:
         if self.coords and self.coords[-1] != 0:
             raise ValueError("canonical representative must end in 0")
 
+    def __hash__(self) -> int:
+        # equal vectors have equal coords; hashing the ambient edge tuple too
+        # would rehash every edge on each set and dict operation
+        return hash(self.coords)
+
     @classmethod
     def from_raw(cls, ambient: Sequence[Edge], coords: Sequence) -> "QuotientVector":
         coords = list(coords)
@@ -106,6 +120,13 @@ class QuotientVector:
         """Primitive integer direction vector of this class."""
         return tuple(ila.primitive_vector(_cleared(self.coords)))
 
+    @cached_property
+    def parity(self) -> int:
+        """The odd coordinates of the cleared integer vector, as a bit mask:
+        the vector's reduction mod 2, up to its nonzero rational scale."""
+        coords = _integral([self.coords])[0]
+        return sum(1 << i for i, c in enumerate(coords) if c & 1)
+
     def _check(self, other: "QuotientVector"):
         if self.ambient != other.ambient:
             raise ValueError("vectors over different ambient edge lists")
@@ -128,6 +149,23 @@ def _rank(rows: Sequence[Sequence]) -> int:
     return len(ila.echelon(_integral(rows))[0])
 
 
+def _independent_mod_2(masks: Iterable[int]) -> bool:
+    """Whether the bit masks are linearly independent over GF(2), by XOR
+    elimination on their leading bits."""
+    basis: dict[int, int] = {}  # leading bit -> reduced mask
+    for m in masks:
+        while m:
+            top = m.bit_length()
+            b = basis.get(top)
+            if b is None:
+                basis[top] = m
+                break
+            m ^= b
+        else:
+            return False
+    return True
+
+
 def ray_of_flat(f: Flat, ambient: Sequence[Edge]) -> QuotientVector:
     """Canonical class of minus the indicator vector of the flat's edges."""
     ambient = tuple(ambient)
@@ -143,7 +181,11 @@ def ray_of_flat(f: Flat, ambient: Sequence[Edge]) -> QuotientVector:
 @dataclass(frozen=True)
 class Cone:
     """A simplicial cone spanned by independent rays, with weight and origin;
-    both conditions are checked when it is built."""
+    both conditions are checked when it is built.
+
+    Independence is certified mod 2 on the rays' ``parity`` masks; rays that
+    are dependent mod 2 (but may be independent over Q, like (1, 1) and
+    (1, -1)) are ranked on the echelon kernel instead."""
 
     rays: tuple[QuotientVector, ...]
     weight: int = 1
@@ -152,7 +194,12 @@ class Cone:
     def __post_init__(self):
         if type(self.weight) is not int or self.weight < 1:
             raise ValueError(f"cone weights are positive integers, got {self.weight!r}")
-        if self.rays and _rank([r.coords for r in self.rays]) != len(self.rays):
+        rays = self.rays
+        if (
+            rays
+            and not _independent_mod_2([r.parity for r in rays])
+            and _rank([r.coords for r in rays]) != len(rays)
+        ):
             raise ValueError("cone rays are linearly dependent, so it is not simplicial")
 
     @property
@@ -375,8 +422,8 @@ def _is_unimodular(sigma: Cone) -> bool:
     their span.
 
     ``saturation`` hands back rays that the echelon kernel certifies with a
-    unit pivot at every step; any other basis, as long since the rays are
-    independent, is compared with them by Hermite forms."""
+    unit pivot at every step.  Since a cone's rays are independent, any
+    other basis it returns is compared with them by Hermite forms."""
     if not all(r.is_integral for r in sigma.rays):
         return False
     m = len(sigma.rays[0].coords) - 1  # canonical reps end in 0

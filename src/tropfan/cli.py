@@ -176,8 +176,19 @@ def cmd_moduli(args) -> int:
     return 0
 
 
+# ``project`` builds the Bergman fan of the complete graph on the target's
+# labels: K7's takes about 38 s on a 2-core host, and K8's has about 10.3
+# million cones.
+MAX_PROJECT_LABELS = 7
+
+
 def cmd_project(args) -> int:
     gamma = resolve_graph(args.graph)
+    if len(gamma.labels) > MAX_PROJECT_LABELS:
+        raise ValueError(
+            f"project supports targets with at most {MAX_PROJECT_LABELS} labels, "
+            f"got {len(gamma.labels)}"
+        )
     ambient = Graph.complete(gamma.labels)
     fan = bergman_fan(ambient)
     projected = project_fan(fan, gamma)

@@ -26,6 +26,7 @@ them off as edge masks.  The route through types, alignments and
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -355,6 +356,42 @@ def pair_list(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(1, n + 1), 2))
 
 
+def _numerators(values: Sequence) -> tuple[list[int], int]:
+    """Rational values (ints or Fractions) as integer numerators over their
+    least common denominator d, and d.  Floats are refused."""
+    try:
+        d = math.lcm(*(v.denominator for v in values))
+    except AttributeError:
+        raise ValueError("coordinates must be ints or Fractions") from None
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _ratios(nums: Iterable[int], d: int) -> tuple:
+    """The values x / d: an int where d divides x, else a Fraction."""
+    if d == 1:
+        return tuple(nums)
+    return tuple(x // d if x % d == 0 else Fraction(x, d) for x in nums)
+
+
+@cache
+def _off_root_pairs(n: int) -> tuple[tuple[int, int, int], ...]:
+    """For each pair (i, j) with 2 <= i < j <= n, in ``pair_list`` order
+    (which is the edge order of the complete graph on 2..n), the indices of
+    (i, j), (1, i) and (1, j) in ``pair_list(n)``."""
+    index = {p: k for k, p in enumerate(pair_list(n))}
+    return tuple(
+        (index[i, j], index[1, i], index[1, j])
+        for i, j in combinations(range(2, n + 1), 2)
+    )
+
+
+def _gromov_numerators(n: int, y: Sequence[int]) -> list[int]:
+    """y_ij - y_1i - y_1j for 2 <= i < j <= n, in edge order: minus twice the
+    basepoint-1 Gromov products of the pair vector y.  A vertex-sum
+    perturbation x changes each by -2 x_1."""
+    return [y[k] - y[a] - y[b] for k, a, b in _off_root_pairs(n)]
+
+
 @dataclass(frozen=True)
 class QnVector:
     """A pairwise-distance vector modulo vertex-sum perturbations.
@@ -369,23 +406,21 @@ class QnVector:
 
     @classmethod
     def from_raw(cls, n: int, coords: Sequence) -> "QnVector":
-        """The canonical member of the class of ``coords``.
+        """The canonical member of the class of ``coords`` (ints or
+        Fractions).
 
         Closed form: coordinate (1, j) is 0 and coordinate (i, j) is
         y_ij - y_1i - y_1j + (y_12 + y_13 - y_23).  This is y minus the
         vertex sum with x_1 = (y_12 + y_13 - y_23) / 2 and x_j = y_1j - x_1,
-        whose halves cancel, so the arithmetic stays in the input's ring.
+        whose halves cancel.  The sums run on integer numerators over the
+        coordinates' least common denominator, which divides back once per
+        coordinate: an int where it divides, else a Fraction.
         """
-        pairs = pair_list(n)
-        if len(coords) != len(pairs):
+        if len(coords) != n * (n - 1) // 2:
             raise ValueError("coordinate length does not match the pair count")
-        y = dict(zip(pairs, coords))
-        shift = y[1, 2] + y[1, 3] - y[2, 3]
-        canon = tuple(
-            0 if i == 1 else _num(c - y[1, i] - y[1, j] + shift)
-            for (i, j), c in zip(pairs, coords)
-        )
-        return cls(n, canon)
+        y, d = _numerators(coords)
+        g = _gromov_numerators(n, y)  # g[0] belongs to the pair (2, 3)
+        return cls(n, (0,) * (n - 1) + _ratios([x - g[0] for x in g], d))
 
     @classmethod
     def zero(cls, n: int) -> "QnVector":
@@ -424,15 +459,18 @@ def rho_split(n: int, members: Iterable[int]) -> QnVector:
 
 @dataclass(frozen=True)
 class MetricType:
-    """A combinatorial type with positive rational bounded-edge lengths,
-    aligned with ``type.edges``."""
+    """A combinatorial type with positive rational bounded-edge lengths
+    (ints or Fractions, never floats or bools), aligned with ``type.edges``."""
 
     type: TropicalType
-    lengths: tuple[Fraction, ...]
+    lengths: tuple[Union[int, Fraction], ...]
 
     def __post_init__(self):
         if len(self.lengths) != len(self.type.edges):
             raise ValueError("one length per bounded edge required")
+        for length in self.lengths:
+            if isinstance(length, bool) or not isinstance(length, (int, Fraction)):
+                raise ValueError(f"lengths must be ints or Fractions, got {length!r}")
         if any(length <= 0 for length in self.lengths):
             raise ValueError("lengths must be positive")
 
@@ -443,16 +481,21 @@ def dist_vector(m: MetricType) -> QnVector:
     Closed form: the distance class is the positive combination
     sum_e l_e rho(S_e) of the split rays, so the raw distance of ends i and
     j is the sum of the lengths l_e of the bounded edges e whose split S_e
-    separates i from j.
+    separates i from j.  Since no split holds end 1, d_ij - d_1i - d_1j is
+    -2 h_ij, where h_ij sums the l_e of the splits holding both i and j (the
+    depth, seen from end 1, of the vertex where i and j meet), and the
+    canonical coordinate (i, j) is 2 (h_23 - h_ij).  The sums run on integer
+    numerators over the lengths' least common denominator.
     """
     c = m.type
+    lengths, d = _numerators(m.lengths)
     # the split of bounded edge (u, v) is the one of its child vertex v
-    weighted = [(c.splits[v - 1], length) for (_, v), length in zip(c.edges, m.lengths)]
-    raw = [
-        sum(length for s, length in weighted if (i in s) != (j in s))
-        for i, j in pair_list(c.n)
+    weighted = [(c.splits[v - 1], length) for (_, v), length in zip(c.edges, lengths)]
+    h = [
+        sum(length for s, length in weighted if i in s and j in s)
+        for i, j in combinations(range(2, c.n + 1), 2)
     ]
-    return QnVector.from_raw(c.n, raw)
+    return QnVector(c.n, (0,) * (c.n - 1) + _ratios([2 * (h[0] - x) for x in h], d))
 
 
 @dataclass(frozen=True)
@@ -499,12 +542,13 @@ def psi_linear(v: QnVector) -> QuotientVector:
     by -x_1, a multiple of the all-ones vector, so any representative of the
     class gives the same image.  The ray of split {i, j} goes to minus the
     unit vector of edge (i, j), and the pair-sum relation lands on the class
-    of the all-ones vector.
+    of the all-ones vector.  The sums run on integer numerators over the
+    coordinates' least common denominator.
     """
-    d = dict(zip(pair_list(v.n), v.coords))
-    edges = list(combinations(range(2, v.n + 1), 2))
-    raw = [-Fraction(d[1, i] + d[1, j] - d[i, j], 2) for i, j in edges]
-    return QuotientVector.from_raw(edges, raw)
+    y, d = _numerators(v.coords)
+    g = _gromov_numerators(v.n, y)  # twice the image, before canonicalizing
+    edges = tuple(combinations(range(2, v.n + 1), 2))
+    return QuotientVector(edges, _ratios([x - g[-1] for x in g], 2 * d))
 
 
 # ---------------------------------------------------------------------------

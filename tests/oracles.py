@@ -1,8 +1,9 @@
 """Slow, independent routes that the tests compare the library against.
 
 Rational Gauss-Jordan for ranks, span tests and inverses, lattice membership
-by Hermite reduction, and psi by inverting its matrix on the basis of
-two-element splits.  None of these is on a library path.
+by Hermite reduction, the canonical distance class by Fraction sums, and psi
+by inverting its matrix on the basis of two-element splits.  None of these
+is on a library path.
 """
 
 from __future__ import annotations
@@ -100,6 +101,22 @@ def invert_rational(rows: Sequence[Sequence]) -> list[list[Fraction]]:
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
+
+
+def qn_canonical_oracle(n: int, coords: Sequence) -> QnVector:
+    """The canonical member of the distance class of ``coords``, summed in
+    Fractions off a dict of pairs: coordinate (1, j) is 0 and (i, j) is
+    y_ij - y_1i - y_1j + (y_12 + y_13 - y_23), an int when integral."""
+    pairs = pair_list(n)
+    if len(coords) != len(pairs):
+        raise ValueError("coordinate length does not match the pair count")
+    y = {p: Fraction(c) for p, c in zip(pairs, coords)}
+    shift = y[1, 2] + y[1, 3] - y[2, 3]
+    canon = []
+    for i, j in pairs:
+        c = 0 if i == 1 else y[i, j] - y[1, i] - y[1, j] + shift
+        canon.append(int(c) if c.denominator == 1 else c)
+    return QnVector(n, tuple(canon))
 
 
 def psi_by_inverse(v: QnVector) -> QuotientVector:

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import tropfan.bergman as bergman
 from tropfan import (
+    Cone,
     Fan,
     Graph,
     QuotientVector,
@@ -397,6 +399,69 @@ def rational_matrices(draw):
 @given(rows=rational_matrices())
 def test_integer_rank_matches_rational_rank(rows):
     assert _rank(rows) == rational_rank(rows)
+
+
+def cone_on(rows):
+    """``Cone`` built straight from rational rows (quotient vectors ending
+    in 0), keeping repeated rows."""
+    ambient = tuple((2, j) for j in range(3, len(rows[0]) + 4)) if rows else ()
+    return Cone(tuple(QuotientVector(ambient, tuple(r) + (0,)) for r in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=rational_matrices())
+@example(rows=[[1, 1], [1, -1]])  # independent over Q, dependent mod 2
+@example(rows=[[2, 0], [0, 1]])
+@example(rows=[[Fraction(2, 3), 0], [0, 1]])
+@example(rows=[[1, 1], [1, 1]])
+def test_cone_accepts_exactly_the_independent_rows(rows):
+    if rational_rank(rows) == len(rows):
+        assert cone_on(rows).dim == len(rows)
+    else:
+        with pytest.raises(ValueError, match="dependent"):
+            cone_on(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, certified",
+    [
+        ([[1, 1], [1, -1]], False),  # determinant -2
+        ([[2, 0], [0, 1]], False),  # an even ray
+        ([[Fraction(2, 3), 0], [0, 1]], False),  # even once cleared
+        ([[Fraction(1, 2), 0], [1, 1]], True),  # cleared to (1, 0)
+        ([[1, 0], [1, 1]], True),
+        ([[3, 5, 0], [0, 1, 7], [2, 2, 1]], True),  # odd determinant 29
+    ],
+)
+def test_mod_2_certificate_or_rank_fallback(rows, certified, monkeypatch):
+    ranked = []
+
+    def counted(r):
+        ranked.append(r)
+        return rational_rank(r)
+
+    monkeypatch.setattr(bergman, "_rank", counted)
+    assert cone_on(rows).dim == len(rows)
+    assert bool(ranked) is not certified
+
+
+def test_chain_cones_never_take_the_rank_fallback(monkeypatch):
+    """Chain rays and their projections are independent mod 2, so no chain
+    cone, projected or not, reaches the echelon kernel."""
+
+    def refuse(rows):
+        raise RuntimeError("a chain cone took the rank fallback")
+
+    monkeypatch.setattr(bergman, "_rank", refuse)
+    assert bergman_fan(Graph.complete(range(2, 7))).census() == (1, 50, 205, 180)
+    labels = range(2, 8)
+    tripartite = Graph.from_edges(
+        [(a, b) for a in labels for b in labels if a < b and (a - 2) // 2 != (b - 2) // 2]
+    )
+    path = Graph.from_edges([(v, v + 1) for v in range(2, 7)])
+    for gamma in (tripartite, path):
+        image = project_fan(moduli_fan_rad(7, gamma), gamma)
+        assert image.max_dim == 4  # rank of a connected graph on 6 vertices, minus 1
 
 
 def hermite_unimodular(sigma):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tempfile
+import time
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -118,6 +119,17 @@ def test_named_graphs_resolve():
     assert resolve_graph("k4") == Graph.complete([2, 3, 4, 5])
     assert resolve_graph("complete:3") == Graph.complete([2, 3, 4])
     assert len(resolve_graph("k2-2").edges) == 4
+
+
+def test_project_refuses_targets_beyond_seven_labels(capsys):
+    """The ambient fan of an 8- or 10-label target would not finish, so
+    ``project`` refuses it at once."""
+    for spec in ("petersen-check", "complete:8"):
+        start = time.perf_counter()
+        status = main(["project", "--graph", spec])
+        assert status == 2
+        assert "at most 7 labels" in capsys.readouterr().err
+        assert time.perf_counter() - start < 5
 
 
 def test_petersen_named_graph_is_petersen():

@@ -29,12 +29,23 @@ from tropfan import (
 from tropfan.tropmoduli import enumerate_types, pair_list
 
 from conftest import chain_of, clique_flat
-from oracles import psi_by_inverse, solve_in_span
+from oracles import psi_by_inverse, qn_canonical_oracle, solve_in_span
+
+
+# some of these have denominator 1, so they test int-versus-Fraction output
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 
 
 def phi(n, x):
     """The vertex-sum embedding of R^n into pair space."""
     return [x[i - 1] + x[j - 1] for i, j in pair_list(n)]
+
+
+def assert_same(got, want):
+    """Equal vectors whose coordinates also agree in type (an int and an
+    integral Fraction compare equal)."""
+    assert got == want
+    assert [type(c) for c in got.coords] == [type(c) for c in want.coords]
 
 
 def psi_oracle(v: QnVector) -> tuple:
@@ -88,6 +99,20 @@ def test_canonical_form_stays_in_the_class(data):
     x = solve_in_span(columns, diff)
     assert x is not None
     assert phi(n, x) == diff
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_canonical_form_matches_fraction_oracle(data):
+    n = data.draw(st.integers(4, 7))
+    npairs = n * (n - 1) // 2
+    entry = data.draw(st.sampled_from([
+        st.integers(-9, 9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        st.one_of(st.integers(-9, 9), small_fractions),  # mixed
+    ]))
+    raw = data.draw(st.lists(entry, min_size=npairs, max_size=npairs))
+    assert_same(QnVector.from_raw(n, raw), qn_canonical_oracle(n, raw))
 
 
 def test_canonical_form_has_pivot_zeros():
@@ -158,7 +183,21 @@ def test_dist_vector_matches_networkx(data):
         for _ in t.edges
     )
     m = MetricType(t, lengths)
-    assert dist_vector(m) == QnVector.from_raw(t.n, nx_distance_oracle(m))
+    assert_same(dist_vector(m), qn_canonical_oracle(t.n, nx_distance_oracle(m)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_embedding_coordinates_are_ints_or_proper_fractions(data):
+    """Each coordinate of dist_vector and psi_linear is an int, or a
+    Fraction that is not one."""
+    n = data.draw(st.integers(4, 7))
+    t = data.draw(st.sampled_from(types_with_edges(n)))
+    length = data.draw(st.sampled_from([st.integers(1, 9), small_fractions]))
+    lengths = tuple(data.draw(length.filter(lambda x: x > 0)) for _ in t.edges)
+    v = dist_vector(MetricType(t, lengths))
+    for c in v.coords + psi_linear(v).coords:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
 def test_dist_vector_scales_linearly():
@@ -205,10 +244,7 @@ def test_psi_matches_gromov_oracle(data):
     npairs = n * (n - 1) // 2
     coords = data.draw(st.lists(st.integers(-6, 6), min_size=npairs, max_size=npairs))
     v = QnVector.from_raw(n, coords)
-    assert psi_linear(v) == psi_oracle(v)
-
-
-small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    assert_same(psi_linear(v), psi_oracle(v))
 
 
 @settings(max_examples=80, deadline=None)
@@ -218,7 +254,7 @@ def test_psi_matches_matrix_inverse_oracle(data):
     npairs = n * (n - 1) // 2
     coords = data.draw(st.lists(small_fractions, min_size=npairs, max_size=npairs))
     v = QnVector.from_raw(n, coords)
-    assert psi_linear(v) == psi_by_inverse(v)
+    assert_same(psi_linear(v), psi_by_inverse(v))
 
 
 def test_psi_reads_only_the_class():

@@ -1,5 +1,6 @@
 """Error paths of the public constructors and operations."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from tropfan import (
     Fan,
     Graph,
     MetricType,
+    QnVector,
     QuotientVector,
     RadialType,
     enumerate_flats,
@@ -18,6 +20,7 @@ from tropfan import (
     is_balanced,
     make_cone,
     primitive_normal,
+    psi_linear,
     ray_of_flat,
     rho_split,
     star_type,
@@ -152,6 +155,23 @@ def test_metric_type_validation():
         MetricType(t, ())
     with pytest.raises(ValueError, match="positive"):
         MetricType(t, (Fraction(0),))
+
+
+@pytest.mark.parametrize("length", [0.5, 1.0, True, "1", Decimal(1)])
+def test_metric_type_refuses_non_rational_lengths(length):
+    """Lengths are ints or Fractions, so the arithmetic is never floating
+    point; a bool is not a length."""
+    t = tropical_type(5, [frozenset({2, 3})])
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        MetricType(t, (length,))
+    assert MetricType(t, (2,)).lengths == (2,)
+
+
+def test_distance_classes_refuse_floats():
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        QnVector.from_raw(4, [0.5, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        psi_linear(QnVector(4, (0, 0, 0, 0.5, 0, 0)))
 
 
 def test_radial_type_validation():
