@@ -5,18 +5,21 @@ representative of a class is the one whose last coordinate vanishes, which
 makes equality a plain tuple comparison and identifies the quotient lattice
 with the integer vectors supported on the remaining coordinates.
 
-Arithmetic is exact, never floating point.  A cone is validated once, when
-its ``Cone`` is built, by a certificate mod 2: each ray's ``parity`` mask
-holds the odd coordinates of its cleared integer vector, and if XOR
-elimination finds the masks independent, some maximal minor of the integer
-rays is odd, hence nonzero, so the rays are independent over Q.  A cone
-without that certificate is ranked on the fraction-free echelon kernel
-``intlinalg.echelon``, which also runs the balancing span test.  Chain rays
-never need the kernel here: mod 2 they are the chain's flats that miss the
-last edge and the complements of those that hold it, two nested chains of
-nonempty sets with disjoint supports, and their projections onto a
-subgraph's edges reduce the same way.  Balancing indexes the maximal cones
-by their facets, so each codimension-one face visits only its own star.
+Arithmetic is exact, never floating point.  A vector's coordinates are ints
+or Fractions (psi of a metric curve is rational), but a cone's rays are
+integer vectors, as every ray of a chain of flats and its projections are:
+a ``Cone`` refuses a ray with a Fraction coordinate.  A cone is validated
+once, when it is built, by a certificate mod 2: each ray's ``parity`` mask
+holds its odd coordinates, and if XOR elimination finds the masks
+independent, some maximal minor of the rays is odd, hence nonzero, so the
+rays are independent over Q.  A cone without that certificate is ranked on
+the fraction-free echelon kernel ``intlinalg.echelon``, which also runs the
+balancing span test.  Chain rays never need the kernel here: mod 2 they are
+the chain's flats that miss the last edge and the complements of those that
+hold it, two nested chains of nonempty sets with disjoint supports, and
+their projections onto a subgraph's edges reduce the same way.  Balancing
+indexes the maximal cones by their facets, so each codimension-one face
+visits only its own star.
 
 The chains-of-flats subdivision is unimodular (Ardila-Klivans;
 Feichtner-Sturmfels): the canonical rays of a chain are signed indicators
@@ -56,12 +59,26 @@ def _num(x):
     return x
 
 
+def _numerators(values: Sequence) -> tuple[list[int], int]:
+    """Rational values (ints or Fractions) as integer numerators over their
+    least common denominator d, and d.  Floats are refused."""
+    try:
+        d = math.lcm(*(v.denominator for v in values))
+    except AttributeError:
+        raise ValueError("coordinates must be ints or Fractions") from None
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+_RATIONAL_TYPES = frozenset((int, Fraction))
+
+
 @dataclass(frozen=True)
 class QuotientVector:
     """A vector of edge space modulo the all-ones line, canonical form.
 
     ``coords`` is indexed by ``ambient`` (a canonical edge list); the stored
-    representative always has last coordinate zero.
+    representative always has last coordinate zero.  Coordinates are stored
+    as ints or Fractions; anything else, such as a float, is refused.
     """
 
     ambient: tuple[Edge, ...]
@@ -72,6 +89,9 @@ class QuotientVector:
             raise ValueError("coordinate length does not match ambient edges")
         if self.coords and self.coords[-1] != 0:
             raise ValueError("canonical representative must end in 0")
+        # issuperset over map(type, ...) scans in C
+        if not _RATIONAL_TYPES.issuperset(map(type, self.coords)):
+            raise ValueError("coordinates must be ints or Fractions")
 
     def __hash__(self) -> int:
         # equal vectors have equal coords; hashing the ambient edge tuple too
@@ -94,10 +114,6 @@ class QuotientVector:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
     def __add__(self, other: "QuotientVector") -> "QuotientVector":
         self._check(other)
         return QuotientVector(
@@ -118,35 +134,27 @@ class QuotientVector:
 
     def primitive(self) -> tuple:
         """Primitive integer direction vector of this class."""
-        return tuple(ila.primitive_vector(_cleared(self.coords)))
+        return tuple(ila.primitive_vector(_numerators(self.coords)[0]))
 
     @cached_property
     def parity(self) -> int:
-        """The odd coordinates of the cleared integer vector, as a bit mask:
-        the vector's reduction mod 2, up to its nonzero rational scale."""
-        coords = _integral([self.coords])[0]
-        return sum(1 << i for i, c in enumerate(coords) if c & 1)
+        """The odd coordinates as a bit mask: the vector's reduction mod 2.
+
+        Only an integer vector has one, so a Fraction coordinate raises
+        ValueError.  ``Cone`` asks each ray once, and the mask is cached on
+        the ray, so the integrality check costs nothing per cone."""
+        if Fraction in map(type, self.coords):
+            raise ValueError("cone rays must be integral vectors, with int coordinates")
+        return sum(1 << i for i, c in enumerate(self.coords) if c & 1)
 
     def _check(self, other: "QuotientVector"):
         if self.ambient != other.ambient:
             raise ValueError("vectors over different ambient edge lists")
 
 
-def _cleared(coords: Sequence) -> list[int]:
-    """The rational vector times the lcm of its denominators."""
-    denom = math.lcm(*(c.denominator for c in coords))
-    return [int(c * denom) for c in coords]
-
-
-def _integral(rows: Sequence[Sequence]) -> list:
-    """The rows with denominators cleared in those that hold a Fraction."""
-    # ``in`` over map(type, ...) scans in C; most rows hold ints only
-    return [_cleared(r) if Fraction in map(type, r) else r for r in rows]
-
-
-def _rank(rows: Sequence[Sequence]) -> int:
-    """Rank of rational row vectors, by the echelon kernel."""
-    return len(ila.echelon(_integral(rows))[0])
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer row vectors, by the echelon kernel."""
+    return len(ila.echelon(rows)[0])
 
 
 def _independent_mod_2(masks: Iterable[int]) -> bool:
@@ -180,11 +188,12 @@ def ray_of_flat(f: Flat, ambient: Sequence[Edge]) -> QuotientVector:
 
 @dataclass(frozen=True)
 class Cone:
-    """A simplicial cone spanned by independent rays, with weight and origin;
-    both conditions are checked when it is built.
+    """A simplicial cone spanned by independent integer rays, with weight and
+    origin; all three conditions are checked when it is built.
 
-    Independence is certified mod 2 on the rays' ``parity`` masks; rays that
-    are dependent mod 2 (but may be independent over Q, like (1, 1) and
+    A ray with a Fraction coordinate is refused when its ``parity`` is
+    read.  Independence is certified mod 2 on those masks; rays that are
+    dependent mod 2 (but may be independent over Q, like (1, 1) and
     (1, -1)) are ranked on the echelon kernel instead."""
 
     rays: tuple[QuotientVector, ...]
@@ -222,24 +231,19 @@ def make_cone(
 class Fan:
     """A weighted polyhedral fan given by its (simplicial) cones.
 
-    Cones are deduplicated by ray set, and the cone with no rays is always
-    present.  Orderings are canonical everywhere so that repeated
-    construction is byte-stable.
+    Each ray set is given at most once (a second cone on it is refused, as
+    no chain of flats yields one; ``project_fan`` merges its fibers before
+    building the image), and the cone with no rays is always present.
+    Orderings are canonical everywhere so that repeated construction is
+    byte-stable.
     """
 
     def __init__(self, ambient: Sequence[Edge], cones: Iterable[Cone]):
         self.ambient = tuple(ambient)
         by_rayset: dict[frozenset, Cone] = {}
         for cone in cones:
-            existing = by_rayset.get(cone.rayset)
-            if existing is not None:
-                if existing.weight != cone.weight:
-                    raise ValueError("conflicting weights for one cone")
-                merged = existing.provenance + tuple(
-                    p for p in cone.provenance if p not in existing.provenance
-                )
-                by_rayset[cone.rayset] = replace(existing, provenance=merged)
-                continue
+            if cone.rayset in by_rayset:
+                raise ValueError("conflicting cones: a ray set is given twice")
             by_rayset[cone.rayset] = cone
         if frozenset() not in by_rayset:
             by_rayset[frozenset()] = make_cone(())
@@ -341,12 +345,9 @@ def primitive_normal(sigma: Cone, tau: Cone) -> QuotientVector:
 
 
 def _primitive_normal_coords(sigma_coords: tuple, tau_coords: tuple) -> tuple:
-    for row in sigma_coords:
-        if not all(isinstance(_num(c), int) for c in row):
-            raise ValueError("primitive normals need integral rays")
     m = len(sigma_coords[0]) - 1  # canonical reps end in 0; drop that coordinate
-    rows_sigma = [[int(c) for c in r[:-1]] for r in sigma_coords]
-    rows_tau = [[int(c) for c in r[:-1]] for r in tau_coords]
+    rows_sigma = [list(r[:-1]) for r in sigma_coords]
+    rows_tau = [list(r[:-1]) for r in tau_coords]
     tau_set = set(map(tuple, rows_tau))
     extra = next(r for r in rows_sigma if tuple(r) not in tau_set)
     # f's kernel on sigma's lattice is tau's saturated lattice
@@ -384,9 +385,9 @@ def is_balanced(fan: Fan) -> BalanceReport:
     normals of the maximal cones containing tau must lie in tau's rational
     span.  One pass over the maximal cones indexes them by facet, so each
     face sums over its own star only.  Each maximal cone is tested once for
-    unimodularity (its rays are integral and span a saturated lattice); for
-    such a cone the remaining ray stands in for the primitive normal, which
-    it equals modulo tau's lattice.  Any other cone falls back to
+    unimodularity (its rays span a saturated lattice); for such a cone the
+    remaining ray stands in for the primitive normal, which it equals
+    modulo tau's lattice.  Any other cone falls back to
     ``primitive_normal``.  The span test echelonizes tau's rays once and
     reduces the sum against them.  Faces are visited in the fan's cone
     order, so the first failing face is reported.  Exact arithmetic
@@ -410,24 +411,21 @@ def is_balanced(fan: Fan) -> BalanceReport:
             total = [t + sigma.weight * c for t, c in zip(total, u.coords)]
         if not any(total):
             continue
-        *span_rows, total = _integral([r.coords for r in tau.rays] + [total])
-        span, pivots, _ = ila.echelon(span_rows)
+        span, pivots, _ = ila.echelon([r.coords for r in tau.rays])
         if any(ila.echelon_reduce(span, pivots, total)):
             return BalanceReport(False, tau)
     return BalanceReport(True)
 
 
 def _is_unimodular(sigma: Cone) -> bool:
-    """Whether sigma's rays are integral and a basis of the integer points of
+    """Whether sigma's (integer) rays are a basis of the integer points of
     their span.
 
     ``saturation`` hands back rays that the echelon kernel certifies with a
     unit pivot at every step.  Since a cone's rays are independent, any
     other basis it returns is compared with them by Hermite forms."""
-    if not all(r.is_integral for r in sigma.rays):
-        return False
     m = len(sigma.rays[0].coords) - 1  # canonical reps end in 0
-    rows = [[int(c) for c in r.coords[:-1]] for r in sigma.rays]
+    rows = [list(r.coords[:-1]) for r in sigma.rays]
     basis = ila.saturation(rows, m)
     return basis == rows or ila.hnf(rows) == ila.hnf(basis)
 
@@ -594,7 +592,7 @@ def fan_json_text(fan: Fan, depth: int = 0, **fields) -> str:
     Cones are joined from precomputed separators, and each flat's block of
     edge strings is encoded once per call: a projected fan's provenance
     repeats a few hundred flats tens of thousands of times.  Whatever
-    ``json.dumps`` refuses, such as a Fraction coordinate, raises TypeError.
+    ``json.dumps`` refuses, such as a Fraction field value, raises TypeError.
     """
     # Rays and flats are looked up by id, which hashes far faster than their
     # dataclass fields; the fan holds every object for the whole call, and

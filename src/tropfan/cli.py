@@ -135,8 +135,24 @@ def _flat_counts(flats) -> list[int]:
     return [sum(1 for f in flats if f.rank == r) for r in range(top + 1)]
 
 
+# ``fan`` and ``project`` build the Bergman fan of a graph on up to this many
+# labels (``project`` that of the complete graph on its target's labels):
+# K7's takes about 38 s on a 2-core host, and K8's has about 10.3 million
+# cones.
+MAX_FAN_LABELS = 7
+
+
+def _check_fan_size(g: Graph, command: str):
+    if len(g.labels) > MAX_FAN_LABELS:
+        raise ValueError(
+            f"{command} supports graphs with at most {MAX_FAN_LABELS} labels, "
+            f"got {len(g.labels)}"
+        )
+
+
 def cmd_fan(args) -> int:
     g = resolve_graph(args.graph)
+    _check_fan_size(g, "fan")
     fan = bergman_fan(g)
     balance = is_balanced(fan)
     if args.format == "json":
@@ -176,19 +192,9 @@ def cmd_moduli(args) -> int:
     return 0
 
 
-# ``project`` builds the Bergman fan of the complete graph on the target's
-# labels: K7's takes about 38 s on a 2-core host, and K8's has about 10.3
-# million cones.
-MAX_PROJECT_LABELS = 7
-
-
 def cmd_project(args) -> int:
     gamma = resolve_graph(args.graph)
-    if len(gamma.labels) > MAX_PROJECT_LABELS:
-        raise ValueError(
-            f"project supports targets with at most {MAX_PROJECT_LABELS} labels, "
-            f"got {len(gamma.labels)}"
-        )
+    _check_fan_size(gamma, "project")
     ambient = Graph.complete(gamma.labels)
     fan = bergman_fan(ambient)
     projected = project_fan(fan, gamma)

@@ -66,14 +66,6 @@ class Graph:
     def edge_index(self) -> dict[Edge, int]:
         return {e: i for i, e in enumerate(self.edges)}
 
-    @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {v: [] for v in self.labels}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
-
     @property
     def num_vertices(self) -> int:
         return len(self.labels)
@@ -91,18 +83,11 @@ class Graph:
         return EdgeSet.from_edges(self, edges)
 
     def is_connected(self) -> bool:
-        """Connectivity over the whole label set, isolated vertices included."""
+        """Connectivity over the whole label set, isolated vertices included:
+        a spanning tree has one edge fewer than the graph has labels."""
         if not self.labels:
             return True
-        seen = {self.labels[0]}
-        stack = [self.labels[0]]
-        while stack:
-            v = stack.pop()
-            for w in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.labels)
+        return graph_rank(self, self.full_edge_set()) == len(self.labels) - 1
 
     def to_dot(self) -> str:
         lines = ["graph {"]

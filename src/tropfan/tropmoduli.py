@@ -18,15 +18,16 @@ minimal nontrivial blocks of its chain: the root carries end 1, and every
 other vertex has two children, or one child (a strictly smaller block) and an
 end.  A leaf block needs an edge of the graph inside it, and every nontrivial
 block contains a minimal one, so a chain's type is stable exactly when each
-of its one-flat types is.  ``_flat_demands`` tabulates those per-flat
-conditions once per n, and ``moduli_fan_rad`` and ``verify_injectivity`` read
-them off as edge masks.  The route through types, alignments and
-``psi_radial_to_cof`` stays public and is the test oracle.
+of its one-flat types is.  A one-flat type hangs one leaf per nontrivial
+block of its flat off the root, so ``_flat_demands`` reads those per-flat
+conditions straight off the flat's blocks as edge masks, once per n, and
+``moduli_fan_rad`` and ``verify_injectivity`` test them against the graph's
+mask.  The route through types, alignments, ``psi_radial_to_cof`` and
+``flat_gamma_stable`` stays public and is the test oracle.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,7 +35,7 @@ from functools import cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .bergman import Fan, QuotientVector, _chain_fan, _num
+from .bergman import Fan, QuotientVector, _chain_fan, _num, _numerators
 from .graphs import (
     EdgeSet,
     Graph,
@@ -354,16 +355,6 @@ def reduce(c: TropicalType, gamma: Graph) -> TropicalType:
 
 def pair_list(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(1, n + 1), 2))
-
-
-def _numerators(values: Sequence) -> tuple[list[int], int]:
-    """Rational values (ints or Fractions) as integer numerators over their
-    least common denominator d, and d.  Floats are refused."""
-    try:
-        d = math.lcm(*(v.denominator for v in values))
-    except AttributeError:
-        raise ValueError("coordinates must be ints or Fractions") from None
-    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _ratios(nums: Iterable[int], d: int) -> tuple:
@@ -717,30 +708,26 @@ class InjectivityReport:
 
 
 @cache
-def _flat_demands(n: int) -> tuple[tuple[Flat, Optional[tuple[int, ...]]], ...]:
+def _flat_demands(n: int) -> tuple[tuple[Flat, tuple[int, ...]], ...]:
     """The proper flats of the complete graph on 2..n, each with what a
     stability graph must meet for the one-flat chain's type to be stable.
 
-    For each flat, in ``proper_flats`` order: one edge mask (in the complete
-    graph's edge order) per vertex that ``_vertex_demand`` constrains, every
-    one of which a stable graph's edge mask must intersect; None when no graph
-    makes the type stable.  The constrained vertices are the flat's nontrivial
-    blocks, each a leaf asking for an edge inside it.  None of this depends
-    on the graph, and n is at most 7 in every caller, so the cache stays
-    small.  Read through ``_stable_flats`` by ``moduli_fan_rad`` (a chain is
-    stable when all its flats are) and ``verify_injectivity``.
+    For each flat, in ``proper_flats`` order: the edge mask (in the complete
+    graph's edge order) of each of its blocks, every one of which a stable
+    graph's edge mask must intersect.  The one-flat type's constrained
+    vertices (``_vertex_demand``) are exactly these blocks: each hangs off
+    the root as a leaf holding the block's ends and asks for an edge inside
+    it, and a block has at least two ends, so its mask is never empty.
+    None of this depends on the graph, and n is at most 7 in every caller,
+    so the cache stays small.  Read through ``_stable_flats`` by
+    ``moduli_fan_rad`` (a chain is stable when all its flats are) and
+    ``verify_injectivity``.
     """
     ambient = _complete_on(n)
-    table = []
-    for f in proper_flats(ambient):
-        typ = psi_cof_to_radial(ChainOfFlats((f,))).type
-        masks = []
-        for v in range(typ.num_vertices):
-            ends = _vertex_demand(typ, v)
-            if ends is not None:
-                masks.append(_cluster_mask(ambient, [ends]))
-        table.append((f, None if 0 in masks else tuple(masks)))
-    return tuple(table)
+    return tuple(
+        (f, tuple(_cluster_mask(ambient, [block]) for block in f.blocks))
+        for f in proper_flats(ambient)
+    )
 
 
 def _stable_flats(n: int, gmask: int) -> list[Flat]:
@@ -749,8 +736,6 @@ def _stable_flats(n: int, gmask: int) -> list[Flat]:
     ``gmask`` (in the complete graph's edge order)."""
     stable = []
     for f, demands in _flat_demands(n):
-        if demands is None:
-            continue
         for m in demands:  # a plain loop: all() pays for a generator per flat
             if not m & gmask:
                 break

@@ -25,16 +25,16 @@ def chain_of(graph: Graph, *edge_lists) -> ChainOfFlats:
 
 def closed_fan(ambient, cones) -> Fan:
     """The fan of the given cones and every face of them; a face that is not
-    among the given cones gets weight one."""
+    among the given cones gets weight one.  A ``Fan`` takes each ray set
+    once, so a face shared by several cones is built once."""
     cones = list(cones)
-    given = {c.rayset for c in cones}
-    faces = [
-        make_cone(sub)
-        for c in cones
-        for k in range(c.dim)
-        for sub in itertools.combinations(c.rays, k)
-    ]
-    return Fan(ambient, cones + [f for f in faces if f.rayset not in given])
+    faces = {c.rayset: c for c in cones}
+    for c in cones:
+        for k in range(c.dim):
+            for sub in itertools.combinations(c.rays, k):
+                if frozenset(sub) not in faces:
+                    faces[frozenset(sub)] = make_cone(sub)
+    return Fan(ambient, faces.values())
 
 
 @pytest.fixture

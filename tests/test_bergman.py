@@ -370,14 +370,15 @@ def test_non_primitive_ray_takes_the_fallback():
     assert not is_balanced(fan.with_weights({frozenset([doubled]): 2})).balanced
 
 
+integer_entries = st.integers(-4, 4)
 entries = st.one_of(
-    st.integers(-4, 4),
+    integer_entries,
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
 )
 
 
 @st.composite
-def rational_matrices(draw):
+def rational_matrices(draw, entries=entries):
     """Small rational matrices with some zero rows and some rows that are
     combinations of earlier ones."""
     ncols = draw(st.integers(1, 5))
@@ -396,8 +397,10 @@ def rational_matrices(draw):
 
 
 @settings(max_examples=300)
-@given(rows=rational_matrices())
+@given(rows=rational_matrices(integer_entries))
 def test_integer_rank_matches_rational_rank(rows):
+    """``_rank`` takes integer rows only: a cone refuses Fraction rays
+    before ranking them (``test_cone_accepts_exactly_the_independent_rows``)."""
     assert _rank(rows) == rational_rank(rows)
 
 
@@ -412,10 +415,16 @@ def cone_on(rows):
 @given(rows=rational_matrices())
 @example(rows=[[1, 1], [1, -1]])  # independent over Q, dependent mod 2
 @example(rows=[[2, 0], [0, 1]])
-@example(rows=[[Fraction(2, 3), 0], [0, 1]])
+@example(rows=[[Fraction(2, 3), 0], [0, 1]])  # independent, but not integral
+@example(rows=[[Fraction(2, 1), 0], [0, 1]])  # an integral value held as a Fraction
 @example(rows=[[1, 1], [1, 1]])
 def test_cone_accepts_exactly_the_independent_rows(rows):
-    if rational_rank(rows) == len(rows):
+    """Integer rows make a cone exactly when they are independent; rows with
+    a Fraction are refused whether or not they are."""
+    if any(type(c) is Fraction for r in rows for c in r):
+        with pytest.raises(ValueError, match="integral"):
+            cone_on(rows)
+    elif rational_rank(rows) == len(rows):
         assert cone_on(rows).dim == len(rows)
     else:
         with pytest.raises(ValueError, match="dependent"):
@@ -427,8 +436,8 @@ def test_cone_accepts_exactly_the_independent_rows(rows):
     [
         ([[1, 1], [1, -1]], False),  # determinant -2
         ([[2, 0], [0, 1]], False),  # an even ray
-        ([[Fraction(2, 3), 0], [0, 1]], False),  # even once cleared
-        ([[Fraction(1, 2), 0], [1, 1]], True),  # cleared to (1, 0)
+        ([[2, 0], [0, 3]], False),  # an even ray beside an odd one
+        ([[1, 0], [2, 1]], True),  # an even entry off the diagonal
         ([[1, 0], [1, 1]], True),
         ([[3, 5, 0], [0, 1, 7], [2, 2, 1]], True),  # odd determinant 29
     ],
@@ -443,6 +452,26 @@ def test_mod_2_certificate_or_rank_fallback(rows, certified, monkeypatch):
     monkeypatch.setattr(bergman, "_rank", counted)
     assert cone_on(rows).dim == len(rows)
     assert bool(ranked) is not certified
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[Fraction(2, 3), 0], [0, 1]],  # independent once cleared
+        [[Fraction(1, 2), 0], [1, 1]],  # odd once cleared
+        [[0, Fraction(-1, 3)]],
+        [[0.5, 0], [0, 1]],  # a float vector is refused before it is a ray
+    ],
+)
+def test_cone_refuses_non_integer_rays(rows, monkeypatch):
+    """A Fraction or float ray is refused before any rank is taken."""
+
+    def refuse(r):
+        raise AssertionError("a non-integer cone reached the rank fallback")
+
+    monkeypatch.setattr(bergman, "_rank", refuse)
+    with pytest.raises(ValueError, match="integral|ints or Fractions"):
+        cone_on(rows)
 
 
 def test_chain_cones_never_take_the_rank_fallback(monkeypatch):
@@ -465,11 +494,9 @@ def test_chain_cones_never_take_the_rank_fallback(monkeypatch):
 
 
 def hermite_unimodular(sigma):
-    """The Hermite route: integral rays whose Hermite form equals that of
-    their saturation."""
-    if not all(r.is_integral for r in sigma.rays):
-        return False
-    rows = [[int(c) for c in r.coords[:-1]] for r in sigma.rays]
+    """The Hermite route: rays (integral, as every cone's are) whose Hermite
+    form equals that of their saturation."""
+    rows = [list(r.coords[:-1]) for r in sigma.rays]
     lattice = hnf(rows)
     return len(lattice) == len(rows) and lattice == saturated_hnf(rows, len(rows[0]))
 

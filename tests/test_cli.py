@@ -122,14 +122,17 @@ def test_named_graphs_resolve():
 
 
 def test_project_refuses_targets_beyond_seven_labels(capsys):
-    """The ambient fan of an 8- or 10-label target would not finish, so
-    ``project`` refuses it at once."""
-    for spec in ("petersen-check", "complete:8"):
-        start = time.perf_counter()
-        status = main(["project", "--graph", spec])
-        assert status == 2
-        assert "at most 7 labels" in capsys.readouterr().err
-        assert time.perf_counter() - start < 5
+    """The Bergman fan of an 8- or 10-label graph (for ``project``, of the
+    complete graph on its target's labels) would not finish, so ``fan`` and
+    ``project`` refuse it at once."""
+    for command in ("fan", "project"):
+        for spec in ("petersen-check", "complete:8"):
+            start = time.perf_counter()
+            status = main([command, "--graph", spec])
+            assert status == 2
+            err = capsys.readouterr().err
+            assert "at most 7 labels" in err and err.startswith(f"error: {command} ")
+            assert time.perf_counter() - start < 5
 
 
 def test_petersen_named_graph_is_petersen():

@@ -230,6 +230,21 @@ def test_multipartite_complement_is_cluster_graph():
 # Helpers
 
 
+def test_is_connected_matches_networkx():
+    """Every labeled graph on 0 to 5 labels, isolated vertices included."""
+    for size in range(6):
+        labels = range(2, 2 + size)
+        for g in all_graphs(labels):
+            h = nx.Graph()
+            h.add_nodes_from(labels)
+            h.add_edges_from(g.edges)
+            expected = size == 0 or nx.is_connected(h)  # networkx refuses no nodes
+            assert g.is_connected() == expected, g
+    assert Graph((), ()).is_connected()
+    assert Graph((7,), ()).is_connected()
+    assert not Graph((2, 3, 4), ((2, 3),)).is_connected()
+
+
 def test_induced_subgraph(k4):
     h = induced_subgraph(k4, [3, 4, 5])
     assert h == Graph.complete([3, 4, 5])

@@ -6,6 +6,7 @@ import pytest
 import tropfan.tropmoduli as tm
 
 from tropfan import (
+    ChainOfFlats,
     Fan,
     Graph,
     all_graphs,
@@ -313,6 +314,28 @@ def test_flat_table_matches_flat_gamma_stable():
         for f, demands in tm._flat_demands(n):
             stable = demands is not None and all(m & gmask for m in demands)
             assert stable == flat_gamma_stable(f, gamma), (gamma.edges, f.edges.edges)
+
+
+def test_flat_demands_are_the_flat_blocks():
+    """Each flat's row is the edge masks of its blocks, never None, and as a
+    set it is what ``_vertex_demand`` asks of the one-flat type's vertices."""
+    for n in (4, 5, 6, 7):
+        ambient = Graph.complete(range(2, n + 1))
+        for f, demands in tm._flat_demands(n):
+            blocks = tuple(
+                EdgeSet.from_edges(ambient, itertools.combinations(b, 2)).mask
+                for b in f.blocks
+            )
+            assert demands is not None and demands == blocks
+            typ = psi_cof_to_radial(ChainOfFlats((f,))).type
+            by_type = set()
+            for v in range(typ.num_vertices):
+                ends = tm._vertex_demand(typ, v)
+                if ends is not None:
+                    by_type.add(
+                        EdgeSet.from_edges(ambient, itertools.combinations(ends, 2)).mask
+                    )
+            assert set(demands) == by_type and len(demands) == len(by_type)
 
 
 def verify_injectivity_by_flat(gamma):

@@ -58,6 +58,14 @@ def test_quotient_vector_validation(k4):
         QuotientVector.from_raw(k4.edges, [1, 2])
     with pytest.raises(ValueError, match="end in 0"):
         QuotientVector(k4.edges, (0, 0, 0, 0, 0, 1))
+    # coordinates are ints or Fractions, never floats
+    for raw in ([0.5, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0.5]):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            QuotientVector.from_raw(k4.edges, raw)
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        QuotientVector(k4.edges, (0.5, 0, 0, 0, 0, 0))
+    half = QuotientVector.from_raw(k4.edges, [Fraction(1, 2), 0, 0, 0, 0, 0])
+    assert half.coords == (Fraction(1, 2), 0, 0, 0, 0, 0)
     a = QuotientVector.zero(k4.edges)
     b = QuotientVector.zero(Graph.complete([2, 3, 4]).edges)
     with pytest.raises(ValueError, match="ambient"):
@@ -82,9 +90,14 @@ def test_fan_rejects_dependent_rays(k4):
         Fan(k4.edges, [make_cone([r, r.scale(2)])])
     s = ray_of_flat(flat_of(k4, [(2, 4)]), k4.edges)
     with pytest.raises(ValueError, match="dependent"):
-        Fan(k4.edges, [make_cone([r, s, r + s.scale(Fraction(1, 2))])])
-    third = ray_of_flat(flat_of(k4, [(3, 4)]), k4.edges).scale(Fraction(1, 3))
-    assert Fan(k4.edges, [make_cone([r, s, third])]).max_dim == 3
+        Fan(k4.edges, [make_cone([r, s, r.scale(2) + s])])
+    t = ray_of_flat(flat_of(k4, [(3, 4)]), k4.edges)
+    assert Fan(k4.edges, [make_cone([r, s, t.scale(3)])]).max_dim == 3
+    # rays with Fraction coordinates are refused, dependent or not
+    with pytest.raises(ValueError, match="integral"):
+        make_cone([r, s, r + s.scale(Fraction(1, 2))])
+    with pytest.raises(ValueError, match="integral"):
+        make_cone([r, s, t.scale(Fraction(1, 3))])
 
 
 @pytest.mark.parametrize("weight", [0, -1, Fraction(3, 2)])
@@ -109,6 +122,19 @@ def test_fan_rejects_conflicting_weights(k4):
     r = ray_of_flat(flat_of(k4, [(2, 3)]), k4.edges)
     with pytest.raises(ValueError, match="conflicting"):
         Fan(k4.edges, [make_cone([r], weight=1), make_cone([r], weight=2)])
+
+
+def test_fan_rejects_a_repeated_ray_set(k4):
+    """Each ray set is given once, even with an equal weight; fibers merge
+    in ``project_fan``, never in ``Fan``."""
+    r = ray_of_flat(flat_of(k4, [(2, 3)]), k4.edges)
+    s = ray_of_flat(flat_of(k4, [(2, 3), (2, 4), (3, 4)]), k4.edges)
+    with pytest.raises(ValueError, match="conflicting"):
+        Fan(k4.edges, [make_cone([r]), make_cone([r])])
+    with pytest.raises(ValueError, match="conflicting"):
+        Fan(k4.edges, [make_cone([r, s]), make_cone([s, r], weight=1)])
+    with pytest.raises(ValueError, match="conflicting"):
+        Fan(k4.edges, [make_cone([]), make_cone([])])
 
 
 def test_primitive_normal_needs_integral_rays(k4):
