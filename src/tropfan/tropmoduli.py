@@ -12,18 +12,24 @@ nontrivial blocks of the chain's flats.  Both directions of that bijection
 are implemented here, as is the coordinate translation between the
 distance-class space of curves and the edge space of the complete graph.
 
-The moduli fan is built straight from chains of flats.  Stability against a
-graph only constrains the leaf vertices of a radial type, which are the
-minimal nontrivial blocks of its chain: the root carries end 1, and every
-other vertex has two children, or one child (a strictly smaller block) and an
-end.  A leaf block needs an edge of the graph inside it, and every nontrivial
-block contains a minimal one, so a chain's type is stable exactly when each
-of its one-flat types is.  A one-flat type hangs one leaf per nontrivial
-block of its flat off the root, so ``_flat_demands`` reads those per-flat
-conditions straight off the flat's blocks as edge masks, once per n, and
-``moduli_fan_rad`` and ``verify_injectivity`` test them against the graph's
-mask.  The route through types, alignments, ``psi_radial_to_cof`` and
-``flat_gamma_stable`` stays public and is the test oracle.
+Stability against a graph only constrains the leaf vertices of a type: the
+root carries end 1, and every other vertex is at least trivalent, so one with
+two or more bounded edges also holds an end or a further child.  A leaf holds
+exactly the ends of its split and needs an edge of the graph inside it.  This
+leaf-split rule drives ``is_gamma_stable``; ``reduce`` keeps the splits that
+contain an edge of the graph, since contracting unstable leaves removes
+exactly the others; and ``_flat_demands`` reads the rule off flats.  The
+tests check it against the vertex-local rule in ``tests/oracles.py``.
+
+The moduli fan is built straight from chains of flats.  The leaves of a
+radial type are the minimal nontrivial blocks of its chain, and every
+nontrivial block contains a minimal one, so a chain's type is stable exactly
+when each of its one-flat types is.  A one-flat type hangs one leaf per
+nontrivial block of its flat off the root, so ``_flat_demands`` lists those
+blocks as edge masks, once per n, and ``moduli_fan_rad`` and
+``verify_injectivity`` test them against the graph's mask.  The route
+through types, alignments, ``psi_radial_to_cof`` and ``flat_gamma_stable``
+stays public and is the test oracle.
 """
 
 from __future__ import annotations
@@ -115,20 +121,17 @@ def tropical_type(n: int, splits: Iterable[frozenset]) -> TropicalType:
         if not (a <= b or b <= a or not a & b):
             raise ValueError(f"splits {sorted(a)} and {sorted(b)} are incompatible")
 
-    def parent_index(i: int) -> int:
-        best = 0
-        for j in range(i):  # larger splits come first
-            if splits[i] < splits[j] and (best == 0 or splits[j] < splits[best - 1]):
-                best = j + 1
-        return best
-
-    edges = tuple(sorted((parent_index(i), i + 1) for i in range(len(splits))))
+    # the supersets of a split form a chain and come before it, largest first,
+    # so its parent is its last strict superset and an end's host is the last
+    # split holding it
+    edges = []
     ends_at = [0] * n
-    for e in range(2, n + 1):
-        containing = [i + 1 for i, s in enumerate(splits) if e in s]
-        if containing:
-            ends_at[e - 1] = min(containing, key=lambda i: len(splits[i - 1]))
-    typ = TropicalType(n, splits, edges, tuple(ends_at))
+    for i, s in enumerate(splits):
+        edges.append((next((j + 1 for j in range(i - 1, -1, -1) if s < splits[j]), 0), i + 1))
+        for e in s:
+            ends_at[e - 1] = i + 1
+    edges.sort()
+    typ = TropicalType(n, splits, tuple(edges), tuple(ends_at))
     for v in range(typ.num_vertices):
         valence = typ.bounded_degree(v) + len(typ.ends_at_vertex(v))
         if valence < 3:
@@ -267,22 +270,21 @@ def radial_faces(c: TropicalType) -> list[RadialType]:
     fully contracted star with no levels) is included.
     """
     vertices = list(range(1, c.num_vertices))
-    out = []
-    for w in _level_maps(vertices, c.edges, allow_zero=True):
-        surviving = [(v, c.splits[v - 1]) for u, v in c.edges if w[u] < w[v]]
-        contracted = tropical_type(c.n, (s for _, s in surviving))
-        level_by_split = {s: w[v] for v, s in surviving}
-        k = max(w.values(), default=0)
-        levels = tuple(
-            frozenset(
-                i + 1
-                for i, s in enumerate(contracted.splits)
-                if level_by_split[s] == lvl
-            )
-            for lvl in range(1, k + 1)
-        )
-        out.append(RadialType(contracted, levels))
-    return out
+    return [
+        _radial(c.n, {c.splits[v - 1]: w[v] for u, v in c.edges if w[u] < w[v]})
+        for w in _level_maps(vertices, c.edges, allow_zero=True)
+    ]
+
+
+def _radial(n: int, level_of_split: dict[frozenset, int]) -> RadialType:
+    """The radial type whose non-root vertices are the given splits, each at
+    its given level; the levels used must be 1..k for some k."""
+    typ = tropical_type(n, level_of_split)
+    levels = tuple(
+        frozenset(i + 1 for i, s in enumerate(typ.splits) if level_of_split[s] == lvl)
+        for lvl in range(1, max(level_of_split.values(), default=0) + 1)
+    )
+    return RadialType(typ, levels)
 
 
 def radial_face_census(c: TropicalType) -> dict[int, int]:
@@ -301,52 +303,35 @@ def _check_stability_graph(n: int, gamma: Graph):
         raise ValueError("stability graph must be connected")
 
 
-def _vertex_demand(c: TropicalType, v: int) -> Optional[tuple[int, ...]]:
-    """The stability rule at one vertex, with the graph left out.
-
-    Returns None when the vertex is stable for every stability graph, and
-    otherwise the ends of which the graph must join at least two (so an
-    empty tuple means no graph can stabilise it).  A non-root vertex with one
-    bounded edge needs two of its ends joined; with two bounded edges it needs
-    at least one end; more bounded edges always pass.  The root needs two
-    bounded edges or an attached end, and always passes: it carries end 1.
-    Nor would it fail if end 1 did not count, since the root is at least
-    trivalent, so with at most one bounded edge it holds a second end.
-    """
-    ends = c.ends_at_vertex(v)
-    d = c.bounded_degree(v)
-    if v == 0 or d > 2:
-        return None
-    if d == 2:
-        return None if ends else ()
-    return ends
+def _meets(s: frozenset, gamma: Graph) -> bool:
+    """Whether the split s contains an edge of gamma."""
+    return any(a in s and b in s for a, b in gamma.edges)
 
 
 def is_gamma_stable(c: TropicalType, gamma: Graph) -> tuple[bool, Optional[int]]:
-    """Vertex-local stability against a stability graph (the rule is
-    ``_vertex_demand``).  Returns the first unstable vertex, if any."""
+    """Stability against a stability graph: the split of each leaf vertex
+    (one with no child) must contain an edge of gamma, and only a leaf can
+    be unstable (see the module docstring).  Returns the first unstable
+    vertex, if any."""
     _check_stability_graph(c.n, gamma)
-    for v in range(c.num_vertices):
-        ends = _vertex_demand(c, v)
-        if ends is not None and not any(
-            gamma.has_edge(i, j) for i, j in combinations(ends, 2)
-        ):
+    parents = {u for u, _ in c.edges}
+    for v in range(1, c.num_vertices):
+        if v not in parents and not _meets(c.splits[v - 1], gamma):
             return False, v
     return True, None
 
 
 def reduce(c: TropicalType, gamma: Graph) -> TropicalType:
-    """Contract bounded edges at unstable vertices until the type is stable.
+    """The stable type that contracting unstable vertices' edges reaches:
+    the type of the splits that contain an edge of gamma.
 
-    The contracted edge is the canonically first one incident to the first
-    unstable vertex; the result does not depend on these choices (tested as a
-    confluence property, not assumed).
+    An unstable vertex is a leaf, and contracting its edge merges it into
+    its parent, so a split is contracted exactly when no edge of gamma lies
+    inside it: its subsplits have none either and go first.  The tests
+    check this against contraction in every order.
     """
-    while True:
-        stable, v = is_gamma_stable(c, gamma)
-        if stable:
-            return c
-        c = c.contract_edge(c.incident_edges(v)[0])
+    _check_stability_graph(c.n, gamma)
+    return tropical_type(c.n, (s for s in c.splits if _meets(s, gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -571,53 +556,31 @@ def psi_cof_to_radial(f: ChainOfFlats, n: Optional[int] = None) -> RadialType:
         return RadialType(star_type(n), ())
     _, n = _require_complete_chain(f)
     r = len(f)
-    level_of_split: dict[frozenset, int] = {}
-    for idx in range(r):
-        prev = set(f[idx - 1].blocks) if idx else set()
-        for block in f[idx].blocks:
-            if block not in prev:
-                level_of_split[frozenset(block)] = r - idx
-    typ = tropical_type(n, level_of_split)
-    levels = tuple(
-        frozenset(
-            i + 1 for i, s in enumerate(typ.splits) if level_of_split[s] == lvl
-        )
-        for lvl in range(1, r + 1)
+    # a block stays one vertex while it passes through later flats, so it
+    # takes the level of the first flat holding it: walking the chain
+    # downwards, that flat writes last
+    return _radial(
+        n, {frozenset(b): r - idx for idx in range(r - 1, -1, -1) for b in f[idx].blocks}
     )
-    return RadialType(typ, levels)
 
 
 def psi_radial_to_cof(c: RadialType) -> ChainOfFlats:
     """Chain of flats of a radially aligned type.
 
-    Cutting the tree just inside level i leaves a forest; completing the end
-    set of each remaining component gives the (length - i + 1)-th flat, so
-    deeper cuts give smaller flats.
+    The (length - i + 1)-th flat is the union of the cliques on the splits
+    of the vertices at level i or deeper, so deeper cuts give smaller flats.
+    Cutting the tree just inside level i leaves one component below each
+    such vertex whose parent lies above level i, holding exactly the ends of
+    its split: these splits are the flat's blocks, and the other splits nest
+    inside them.
     """
-    n = c.type.n
-    ambient = _complete_on(n)
+    ambient = _complete_on(c.type.n)
     level_of = c.level_of
-    parent = {v: u for u, v in c.type.edges}
-    r = c.num_levels
-    flats: list[Flat] = []
-    for i in range(r, 0, -1):
-        alive = {v for v in range(1, c.type.num_vertices) if level_of[v] >= i}
-
-        def top(v: int) -> int:
-            while parent[v] in alive:
-                v = parent[v]
-            return v
-
-        groups: dict[int, list[int]] = {}
-        for v in sorted(alive):
-            groups.setdefault(top(v), []).append(v)
-        blocks = []
-        for group in groups.values():
-            ends = sorted(e for v in group for e in c.type.ends_at_vertex(v))
-            if len(ends) < 2:
-                raise RuntimeError(f"level {i} leaves a component with fewer than two ends")
-            blocks.append(ends)
-        flats.append(Flat.from_edge_set(EdgeSet(ambient, _cluster_mask(ambient, blocks))))
+    splits = [(level_of[v], sorted(s)) for v, s in enumerate(c.type.splits, start=1)]
+    flats = []
+    for i in range(c.num_levels, 0, -1):
+        mask = _cluster_mask(ambient, [s for lvl, s in splits if lvl >= i])
+        flats.append(Flat.from_edge_set(EdgeSet(ambient, mask)))
     return ChainOfFlats(tuple(flats))
 
 
@@ -714,10 +677,10 @@ def _flat_demands(n: int) -> tuple[tuple[Flat, tuple[int, ...]], ...]:
 
     For each flat, in ``proper_flats`` order: the edge mask (in the complete
     graph's edge order) of each of its blocks, every one of which a stable
-    graph's edge mask must intersect.  The one-flat type's constrained
-    vertices (``_vertex_demand``) are exactly these blocks: each hangs off
-    the root as a leaf holding the block's ends and asks for an edge inside
-    it, and a block has at least two ends, so its mask is never empty.
+    graph's edge mask must intersect.  The one-flat type's leaves are
+    exactly these blocks: each hangs off the root holding the block's ends
+    and asks for an edge inside it, and a block has at least two ends, so
+    its mask is never empty.
     None of this depends on the graph, and n is at most 7 in every caller,
     so the cache stays small.  Read through ``_stable_flats`` by
     ``moduli_fan_rad`` (a chain is stable when all its flats are) and

@@ -1,9 +1,9 @@
 """Slow, independent routes that the tests compare the library against.
 
 Rational Gauss-Jordan for ranks, span tests and inverses, lattice membership
-by Hermite reduction, the canonical distance class by Fraction sums, and psi
-by inverting its matrix on the basis of two-element splits.  None of these
-is on a library path.
+by Hermite reduction, the canonical distance class by Fraction sums, psi
+by inverting its matrix on the basis of two-element splits, and graphic
+stability by the vertex-local rule.  None of these is on a library path.
 """
 
 from __future__ import annotations
@@ -15,6 +15,30 @@ from typing import Optional, Sequence
 from tropfan import QnVector, QuotientVector, rho_split
 from tropfan.intlinalg import hnf_reduce
 from tropfan.tropmoduli import pair_list
+
+
+def vertex_demand(t, v: int) -> Optional[tuple[int, ...]]:
+    """The stability rule at one vertex of a type, with the graph left out.
+
+    Returns None when the vertex is stable for every stability graph, and
+    otherwise the ends of which the graph must join at least two (so an
+    empty tuple means no graph can stabilise it).  The root always passes:
+    it carries end 1.  A non-root vertex with more than two bounded edges
+    passes; with exactly two it passes iff it holds an end; a leaf needs two
+    of its ends joined.
+    """
+    ends = t.ends_at_vertex(v)
+    d = t.bounded_degree(v)
+    if v == 0 or d > 2:
+        return None
+    if d == 2:
+        return None if ends else ()
+    return ends
+
+
+def vertex_stable(t, gamma, v: int) -> bool:
+    ends = vertex_demand(t, v)
+    return ends is None or any(gamma.has_edge(i, j) for i, j in combinations(ends, 2))
 
 
 def rational_rank(rows: Sequence[Sequence]) -> int:

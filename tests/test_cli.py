@@ -4,6 +4,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,6 +134,37 @@ def test_project_refuses_targets_beyond_seven_labels(capsys):
             err = capsys.readouterr().err
             assert "at most 7 labels" in err and err.startswith(f"error: {command} ")
             assert time.perf_counter() - start < 5
+
+
+def test_lattice_text_counts_flats_without_covers(capsys):
+    """The text format prints only flat counts, so it builds no covers: K9's
+    21,147 flats are counted in about a second."""
+    start = time.perf_counter()
+    status, out = run(capsys, "lattice", "--graph", "complete:9")
+    assert status == 0
+    assert out == "flats: 1,36,462,2646,6951,7770,3025,255,1\n"
+    assert time.perf_counter() - start < 10
+
+
+def test_lattice_covers_refuse_graphs_beyond_eight_labels(capsys):
+    for fmt in ("json", "dot"):
+        for spec in ("complete:9", "petersen-check"):
+            start = time.perf_counter()
+            assert main(["lattice", "--graph", spec, "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "at most 8 labels" in captured.err
+            assert time.perf_counter() - start < 5
+
+
+def test_counts_needs_exactly_one_graph_flag(capsys):
+    for argv in (["--graph", "2-3", "--complete", "3"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["counts"] + argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--complete" in captured.err
 
 
 def test_petersen_named_graph_is_petersen():

@@ -33,6 +33,8 @@ from tropfan.bergman import fan_to_json
 from tropfan.graphs import EdgeSet
 from tropfan.matroid import proper_flats, set_partitions
 
+from oracles import vertex_demand
+
 
 def multipartite_graphs(labels):
     labels = tuple(labels)
@@ -318,7 +320,8 @@ def test_flat_table_matches_flat_gamma_stable():
 
 def test_flat_demands_are_the_flat_blocks():
     """Each flat's row is the edge masks of its blocks, never None, and as a
-    set it is what ``_vertex_demand`` asks of the one-flat type's vertices."""
+    set it is what the vertex-local rule (``oracles.vertex_demand``) asks of
+    the one-flat type's vertices."""
     for n in (4, 5, 6, 7):
         ambient = Graph.complete(range(2, n + 1))
         for f, demands in tm._flat_demands(n):
@@ -330,7 +333,7 @@ def test_flat_demands_are_the_flat_blocks():
             typ = psi_cof_to_radial(ChainOfFlats((f,))).type
             by_type = set()
             for v in range(typ.num_vertices):
-                ends = tm._vertex_demand(typ, v)
+                ends = vertex_demand(typ, v)
                 if ends is not None:
                     by_type.add(
                         EdgeSet.from_edges(ambient, itertools.combinations(ends, 2)).mask

@@ -13,6 +13,8 @@ from tropfan import (
     tropical_type,
 )
 
+from oracles import vertex_stable
+
 
 def k4_minus(*missing):
     edges = [e for e in itertools.combinations((2, 3, 4, 5), 2) if e not in missing]
@@ -42,9 +44,35 @@ def test_split_34_stable_in_obstruction_graph(gamma_obstruction):
 
 
 def test_two_bounded_edge_vertex_needs_an_end(k4):
-    # nested splits给 the middle vertex one end, which suffices
+    # nested splits give the middle vertex one end, which suffices
     t = tropical_type(5, [frozenset({2, 3}), frozenset({2, 3, 4})])
     assert is_gamma_stable(t, k4)[0]
+
+
+def stability_by_vertices(t, gamma):
+    """(verdict, first unstable vertex) by the vertex-local rule."""
+    unstable = [v for v in range(t.num_vertices) if not vertex_stable(t, gamma, v)]
+    return (not unstable, unstable[0] if unstable else None)
+
+
+def test_leaf_split_rule_matches_vertex_rule_exhaustive():
+    for n in (4, 5, 6):
+        types = [t for ts in enumerate_types(n).values() for t in ts]
+        for gamma in all_graphs(range(2, n + 1), connected=True):
+            for t in types:
+                expected = stability_by_vertices(t, gamma)
+                assert is_gamma_stable(t, gamma) == expected, (t.splits, gamma.edges)
+
+
+def test_leaf_split_rule_matches_vertex_rule_seven_ends():
+    # the graphs of test_chain_walk_matches_type_route_seven_ends
+    path = Graph.from_edges([(2, 4), (4, 6), (6, 3), (3, 5), (5, 7)])
+    types = [t for ts in enumerate_types(7).values() for t in ts]
+    for gamma in (Graph.complete(range(2, 8)), path):
+        verdicts = [is_gamma_stable(t, gamma) for t in types]
+        assert verdicts == [stability_by_vertices(t, gamma) for t in types]
+    # the path leaves some types unstable, so both verdicts are compared
+    assert not all(ok for ok, _ in verdicts)
 
 
 def test_stability_requires_matching_labels():
@@ -140,25 +168,12 @@ def all_reductions(t, gamma):
         return {t}
     out = set()
     unstable = [
-        v for v in range(t.num_vertices) if not _vertex_ok(t, gamma, v)
+        v for v in range(t.num_vertices) if not vertex_stable(t, gamma, v)
     ]
     for v in unstable:
         for e in t.incident_edges(v):
             out |= all_reductions(t.contract_edge(e), gamma)
     return out
-
-
-def _vertex_ok(t, gamma, v):
-    # the stability rules restated locally, independent of the library scan
-    ends = t.ends_at_vertex(v)
-    d = t.bounded_degree(v)
-    if v == 0:
-        return d >= 2 or len(ends) >= 1
-    if d > 2:
-        return True
-    if d == 2:
-        return len(ends) != 0
-    return any(gamma.has_edge(i, j) for i, j in itertools.combinations(ends, 2))
 
 
 def test_reduction_confluence_exhaustive_four_vertices():

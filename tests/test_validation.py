@@ -162,14 +162,9 @@ def test_broken_invariants_raise(k4, monkeypatch):
         primitive_normal(make_cone([r, s]), make_cone([s]))
 
 
-def test_broken_moduli_invariants_raise(k4, gamma_obstruction, monkeypatch):
-    """The invariants of ``psi_radial_to_cof`` and ``caterpillar_cof`` are
-    explicit checks, kept under ``python -O``."""
-    radial = RadialType(tropical_type(5, [frozenset({2, 3})]), (frozenset({1}),))
-    monkeypatch.setattr(tropmoduli.TropicalType, "ends_at_vertex", lambda self, v: ())
-    with pytest.raises(RuntimeError, match="fewer than two ends"):
-        tropmoduli.psi_radial_to_cof(radial)
-    monkeypatch.undo()
+def test_broken_moduli_invariants_raise(gamma_obstruction, monkeypatch):
+    """The invariant of ``caterpillar_cof`` is an explicit check, kept under
+    ``python -O``."""
     monkeypatch.setattr(tropmoduli, "graph_rank", lambda g, edges: 0)
     with pytest.raises(RuntimeError, match="loses rank"):
         tropmoduli.caterpillar_cof(gamma_obstruction)
