@@ -59,17 +59,23 @@ def _num(x):
     return x
 
 
+_RATIONAL_TYPES = frozenset((int, Fraction))
+
+
+def _check_rational(values: Sequence, what: str = "coordinates"):
+    """Refuse any value but an int or a Fraction, such as a float or a bool
+    (which arithmetic takes for an int); issuperset over map(type, ...) scans in C."""
+    if not _RATIONAL_TYPES.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in _RATIONAL_TYPES)
+        raise ValueError(f"{what} must be ints or Fractions, got {bad!r}")
+
+
 def _numerators(values: Sequence) -> tuple[list[int], int]:
     """Rational values (ints or Fractions) as integer numerators over their
-    least common denominator d, and d.  Floats are refused."""
-    try:
-        d = math.lcm(*(v.denominator for v in values))
-    except AttributeError:
-        raise ValueError("coordinates must be ints or Fractions") from None
+    least common denominator d, and d."""
+    _check_rational(values)
+    d = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values], d
-
-
-_RATIONAL_TYPES = frozenset((int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -89,9 +95,7 @@ class QuotientVector:
             raise ValueError("coordinate length does not match ambient edges")
         if self.coords and self.coords[-1] != 0:
             raise ValueError("canonical representative must end in 0")
-        # issuperset over map(type, ...) scans in C
-        if not _RATIONAL_TYPES.issuperset(map(type, self.coords)):
-            raise ValueError("coordinates must be ints or Fractions")
+        _check_rational(self.coords)
 
     def __hash__(self) -> int:
         # equal vectors have equal coords; hashing the ambient edge tuple too
@@ -101,6 +105,7 @@ class QuotientVector:
     @classmethod
     def from_raw(cls, ambient: Sequence[Edge], coords: Sequence) -> "QuotientVector":
         coords = list(coords)
+        _check_rational(coords)
         if not coords:
             return cls(tuple(ambient), ())
         last = coords[-1]

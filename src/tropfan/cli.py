@@ -111,10 +111,10 @@ def cmd_flats(args) -> int:
 
 
 # ``lattice --format json|dot`` writes the covers of the lattice of flats of
-# a graph on up to this many labels: ``flats_lattice`` tests every ordered
-# pair of flats, which takes about 3 s for K8's 4,140 flats on a 2-core host
-# and did not finish within a minute for K9's 21,147.  The text format
-# prints only flat counts and builds no covers.
+# a graph on up to this many labels.  The covers grow about sixfold per label:
+# on a 2-core host K8's 28,337 take 1.2 s to write, and K9's 175,896 take
+# 5.1 s and 8.7 MB of JSON, more than a reader or a DOT layout can use.  The
+# text format prints only flat counts and builds no covers.
 MAX_LATTICE_LABELS = 8
 
 
@@ -214,6 +214,10 @@ def cmd_project(args) -> int:
     return 0
 
 
+# ``counts`` builds the Bergman fan only up to this many labels (K7's takes 11 s)
+MAX_COUNTS_CONES_LABELS = 6
+
+
 def cmd_counts(args) -> int:
     if args.complete is not None:
         g = resolve_graph(f"complete:{args.complete}")  # with its size check
@@ -221,7 +225,7 @@ def cmd_counts(args) -> int:
         g = resolve_graph(args.graph)
     flats = enumerate_flats(g)
     lines = ["flats: " + ",".join(map(str, _flat_counts(flats)))]
-    if g.num_vertices <= 6:
+    if g.num_vertices <= MAX_COUNTS_CONES_LABELS:
         fan = bergman_fan(g)
         lines.append("cones: " + ",".join(map(str, fan.census())))
     _emit("\n".join(lines), args.output)
@@ -373,7 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("counts", help="census tables (flats by rank, cones by dimension)")
+    about = (
+        "census tables: flats by rank, and cones by dimension for graphs "
+        f"with at most {MAX_COUNTS_CONES_LABELS} vertices"
+    )
+    p = sub.add_parser("counts", help=about, description=about)
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--graph")
     which.add_argument("--complete", type=int, help="use the complete graph on this many vertices")

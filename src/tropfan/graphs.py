@@ -228,11 +228,10 @@ def components(g: Graph, s: EdgeSet) -> list[tuple[int, ...]]:
 
 
 def graph_rank(g: Graph, s: EdgeSet) -> int:
-    """Number of non-isolated vertices of ``s`` minus its number of components."""
+    """Size of the spanning forest of ``s`` that ``_union_find`` builds."""
     if s.graph != g:
         raise ValueError("edge set does not belong to this graph")
-    roots, _ = _union_find(g, s)
-    return len(roots) - len(set(roots.values()))
+    return _union_find(g, s)[1].bit_count()
 
 
 def spanning_forest(g: Graph, s: EdgeSet) -> EdgeSet:

@@ -4,10 +4,10 @@ Everything here runs on plain Python ints; no fractions and no floating
 point.  Ranks, rational span tests and lattice saturation run on one
 fraction-free row echelon kernel, ``echelon``, which pivots on a unit entry
 whenever one exists; rows it echelonizes with unit pivots only are already a
-basis of their saturation.  Row Hermite forms with transform matrices,
-kernels, double orthogonal complements, lattice reduction and the extended
-gcd serve the primitive normal vectors and the cases the kernel cannot
-settle.
+basis of their saturation.  One Hermite elimination, which always builds
+its transform matrix, serves Hermite forms, kernels and double orthogonal
+complements; with lattice reduction and the extended gcd these serve the
+primitive normal vectors and the cases the kernel cannot settle.
 """
 
 from __future__ import annotations
@@ -108,18 +108,10 @@ def hnf_transform(rows: Mat) -> tuple[list[list[int]], list[list[int]]]:
     above each pivot reduced into [0, pivot).  Zero rows of H sink to the
     bottom.
     """
-    return _hermite(rows, transform=True)
-
-
-def _hermite(
-    rows: Mat, transform: bool
-) -> tuple[list[list[int]], Optional[list[list[int]]]]:
-    """The elimination behind ``hnf_transform``; U is built and returned only
-    when ``transform`` is set (None otherwise)."""
     h = [list(r) for r in rows]
     nrows = len(h)
     ncols = len(h[0]) if nrows else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if transform else None
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     pivot_row = 0
     for col in range(ncols):
         # clear the column below pivot_row by gcd steps
@@ -130,16 +122,14 @@ def _hermite(
             i0 = min(nonzero, key=lambda i: abs(h[i][col]))
             if i0 != pivot_row:
                 h[i0], h[pivot_row] = h[pivot_row], h[i0]
-                if transform:
-                    u[i0], u[pivot_row] = u[pivot_row], u[i0]
+                u[i0], u[pivot_row] = u[pivot_row], u[i0]
             a = h[pivot_row][col]
             done = True
             for i in range(pivot_row + 1, nrows):
                 q = h[i][col] // a
                 if q:
                     _row_sub(h[i], h[pivot_row], q)
-                    if transform:
-                        _row_sub(u[i], u[pivot_row], q)
+                    _row_sub(u[i], u[pivot_row], q)
                 if h[i][col]:
                     done = False
             if done:
@@ -147,15 +137,13 @@ def _hermite(
         if pivot_row < nrows and h[pivot_row][col] != 0:
             if h[pivot_row][col] < 0:
                 h[pivot_row] = [-x for x in h[pivot_row]]
-                if transform:
-                    u[pivot_row] = [-x for x in u[pivot_row]]
+                u[pivot_row] = [-x for x in u[pivot_row]]
             a = h[pivot_row][col]
             for i in range(pivot_row):
                 q = h[i][col] // a
                 if q:
                     _row_sub(h[i], h[pivot_row], q)
-                    if transform:
-                        _row_sub(u[i], u[pivot_row], q)
+                    _row_sub(u[i], u[pivot_row], q)
             pivot_row += 1
             if pivot_row == nrows:
                 break
@@ -169,9 +157,8 @@ def _row_sub(target: list[int], source: list[int], q: int):
 
 
 def hnf(rows: Mat) -> list[list[int]]:
-    """Nonzero rows of the row Hermite normal form (no transform is built)."""
-    h, _ = _hermite(rows, transform=False)
-    return [r for r in h if any(r)]
+    """Nonzero rows of the row Hermite normal form H of ``hnf_transform``."""
+    return [r for r in hnf_transform(rows)[0] if any(r)]
 
 
 def left_kernel(rows: Mat) -> list[list[int]]:

@@ -66,9 +66,9 @@ class ChainOfFlats:
             if not 0 < f.mask < (1 << len(f.graph.edges)) - 1:
                 raise ValueError("chain flats must be proper and nonempty")
         for a, b in zip(self.flats, self.flats[1:]):
-            if a.graph != b.graph:
+            if a.graph is not b.graph and a.graph != b.graph:
                 raise ValueError("chain flats must share a parent graph")
-            if not a < b:
+            if a.mask & ~b.mask or a.mask == b.mask:
                 raise ValueError("chain must strictly increase")
             if not a.rank < b.rank:
                 raise ValueError("chain ranks must strictly increase")
@@ -145,28 +145,26 @@ def proper_flats(g: Graph) -> list[Flat]:
 
 
 def flats_lattice(g: Graph) -> list[tuple[Flat, Flat]]:
-    """Covering pairs (child, parent) of the lattice of flats.
+    """Covering pairs (child, parent) of the lattice of flats, by child and
+    then by parent in ``enumerate_flats`` order.
 
-    Ranks strictly increase along containment, so a containment with rank
-    difference one is automatically a cover; the containments are read off
-    ``_containment_successors``.
+    Adding an edge outside a flat and closing merges the two blocks (the
+    components, or isolated vertices) that it joins, and every cover arises
+    so: the parent is the flat plus the clique on the merged block.
     """
     flats = enumerate_flats(g)
-    return [
-        (child, flats[j])
-        for child, succ in zip(flats, _containment_successors(flats))
-        for j in succ
-        if flats[j].rank == child.rank + 1
-    ]
-
-
-def _containment_successors(flats: Sequence[Flat]) -> list[list[int]]:
-    succ: list[list[int]] = [[] for _ in flats]
-    for i, a in enumerate(flats):
-        for j, b in enumerate(flats):
-            if a.rank < b.rank and a.mask & ~b.mask == 0:
-                succ[i].append(j)
-    return succ
+    index = {f.mask: i for i, f in enumerate(flats)}
+    covers = []
+    for child in flats:
+        block_of = {v: block for block in child.blocks for v in block}
+        merged = {
+            tuple(sorted(block_of.get(a, (a,)) + block_of.get(b, (b,))))
+            for i, (a, b) in enumerate(g.edges)
+            if not child.mask >> i & 1
+        }
+        parents = sorted(index[child.mask | _cluster_mask(g, [m])] for m in merged)
+        covers.extend((child, flats[j]) for j in parents)
+    return covers
 
 
 def all_chains(g: Graph) -> Iterator[ChainOfFlats]:
@@ -180,7 +178,10 @@ def _chain_walk(flats: Sequence[Flat]) -> Iterator[ChainOfFlats]:
     one graph, in canonical order), the empty chain first, lexicographic on
     that order.  On a subset of ``proper_flats`` this is the subsequence of
     ``all_chains`` whose flats all lie in the subset."""
-    succ = _containment_successors(flats)
+    succ = [
+        [j for j, b in enumerate(flats) if a.rank < b.rank and a.mask & ~b.mask == 0]
+        for a in flats
+    ]
 
     def extend(prefix: list[int], start_choices: Iterable[int]) -> Iterator[list[int]]:
         for j in start_choices:
@@ -218,14 +219,14 @@ def bases(g: Graph) -> list[frozenset]:
 
 
 def circuits(g: Graph) -> list[frozenset]:
-    """Minimal dependent sets, by brute force over the powerset."""
-    dependent = [
-        m for m in range(1 << len(g.edges)) if not is_acyclic(g, EdgeSet(g, m))
+    """Minimal dependent sets, in edge-mask order: the dependent sets all of
+    whose one-edge deletions are forests."""
+    acyclic = [is_acyclic(g, EdgeSet(g, m)) for m in range(1 << len(g.edges))]
+    return [
+        frozenset(EdgeSet(g, m).edges)
+        for m, forest in enumerate(acyclic)
+        if not forest and all(acyclic[m & ~b] for b in _bits(m))
     ]
-    minimal = [
-        m for m in dependent if not any(d != m and d & ~m == 0 for d in dependent)
-    ]
-    return [frozenset(EdgeSet(g, m).edges) for m in minimal]
 
 
 def rank_table(g: Graph) -> dict[frozenset, int]:

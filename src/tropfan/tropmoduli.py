@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .bergman import Fan, QuotientVector, _chain_fan, _num, _numerators
+from .bergman import Fan, QuotientVector, _chain_fan, _check_rational, _num, _numerators
 from .graphs import (
     EdgeSet,
     Graph,
@@ -109,7 +109,7 @@ class TropicalType:
 
 
 def tropical_type(n: int, splits: Iterable[frozenset]) -> TropicalType:
-    """Build the canonical type with the given split family."""
+    """Build the canonical type with the given split family; needs n >= 3."""
     splits = tuple(sorted({frozenset(s) for s in splits}, key=_split_sort_key))
     ends = set(range(2, n + 1))
     for s in splits:
@@ -120,6 +120,13 @@ def tropical_type(n: int, splits: Iterable[frozenset]) -> TropicalType:
     for a, b in combinations(splits, 2):
         if not (a <= b or b <= a or not a & b):
             raise ValueError(f"splits {sorted(a)} and {sorted(b)} are incompatible")
+    # No other vertex falls below valence three.  A non-root vertex with
+    # split S has a parent edge and either no child and the |S| >= 2 ends of
+    # S, one child T < S and the ends of S - T, or two or more children.  The
+    # root holds end 1 and two or more maximal splits, or one of size at most
+    # n - 2 and another end, or, with no split, the other n - 1 ends.
+    if n < 3:
+        raise ValueError(f"vertex 0 would be {max(n, 0)}-valent")
 
     # the supersets of a split form a chain and come before it, largest first,
     # so its parent is its last strict superset and an end's host is the last
@@ -131,12 +138,7 @@ def tropical_type(n: int, splits: Iterable[frozenset]) -> TropicalType:
         for e in s:
             ends_at[e - 1] = i + 1
     edges.sort()
-    typ = TropicalType(n, splits, tuple(edges), tuple(ends_at))
-    for v in range(typ.num_vertices):
-        valence = typ.bounded_degree(v) + len(typ.ends_at_vertex(v))
-        if valence < 3:
-            raise ValueError(f"vertex {v} would be {valence}-valent")
-    return typ
+    return TropicalType(n, splits, tuple(edges), tuple(ends_at))
 
 
 def star_type(n: int) -> TropicalType:
@@ -224,67 +226,40 @@ class RadialType:
         return len(self.levels)
 
 
-def _level_maps(
-    vertices: Sequence[int], edges: Sequence[tuple[int, int]], allow_zero: bool
-) -> Iterator[dict[int, int]]:
-    """Vertex-to-level maps hitting every level 1..k, monotone away from the
-    root (strictly when levels 0 are disallowed; weakly otherwise, level 0
-    meaning merged into the root)."""
-    nv = len(vertices)
-    lo = 0 if allow_zero else 1
-    for k in range(nv + 1):
+def radial_alignments(c: TropicalType) -> list[RadialType]:
+    """All ordered partitions of the non-root vertices consistent with levels
+    strictly increasing along bounded edges, by number of levels and then in
+    ``product`` order of the vertices' levels."""
+    vertices = list(range(1, c.num_vertices))
+    out = []
+    for k in range(len(vertices) + 1):
         needed = set(range(1, k + 1))
-        for values in product(range(lo, k + 1), repeat=nv):
+        for values in product(range(1, k + 1), repeat=len(vertices)):
             if needed - set(values):
                 continue
             w = dict(zip(vertices, values))
             w[0] = 0
-            if allow_zero:
-                ok = all(w[u] <= w[v] for u, v in edges)
-            else:
-                ok = all(w[u] < w[v] for u, v in edges)
-            if ok:
-                yield w
-
-
-def radial_alignments(c: TropicalType) -> list[RadialType]:
-    """All ordered partitions of the non-root vertices consistent with levels
-    strictly increasing along bounded edges."""
-    vertices = list(range(1, c.num_vertices))
-    out = []
-    for w in _level_maps(vertices, c.edges, allow_zero=False):
-        k = max(w.values(), default=0)
-        levels = tuple(
-            frozenset(v for v in vertices if w[v] == lvl) for lvl in range(1, k + 1)
-        )
-        out.append(RadialType(c, levels))
+            if all(w[u] < w[v] for u, v in c.edges):
+                levels = tuple(
+                    frozenset(v for v in vertices if w[v] == lvl) for lvl in range(1, k + 1)
+                )
+                out.append(RadialType(c, levels))
     return out
 
 
 def radial_faces(c: TropicalType) -> list[RadialType]:
-    """Faces of the radially subdivided cone of a type.
-
-    Each face is a radial type of a contraction of ``c``: a bounded edge whose
-    endpoints share a level collapses, and vertices at level zero merge into
-    the root.  The face's dimension is its number of levels; the origin (the
-    fully contracted star with no levels) is included.
-    """
-    vertices = list(range(1, c.num_vertices))
+    """Faces of the radially subdivided cone of a type: the radial alignments
+    of its contractions (an edge whose ends share a level collapses, and
+    level zero merges into the root), grouped by contraction: those of
+    ``tropical_type(c.n, kept)`` for each subset ``kept`` of ``c.splits``, by
+    size and then in ``combinations`` order.  A face's dimension is its
+    number of levels; the origin (the star with no levels) comes first."""
     return [
-        _radial(c.n, {c.splits[v - 1]: w[v] for u, v in c.edges if w[u] < w[v]})
-        for w in _level_maps(vertices, c.edges, allow_zero=True)
+        face
+        for k in range(len(c.splits) + 1)
+        for kept in combinations(c.splits, k)
+        for face in radial_alignments(tropical_type(c.n, kept))
     ]
-
-
-def _radial(n: int, level_of_split: dict[frozenset, int]) -> RadialType:
-    """The radial type whose non-root vertices are the given splits, each at
-    its given level; the levels used must be 1..k for some k."""
-    typ = tropical_type(n, level_of_split)
-    levels = tuple(
-        frozenset(i + 1 for i, s in enumerate(typ.splits) if level_of_split[s] == lvl)
-        for lvl in range(1, max(level_of_split.values(), default=0) + 1)
-    )
-    return RadialType(typ, levels)
 
 
 def radial_face_census(c: TropicalType) -> dict[int, int]:
@@ -380,6 +355,11 @@ class QnVector:
     n: int
     coords: tuple
 
+    def __post_init__(self):
+        _check_rational(self.coords)
+        if len(self.coords) != self.n * (self.n - 1) // 2:
+            raise ValueError("coordinate length does not match the pair count")
+
     @classmethod
     def from_raw(cls, n: int, coords: Sequence) -> "QnVector":
         """The canonical member of the class of ``coords`` (ints or
@@ -392,9 +372,7 @@ class QnVector:
         coordinates' least common denominator, which divides back once per
         coordinate: an int where it divides, else a Fraction.
         """
-        if len(coords) != n * (n - 1) // 2:
-            raise ValueError("coordinate length does not match the pair count")
-        y, d = _numerators(coords)
+        y, d = _numerators(cls(n, tuple(coords)).coords)
         g = _gromov_numerators(n, y)  # g[0] belongs to the pair (2, 3)
         return cls(n, (0,) * (n - 1) + _ratios([x - g[0] for x in g], d))
 
@@ -444,9 +422,7 @@ class MetricType:
     def __post_init__(self):
         if len(self.lengths) != len(self.type.edges):
             raise ValueError("one length per bounded edge required")
-        for length in self.lengths:
-            if isinstance(length, bool) or not isinstance(length, (int, Fraction)):
-                raise ValueError(f"lengths must be ints or Fractions, got {length!r}")
+        _check_rational(self.lengths, "lengths")
         if any(length <= 0 for length in self.lengths):
             raise ValueError("lengths must be positive")
 
@@ -559,9 +535,13 @@ def psi_cof_to_radial(f: ChainOfFlats, n: Optional[int] = None) -> RadialType:
     # a block stays one vertex while it passes through later flats, so it
     # takes the level of the first flat holding it: walking the chain
     # downwards, that flat writes last
-    return _radial(
-        n, {frozenset(b): r - idx for idx in range(r - 1, -1, -1) for b in f[idx].blocks}
+    level_of = {frozenset(b): r - idx for idx in range(r - 1, -1, -1) for b in f[idx].blocks}
+    typ = tropical_type(n, level_of)
+    levels = tuple(
+        frozenset(i + 1 for i, s in enumerate(typ.splits) if level_of[s] == lvl)
+        for lvl in range(1, r + 1)
     )
+    return RadialType(typ, levels)
 
 
 def psi_radial_to_cof(c: RadialType) -> ChainOfFlats:

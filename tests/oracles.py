@@ -2,17 +2,29 @@
 
 Rational Gauss-Jordan for ranks, span tests and inverses, lattice membership
 by Hermite reduction, the canonical distance class by Fraction sums, psi
-by inverting its matrix on the basis of two-element splits, and graphic
-stability by the vertex-local rule.  None of these is on a library path.
+by inverting its matrix on the basis of two-element splits, graphic
+stability by the vertex-local rule, radial faces by weakly monotone level
+maps, circuits as minimal dependent sets by pairwise comparison, and lattice
+covers by containment of every pair of flats.  None of these is on a
+library path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence
 
-from tropfan import QnVector, QuotientVector, rho_split
+from tropfan import (
+    EdgeSet,
+    QnVector,
+    QuotientVector,
+    RadialType,
+    enumerate_flats,
+    is_independent,
+    rho_split,
+    tropical_type,
+)
 from tropfan.intlinalg import hnf_reduce
 from tropfan.tropmoduli import pair_list
 
@@ -163,3 +175,54 @@ def psi_by_inverse(v: QnVector) -> QuotientVector:
     rhs = [v.coords[i] for i in free_idx]
     coeffs = [sum(a * b for a, b in zip(row, rhs)) for row in inverse]
     return QuotientVector.from_raw(edges, [-c for c in coeffs] + [0])
+
+
+def radial_faces_by_level_maps(c) -> list:
+    """Faces of the radially subdivided cone of a type, one per weakly
+    monotone level map: each non-root vertex gets a level 0..k, every level
+    1..k is used, and levels never decrease away from the root.  A bounded
+    edge whose ends share a level collapses, and level 0 means merged into
+    the root."""
+    vertices = list(range(1, c.num_vertices))
+    faces = []
+    for k in range(len(vertices) + 1):
+        for values in product(range(k + 1), repeat=len(vertices)):
+            if set(range(1, k + 1)) - set(values):
+                continue
+            w = dict(zip(vertices, values))
+            w[0] = 0
+            if not all(w[u] <= w[v] for u, v in c.edges):
+                continue
+            level_of = {c.splits[v - 1]: w[v] for u, v in c.edges if w[u] < w[v]}
+            typ = tropical_type(c.n, level_of)
+            levels = tuple(
+                frozenset(i + 1 for i, s in enumerate(typ.splits) if level_of[s] == lvl)
+                for lvl in range(1, k + 1)
+            )
+            faces.append(RadialType(typ, levels))
+    return faces
+
+
+def circuits_by_pairs(g) -> list[frozenset]:
+    """Minimal dependent sets by the definition: the dependent sets that
+    contain no other dependent set, in edge-mask order."""
+    dependent = [
+        m for m in range(1 << len(g.edges)) if not is_independent(g, EdgeSet(g, m))
+    ]
+    return [
+        frozenset(EdgeSet(g, m).edges)
+        for m in dependent
+        if not any(d != m and d & ~m == 0 for d in dependent)
+    ]
+
+
+def lattice_by_pairs(g) -> list[tuple]:
+    """Covering pairs (child, parent) of the lattice of flats, tested on
+    every ordered pair: a containment that raises the rank by one."""
+    flats = enumerate_flats(g)
+    return [
+        (a, b)
+        for a in flats
+        for b in flats
+        if b.rank == a.rank + 1 and a.mask & ~b.mask == 0
+    ]

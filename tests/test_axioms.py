@@ -12,6 +12,8 @@ from tropfan import (
     verify_matroid_axioms,
 )
 
+from oracles import circuits_by_pairs
+
 
 def cycle_systems(g: Graph):
     ground = tuple(g.edges)
@@ -61,6 +63,14 @@ def test_all_graphs_up_to_four_vertices_pass_all_families():
         for family, system in cycle_systems(g).items():
             report = verify_matroid_axioms(system, family)
             assert report.holds, (g, family, report)
+
+
+def test_circuits_are_the_minimal_dependent_sets():
+    """The one-edge-deletion test gives the pairwise definition's circuits,
+    in the same order, on every graph with at most four vertices."""
+    for nv in range(5):
+        for g in all_graphs(range(2, 2 + nv)):
+            assert circuits(g) == circuits_by_pairs(g), g
 
 
 def test_mutation_deleting_independent_set_is_caught():

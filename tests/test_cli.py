@@ -25,6 +25,18 @@ def test_counts_complete_four(capsys):
     assert out.splitlines()[1] == "cones: 1,13,18"
 
 
+def test_counts_prints_cones_only_up_to_six_vertices(capsys):
+    """The cone census is limited to graphs on at most 6 vertices, and the
+    help says so; K7 gets its flat census alone."""
+    status, out = run(capsys, "counts", "--complete", "7")
+    assert status == 0
+    assert out == "flats: 1,21,140,350,301,63,1\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["counts", "--help"])
+    assert exc.value.code == 0
+    assert "at most 6 vertices" in " ".join(capsys.readouterr().out.split())
+
+
 def test_counts_named_graph(capsys):
     status, out = run(capsys, "counts", "--graph", "k4-minus-e25")
     assert status == 0

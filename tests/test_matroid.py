@@ -21,6 +21,7 @@ from tropfan import (
 )
 
 from conftest import flat_of
+from oracles import lattice_by_pairs
 
 
 def bell_oracle(m: int) -> int:
@@ -208,6 +209,15 @@ def test_lattice_is_transitive_reduction(k4):
     assert got == set(reduction.edges())
 
 
+def test_lattice_covers_match_pair_scan():
+    """Covers read off block merges are the containments that raise the
+    rank by one, in the same order, on every graph with at most five
+    vertices and on K6."""
+    graphs = [g for nv in range(6) for g in all_graphs(range(2, 2 + nv))]
+    for g in graphs + [Graph.complete(range(2, 8))]:
+        assert flats_lattice(g) == lattice_by_pairs(g), g
+
+
 # ---------------------------------------------------------------------------
 # Chains
 
@@ -221,6 +231,9 @@ def test_chain_counts_k4(k4):
 def test_chain_validation(k4, k4_flat_labels):
     with pytest.raises(ValueError, match="strictly increase"):
         ChainOfFlats((k4_flat_labels[7], k4_flat_labels[1]))
+    # a repeated flat fails the containment test before the rank test
+    with pytest.raises(ValueError, match="^chain must strictly increase$"):
+        ChainOfFlats((k4_flat_labels[1], k4_flat_labels[1]))
     with pytest.raises(ValueError, match="proper"):
         ChainOfFlats((flat_of(k4, []),))
     other = Graph.complete([2, 3, 4])

@@ -1,10 +1,12 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropfan import (
+    RadialType,
     enumerate_types,
     radial_alignments,
     radial_face_census,
@@ -12,6 +14,8 @@ from tropfan import (
     star_type,
     tropical_type,
 )
+
+from oracles import radial_faces_by_level_maps
 
 
 def double_factorial(k: int) -> int:
@@ -114,6 +118,22 @@ def test_type_rejects_bad_split_sizes():
         tropical_type(5, [frozenset({2})])
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_star_with_fewer_than_three_ends_is_refused(n):
+    with pytest.raises(ValueError, match=f"^vertex 0 would be {n}-valent$"):
+        tropical_type(n, ())
+
+
+def test_every_vertex_is_at_least_trivalent():
+    """No valence check runs when a type is built: every laminar family of
+    splits of sizes 2..n-2 already makes every vertex at least trivalent."""
+    for n in (4, 5, 6, 7):
+        for ts in enumerate_types(n).values():
+            for t in ts:
+                for v in range(t.num_vertices):
+                    assert t.bounded_degree(v) + len(t.ends_at_vertex(v)) >= 3
+
+
 def test_type_tree_structure():
     t = tropical_type(6, [frozenset({2, 3}), frozenset({4, 5, 6}), frozenset({5, 6})])
     # splits sorted largest-first: {4,5,6}, then {2,3} and {5,6}
@@ -173,24 +193,12 @@ def test_seven_end_face_census_is_doubled_ordered_bell():
 
 
 def census_oracle(t) -> dict[int, int]:
-    """Faces counted the other way: alignments of every contraction."""
-    from collections import Counter
-
-    edges = list(t.edges)
-    counts = Counter()
-    for k in range(len(edges) + 1):
-        for combo in itertools.combinations(edges, k):
-            contracted = t
-            for u, v in combo:
-                split = t.splits[v - 1]
-                surviving = [s for s in contracted.splits if s != split]
-                contracted = tropical_type(t.n, surviving)
-            for rt in radial_alignments(contracted):
-                counts[rt.num_levels] += 1
+    """Faces counted the other way: one per weakly monotone level map."""
+    counts = Counter(rt.num_levels for rt in radial_faces_by_level_maps(t))
     return dict(sorted(counts.items()))
 
 
-def test_face_census_matches_contraction_sum():
+def test_face_census_matches_level_map_count():
     examples = [
         tropical_type(6, [frozenset({2, 3}), frozenset({4, 5, 6}), frozenset({5, 6})]),
         tropical_type(7, [frozenset({2, 3}), frozenset({4, 5}), frozenset({6, 7})]),
@@ -199,6 +207,27 @@ def test_face_census_matches_contraction_sum():
     ]
     for t in examples:
         assert radial_face_census(t) == census_oracle(t)
+
+
+def test_radial_faces_match_weak_level_maps():
+    """The faces, as a multiset, are those of the weakly monotone level
+    maps, for every type with 4 to 6 ends."""
+    for n in (4, 5, 6):
+        for ts in enumerate_types(n).values():
+            for t in ts:
+                assert Counter(radial_faces(t)) == Counter(radial_faces_by_level_maps(t))
+
+
+def test_radial_faces_come_grouped_by_contraction():
+    t = tropical_type(6, [frozenset({2, 3}), frozenset({4, 5, 6}), frozenset({5, 6})])
+    expected = [
+        face
+        for k in range(len(t.splits) + 1)
+        for kept in itertools.combinations(t.splits, k)
+        for face in radial_alignments(tropical_type(6, kept))
+    ]
+    assert radial_faces(t) == expected
+    assert radial_faces(t)[0] == RadialType(star_type(6), ())
 
 
 def test_faces_are_distinct():

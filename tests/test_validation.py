@@ -195,6 +195,54 @@ def test_distance_classes_refuse_floats():
         psi_linear(QnVector(4, (0, 0, 0, 0.5, 0, 0)))
 
 
+K4_EDGES = Graph.complete([2, 3, 4, 5]).edges
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QnVector(4, (True,) * 6),
+        lambda: QnVector(4, (0, 0, 0, 0, 0, 1.0)),
+        lambda: QnVector(4, (0, 0, 0, 0, 0, "1")),
+        lambda: QnVector.from_raw(4, [True, 0, 0, 0, 0, 0]),
+        lambda: QuotientVector.from_raw(K4_EDGES, [True, 0, 0, 0, 0, 0]),
+        lambda: QuotientVector.from_raw(K4_EDGES, [0, 0, 0, 0, 0, False]),
+        lambda: QuotientVector(K4_EDGES, (0, 0, True, 0, 0, 0)),
+    ],
+    ids=[
+        "qn-bools",
+        "qn-float",
+        "qn-str",
+        "qn-from-raw-bool",
+        "quotient-from-raw-bool",
+        "quotient-from-raw-last-bool",
+        "quotient-bool",
+    ],
+)
+def test_distance_classes_refuse_bools_and_non_rationals(build):
+    """Coordinates are ints or Fractions; a bool is not a coordinate, though
+    arithmetic would take it for an int."""
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "n, coords",
+    [(5, (1, 2)), (4, (0,) * 5), (4, (0,) * 7), (4, (0.5,) * 5)],
+)
+def test_qn_vector_checks_its_shape(n, coords):
+    """A vector of the wrong length is refused when built, not by an
+    IndexError in ``psi_linear``; a float is named as such at any length."""
+    match = "ints or Fractions" if 0.5 in coords else "pair count"
+    with pytest.raises(ValueError, match=match):
+        QnVector(n, coords)
+
+
+def test_qn_vector_keeps_non_canonical_representatives():
+    raw = (1, 2, 3, Fraction(1, 2), 5, 6)
+    assert QnVector(4, raw).coords == raw
+
+
 def test_radial_type_validation():
     t = tropical_type(5, [frozenset({2, 3}), frozenset({4, 5})])
     with pytest.raises(ValueError, match="partition"):
