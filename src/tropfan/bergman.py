@@ -283,7 +283,10 @@ class Fan:
         return self._by_rayset.get(rayset)
 
     def with_weights(self, overrides: dict[frozenset, int]) -> "Fan":
-        """The fan with some weights replaced; other cones are shared."""
+        """The fan with some weights replaced; other cones are shared.  A ray
+        set that is not a cone of this fan is refused with ValueError."""
+        if not self._by_rayset.keys() >= overrides.keys():
+            raise ValueError("with_weights names a ray set that is not a cone of this fan")
         cones = [
             replace(c, weight=overrides[c.rayset]) if c.rayset in overrides else c
             for c in self.cones
@@ -336,25 +339,17 @@ def primitive_normal(sigma: Cone, tau: Cone) -> QuotientVector:
     kernel on that lattice is tau's saturated lattice, (f . b_i) / g is the
     primitive functional of the quotient.  Extended gcd gives integers c_i
     with sum c_i (f . b_i) / g = 1, and u = sum c_i b_i, reduced by the
-    Hermite form of tau's saturated lattice.
+    Hermite form of tau's saturated lattice.  All of it runs on the rays'
+    coordinates without their last, zero, entry, which the result gets back.
     """
     if not tau.rayset <= sigma.rayset:
         raise ValueError("tau is not a face of sigma")
     if sigma.dim != tau.dim + 1:
         raise ValueError("tau must have codimension one in sigma")
-    ambient = sigma.rays[0].ambient
-    coords = _primitive_normal_coords(
-        tuple(r.coords for r in sigma.rays), tuple(r.coords for r in tau.rays)
-    )
-    return QuotientVector(ambient, coords + (0,))
-
-
-def _primitive_normal_coords(sigma_coords: tuple, tau_coords: tuple) -> tuple:
-    m = len(sigma_coords[0]) - 1  # canonical reps end in 0; drop that coordinate
-    rows_sigma = [list(r[:-1]) for r in sigma_coords]
-    rows_tau = [list(r[:-1]) for r in tau_coords]
-    tau_set = set(map(tuple, rows_tau))
-    extra = next(r for r in rows_sigma if tuple(r) not in tau_set)
+    m = len(sigma.rays[0].coords) - 1  # canonical reps end in 0; drop that coordinate
+    rows_sigma = [list(r.coords[:-1]) for r in sigma.rays]
+    rows_tau = [list(r.coords[:-1]) for r in tau.rays]
+    extra = next(r.coords[:-1] for r in sigma.rays if r not in tau.rayset)
     # f's kernel on sigma's lattice is tau's saturated lattice
     f = next((f for f in ila.orthogonal_complement(rows_tau, m) if _dot(f, extra)), None)
     if f is None:
@@ -370,7 +365,7 @@ def _primitive_normal_coords(sigma_coords: tuple, tau_coords: tuple) -> tuple:
     u = [sum(c * b[j] for c, b in zip(coeffs, basis_sigma)) for j in range(m)]
     if rows_tau:
         u = ila.hnf_reduce(ila.hnf(ila.saturation(rows_tau, m)), u)
-    return tuple(u)
+    return QuotientVector(sigma.rays[0].ambient, tuple(u) + (0,))
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:

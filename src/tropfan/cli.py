@@ -125,22 +125,22 @@ def cmd_lattice(args) -> int:
         return 0
     _check_size(g, "lattice --format json|dot", MAX_LATTICE_LABELS)
     flats = enumerate_flats(g)
-    covers = flats_lattice(g)
-    index = {f: i for i, f in enumerate(flats)}
+    index = {f.mask: i for i, f in enumerate(flats)}
+    covers = [[index[a.mask], index[b.mask]] for a, b in flats_lattice(g)]
     if args.format == "json":
         doc = {
             "schema": SCHEMA,
             "flats": [_flat_json(f) for f in flats],
-            "covers": [[index[a], index[b]] for a, b in covers],
+            "covers": covers,
         }
         _emit(json.dumps(doc, indent=2), args.output)
     else:
         label = lambda f: " ".join(_flat_json(f)) or "{}"
         lines = ["digraph lattice {"]
-        for f in flats:
-            lines.append(f'  f{index[f]} [label="{label(f)}"];')
+        for i, f in enumerate(flats):
+            lines.append(f'  f{i} [label="{label(f)}"];')
         for a, b in covers:
-            lines.append(f"  f{index[a]} -> f{index[b]};")
+            lines.append(f"  f{a} -> f{b};")
         lines.append("}")
         _emit("\n".join(lines), args.output)
     return 0
@@ -153,8 +153,8 @@ def _flat_counts(flats) -> list[int]:
 
 # ``fan`` and ``project`` build the Bergman fan of a graph on up to this many
 # labels (``project`` that of the complete graph on its target's labels):
-# K7's takes about 38 s on a 2-core host, and K8's has about 10.3 million
-# cones.
+# ``fan --graph complete:7`` takes about 25 s on a 2-core host, with a
+# 300 MB peak, and K8's fan has about 10.3 million cones.
 MAX_FAN_LABELS = 7
 
 
@@ -214,7 +214,7 @@ def cmd_project(args) -> int:
     return 0
 
 
-# ``counts`` builds the Bergman fan only up to this many labels (K7's takes 11 s)
+# ``counts`` builds the Bergman fan only up to this many labels (K7's takes 10.5 s)
 MAX_COUNTS_CONES_LABELS = 6
 
 

@@ -2,15 +2,16 @@
 
 Flats of the cycle matroid of a complete graph are cluster graphs (disjoint
 unions of cliques), so flat enumeration walks set partitions of the label set
-and restricts to the graph at hand.  The axiom verifiers exhaustively check a
-presented set system against one of the five axiom families (independence,
-bases, two rank systems, closure, circuits) and report the first
-counterexample in canonical order.
+and restricts to the graph at hand.  A ``Flat`` derives its blocks from its
+edge set and refuses a set that is not closed.  The axiom verifiers
+exhaustively check a presented set system against one of the five axiom
+families (independence, bases, two rank systems, closure, circuits) and
+report the first counterexample in canonical order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -23,14 +24,19 @@ from .graphs import EdgeSet, Graph, _cluster_mask, components, graph_rank, is_ac
 
 @dataclass(frozen=True)
 class Flat:
-    """A closed edge set together with the vertex sets of its components."""
+    """A closed edge set of a graph's cycle matroid (a set that is not is
+    refused with ValueError).  ``blocks``, the vertex sets of its components,
+    is derived here; equality and hashing read the edge set only."""
 
     edges: EdgeSet
-    blocks: tuple[tuple[int, ...], ...]
+    blocks: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
 
-    @classmethod
-    def from_edge_set(cls, s: EdgeSet) -> "Flat":
-        return cls(s, tuple(components(s.graph, s)))
+    def __post_init__(self):
+        g = self.edges.graph
+        blocks = tuple(components(g, self.edges))
+        if _cluster_mask(g, blocks) != self.edges.mask:
+            raise ValueError("a flat must be a closed edge set")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def graph(self) -> Graph:
@@ -38,7 +44,7 @@ class Flat:
 
     @cached_property
     def rank(self) -> int:
-        # chain validation asks for it once per flat of every chain
+        # the chain walk's successor test asks for it once per pair of flats
         return sum(len(b) - 1 for b in self.blocks)
 
     @property
@@ -48,16 +54,12 @@ class Flat:
     def sort_key(self) -> tuple:
         return (self.rank, self.edges.edges)
 
-    def __le__(self, other: "Flat") -> bool:
-        return self.edges <= other.edges
-
-    def __lt__(self, other: "Flat") -> bool:
-        return self.edges < other.edges
-
 
 @dataclass(frozen=True)
 class ChainOfFlats:
-    """A strictly increasing chain of proper nonempty flats of one matroid."""
+    """A strictly increasing chain of proper nonempty flats of one matroid.
+    Ranks rise along it: an edge of G outside F < G joins two blocks of F,
+    or it would lie in F's closure, which is F."""
 
     flats: tuple[Flat, ...]
 
@@ -70,8 +72,6 @@ class ChainOfFlats:
                 raise ValueError("chain flats must share a parent graph")
             if a.mask & ~b.mask or a.mask == b.mask:
                 raise ValueError("chain must strictly increase")
-            if not a.rank < b.rank:
-                raise ValueError("chain ranks must strictly increase")
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -103,7 +103,7 @@ def closure(g: Graph, s: EdgeSet) -> Flat:
     """Complete each connected component, then restrict to the graph's edges."""
     if s.graph != g:
         raise ValueError("edge set does not belong to this graph")
-    return Flat.from_edge_set(EdgeSet(g, _cluster_mask(g, components(g, s))))
+    return Flat(EdgeSet(g, _cluster_mask(g, components(g, s))))
 
 
 def set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -134,7 +134,7 @@ def enumerate_flats(g: Graph) -> list[Flat]:
     for part in set_partitions(g.labels):
         mask = _cluster_mask(g, part)
         if mask not in seen:
-            seen[mask] = Flat.from_edge_set(EdgeSet(g, mask))
+            seen[mask] = Flat(EdgeSet(g, mask))
     return sorted(seen.values(), key=Flat.sort_key)
 
 

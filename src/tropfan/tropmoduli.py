@@ -4,9 +4,10 @@ graphic stability, and the translation to chains of flats.
 A combinatorial type is a tree with n labeled ends and every internal vertex
 at least trivalent; it is determined by its set of splits (the end bipartition
 each bounded edge induces, recorded as the side avoiding end 1), so types are
-stored canonically as laminar split families.  The root is the vertex carrying
-end 1.  A radial alignment orders the non-root vertices into levels by their
-distance from the root.  Radially aligned types correspond to chains of flats
+stored canonically as laminar split families, from which ``TropicalType``
+derives the tree.  The root is the vertex carrying end 1.  A radial
+alignment orders the non-root vertices into levels by their distance from
+the root.  Radially aligned types correspond to chains of flats
 of the complete graph on labels 2..n: the non-root vertices are the distinct
 nontrivial blocks of the chain's flats.  Both directions of that bijection
 are implemented here, as is the coordinate translation between the
@@ -27,9 +28,10 @@ nontrivial block contains a minimal one, so a chain's type is stable exactly
 when each of its one-flat types is.  A one-flat type hangs one leaf per
 nontrivial block of its flat off the root, so ``_flat_demands`` lists those
 blocks as edge masks, once per n, and ``moduli_fan_rad`` and
-``verify_injectivity`` test them against the graph's mask.  The route
-through types, alignments, ``psi_radial_to_cof`` and ``flat_gamma_stable``
-stays public and is the test oracle.
+``verify_injectivity`` test them against the graph's mask.  The trichotomy
+reads its injectivity and rank verdicts off one list of the stable flats'
+restrictions.  The route through types, alignments, ``psi_radial_to_cof``
+and ``flat_gamma_stable`` stays public and is the test oracle.
 """
 
 from __future__ import annotations
@@ -67,22 +69,52 @@ class TropicalType:
 
     Vertex 0 is the root (it carries end 1); vertex i >= 1 corresponds to
     ``splits[i-1]``, the set of ends strictly beyond the i-th bounded edge.
-    Splits are sorted largest-first, so every parent index is smaller than its
-    child's.
+    The constructor checks the splits (ValueError), sorts them largest-first,
+    so every parent index is smaller than its child's, and derives the tree.
     """
 
     n: int
     splits: tuple[frozenset, ...]
-    edges: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
-    ends_at: tuple[int, ...] = field(compare=False, repr=False)
+    edges: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+    ends_at: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        n = self.n
+        splits = tuple(sorted({frozenset(s) for s in self.splits}, key=_split_sort_key))
+        ends = set(range(2, n + 1))
+        for s in splits:
+            if not 2 <= len(s) <= n - 2:
+                raise ValueError(f"split {sorted(s)} has invalid size for n={n}")
+            if not s <= ends:
+                raise ValueError(f"split {sorted(s)} mentions ends outside 2..{n}")
+        for a, b in combinations(splits, 2):
+            if not (a <= b or b <= a or not a & b):
+                raise ValueError(f"splits {sorted(a)} and {sorted(b)} are incompatible")
+        # No other vertex falls below valence three.  A non-root vertex with
+        # split S has a parent edge and either no child and the |S| >= 2 ends of
+        # S, one child T < S and the ends of S - T, or two or more children.  The
+        # root holds end 1 and two or more maximal splits, or one of size at most
+        # n - 2 and another end, or, with no split, the other n - 1 ends.
+        if n < 3:
+            raise ValueError(f"vertex 0 would be {max(n, 0)}-valent")
+
+        # the supersets of a split form a chain and come before it, largest
+        # first, so its parent is its last strict superset and an end's host
+        # is the last split holding it
+        edges = []
+        ends_at = [0] * n
+        for i, s in enumerate(splits):
+            edges.append((next((j + 1 for j in range(i - 1, -1, -1) if s < splits[j]), 0), i + 1))
+            for e in s:
+                ends_at[e - 1] = i + 1
+        edges.sort()
+        object.__setattr__(self, "splits", splits)
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "ends_at", tuple(ends_at))
 
     @property
     def num_vertices(self) -> int:
         return len(self.splits) + 1
-
-    @property
-    def num_bounded_edges(self) -> int:
-        return len(self.splits)
 
     def vertex_split(self, v: int) -> frozenset:
         if v == 0:
@@ -109,36 +141,8 @@ class TropicalType:
 
 
 def tropical_type(n: int, splits: Iterable[frozenset]) -> TropicalType:
-    """Build the canonical type with the given split family; needs n >= 3."""
-    splits = tuple(sorted({frozenset(s) for s in splits}, key=_split_sort_key))
-    ends = set(range(2, n + 1))
-    for s in splits:
-        if not 2 <= len(s) <= n - 2:
-            raise ValueError(f"split {sorted(s)} has invalid size for n={n}")
-        if not s <= ends:
-            raise ValueError(f"split {sorted(s)} mentions ends outside 2..{n}")
-    for a, b in combinations(splits, 2):
-        if not (a <= b or b <= a or not a & b):
-            raise ValueError(f"splits {sorted(a)} and {sorted(b)} are incompatible")
-    # No other vertex falls below valence three.  A non-root vertex with
-    # split S has a parent edge and either no child and the |S| >= 2 ends of
-    # S, one child T < S and the ends of S - T, or two or more children.  The
-    # root holds end 1 and two or more maximal splits, or one of size at most
-    # n - 2 and another end, or, with no split, the other n - 1 ends.
-    if n < 3:
-        raise ValueError(f"vertex 0 would be {max(n, 0)}-valent")
-
-    # the supersets of a split form a chain and come before it, largest first,
-    # so its parent is its last strict superset and an end's host is the last
-    # split holding it
-    edges = []
-    ends_at = [0] * n
-    for i, s in enumerate(splits):
-        edges.append((next((j + 1 for j in range(i - 1, -1, -1) if s < splits[j]), 0), i + 1))
-        for e in s:
-            ends_at[e - 1] = i + 1
-    edges.sort()
-    return TropicalType(n, splits, tuple(edges), tuple(ends_at))
+    """``TropicalType`` on any iterable of end sets; needs n >= 3."""
+    return TropicalType(n, tuple(splits))
 
 
 def star_type(n: int) -> TropicalType:
@@ -560,7 +564,7 @@ def psi_radial_to_cof(c: RadialType) -> ChainOfFlats:
     flats = []
     for i in range(c.num_levels, 0, -1):
         mask = _cluster_mask(ambient, [s for lvl, s in splits if lvl >= i])
-        flats.append(Flat.from_edge_set(EdgeSet(ambient, mask)))
+        flats.append(Flat(EdgeSet(ambient, mask)))
     return ChainOfFlats(tuple(flats))
 
 
@@ -599,31 +603,25 @@ def moduli_fan_rad(n: int, gamma: Union[Graph, str] = "complete") -> Fan:
 def caterpillar_cof(gamma: Graph) -> ChainOfFlats:
     """A maximal chain of cliques grown along a spanning tree of gamma.
 
-    The k-th flat is the clique on a connected (k+1)-vertex subtree, so its
-    restriction to gamma still has rank k and the chain's cone survives
-    projection at full dimension.  The associated radial type is a
-    caterpillar.
+    The growth order starts at the first spanning-tree edge and keeps adding
+    the smallest vertex joined by a tree edge to those already taken.  The
+    flats are the cliques on its prefixes of 2 to |V| - 1 vertices: each
+    prefix spans a connected subtree, so the k-th flat's restriction to
+    gamma still has rank k and the chain's cone survives projection at full
+    dimension.  The associated radial type is a caterpillar.
     """
     if not gamma.is_connected():
         raise ValueError("caterpillar construction needs a connected graph")
-    tree = spanning_forest(gamma, gamma.full_edge_set())
-    tree_edges = tree.edges
+    tree_edges = spanning_forest(gamma, gamma.full_edge_set()).edges
     if not tree_edges:
         return ChainOfFlats(())
     ambient = Graph.complete(gamma.labels)
-    grown = set(tree_edges[0])
-    flats = []
-    while len(grown) < len(gamma.labels) - 1:
-        flats.append(_clique_flat(ambient, grown))
-        candidates = sorted(
-            (b if a in grown else a)
-            for a, b in tree_edges
-            if (a in grown) != (b in grown)
-        )
-        grown.add(candidates[0])
-    if len(gamma.labels) > 2:
-        flats.append(_clique_flat(ambient, grown))
-    chain = ChainOfFlats(tuple(flats))
+    order = list(tree_edges[0])
+    while len(order) < len(gamma.labels) - 1:
+        rim = [b if a in order else a for a, b in tree_edges if (a in order) != (b in order)]
+        order.append(min(rim))
+    masks = [_cluster_mask(ambient, [sorted(order[:k])]) for k in range(2, len(gamma.labels))]
+    chain = ChainOfFlats(tuple(Flat(EdgeSet(ambient, m)) for m in masks))
     for k, flat in enumerate(chain, start=1):
         restricted = EdgeSet.from_edges(
             gamma, (e for e in flat.edges.edges if e in gamma.edge_index)
@@ -631,10 +629,6 @@ def caterpillar_cof(gamma: Graph) -> ChainOfFlats:
         if graph_rank(gamma, restricted) != k:
             raise RuntimeError(f"caterpillar flat {k} loses rank on restriction to gamma")
     return chain
-
-
-def _clique_flat(ambient: Graph, vertices: set[int]) -> Flat:
-    return Flat.from_edge_set(EdgeSet(ambient, _cluster_mask(ambient, [sorted(vertices)])))
 
 
 @dataclass(frozen=True)
@@ -695,7 +689,10 @@ def verify_injectivity(gamma: Graph) -> InjectivityReport:
     (c) gamma is complete multipartite.  The three are computed independently
     and returned; ``report.agree`` says whether they agree, and the caller
     decides what a split means.  Stability is read off ``_flat_demands``
-    (through ``_stable_flats``), so each flat costs a few mask tests.
+    (through ``_stable_flats``), so each flat costs a few mask tests.  One
+    list holds each stable flat's restriction: (a) holds when its entries
+    are distinct, and the witness of (b) is the first stable flat whose
+    restriction loses rank, so no rank is computed after it.
     """
     if len(gamma.labels) > 6:
         raise ValueError("verify_injectivity supports at most 6 vertices")
@@ -704,25 +701,16 @@ def verify_injectivity(gamma: Graph) -> InjectivityReport:
     ambient = _complete_on(n)
     gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
     stable = _stable_flats(n, gmask)
-    images = set()
-    injective = True
-    for f in stable:
-        restricted = f.mask & gmask
-        if restricted in images:
-            injective = False
-        images.add(restricted)
-    rank_ok = True
-    witness = None
-    for f in stable:
-        # the restriction to gamma, kept in the complete graph's edge order:
-        # its rank does not depend on which graph holds it
-        restricted = EdgeSet(ambient, f.mask & gmask)
-        if graph_rank(ambient, restricted) != f.rank:
-            rank_ok = False
-            if witness is None:
-                witness = f
+    images = [f.mask & gmask for f in stable]
+    # each restriction stays in the complete graph's edge order: its rank
+    # does not depend on which graph holds it
+    witness = next(
+        (f for f, m in zip(stable, images) if graph_rank(ambient, EdgeSet(ambient, m)) != f.rank),
+        None,
+    )
+    injective = len(set(images)) == len(images)
     multipartite, triple = is_complete_multipartite(gamma)
-    return InjectivityReport(injective, rank_ok, multipartite, witness, triple)
+    return InjectivityReport(injective, witness is None, multipartite, witness, triple)
 
 
 def count_stable_types(n: int, gamma: Graph) -> dict[int, int]:

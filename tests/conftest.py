@@ -11,7 +11,7 @@ def k4():
 
 
 def flat_of(graph: Graph, edges) -> Flat:
-    return Flat.from_edge_set(EdgeSet.from_edges(graph, edges))
+    return Flat(EdgeSet.from_edges(graph, edges))
 
 
 def clique_flat(graph: Graph, *blocks) -> Flat:

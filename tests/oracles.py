@@ -4,9 +4,10 @@ Rational Gauss-Jordan for ranks, span tests and inverses, lattice membership
 by Hermite reduction, the canonical distance class by Fraction sums, psi
 by inverting its matrix on the basis of two-element splits, graphic
 stability by the vertex-local rule, radial faces by weakly monotone level
-maps, circuits as minimal dependent sets by pairwise comparison, and lattice
-covers by containment of every pair of flats.  None of these is on a
-library path.
+maps, circuits as minimal dependent sets by pairwise comparison, lattice
+covers by containment of every pair of flats, the trichotomy's injectivity
+and rank verdicts in two full passes, and the caterpillar chain grown as a
+vertex set.  None of these is on a library path.
 """
 
 from __future__ import annotations
@@ -16,17 +17,23 @@ from itertools import combinations, product
 from typing import Optional, Sequence
 
 from tropfan import (
+    ChainOfFlats,
     EdgeSet,
+    Graph,
     QnVector,
     QuotientVector,
     RadialType,
     enumerate_flats,
+    graph_rank,
+    is_complete_multipartite,
     is_independent,
     rho_split,
     tropical_type,
 )
 from tropfan.intlinalg import hnf_reduce
-from tropfan.tropmoduli import pair_list
+from tropfan.graphs import _cluster_mask, spanning_forest
+from tropfan.matroid import Flat
+from tropfan.tropmoduli import _stable_flats, pair_list
 
 
 def vertex_demand(t, v: int) -> Optional[tuple[int, ...]]:
@@ -226,3 +233,58 @@ def lattice_by_pairs(g) -> list[tuple]:
         for b in flats
         if b.rank == a.rank + 1 and a.mask & ~b.mask == 0
     ]
+
+
+def injectivity_two_pass(gamma) -> tuple:
+    """The trichotomy's verdicts in two full passes over the stable flats:
+    (injective, rank criterion, multipartite, witness flat, witness triple),
+    the witness flat being the first stable flat whose restriction to gamma
+    loses rank."""
+    n = gamma.labels[-1]
+    ambient = Graph.complete(range(2, n + 1))
+    gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
+    stable = _stable_flats(n, gmask)
+    images = set()
+    injective = True
+    for f in stable:
+        restricted = f.mask & gmask
+        if restricted in images:
+            injective = False
+        images.add(restricted)
+    rank_ok = True
+    witness = None
+    for f in stable:
+        restricted = EdgeSet(ambient, f.mask & gmask)
+        if graph_rank(ambient, restricted) != f.rank:
+            rank_ok = False
+            if witness is None:
+                witness = f
+    multipartite, triple = is_complete_multipartite(gamma)
+    return injective, rank_ok, multipartite, witness, triple
+
+
+def caterpillar_by_growth(gamma) -> ChainOfFlats:
+    """The caterpillar chain grown as a vertex set: start at the first
+    spanning-tree edge, take the clique on the grown set, and add the
+    smallest vertex that a tree edge joins to it, until one vertex is left."""
+    tree_edges = spanning_forest(gamma, gamma.full_edge_set()).edges
+    if not tree_edges:
+        return ChainOfFlats(())
+    ambient = Graph.complete(gamma.labels)
+
+    def clique(vertices):
+        return Flat(EdgeSet(ambient, _cluster_mask(ambient, [sorted(vertices)])))
+
+    grown = set(tree_edges[0])
+    flats = []
+    while len(grown) < len(gamma.labels) - 1:
+        flats.append(clique(grown))
+        candidates = sorted(
+            (b if a in grown else a)
+            for a, b in tree_edges
+            if (a in grown) != (b in grown)
+        )
+        grown.add(candidates[0])
+    if len(gamma.labels) > 2:
+        flats.append(clique(grown))
+    return ChainOfFlats(tuple(flats))

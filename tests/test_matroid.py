@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tropfan import (
     ChainOfFlats,
     EdgeSet,
+    Flat,
     Graph,
     all_chains,
     all_graphs,
@@ -48,6 +49,45 @@ def closed_sets_oracle(g: Graph) -> set[tuple]:
         ):
             out.add(s.edges)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Flats derive their blocks
+
+
+def test_flat_refuses_an_edge_set_that_is_not_closed(k4):
+    with pytest.raises(ValueError, match="closed"):
+        Flat(k4.edge_set([(2, 3), (2, 4)]))
+
+
+def test_flat_accepts_exactly_the_closed_edge_sets():
+    """Every edge set of every graph on at most 4 labels: ``Flat`` accepts
+    it exactly when adding any other edge raises the rank."""
+    for k in range(5):
+        for g in all_graphs(range(2, 2 + k)):
+            closed = closed_sets_oracle(g)
+            for mask in range(1 << len(g.edges)):
+                s = EdgeSet(g, mask)
+                if s.edges in closed:
+                    assert Flat(s).edges == s
+                else:
+                    with pytest.raises(ValueError, match="closed"):
+                        Flat(s)
+
+
+def test_flat_rebuilt_from_its_edges_is_the_same_flat():
+    """For every flat of every graph on at most 5 labels, ``Flat(f.edges)``
+    equals f with the same blocks and rank, and the blocks are the vertex
+    sets of the edge set's components with at least one edge (networkx)."""
+    for k in range(6):
+        for g in all_graphs(range(2, 2 + k)):
+            for f in enumerate_flats(g):
+                again = Flat(f.edges)
+                assert again == f and hash(again) == hash(f)
+                assert again.blocks == f.blocks and again.rank == f.rank
+                parts = nx.connected_components(nx.Graph(list(f.edges.edges)))
+                assert f.blocks == tuple(sorted(tuple(sorted(c)) for c in parts))
+                assert f.rank == graph_rank(g, f.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +271,7 @@ def test_chain_counts_k4(k4):
 def test_chain_validation(k4, k4_flat_labels):
     with pytest.raises(ValueError, match="strictly increase"):
         ChainOfFlats((k4_flat_labels[7], k4_flat_labels[1]))
-    # a repeated flat fails the containment test before the rank test
+    # a repeated flat fails the containment test
     with pytest.raises(ValueError, match="^chain must strictly increase$"):
         ChainOfFlats((k4_flat_labels[1], k4_flat_labels[1]))
     with pytest.raises(ValueError, match="proper"):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tropfan import (
     RadialType,
+    TropicalType,
     enumerate_types,
     radial_alignments,
     radial_face_census,
@@ -122,6 +123,53 @@ def test_type_rejects_bad_split_sizes():
 def test_star_with_fewer_than_three_ends_is_refused(n):
     with pytest.raises(ValueError, match=f"^vertex 0 would be {n}-valent$"):
         tropical_type(n, ())
+
+
+INVALID_SPLITS = [
+    (6, [{2, 3}, {3, 4}], r"^splits \[2, 3\] and \[3, 4\] are incompatible$"),
+    (5, [{2, 3, 4, 5}], r"^split \[2, 3, 4, 5\] has invalid size for n=5$"),
+    (5, [{2}], r"^split \[2\] has invalid size for n=5$"),
+    (5, [{2, 9}], r"^split \[2, 9\] mentions ends outside 2..5$"),
+    # sizes and ranges are checked before compatibility
+    (6, [{2, 3}, {3, 4}, {2}], r"^split \[2\] has invalid size for n=6$"),
+    (2, (), "^vertex 0 would be 2-valent$"),
+]
+
+
+@pytest.mark.parametrize("build", [TropicalType, tropical_type])
+@pytest.mark.parametrize("n, splits, message", INVALID_SPLITS)
+def test_invalid_splits_are_refused_by_both_constructors(build, n, splits, message):
+    with pytest.raises(ValueError, match=message):
+        build(n, tuple(frozenset(s) for s in splits))
+
+
+def test_type_rebuilt_from_its_splits_is_the_same_type():
+    """``TropicalType(n, t.splits)`` equals t with the same tree, and the
+    tree is the one the splits define: a vertex's parent is its smallest
+    strict superset (the root when there is none), and an end sits at the
+    smallest split holding it."""
+    for n in (4, 5, 6, 7):
+        for ts in enumerate_types(n).values():
+            for t in ts:
+                again = TropicalType(n, t.splits)
+                assert again == t and again.edges == t.edges and again.ends_at == t.ends_at
+                by_size = sorted(range(len(t.splits)), key=lambda i: len(t.splits[i]))
+                parent = [
+                    next((j + 1 for j in by_size if t.splits[j] > s), 0) for s in t.splits
+                ]
+                assert t.edges == tuple(sorted((p, v) for v, p in enumerate(parent, 1)))
+                host = [
+                    next((j + 1 for j in by_size if e in t.splits[j]), 0)
+                    for e in range(1, n + 1)
+                ]
+                assert t.ends_at == tuple(host)
+
+
+def test_type_takes_splits_in_any_order_and_with_repeats():
+    a, b, c = frozenset({2, 3}), frozenset({4, 5, 6}), frozenset({5, 6})
+    t = TropicalType(6, (c, a, b, c))
+    assert t.splits == (b, a, c)
+    assert t == tropical_type(6, [a, b, c]) == tropical_type(6, iter([b, c, a]))
 
 
 def test_every_vertex_is_at_least_trivalent():

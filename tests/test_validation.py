@@ -108,6 +108,20 @@ def test_reweighting_refuses_non_positive_integer_weights(k4, weight):
         fan.with_weights({sigma.rayset: weight})
 
 
+def test_reweighting_refuses_a_ray_set_that_is_not_a_cone(k4):
+    """A weight for a cone the fan does not have is refused, not dropped: a
+    maximal cone of K5's fan is not a cone of K4's."""
+    fan = bergman.bergman_fan(k4)
+    k5 = bergman.bergman_fan(Graph.complete(range(2, 7)))
+    foreign = k5.cones_of_dim(k5.max_dim)[0].rayset
+    with pytest.raises(ValueError, match="not a cone of this fan"):
+        fan.with_weights({foreign: 2})
+    sigma = fan.cones_of_dim(fan.max_dim)[0]
+    with pytest.raises(ValueError, match="not a cone of this fan"):
+        fan.with_weights({sigma.rayset: 2, foreign: 2})
+    assert fan.with_weights({sigma.rayset: 2}).cone_with_rayset(sigma.rayset).weight == 2
+
+
 def test_cone_built_directly_rejects_dependent_rays(k4):
     r = ray_of_flat(flat_of(k4, [(2, 3)]), k4.edges)
     s = ray_of_flat(flat_of(k4, [(2, 4)]), k4.edges)
