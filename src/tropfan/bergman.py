@@ -239,6 +239,9 @@ class Fan:
     Each ray set is given at most once (a second cone on it is refused, as
     no chain of flats yields one; ``project_fan`` merges its fibers before
     building the image), and the cone with no rays is always present.
+    The cones must be closed under faces: ``maximal_cones`` (and so
+    ``is_pure``, ``is_balanced`` and ``fans_equal``) refuses a fan that is
+    not with ValueError.
     Orderings are canonical everywhere so that repeated construction is
     byte-stable.
     """
@@ -267,12 +270,15 @@ class Fan:
 
     @cached_property
     def maximal_cones(self) -> tuple[Cone, ...]:
-        # fans here are closed under taking ray subsets, so non-maximal cones
-        # are exactly the facets of some other cone
+        # in a fan closed under taking ray subsets, non-maximal cones are
+        # exactly the facets of some other cone.  Closure is checked here,
+        # not when the fan is built, where it would cost every fan.
         facets = set()
         for c in self.cones:
             for r in c.rays:
                 facets.add(c.rayset - {r})
+        if not facets <= self._by_rayset.keys():
+            raise ValueError("the fan is not closed under faces")
         return tuple(c for c in self.cones if c.rayset not in facets)
 
     @property

@@ -124,9 +124,7 @@ def cmd_lattice(args) -> int:
         _emit("flats: " + ",".join(map(str, _flat_counts(enumerate_flats(g)))), args.output)
         return 0
     _check_size(g, "lattice --format json|dot", MAX_LATTICE_LABELS)
-    flats = enumerate_flats(g)
-    index = {f.mask: i for i, f in enumerate(flats)}
-    covers = [[index[a.mask], index[b.mask]] for a, b in flats_lattice(g)]
+    flats, covers = flats_lattice(g)
     if args.format == "json":
         doc = {
             "schema": SCHEMA,

@@ -82,23 +82,14 @@ class Graph:
     def edge_set(self, edges: Iterable[Edge]) -> "EdgeSet":
         return EdgeSet.from_edges(self, edges)
 
+    @cached_property
     def is_connected(self) -> bool:
         """Connectivity over the whole label set, isolated vertices included:
-        a spanning tree has one edge fewer than the graph has labels."""
+        a spanning tree has one edge fewer than the graph has labels.
+        Cached, as every stability check asks it of the same graph."""
         if not self.labels:
             return True
         return graph_rank(self, self.full_edge_set()) == len(self.labels) - 1
-
-    def to_dot(self) -> str:
-        lines = ["graph {"]
-        covered = {v for e in self.edges for v in e}
-        for v in self.labels:
-            if v not in covered:
-                lines.append(f'  "{v}";')
-        for a, b in self.edges:
-            lines.append(f'  "{a}" -- "{b}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -283,17 +274,8 @@ def all_graphs(labels: Iterable[int], connected: bool = False) -> Iterator[Graph
     pool = list(combinations(labels, 2))
     for bits in range(1 << len(pool)):
         g = Graph(labels, tuple(e for i, e in enumerate(pool) if bits >> i & 1))
-        if not connected or g.is_connected():
+        if not connected or g.is_connected:
             yield g
-
-
-def induced_subgraph(g: Graph, labels: Iterable[int]) -> Graph:
-    labs = sorted(set(labels))
-    if not set(labs) <= set(g.labels):
-        raise ValueError("labels not contained in graph")
-    keep = set(labs)
-    edges = tuple(e for e in g.edges if e[0] in keep and e[1] in keep)
-    return Graph(tuple(labs), edges)
 
 
 def complement(g: Graph) -> Graph:

@@ -87,18 +87,6 @@ class ChainOfFlats:
         return self.flats[0].graph
 
 
-def is_independent(g: Graph, s: EdgeSet) -> bool:
-    """Independent sets of the cycle matroid are the forests."""
-    if s.graph != g:
-        raise ValueError("edge set does not belong to this graph")
-    return is_acyclic(g, s)
-
-
-def rank(g: Graph, s: EdgeSet) -> int:
-    """Matroid rank of an edge subset; equals the graph rank."""
-    return graph_rank(g, s)
-
-
 def closure(g: Graph, s: EdgeSet) -> Flat:
     """Complete each connected component, then restrict to the graph's edges."""
     if s.graph != g:
@@ -144,9 +132,10 @@ def proper_flats(g: Graph) -> list[Flat]:
     return [f for f in enumerate_flats(g) if f.mask not in (0, full)]
 
 
-def flats_lattice(g: Graph) -> list[tuple[Flat, Flat]]:
-    """Covering pairs (child, parent) of the lattice of flats, by child and
-    then by parent in ``enumerate_flats`` order.
+def flats_lattice(g: Graph) -> tuple[list[Flat], list[tuple[int, int]]]:
+    """The flats in ``enumerate_flats`` order and the covering pairs (child,
+    parent) of their lattice as indices into that list, by child and then
+    by parent.
 
     Adding an edge outside a flat and closing merges the two blocks (the
     components, or isolated vertices) that it joins, and every cover arises
@@ -155,7 +144,7 @@ def flats_lattice(g: Graph) -> list[tuple[Flat, Flat]]:
     flats = enumerate_flats(g)
     index = {f.mask: i for i, f in enumerate(flats)}
     covers = []
-    for child in flats:
+    for c, child in enumerate(flats):
         block_of = {v: block for block in child.blocks for v in block}
         merged = {
             tuple(sorted(block_of.get(a, (a,)) + block_of.get(b, (b,))))
@@ -163,8 +152,8 @@ def flats_lattice(g: Graph) -> list[tuple[Flat, Flat]]:
             if not child.mask >> i & 1
         }
         parents = sorted(index[child.mask | _cluster_mask(g, [m])] for m in merged)
-        covers.extend((child, flats[j]) for j in parents)
-    return covers
+        covers.extend((c, p) for p in parents)
+    return flats, covers
 
 
 def all_chains(g: Graph) -> Iterator[ChainOfFlats]:
@@ -192,13 +181,6 @@ def _chain_walk(flats: Sequence[Flat]) -> Iterator[ChainOfFlats]:
     yield ChainOfFlats(())
     for idxs in extend([], range(len(flats))):
         yield ChainOfFlats(tuple(flats[i] for i in idxs))
-
-
-def enumerate_chains(g: Graph, r: int) -> list[ChainOfFlats]:
-    """All chains of proper nonempty flats of length exactly ``r`` >= 1."""
-    if r < 1:
-        raise ValueError("chain length must be positive")
-    return [c for c in all_chains(g) if len(c) == r]
 
 
 # ---------------------------------------------------------------------------

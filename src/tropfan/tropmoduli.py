@@ -116,23 +116,6 @@ class TropicalType:
     def num_vertices(self) -> int:
         return len(self.splits) + 1
 
-    def vertex_split(self, v: int) -> frozenset:
-        if v == 0:
-            raise ValueError("the root has no split")
-        return self.splits[v - 1]
-
-    def ends_at_vertex(self, v: int) -> tuple[int, ...]:
-        return tuple(e for e, host in enumerate(self.ends_at, start=1) if host == v)
-
-    def bounded_degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def parent(self, v: int) -> int:
-        return next(u for u, w in self.edges if w == v)
-
-    def incident_edges(self, v: int) -> tuple[tuple[int, int], ...]:
-        return tuple(e for e in self.edges if v in e)
-
     def contract_edge(self, edge: tuple[int, int]) -> "TropicalType":
         if edge not in self.edges:
             raise ValueError(f"{edge} is not a bounded edge of this type")
@@ -278,7 +261,7 @@ def radial_face_census(c: TropicalType) -> dict[int, int]:
 def _check_stability_graph(n: int, gamma: Graph):
     if gamma.labels != tuple(range(2, n + 1)):
         raise ValueError("stability graph must be labeled by 2..n")
-    if not gamma.is_connected():
+    if not gamma.is_connected:
         raise ValueError("stability graph must be connected")
 
 
@@ -610,7 +593,7 @@ def caterpillar_cof(gamma: Graph) -> ChainOfFlats:
     gamma still has rank k and the chain's cone survives projection at full
     dimension.  The associated radial type is a caterpillar.
     """
-    if not gamma.is_connected():
+    if not gamma.is_connected:
         raise ValueError("caterpillar construction needs a connected graph")
     tree_edges = spanning_forest(gamma, gamma.full_edge_set()).edges
     if not tree_edges:
@@ -711,75 +694,3 @@ def verify_injectivity(gamma: Graph) -> InjectivityReport:
     injective = len(set(images)) == len(images)
     multipartite, triple = is_complete_multipartite(gamma)
     return InjectivityReport(injective, witness is None, multipartite, witness, triple)
-
-
-def count_stable_types(n: int, gamma: Graph) -> dict[int, int]:
-    """Stable combinatorial types by bounded-edge count."""
-    return {
-        d: sum(1 for t in types if is_gamma_stable(t, gamma)[0])
-        for d, types in sorted(enumerate_types(n).items())
-    }
-
-
-# ---------------------------------------------------------------------------
-# Wire formats
-
-
-def type_to_json(c: TropicalType) -> dict:
-    return {
-        "ends": c.n,
-        "edges": [list(e) for e in c.edges],
-        "ends_at": {str(e): v for e, v in enumerate(c.ends_at, start=1)},
-    }
-
-
-def radial_to_json(c: RadialType) -> dict:
-    doc = type_to_json(c.type)
-    doc["levels"] = [sorted(block) for block in c.levels]
-    return doc
-
-
-def chain_to_json(f: ChainOfFlats) -> list:
-    """Chains as arrays of flat edge lists, edges as "i-j" strings."""
-    return [[f"{a}-{b}" for a, b in flat.edges.edges] for flat in f]
-
-
-def _type_from_json(doc: dict) -> tuple[TropicalType, dict[int, int]]:
-    """Rebuild a type from its wire form, tolerating any vertex numbering.
-
-    Returns the canonical type and the map from the document's vertex ids to
-    canonical ones (via the split each non-root vertex subtends)."""
-    n = doc["ends"]
-    ends_at = {int(k): v for k, v in doc["ends_at"].items()}
-    root = ends_at[1]
-    adjacency: dict[int, list[int]] = {}
-    for u, v in (tuple(e) for e in doc["edges"]):
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-    parent: dict[int, Optional[int]] = {root: None}
-    order = [root]
-    for v in order:
-        for w in adjacency.get(v, []):
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    ends_below: dict[int, set[int]] = {}
-    for v in reversed(order):
-        ends_below[v] = {e for e, host in ends_at.items() if host == v and e != 1}
-        for w in adjacency.get(v, []):
-            if parent.get(w) == v:
-                ends_below[v] |= ends_below[w]
-    split_of = {v: frozenset(ends_below[v]) for v in order if v != root}
-    typ = tropical_type(n, split_of.values())
-    vertex_map = {v: typ.splits.index(s) + 1 for v, s in split_of.items()}
-    return typ, vertex_map
-
-
-def type_from_json(doc: dict) -> TropicalType:
-    return _type_from_json(doc)[0]
-
-
-def radial_from_json(doc: dict) -> RadialType:
-    typ, vertex_map = _type_from_json(doc)
-    levels = tuple(frozenset(vertex_map[v] for v in block) for block in doc["levels"])
-    return RadialType(typ, levels)

@@ -26,12 +26,11 @@ from tropfan import (
     enumerate_flats,
     graph_rank,
     is_complete_multipartite,
-    is_independent,
     rho_split,
     tropical_type,
 )
 from tropfan.intlinalg import hnf_reduce
-from tropfan.graphs import _cluster_mask, spanning_forest
+from tropfan.graphs import _cluster_mask, is_acyclic, spanning_forest
 from tropfan.matroid import Flat
 from tropfan.tropmoduli import _stable_flats, pair_list
 
@@ -46,8 +45,8 @@ def vertex_demand(t, v: int) -> Optional[tuple[int, ...]]:
     passes; with exactly two it passes iff it holds an end; a leaf needs two
     of its ends joined.
     """
-    ends = t.ends_at_vertex(v)
-    d = t.bounded_degree(v)
+    ends = tuple(e for e, host in enumerate(t.ends_at, start=1) if host == v)
+    d = sum(1 for e in t.edges if v in e)
     if v == 0 or d > 2:
         return None
     if d == 2:
@@ -214,7 +213,7 @@ def circuits_by_pairs(g) -> list[frozenset]:
     """Minimal dependent sets by the definition: the dependent sets that
     contain no other dependent set, in edge-mask order."""
     dependent = [
-        m for m in range(1 << len(g.edges)) if not is_independent(g, EdgeSet(g, m))
+        m for m in range(1 << len(g.edges)) if not is_acyclic(g, EdgeSet(g, m))
     ]
     return [
         frozenset(EdgeSet(g, m).edges)

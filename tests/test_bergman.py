@@ -274,6 +274,23 @@ def test_balancing_requires_pure_fan(k4, k4_flat_labels):
         is_balanced(fan)
 
 
+def test_fan_missing_a_face_is_refused(k4):
+    """A 2-cone without its rays is not a fan: reading its maximal cones
+    refuses it, where the origin used to count as maximal and balancing
+    called the fan impure."""
+    fan = bergman_fan(k4)
+    broken = Fan(fan.ambient, [fan.cones_of_dim(2)[0]])
+    for read in (
+        lambda: broken.maximal_cones,
+        lambda: broken.is_pure,
+        lambda: is_balanced(broken),
+        lambda: fans_equal(broken, fan),
+        lambda: fans_equal(fan, broken),
+    ):
+        with pytest.raises(ValueError, match="not closed under faces"):
+            read()
+
+
 def quadratic_scan(fan, normals):
     """The generic balancing check: every codimension-one face against every
     maximal cone, generic primitive normals, rational span test.  ``normals``

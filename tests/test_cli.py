@@ -148,6 +148,26 @@ def test_project_refuses_targets_beyond_seven_labels(capsys):
             assert time.perf_counter() - start < 5
 
 
+def test_lattice_covers_enumerate_the_flats_once(capsys, monkeypatch):
+    import tropfan.cli
+    import tropfan.matroid
+
+    calls = []
+    enumerate_flats = tropfan.matroid.enumerate_flats
+
+    def counted(g):
+        calls.append(g)
+        return enumerate_flats(g)
+
+    monkeypatch.setattr(tropfan.matroid, "enumerate_flats", counted)
+    monkeypatch.setattr(tropfan.cli, "enumerate_flats", counted)
+    for fmt in ("json", "dot"):
+        calls.clear()
+        status, _ = run(capsys, "lattice", "--graph", "complete:5", "--format", fmt)
+        assert status == 0
+        assert len(calls) == 1
+
+
 def test_lattice_text_counts_flats_without_covers(capsys):
     """The text format prints only flat counts, so it builds no covers: K9's
     21,147 flats are counted in about a second."""

@@ -306,7 +306,7 @@ def sampled_six_vertex_graphs():
     while len(sample) < 200:
         bits = rng.getrandbits(len(pool))
         g = Graph(labels, tuple(e for i, e in enumerate(pool) if bits >> i & 1))
-        if g.is_connected():
+        if g.is_connected:
             sample[bits] = g
     return list(sample.values()) + rng.sample(multipartite_graphs(labels), 50)
 

@@ -179,7 +179,8 @@ def test_every_vertex_is_at_least_trivalent():
         for ts in enumerate_types(n).values():
             for t in ts:
                 for v in range(t.num_vertices):
-                    assert t.bounded_degree(v) + len(t.ends_at_vertex(v)) >= 3
+                    bounded_degree = sum(1 for e in t.edges if v in e)
+                    assert bounded_degree + t.ends_at.count(v) >= 3
 
 
 def test_type_tree_structure():
@@ -187,9 +188,9 @@ def test_type_tree_structure():
     # splits sorted largest-first: {4,5,6}, then {2,3} and {5,6}
     assert t.splits[0] == frozenset({4, 5, 6})
     assert t.edges == ((0, 1), (0, 2), (1, 3))
-    assert t.ends_at_vertex(0) == (1,)
-    assert set(t.ends_at_vertex(1)) == {4}
-    assert t.parent(3) == 1
+    assert [e for e, host in enumerate(t.ends_at, start=1) if host == 0] == [1]
+    assert [e for e, host in enumerate(t.ends_at, start=1) if host == 1] == [4]
+    assert (1, 3) in t.edges
 
 
 def test_contract_edge_drops_split():

@@ -16,14 +16,12 @@ from tropfan import (
     QuotientVector,
     RadialType,
     enumerate_flats,
-    induced_subgraph,
     is_balanced,
     make_cone,
     primitive_normal,
     psi_linear,
     ray_of_flat,
     rho_split,
-    star_type,
     tropical_type,
 )
 
@@ -46,11 +44,6 @@ def test_mixed_parent_edge_sets(k4):
     other = Graph.complete([2, 3, 4])
     with pytest.raises(ValueError, match="parent"):
         k4.empty_edge_set() | other.empty_edge_set()
-
-
-def test_induced_subgraph_rejects_foreign_labels(k4):
-    with pytest.raises(ValueError, match="not contained"):
-        induced_subgraph(k4, [2, 9])
 
 
 def test_quotient_vector_validation(k4):
@@ -276,11 +269,6 @@ def test_rho_split_validation():
         rho_split(5, {1, 2})
     with pytest.raises(ValueError, match="size"):
         rho_split(5, {2, 3, 4, 5})
-
-
-def test_vertex_split_of_root_rejected():
-    with pytest.raises(ValueError, match="root"):
-        star_type(5).vertex_split(0)
 
 
 def test_flat_enumeration_respects_labels_only():
