@@ -8,7 +8,6 @@ from .bergman import (
     QuotientVector,
     bergman_fan,
     fan_json_text,
-    fan_to_json,
     fans_equal,
     is_balanced,
     make_cone,
@@ -21,7 +20,6 @@ from .graphs import (
     EdgeSet,
     Graph,
     all_graphs,
-    complement,
     components,
     graph_rank,
     is_complete_multipartite,

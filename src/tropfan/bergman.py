@@ -6,35 +6,28 @@ makes equality a plain tuple comparison and identifies the quotient lattice
 with the integer vectors supported on the remaining coordinates.
 
 Arithmetic is exact, never floating point.  A vector's coordinates are ints
-or Fractions (psi of a metric curve is rational), but a cone's rays are
-integer vectors, as every ray of a chain of flats and its projections are:
-a ``Cone`` refuses a ray with a Fraction coordinate.  A cone is validated
-once, when it is built, by a certificate mod 2: each ray's ``parity`` mask
-holds its odd coordinates, and if XOR elimination finds the masks
-independent, some maximal minor of the rays is odd, hence nonzero, so the
-rays are independent over Q.  A cone without that certificate is ranked on
-the fraction-free echelon kernel ``intlinalg.echelon``, which also runs the
-balancing span test.  Chain rays never need the kernel here: mod 2 they are
-the chain's flats that miss the last edge and the complements of those that
-hold it, two nested chains of nonempty sets with disjoint supports, and
-their projections onto a subgraph's edges reduce the same way.  Balancing
-indexes the maximal cones by their facets, so each codimension-one face
-visits only its own star.
+or Fractions (psi of a metric curve is rational), but a cone's rays are the
+rays of edge sets.  The ray of a set F is the class of minus its indicator
+vector: its canonical representative is -1 on F when F misses the last edge
+and 1 off F when F holds it, so ``QuotientVector.edge_mask`` reads F back.
+Every cone of a chain of flats, and of its projection onto a subgraph's
+edges, is spanned by the rays of strictly nested nonempty proper edge sets,
+and a ``Cone`` refuses any other rays.
 
 The chains-of-flats subdivision is unimodular (Ardila-Klivans;
 Feichtner-Sturmfels): the canonical rays of a chain are signed indicators
-of a laminar family of edge sets (the flats and the complements of those
-holding the last edge), so their matrix is totally unimodular and the kernel
-finds a unit pivot at every step, which proves that the rays are a basis of
-the lattice points of their span; ``intlinalg.saturation`` then hands them
-back unchanged.  For such a cone the primitive normal of a facet is the
-remaining ray, modulo the facet's lattice.  A cone the kernel cannot settle
-is tested with Hermite forms of its rays and their saturation, and a cone
-that fails falls back to ``primitive_normal``, which reads the normal off
-one integer functional that vanishes on the facet.
+of a laminar family of edge sets (the sets missing the last edge and the
+complements of those holding it), so their matrix is totally unimodular and
+the rays are a basis of the lattice points of their span.  The primitive
+normal of a facet is therefore the remaining ray, modulo the facet's
+lattice, and rays are primitive, so fans are equal when their ray sets and
+maximal weights are.  Balancing certifies each maximal cone once, by
+``intlinalg.saturation`` handing its rays back unchanged, runs its span test
+on the fraction-free echelon kernel ``intlinalg.echelon``, and indexes the
+maximal cones by their facets, so each codimension-one face visits only its
+own star.
 
-Fans are written as JSON by ``fan_json_text``, which gives the bytes of
-``json.dumps(fan_to_json(fan), indent=2)`` without building the dict.
+Fans are written as JSON by ``fan_json_text``.
 """
 
 from __future__ import annotations
@@ -137,46 +130,33 @@ class QuotientVector:
     def scale(self, factor) -> "QuotientVector":
         return QuotientVector(self.ambient, tuple(_num(factor * c) for c in self.coords))
 
-    def primitive(self) -> tuple:
-        """Primitive integer direction vector of this class."""
-        return tuple(ila.primitive_vector(_numerators(self.coords)[0]))
-
     @cached_property
-    def parity(self) -> int:
-        """The odd coordinates as a bit mask: the vector's reduction mod 2.
+    def edge_mask(self) -> int:
+        """The nonempty proper edge set whose ray this vector is, as a bit
+        mask over ``ambient``: its -1 coordinates when all are 0 or -1, and
+        its 0 coordinates when all are 0 or 1.
 
-        Only an integer vector has one, so a Fraction coordinate raises
-        ValueError.  ``Cone`` asks each ray once, and the mask is cached on
-        the ray, so the integrality check costs nothing per cone."""
+        Any other vector is the ray of no such set and raises ValueError:
+        the zero vector, a multiple of a ray, a vector of mixed signs or one
+        with a Fraction coordinate.  ``Cone`` asks each ray once, and the
+        mask is cached on the ray."""
         if Fraction in map(type, self.coords):
             raise ValueError("cone rays must be integral vectors, with int coordinates")
-        return sum(1 << i for i, c in enumerate(self.coords) if c & 1)
+        support = sum(1 << i for i, c in enumerate(self.coords) if c)
+        values = set(self.coords)
+        values.discard(0)
+        if values == {-1}:
+            return support
+        if values == {1}:
+            return ((1 << len(self.coords)) - 1) ^ support
+        raise ValueError(
+            "cone rays must be rays of nonempty proper edge sets, "
+            "with coordinates all in {0, -1} or all in {0, 1}"
+        )
 
     def _check(self, other: "QuotientVector"):
         if self.ambient != other.ambient:
             raise ValueError("vectors over different ambient edge lists")
-
-
-def _rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of integer row vectors, by the echelon kernel."""
-    return len(ila.echelon(rows)[0])
-
-
-def _independent_mod_2(masks: Iterable[int]) -> bool:
-    """Whether the bit masks are linearly independent over GF(2), by XOR
-    elimination on their leading bits."""
-    basis: dict[int, int] = {}  # leading bit -> reduced mask
-    for m in masks:
-        while m:
-            top = m.bit_length()
-            b = basis.get(top)
-            if b is None:
-                basis[top] = m
-                break
-            m ^= b
-        else:
-            return False
-    return True
 
 
 def ray_of_flat(f: Flat, ambient: Sequence[Edge]) -> QuotientVector:
@@ -193,13 +173,13 @@ def ray_of_flat(f: Flat, ambient: Sequence[Edge]) -> QuotientVector:
 
 @dataclass(frozen=True)
 class Cone:
-    """A simplicial cone spanned by independent integer rays, with weight and
-    origin; all three conditions are checked when it is built.
+    """A cone spanned by the rays of a chain of edge sets, with weight and
+    origin.
 
-    A ray with a Fraction coordinate is refused when its ``parity`` is
-    read.  Independence is certified mod 2 on those masks; rays that are
-    dependent mod 2 (but may be independent over Q, like (1, 1) and
-    (1, -1)) are ranked on the echelon kernel instead."""
+    Each ray must be the ray of a nonempty proper edge set (its
+    ``edge_mask``), and the sets must be strictly nested; both are checked
+    when the cone is built, with the weight.  Such rays are independent, so
+    the cone is simplicial."""
 
     rays: tuple[QuotientVector, ...]
     weight: int = 1
@@ -208,13 +188,13 @@ class Cone:
     def __post_init__(self):
         if type(self.weight) is not int or self.weight < 1:
             raise ValueError(f"cone weights are positive integers, got {self.weight!r}")
-        rays = self.rays
-        if (
-            rays
-            and not _independent_mod_2([r.parity for r in rays])
-            and _rank([r.coords for r in rays]) != len(rays)
-        ):
-            raise ValueError("cone rays are linearly dependent, so it is not simplicial")
+        # a strict subset is a smaller int, so a chain sorts into its order;
+        # it starts above the empty set, which no ray's mask is
+        below = 0
+        for mask in sorted([r.edge_mask for r in self.rays]):
+            if below | mask != mask or below == mask:
+                raise ValueError("cone rays must be the rays of strictly nested edge sets")
+            below = mask
 
     @property
     def dim(self) -> int:
@@ -332,50 +312,19 @@ def _chain_fan(g: Graph, flats: Sequence[Flat]) -> Fan:
 
 
 def primitive_normal(sigma: Cone, tau: Cone) -> QuotientVector:
-    """The primitive lattice normal of the codimension-one face tau in sigma.
+    """The primitive lattice normal of the codimension-one face tau in sigma:
+    the ray of sigma that tau lacks.
 
-    Returns an integer vector in sigma whose class generates the rank-one
-    quotient of sigma's saturated span lattice by tau's, oriented into sigma,
-    reduced to the canonical representative modulo tau's lattice.
-
-    Closed form: take f, the first vector of the integer orthogonal
-    complement of tau's rays with f . e != 0 for the ray e of sigma that tau
-    misses, signed so that f . e > 0.  On a basis b_1..b_k of sigma's
-    saturated lattice, f takes values f . b_i whose gcd is g; since f's
-    kernel on that lattice is tau's saturated lattice, (f . b_i) / g is the
-    primitive functional of the quotient.  Extended gcd gives integers c_i
-    with sum c_i (f . b_i) / g = 1, and u = sum c_i b_i, reduced by the
-    Hermite form of tau's saturated lattice.  All of it runs on the rays'
-    coordinates without their last, zero, entry, which the result gets back.
-    """
+    Sigma's rays are a basis of the integer points of its span, so that ray
+    generates the quotient of sigma's lattice by tau's and points into
+    sigma.  The normal is a class modulo tau's lattice; the ray is one
+    member of it."""
     if not tau.rayset <= sigma.rayset:
         raise ValueError("tau is not a face of sigma")
     if sigma.dim != tau.dim + 1:
         raise ValueError("tau must have codimension one in sigma")
-    m = len(sigma.rays[0].coords) - 1  # canonical reps end in 0; drop that coordinate
-    rows_sigma = [list(r.coords[:-1]) for r in sigma.rays]
-    rows_tau = [list(r.coords[:-1]) for r in tau.rays]
-    extra = next(r.coords[:-1] for r in sigma.rays if r not in tau.rayset)
-    # f's kernel on sigma's lattice is tau's saturated lattice
-    f = next((f for f in ila.orthogonal_complement(rows_tau, m) if _dot(f, extra)), None)
-    if f is None:
-        raise RuntimeError("no functional vanishes on tau but not on sigma")
-    if _dot(f, extra) < 0:
-        f = [-x for x in f]
-    basis_sigma = ila.saturation(rows_sigma, m)
-    values = [_dot(f, b) for b in basis_sigma]
-    g = math.gcd(*values)
-    coeffs = ila.solve_coeffs_one([v // g for v in values])
-    if coeffs is None:
-        raise RuntimeError("quotient lattice is not cyclic of index one")
-    u = [sum(c * b[j] for c, b in zip(coeffs, basis_sigma)) for j in range(m)]
-    if rows_tau:
-        u = ila.hnf_reduce(ila.hnf(ila.saturation(rows_tau, m)), u)
-    return QuotientVector(sigma.rays[0].ambient, tuple(u) + (0,))
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    (ray,) = sigma.rayset - tau.rayset
+    return ray
 
 
 @dataclass(frozen=True)
@@ -390,14 +339,13 @@ def is_balanced(fan: Fan) -> BalanceReport:
     For each face tau of dimension max_dim - 1, the weighted sum of primitive
     normals of the maximal cones containing tau must lie in tau's rational
     span.  One pass over the maximal cones indexes them by facet, so each
-    face sums over its own star only.  Each maximal cone is tested once for
-    unimodularity (its rays span a saturated lattice); for such a cone the
-    remaining ray stands in for the primitive normal, which it equals
-    modulo tau's lattice.  Any other cone falls back to
-    ``primitive_normal``.  The span test echelonizes tau's rays once and
-    reduces the sum against them.  Faces are visited in the fan's cone
-    order, so the first failing face is reported.  Exact arithmetic
-    throughout.
+    face sums over its own star only.  The normal of sigma over tau is the
+    ray tau lacks, since sigma's rays are a basis of its lattice; each
+    maximal cone is certified so by ``_is_unimodular`` once, when a face
+    first reaches it, and a cone that fails raises RuntimeError.  The span
+    test echelonizes tau's rays once and reduces the sum against them.
+    Faces are visited in the fan's cone order, so the first failing face is
+    reported.  Exact arithmetic throughout.
     """
     if not fan.is_pure:
         raise ValueError("balancing is only defined for pure fans")
@@ -407,14 +355,16 @@ def is_balanced(fan: Fan) -> BalanceReport:
     for sigma in fan.cones_of_dim(fan.max_dim):
         for ray in sigma.rays:
             star.setdefault(sigma.rayset - {ray}, []).append((sigma, ray))
-    unimodular: dict[frozenset, bool] = {}
+    certified: set[frozenset] = set()
     for tau in fan.cones_of_dim(fan.max_dim - 1):
         total = [0] * len(fan.ambient)
         for sigma, ray in star.get(tau.rayset, ()):
-            if sigma.rayset not in unimodular:
-                unimodular[sigma.rayset] = _is_unimodular(sigma)
-            u = ray if unimodular[sigma.rayset] else primitive_normal(sigma, tau)
-            total = [t + sigma.weight * c for t, c in zip(total, u.coords)]
+            if sigma.rayset not in certified:
+                # canonical reps end in 0, which the lattice test leaves out
+                if not _is_unimodular([list(r.coords[:-1]) for r in sigma.rays]):
+                    raise RuntimeError("a maximal cone's rays are not a basis of its lattice")
+                certified.add(sigma.rayset)
+            total = [t + sigma.weight * c for t, c in zip(total, ray.coords)]
         if not any(total):
             continue
         span, pivots, _ = ila.echelon([r.coords for r in tau.rays])
@@ -423,17 +373,11 @@ def is_balanced(fan: Fan) -> BalanceReport:
     return BalanceReport(True)
 
 
-def _is_unimodular(sigma: Cone) -> bool:
-    """Whether sigma's (integer) rays are a basis of the integer points of
-    their span.
-
-    ``saturation`` hands back rays that the echelon kernel certifies with a
-    unit pivot at every step.  Since a cone's rays are independent, any
-    other basis it returns is compared with them by Hermite forms."""
-    m = len(sigma.rays[0].coords) - 1  # canonical reps end in 0
-    rows = [list(r.coords[:-1]) for r in sigma.rays]
-    basis = ila.saturation(rows, m)
-    return basis == rows or ila.hnf(rows) == ila.hnf(basis)
+def _is_unimodular(rows: list[list[int]]) -> bool:
+    """Whether ``saturation`` hands the (nonempty, independent) integer rows
+    back unchanged, as it does when the echelon kernel pivots on units only:
+    they are then a basis of the integer points of their span."""
+    return ila.saturation(rows, len(rows[0])) == rows
 
 
 # ---------------------------------------------------------------------------
@@ -479,25 +423,15 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:
-    """Structural equality: same ambient, same cone ray sets (as primitive
-    vectors), and matching weights on maximal cones.  Each distinct ray's
-    primitive vector is computed once per call."""
+    """Structural equality: same ambient, same cone ray sets, and matching
+    weights on maximal cones.  Rays of edge sets are primitive, so equal
+    cones have equal rays."""
     if a.ambient != b.ambient:
         return False
-    primitive: dict[tuple, tuple] = {}  # canonical coords -> primitive vector
 
     def shape(fan: Fan) -> dict:
-        out = {}
         maximal = {c.rayset for c in fan.maximal_cones}
-        for c in fan.cones:
-            key = []
-            for r in c.rays:
-                p = primitive.get(r.coords)
-                if p is None:
-                    p = primitive[r.coords] = r.primitive()
-                key.append(p)
-            out[frozenset(key)] = c.weight if c.rayset in maximal else None
-        return out
+        return {c.rayset: c.weight if c.rayset in maximal else None for c in fan.cones}
 
     return shape(a) == shape(b)
 
@@ -512,43 +446,6 @@ _INDENT = "  "  # json.dumps(indent=2)
 
 def edge_str(e: Edge) -> str:
     return f"{e[0]}-{e[1]}"
-
-
-def fan_to_json(fan: Fan) -> dict:
-    """The dict form of a fan: ambient edges, primitive rays, cones by ray
-    indices with weights and provenance chains (one list of chains per cone
-    fiber).
-
-    The CLI writes fans with ``fan_json_text``; this form is its test
-    oracle, through ``json.dumps(fan_to_json(fan), indent=2)``."""
-    rays = sorted({r for c in fan.cones for r in c.rays}, key=lambda r: r.coords)
-    index = {r: i for i, r in enumerate(rays)}
-    flat_json: dict[Flat, list[str]] = {}  # each flat's edge strings, built once
-
-    def chain_json(chain: ChainOfFlats) -> list:
-        out = []
-        for f in chain:
-            edges = flat_json.get(f)
-            if edges is None:
-                edges = flat_json[f] = [edge_str(e) for e in f.edges.edges]
-            out.append(edges)
-        return out
-
-    cones = []
-    for c in fan.cones:
-        cones.append(
-            {
-                "rays": sorted(index[r] for r in c.rays),
-                "weight": c.weight,
-                "provenance": [chain_json(ch) for ch in c.provenance],
-            }
-        )
-    return {
-        "schema": SCHEMA,
-        "ambient": [edge_str(e) for e in fan.ambient],
-        "rays": [list(r.coords) for r in rays],
-        "cones": cones,
-    }
 
 
 def json_scalar(x) -> str:
@@ -591,9 +488,11 @@ def json_object(members: Sequence[tuple[str, str]], depth: int = 0) -> str:
 
 
 def fan_json_text(fan: Fan, depth: int = 0, **fields) -> str:
-    """``json.dumps(doc, indent=2)`` of ``doc = fan_to_json(fan)`` with the
-    scalar ``fields`` appended, for a document at nesting depth ``depth``,
-    without building ``doc``.
+    """A fan's JSON document, laid out as ``json.dumps(doc, indent=2)`` lays
+    it out at nesting depth ``depth``, without building ``doc``: its schema,
+    ambient edges, rays, then its cones by ray indices with weights and
+    provenance chains (one list of chains per cone fiber), and the scalar
+    ``fields`` appended.
 
     Cones are joined from precomputed separators, and each flat's block of
     edge strings is encoded once per call: a projected fan's provenance

@@ -277,7 +277,3 @@ def all_graphs(labels: Iterable[int], connected: bool = False) -> Iterator[Graph
         if not connected or g.is_connected:
             yield g
 
-
-def complement(g: Graph) -> Graph:
-    edges = tuple(e for e in combinations(g.labels, 2) if e not in g.edge_index)
-    return Graph(g.labels, edges)

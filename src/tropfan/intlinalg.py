@@ -4,10 +4,9 @@ Everything here runs on plain Python ints; no fractions and no floating
 point.  Ranks, rational span tests and lattice saturation run on one
 fraction-free row echelon kernel, ``echelon``, which pivots on a unit entry
 whenever one exists; rows it echelonizes with unit pivots only are already a
-basis of their saturation.  One Hermite elimination, which always builds
-its transform matrix, serves Hermite forms, kernels and double orthogonal
-complements; with lattice reduction and the extended gcd these serve the
-primitive normal vectors and the cases the kernel cannot settle.
+basis of their saturation.  Any other rows are saturated as a double
+orthogonal complement, from integer kernels that one Hermite elimination
+with its transform matrix computes.
 """
 
 from __future__ import annotations
@@ -156,11 +155,6 @@ def _row_sub(target: list[int], source: list[int], q: int):
             target[j] -= q * s
 
 
-def hnf(rows: Mat) -> list[list[int]]:
-    """Nonzero rows of the row Hermite normal form H of ``hnf_transform``."""
-    return [r for r in hnf_transform(rows)[0] if any(r)]
-
-
 def left_kernel(rows: Mat) -> list[list[int]]:
     """Basis of {x integer : x * M = 0}, as rows."""
     h, u = hnf_transform(rows)
@@ -198,24 +192,6 @@ def saturation(rows: Mat, ncols: int) -> list[list[int]]:
     return orthogonal_complement(comp, ncols)
 
 
-def hnf_reduce(basis_hnf: Mat, vec: Vec) -> list[int]:
-    """Reduce ``vec`` modulo the lattice spanned by HNF ``basis_hnf`` rows.
-
-    Subtracts integer multiples of the basis rows so that each pivot
-    coordinate of the result lies in [0, pivot).  The result is the canonical
-    coset representative; it is zero exactly when ``vec`` is in the lattice.
-    """
-    v = list(vec)
-    for row in basis_hnf:
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is None:
-            continue
-        q = v[col] // row[col]
-        if q:
-            _row_sub(v, row, q)
-    return v
-
-
 def det_int(rows: Mat) -> int:
     """Determinant of a square integer matrix by fraction-free Bareiss."""
     n = len(rows)
@@ -237,39 +213,3 @@ def det_int(rows: Mat) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def primitive_vector(vec: Vec) -> list[int]:
-    """Divide an integer vector by the gcd of its entries (direction kept)."""
-    g = math.gcd(*vec)
-    if g == 0:
-        return list(vec)
-    return [x // g for x in vec]
-
-
-def solve_coeffs_one(g: Sequence[int]) -> Optional[list[int]]:
-    """Integer coefficients c with sum(c_i * g_i) == 1, or None if gcd(g) != 1."""
-    acc = 0
-    acc_coeffs = [0] * len(g)
-    for i, x in enumerate(g):
-        if x == 0:
-            continue
-        r, s, d = _xgcd(acc, x)  # r*acc + s*x == d
-        acc_coeffs = [r * c for c in acc_coeffs]
-        acc_coeffs[i] = s
-        acc = d
-    return acc_coeffs if acc == 1 else None
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g

@@ -677,8 +677,8 @@ def verify_injectivity(gamma: Graph) -> InjectivityReport:
     are distinct, and the witness of (b) is the first stable flat whose
     restriction loses rank, so no rank is computed after it.
     """
-    if len(gamma.labels) > 6:
-        raise ValueError("verify_injectivity supports at most 6 vertices")
+    if not 1 <= len(gamma.labels) <= 6:
+        raise ValueError("verify_injectivity supports 1 to 6 vertices")
     n = gamma.labels[-1]
     _check_stability_graph(n, gamma)
     ambient = _complete_on(n)

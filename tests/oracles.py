@@ -1,17 +1,20 @@
 """Slow, independent routes that the tests compare the library against.
 
-Rational Gauss-Jordan for ranks, span tests and inverses, lattice membership
-by Hermite reduction, the canonical distance class by Fraction sums, psi
-by inverting its matrix on the basis of two-element splits, graphic
-stability by the vertex-local rule, radial faces by weakly monotone level
-maps, circuits as minimal dependent sets by pairwise comparison, lattice
-covers by containment of every pair of flats, the trichotomy's injectivity
-and rank verdicts in two full passes, and the caterpillar chain grown as a
-vertex set.  None of these is on a library path.
+Rational Gauss-Jordan for ranks, span tests and inverses, Hermite forms
+and lattice reduction, the primitive normal of an arbitrary integer cone by
+its closed form, the dict form of a fan's JSON document, a graph's
+complement, the canonical distance class by Fraction sums, psi by inverting
+its matrix on the basis of two-element splits, graphic stability by the
+vertex-local rule, radial faces by weakly monotone level maps, circuits as
+minimal dependent sets by pairwise comparison, lattice covers by containment
+of every pair of flats, the trichotomy's injectivity and rank verdicts in
+two full passes, and the caterpillar chain grown as a vertex set.  None of
+these is on a library path.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional, Sequence
@@ -29,8 +32,9 @@ from tropfan import (
     rho_split,
     tropical_type,
 )
-from tropfan.intlinalg import hnf_reduce
+from tropfan.bergman import SCHEMA, edge_str
 from tropfan.graphs import _cluster_mask, is_acyclic, spanning_forest
+from tropfan.intlinalg import hnf_transform, orthogonal_complement, saturation
 from tropfan.matroid import Flat
 from tropfan.tropmoduli import _stable_flats, pair_list
 
@@ -120,8 +124,105 @@ def in_rational_span(rows: Sequence[Sequence], target: Sequence) -> bool:
     return solve_in_span(rows, target) is not None
 
 
+def hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Nonzero rows of the row Hermite normal form H of ``hnf_transform``."""
+    return [r for r in hnf_transform(rows)[0] if any(r)]
+
+
+def hnf_reduce(basis_hnf: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
+    """Reduce ``vec`` modulo the lattice spanned by HNF ``basis_hnf`` rows.
+
+    Subtracts integer multiples of the basis rows so that each pivot
+    coordinate of the result lies in [0, pivot).  The result is the canonical
+    coset representative; it is zero exactly when ``vec`` is in the lattice.
+    """
+    v = list(vec)
+    for row in basis_hnf:
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        q = v[col] // row[col]
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+    return v
+
+
 def in_lattice(basis_hnf: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
     return not any(hnf_reduce(basis_hnf, vec))
+
+
+def primitive_vector(vec: Sequence[int]) -> list[int]:
+    """Divide an integer vector by the gcd of its entries (direction kept)."""
+    g = math.gcd(*vec)
+    if g == 0:
+        return list(vec)
+    return [x // g for x in vec]
+
+
+def solve_coeffs_one(g: Sequence[int]) -> Optional[list[int]]:
+    """Integer coefficients c with sum(c_i * g_i) == 1, or None if gcd(g) != 1."""
+    acc = 0
+    acc_coeffs = [0] * len(g)
+    for i, x in enumerate(g):
+        if x == 0:
+            continue
+        r, s, d = _xgcd(acc, x)  # r*acc + s*x == d
+        acc_coeffs = [r * c for c in acc_coeffs]
+        acc_coeffs[i] = s
+        acc = d
+    return acc_coeffs if acc == 1 else None
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    x, next_x = 1, 0
+    y, next_y = 0, 1
+    g, next_g = a, b
+    while next_g:
+        q = g // next_g
+        x, next_x = next_x, x - q * next_x
+        y, next_y = next_y, y - q * next_y
+        g, next_g = next_g, g - q * next_g
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def lattice_normal(tau_rows: Sequence[Sequence[int]], extra: Sequence[int], m: int) -> list[int]:
+    """The primitive lattice normal of the cone on independent integer rows
+    ``tau_rows`` in the cone on those rows and ``extra``, in Z^m: an integer
+    vector whose class generates the rank-one quotient of sigma's saturated
+    lattice by tau's, oriented into sigma, reduced to the canonical
+    representative modulo tau's saturated lattice.
+
+    Closed form: take f, the first vector of the integer orthogonal
+    complement of tau's rows with f . extra != 0, signed so that
+    f . extra > 0.  On a basis b_1..b_k of sigma's saturated lattice, f takes
+    values f . b_i whose gcd is g; since f's kernel on that lattice is tau's
+    saturated lattice, (f . b_i) / g is the primitive functional of the
+    quotient.  Extended gcd gives integers c_i with sum c_i (f . b_i) / g = 1,
+    and u = sum c_i b_i, reduced by the Hermite form of tau's saturated
+    lattice.
+    """
+    tau_rows = [list(r) for r in tau_rows]
+    f = next((f for f in orthogonal_complement(tau_rows, m) if _dot(f, extra)), None)
+    if f is None:
+        raise ValueError("extra lies in the span of tau's rows")
+    if _dot(f, extra) < 0:
+        f = [-x for x in f]
+    basis_sigma = saturation(tau_rows + [list(extra)], m)
+    values = [_dot(f, b) for b in basis_sigma]
+    g = math.gcd(*values)
+    coeffs = solve_coeffs_one([v // g for v in values])
+    if coeffs is None:
+        raise RuntimeError("quotient lattice is not cyclic of index one")
+    u = [sum(c * b[j] for c, b in zip(coeffs, basis_sigma)) for j in range(m)]
+    if tau_rows:
+        u = hnf_reduce(hnf(saturation(tau_rows, m)), u)
+    return u
 
 
 def invert_rational(rows: Sequence[Sequence]) -> list[list[Fraction]]:
@@ -287,3 +388,44 @@ def caterpillar_by_growth(gamma) -> ChainOfFlats:
     if len(gamma.labels) > 2:
         flats.append(clique(grown))
     return ChainOfFlats(tuple(flats))
+
+
+def fan_to_json(fan) -> dict:
+    """The dict form of a fan: ambient edges, rays, cones by ray indices with
+    weights and provenance chains (one list of chains per cone fiber).
+    ``json.dumps(fan_to_json(fan), indent=2)`` is the document that
+    ``fan_json_text`` writes."""
+    rays = sorted({r for c in fan.cones for r in c.rays}, key=lambda r: r.coords)
+    index = {r: i for i, r in enumerate(rays)}
+    flat_json: dict[Flat, list[str]] = {}  # each flat's edge strings, built once
+
+    def chain_json(chain) -> list:
+        out = []
+        for f in chain:
+            edges = flat_json.get(f)
+            if edges is None:
+                edges = flat_json[f] = [edge_str(e) for e in f.edges.edges]
+            out.append(edges)
+        return out
+
+    cones = []
+    for c in fan.cones:
+        cones.append(
+            {
+                "rays": sorted(index[r] for r in c.rays),
+                "weight": c.weight,
+                "provenance": [chain_json(ch) for ch in c.provenance],
+            }
+        )
+    return {
+        "schema": SCHEMA,
+        "ambient": [edge_str(e) for e in fan.ambient],
+        "rays": [list(r.coords) for r in rays],
+        "cones": cones,
+    }
+
+
+def complement(g: Graph) -> Graph:
+    """The graph on g's labels whose edges are the pairs g lacks."""
+    edges = tuple(e for e in combinations(g.labels, 2) if e not in g.edge_index)
+    return Graph(g.labels, edges)

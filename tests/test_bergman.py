@@ -1,17 +1,16 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import tropfan.bergman as bergman
 from tropfan import (
     Cone,
     Fan,
     Graph,
     QuotientVector,
     bergman_fan,
-    fan_to_json,
     fans_equal,
     is_balanced,
     make_cone,
@@ -22,17 +21,32 @@ from tropfan import (
     ray_of_flat,
 )
 from tropfan import intlinalg as ila
-from tropfan.bergman import _is_unimodular, _rank
-from tropfan.intlinalg import hnf, hnf_reduce, orthogonal_complement
+from tropfan.bergman import _is_unimodular
+from tropfan.intlinalg import orthogonal_complement
 
 from conftest import closed_fan, flat_of
-from oracles import in_lattice, in_rational_span, rational_rank, solve_in_span
+from oracles import (
+    fan_to_json,
+    hnf,
+    hnf_reduce,
+    in_lattice,
+    in_rational_span,
+    lattice_normal,
+    primitive_vector,
+    rational_rank,
+    solve_in_span,
+)
 
 
 def saturated_hnf(rows, m):
     """Lattice oracle: the Hermite form of the saturation of ``rows`` in
     Z^m, by double orthogonal complement."""
     return hnf(orthogonal_complement(orthogonal_complement(rows, m), m))
+
+
+def lattice_rows(cone):
+    """A cone's rays without their last, zero, coordinate."""
+    return [list(r.coords[:-1]) for r in cone.rays]
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +95,11 @@ def test_quotient_vector_arithmetic(k4):
 
 
 def test_primitive_direction():
-    ambient = Graph.complete([2, 3, 4]).edges
-    v = QuotientVector.from_raw(ambient, [4, 6, 0])
-    assert v.primitive() == (2, 3, 0)
-    w = QuotientVector.from_raw(ambient, [Fraction(1, 2), Fraction(3, 2), 0])
-    assert w.primitive() == (1, 3, 0)
+    """The oracles' primitive direction; a cone needs none, since the ray of
+    an edge set is primitive."""
+    assert primitive_vector([4, 6, 0]) == [2, 3, 0]
+    assert primitive_vector([-2, 0, 6]) == [-1, 0, 3]
+    assert primitive_vector([0, 0]) == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +152,18 @@ def test_primitive_normal_of_ray_at_origin(k4, k4_flat_labels):
 
 
 def test_primitive_normal_scaling_invariance(k4, k4_flat_labels):
+    """Scaling sigma's extra ray leaves its normal unchanged.  A cone
+    refuses a scaled ray, so the generic closed form is checked on rows,
+    against the normal of the unscaled cone."""
     r1 = ray_of_flat(k4_flat_labels[1], k4.edges)
     r11 = ray_of_flat(k4_flat_labels[11], k4.edges)
-    sigma = make_cone([r1, r11])
-    tau = make_cone([r11])
-    u = primitive_normal(sigma, tau)
-    scaled_sigma = make_cone([r1.scale(3), r11])
-    assert primitive_normal(scaled_sigma, tau).coords == u.coords
-    scaled_ray = make_cone([r1.scale(3)])
-    assert primitive_normal(scaled_ray, make_cone([])).coords == r1.coords
+    u = primitive_normal(make_cone([r1, r11]), make_cone([r11]))
+    m = len(k4.edges) - 1
+    row1, row11 = list(r1.coords[:-1]), list(r11.coords[:-1])
+    expected = hnf_reduce(hnf([row11]), list(u.coords[:-1]))
+    assert lattice_normal([row11], row1, m) == expected
+    assert lattice_normal([row11], [3 * x for x in row1], m) == expected
+    assert lattice_normal([], [3 * x for x in row1], m) == row1
 
 
 def test_primitive_normal_generates_quotient(k4, k4_flat_labels):
@@ -212,9 +229,10 @@ def test_every_normal_generates_in_k5_fan():
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_generic_normal_matches_lattice_definition(data):
-    """On integer simplicial cones with no unit pivot: tau's saturated basis
-    plus u spans sigma's saturation and plus 2u does not, u is reduced
-    modulo tau's lattice, and u points into sigma."""
+    """The oracles' closed form on integer simplicial cones with no unit
+    pivot, which no ``Cone`` holds: tau's saturated basis plus u spans
+    sigma's saturation and plus 2u does not, u is reduced modulo tau's
+    lattice, and u points into sigma."""
     m = data.draw(st.integers(1, 5))
     k = data.draw(st.integers(1, m))
     entries = st.sampled_from([0, 0, 2, -2, 3, -3, 4, 5, -6])
@@ -225,9 +243,7 @@ def test_generic_normal_matches_lattice_definition(data):
     assume(len(independent) == k and not unit)
     drop = data.draw(st.integers(0, k - 1))
     extra, tau_rows = rows[drop], rows[:drop] + rows[drop + 1:]
-    sigma = cone_of_rows(rows)
-    tau = make_cone(r for r in sigma.rays if list(r.coords[:-1]) != extra)
-    u = list(primitive_normal(sigma, tau).coords[:-1])
+    u = lattice_normal(tau_rows, extra, m)
     basis_tau = saturated_hnf(tau_rows, m)
     basis_sigma = saturated_hnf(rows, m)
     assert hnf(basis_tau + [u]) == basis_sigma
@@ -293,20 +309,21 @@ def test_fan_missing_a_face_is_refused(k4):
 
 def quadratic_scan(fan, normals):
     """The generic balancing check: every codimension-one face against every
-    maximal cone, generic primitive normals, rational span test.  ``normals``
-    memoizes primitive_normal by ray sets, which weights do not change."""
+    maximal cone, primitive normals by the oracles' closed form, rational
+    span test.  ``normals`` memoizes the normals by ray sets, which weights
+    do not change."""
+    m = len(fan.ambient) - 1
     maximal = fan.cones_of_dim(fan.max_dim)
     for tau in fan.cones_of_dim(fan.max_dim - 1):
-        total = QuotientVector.zero(fan.ambient)
+        total = [0] * m
         for sigma in maximal:
             if tau.rayset <= sigma.rayset:
                 key = (sigma.rayset, tau.rayset)
                 if key not in normals:
-                    normals[key] = primitive_normal(sigma, tau)
-                total = total + normals[key].scale(sigma.weight)
-        if not total.is_zero and not in_rational_span(
-            [r.coords for r in tau.rays], total.coords
-        ):
+                    (extra,) = sigma.rayset - tau.rayset
+                    normals[key] = lattice_normal(lattice_rows(tau), extra.coords[:-1], m)
+                total = [t + sigma.weight * c for t, c in zip(total, normals[key])]
+        if any(total) and not in_rational_span(lattice_rows(tau), total):
             return False, tau
     return True, None
 
@@ -321,18 +338,19 @@ ORACLE_FANS = {
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FANS))
 def test_missing_ray_is_the_primitive_normal(name):
-    """On unimodular cones the remaining ray, reduced modulo tau's lattice,
-    is the generic primitive normal."""
+    """On chain cones the primitive normal is the ray tau lacks, and it
+    equals the oracles' closed form modulo tau's lattice."""
     fan = ORACLE_FANS[name]()
+    m = len(fan.ambient) - 1
     for sigma in fan.cones_of_dim(fan.max_dim):
-        assert _is_unimodular(sigma)
         for ray in sigma.rays:
             tau = make_cone(sigma.rayset - {ray})
-            tau_rows = [list(r.coords[:-1]) for r in tau.rays]
-            shortcut = list(ray.coords[:-1])
+            assert primitive_normal(sigma, tau) == ray
+            tau_rows = lattice_rows(tau)
+            got = list(ray.coords[:-1])
             if tau_rows:
-                shortcut = hnf_reduce(hnf(tau_rows), shortcut)
-            assert tuple(shortcut) + (0,) == primitive_normal(sigma, tau).coords
+                got = hnf_reduce(hnf(tau_rows), got)
+            assert got == lattice_normal(tau_rows, ray.coords[:-1], m)
 
 
 @pytest.mark.parametrize("name", ["K4", "K5"])
@@ -348,77 +366,45 @@ def test_every_single_cone_doubling_matches_quadratic_scan(name):
         assert not report.balanced
 
 
-def index_two_fan():
-    """A complete fan in the plane (coordinates x, y of the quotient of K3's
-    edge space) whose cone on a = (1, 0) and b = (1, 2) spans a sublattice of
-    index 2.  At a, the remaining rays b and d would sum to (1, 1), off a's
-    span; the primitive normals (0, 1) and (0, -1) cancel."""
-    ambient = Graph.complete([2, 3, 4]).edges
-    a, b, c, d = (
-        QuotientVector(ambient, (x, y, 0))
-        for x, y in [(1, 0), (1, 2), (-1, -1), (0, -1)]
-    )
-    cones = [make_cone(pair) for pair in [(a, b), (b, c), (c, d), (d, a)]]
-    return closed_fan(ambient, cones), make_cone([a, b])
+def ray_row(edge_set, m):
+    """The ray of a set of edges 0..m (the class of minus its indicator) as
+    canonical coordinates without the last, zero, one."""
+    raw = [-int(i in edge_set) for i in range(m + 1)]
+    return [c - raw[-1] for c in raw[:-1]]
 
 
-def test_index_two_cone_takes_the_fallback():
-    fan, sigma = index_two_fan()
-    assert not _is_unimodular(sigma)
-    assert all(
-        _is_unimodular(c) for c in fan.cones_of_dim(2) if c.rayset != sigma.rayset
-    )
-    report = is_balanced(fan)
-    assert report.balanced
-    assert (report.balanced, report.failing_face) == quadratic_scan(fan, {})
-    perturbed = fan.with_weights({sigma.rayset: 2})
-    report = is_balanced(perturbed)
-    assert not report.balanced
-    assert report.failing_face.rayset < sigma.rayset
-    assert (report.balanced, report.failing_face) == quadratic_scan(perturbed, {})
-
-
-def test_non_primitive_ray_takes_the_fallback():
-    ambient = Graph.complete([2, 3, 4]).edges
-    doubled = QuotientVector(ambient, (2, 0, 0))
-    unit = QuotientVector(ambient, (-1, 0, 0))
-    fan = Fan(ambient, [make_cone([doubled]), make_cone([unit])])
-    assert is_balanced(fan).balanced
-    assert not is_balanced(fan.with_weights({frozenset([doubled]): 2})).balanced
-
-
-integer_entries = st.integers(-4, 4)
-entries = st.one_of(
-    integer_entries,
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
-)
+def edge_set_of(row):
+    """The edge set whose ray a row is, by the definition: the row and a
+    trailing 0, shifted along the all-ones line, is minus the set's
+    indicator, so it takes two values one apart, the lower on the set.  None
+    for a row that is the ray of no nonempty proper set."""
+    v = list(row) + [0]
+    low, high = min(v), max(v)
+    if high - low != 1 or set(v) != {low, high}:
+        return None
+    return frozenset(i for i, c in enumerate(v) if c == low)
 
 
 @st.composite
-def rational_matrices(draw, entries=entries):
-    """Small rational matrices with some zero rows and some rows that are
-    combinations of earlier ones."""
-    ncols = draw(st.integers(1, 5))
-    rows = []
-    for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.sampled_from(["free", "zero", "combination"]))
-        if kind == "zero":
-            rows.append([0] * ncols)
-        elif kind == "combination" and rows:
-            coeffs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
-            combo = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
-            rows.append(combo)
-        else:
-            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+def chain_rows(draw):
+    """Rows that are often the rays of a chain of edge sets, in any order:
+    distinct cuts of a random edge order, sometimes with one flaw (an entry
+    changed, a repeated, empty or full cut, or one more set of any edges)."""
+    m = draw(st.integers(1, 5))
+    order = draw(st.permutations(range(m + 1)))
+    cuts = draw(st.lists(st.integers(1, m), unique=True, max_size=4))
+    sets = [set(order[:c]) for c in cuts]
+    flaw = draw(st.sampled_from([None, None, "entry", "cut", "set"]))
+    if flaw == "cut":
+        sets.append(set(order[: draw(st.sampled_from([0, m + 1] + cuts))]))
+    elif flaw == "set":
+        sets.append(draw(st.sets(st.integers(0, m))))
+    rows = draw(st.permutations([ray_row(e, m) for e in sets]))
+    if flaw == "entry" and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, m - 1))
+        rows[i][j] = draw(st.sampled_from([-2, -1, 0, 1, 2, 3, Fraction(1, 2)]))
     return rows
-
-
-@settings(max_examples=300)
-@given(rows=rational_matrices(integer_entries))
-def test_integer_rank_matches_rational_rank(rows):
-    """``_rank`` takes integer rows only: a cone refuses Fraction rays
-    before ranking them (``test_cone_accepts_exactly_the_independent_rows``)."""
-    assert _rank(rows) == rational_rank(rows)
 
 
 def cone_on(rows):
@@ -428,47 +414,30 @@ def cone_on(rows):
     return Cone(tuple(QuotientVector(ambient, tuple(r) + (0,)) for r in rows))
 
 
-@settings(max_examples=300, deadline=None)
-@given(rows=rational_matrices())
-@example(rows=[[1, 1], [1, -1]])  # independent over Q, dependent mod 2
-@example(rows=[[2, 0], [0, 1]])
+@settings(max_examples=400, deadline=None)
+@given(rows=chain_rows())
+@example(rows=[[1, 1], [1, -1]])  # independent, of mixed sign
+@example(rows=[[2, 0], [0, 1]])  # independent, with a scaled ray
 @example(rows=[[Fraction(2, 3), 0], [0, 1]])  # independent, but not integral
 @example(rows=[[Fraction(2, 1), 0], [0, 1]])  # an integral value held as a Fraction
 @example(rows=[[1, 1], [1, 1]])
-def test_cone_accepts_exactly_the_independent_rows(rows):
-    """Integer rows make a cone exactly when they are independent; rows with
-    a Fraction are refused whether or not they are."""
-    if any(type(c) is Fraction for r in rows for c in r):
-        with pytest.raises(ValueError, match="integral"):
-            cone_on(rows)
-    elif rational_rank(rows) == len(rows):
-        assert cone_on(rows).dim == len(rows)
+@example(rows=[[-1, 0], [0, -1]])  # independent rays of incomparable sets
+@example(rows=[[1, 0], [1, 1]])  # the sets {1, 2} and {2} of edges 0..2
+def test_cone_accepts_exactly_the_nested_edge_sets(rows):
+    """Rows make a cone exactly when they are the rays of strictly nested
+    nonempty proper edge sets with int coordinates, read off by definition;
+    such rays are independent and a basis of the lattice points of their
+    span, and ``_is_unimodular`` certifies them."""
+    sets = [edge_set_of(r) for r in rows]
+    integral = all(type(c) is int for r in rows for c in r)
+    if integral and None not in sets and all(a < b or b < a for a, b in combinations(sets, 2)):
+        assert cone_on(rows).dim == len(rows) == rational_rank(rows)
+        if rows:
+            assert hnf(rows) == saturated_hnf(rows, len(rows[0]))
+            assert _is_unimodular(rows)
     else:
-        with pytest.raises(ValueError, match="dependent"):
+        with pytest.raises(ValueError, match="cone rays must be"):
             cone_on(rows)
-
-
-@pytest.mark.parametrize(
-    "rows, certified",
-    [
-        ([[1, 1], [1, -1]], False),  # determinant -2
-        ([[2, 0], [0, 1]], False),  # an even ray
-        ([[2, 0], [0, 3]], False),  # an even ray beside an odd one
-        ([[1, 0], [2, 1]], True),  # an even entry off the diagonal
-        ([[1, 0], [1, 1]], True),
-        ([[3, 5, 0], [0, 1, 7], [2, 2, 1]], True),  # odd determinant 29
-    ],
-)
-def test_mod_2_certificate_or_rank_fallback(rows, certified, monkeypatch):
-    ranked = []
-
-    def counted(r):
-        ranked.append(r)
-        return rational_rank(r)
-
-    monkeypatch.setattr(bergman, "_rank", counted)
-    assert cone_on(rows).dim == len(rows)
-    assert bool(ranked) is not certified
 
 
 @pytest.mark.parametrize(
@@ -480,55 +449,23 @@ def test_mod_2_certificate_or_rank_fallback(rows, certified, monkeypatch):
         [[0.5, 0], [0, 1]],  # a float vector is refused before it is a ray
     ],
 )
-def test_cone_refuses_non_integer_rays(rows, monkeypatch):
-    """A Fraction or float ray is refused before any rank is taken."""
-
-    def refuse(r):
-        raise AssertionError("a non-integer cone reached the rank fallback")
-
-    monkeypatch.setattr(bergman, "_rank", refuse)
+def test_cone_refuses_non_integer_rays(rows):
+    """A Fraction or float ray is refused, and named as such."""
     with pytest.raises(ValueError, match="integral|ints or Fractions"):
         cone_on(rows)
 
 
-def test_chain_cones_never_take_the_rank_fallback(monkeypatch):
-    """Chain rays and their projections are independent mod 2, so no chain
-    cone, projected or not, reaches the echelon kernel."""
-
-    def refuse(rows):
-        raise RuntimeError("a chain cone took the rank fallback")
-
-    monkeypatch.setattr(bergman, "_rank", refuse)
-    assert bergman_fan(Graph.complete(range(2, 7))).census() == (1, 50, 205, 180)
-    labels = range(2, 8)
-    tripartite = Graph.from_edges(
-        [(a, b) for a in labels for b in labels if a < b and (a - 2) // 2 != (b - 2) // 2]
-    )
-    path = Graph.from_edges([(v, v + 1) for v in range(2, 7)])
-    for gamma in (tripartite, path):
-        image = project_fan(moduli_fan_rad(7, gamma), gamma)
-        assert image.max_dim == 4  # rank of a connected graph on 6 vertices, minus 1
-
-
-def hermite_unimodular(sigma):
-    """The Hermite route: rays (integral, as every cone's are) whose Hermite
-    form equals that of their saturation."""
-    rows = [list(r.coords[:-1]) for r in sigma.rays]
+def hermite_unimodular(rows):
+    """The Hermite route: integer rows whose Hermite form equals that of
+    their saturation."""
     lattice = hnf(rows)
     return len(lattice) == len(rows) and lattice == saturated_hnf(rows, len(rows[0]))
-
-
-def cone_of_rows(rows):
-    """The cone on the given integer rows, as quotient vectors ending in 0."""
-    ambient = tuple((2, j) for j in range(3, len(rows[0]) + 4))  # a star's edges
-    return make_cone(QuotientVector(ambient, tuple(r) + (0,)) for r in rows)
 
 
 @pytest.fixture
 def fallbacks(monkeypatch):
     """Records each orthogonal complement taken.  ``saturation`` takes two
-    for each input the echelon kernel cannot settle by unit pivots, and
-    those inputs are the Hermite fallbacks of ``_is_unimodular``."""
+    for each input the echelon kernel cannot settle by unit pivots."""
     calls = []
     original = ila.orthogonal_complement
 
@@ -551,9 +488,14 @@ def fallbacks(monkeypatch):
     )
 )
 def test_is_unimodular_matches_hermite_route(rows):
+    """The certificate is sound: rows it accepts are a basis of their
+    saturation by the Hermite route.  It is complete on rows the echelon
+    kernel settles by unit pivots, as every chain's rays are."""
     assume(rational_rank(rows) == len(rows))  # a cone's rays are independent
-    sigma = cone_of_rows(rows)
-    assert _is_unimodular(sigma) == hermite_unimodular(sigma)
+    if _is_unimodular(rows):
+        assert hermite_unimodular(rows)
+    if ila.echelon(rows)[2]:
+        assert _is_unimodular(rows)
 
 
 @pytest.mark.parametrize(
@@ -568,40 +510,55 @@ def test_is_unimodular_matches_hermite_route(rows):
     ],
 )
 def test_is_unimodular_examples(rows, expected, fallback, fallbacks):
-    sigma = cone_of_rows(rows)
-    assert _is_unimodular(sigma) is expected
-    assert hermite_unimodular(sigma) is expected
+    """``expected`` is the Hermite route's verdict; the certificate holds
+    only when it does, and always without a fallback."""
+    certified = _is_unimodular(rows)
     assert bool(fallbacks) is fallback
+    assert hermite_unimodular(rows) is expected
+    assert certified <= expected
+    assert certified or fallback
 
 
 def path_on(n):
     return Graph.from_edges([(v, v + 1) for v in range(2, n)])
 
 
+SEVEN_END_TARGETS = {
+    "tripartite": Graph.from_edges(
+        [(a, b) for a in range(2, 8) for b in range(a + 1, 8) if (a - 2) // 2 != (b - 2) // 2]
+    ),
+    "path": path_on(7),
+}
+
 UNIT_PIVOT_FANS = {
     **{f"K{m}": lambda m=m: bergman_fan(Graph.complete(range(2, m + 2))) for m in (3, 4, 5, 6)},
     **{f"M0{n}": lambda n=n: moduli_fan_rad(n, "complete") for n in (5, 6)},
     **{f"M0{n}-path": lambda n=n: moduli_fan_rad(n, path_on(n)) for n in (5, 6)},
+    **{
+        f"M07-{name}-image": lambda g=g: project_fan(moduli_fan_rad(7, g), g)
+        for name, g in SEVEN_END_TARGETS.items()
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(UNIT_PIVOT_FANS))
 def test_chains_of_flats_take_unit_pivots(name, fallbacks):
-    """Every maximal cone of these fans is settled by the echelon kernel's
-    unit pivots, with no Hermite fallback."""
+    """Every cone of these fans builds, so its rays are those of a chain of
+    edge sets, and is certified by the echelon kernel's unit pivots, with
+    no Hermite fallback."""
     fan = UNIT_PIVOT_FANS[name]()
-    maximal = fan.cones_of_dim(fan.max_dim)
-    assert maximal and all(_is_unimodular(sigma) for sigma in maximal)
+    cones = [c for c in fan.cones if c.dim]
+    assert cones and all(_is_unimodular(lattice_rows(c)) for c in cones)
     assert fallbacks == []
 
 
 def test_fallback_cones_are_counted(fallbacks):
-    """The index-two cone and a non-primitive ray have no unit pivot."""
-    _, sigma = index_two_fan()
-    doubled = make_cone([QuotientVector(sigma.rays[0].ambient, (2, 0, 0))])
-    assert not _is_unimodular(sigma)
-    assert not _is_unimodular(doubled)
-    assert len(fallbacks) == 2 * 2  # two complements for each cone
+    """The index-two cone's rays and a doubled ray, which no cone holds any
+    more, have no unit pivot: the certificate fails on both, after two
+    complements each."""
+    assert not _is_unimodular([[1, 0], [1, 2]])
+    assert not _is_unimodular([[2, 0]])
+    assert len(fallbacks) == 2 * 2
 
 
 # ---------------------------------------------------------------------------
@@ -625,17 +582,6 @@ def test_project_requires_complete_ambient(gamma_obstruction):
     fan = bergman_fan(gamma_obstruction)
     with pytest.raises(ValueError, match="complete"):
         project_fan(fan, gamma_obstruction)
-
-
-def test_project_rejects_non_simplicial_image(k4):
-    # three independent rays whose images in a three-edge graph's
-    # two-dimensional quotient are distinct, nonzero and dependent
-    rays = [QuotientVector.from_raw(k4.edges, v) for v in
-            ([1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [1, 0, 0, 1, 1, 0])]
-    fan = closed_fan(k4.edges, [make_cone(rays)])
-    path = Graph.from_edges([(2, 3), (3, 4), (4, 5)])
-    with pytest.raises(ValueError, match="simplicial"):
-        project_fan(fan, path)
 
 
 def test_projected_fan_equals_bergman_fan_of_subgraph(k4, gamma_obstruction):

@@ -9,13 +9,14 @@ from tropfan import (
     EdgeSet,
     Graph,
     all_graphs,
-    complement,
     components,
     graph_rank,
     is_complete_multipartite,
     parse_graph,
     spanning_forest,
 )
+
+from oracles import complement
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,20 @@ from tropfan.intlinalg import (
     det_int,
     echelon,
     echelon_reduce,
-    hnf,
     hnf_transform,
     left_kernel,
     orthogonal_complement,
-    primitive_vector,
     saturation,
-    solve_coeffs_one,
 )
 
 from oracles import (
+    hnf,
     in_lattice,
     in_rational_span,
     invert_rational,
+    primitive_vector,
     rational_rank,
+    solve_coeffs_one,
     solve_in_span,
 )
 

@@ -15,12 +15,13 @@ from tropfan import (
     QuotientVector,
     bergman_fan,
     fan_json_text,
-    fan_to_json,
     make_cone,
     moduli_fan_rad,
     project_fan,
 )
 from tropfan.cli import NAMED_GRAPHS, main, resolve_graph
+
+from oracles import fan_to_json
 
 
 def oracle(fan: Fan, **fields) -> str:

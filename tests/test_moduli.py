@@ -30,11 +30,10 @@ from tropfan import (
     ray_of_flat,
     verify_injectivity,
 )
-from tropfan.bergman import fan_to_json
 from tropfan.graphs import EdgeSet
 from tropfan.matroid import proper_flats, set_partitions
 
-from oracles import caterpillar_by_growth, injectivity_two_pass, vertex_demand
+from oracles import caterpillar_by_growth, fan_to_json, injectivity_two_pass, vertex_demand
 
 
 def multipartite_graphs(labels):
@@ -285,8 +284,13 @@ def test_trichotomy_all_connected_graphs_four_vertices():
 
 
 def test_size_cap():
+    """Graphs on 1 to 6 vertices; the empty graph is refused before its
+    labels are read."""
     with pytest.raises(ValueError, match="6"):
         verify_injectivity(Graph.complete(range(2, 9)))
+    with pytest.raises(ValueError, match="1 to 6 vertices"):
+        verify_injectivity(Graph((), ()))
+    assert verify_injectivity(Graph((2,), ())).agree
 
 
 def test_split_trichotomy_is_reported_not_raised(k4, monkeypatch):

@@ -1,6 +1,8 @@
 """The exact linear algebra runs on integers: ``intlinalg`` imports nothing
-from ``fractions``, and the rational span solver lives only in the test
-oracles, so no module under ``tropfan`` may define ``solve_in_span``."""
+from ``fractions``.  The rational span solver and the generic primitive
+normal's coefficient solver and lattice reduction live only in the test
+oracles, so no module under ``tropfan`` may define ``solve_in_span``,
+``solve_coeffs_one`` or ``hnf_reduce``: a cone's normal has one path."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import tropfan
 
 PACKAGE = Path(tropfan.__file__).parent
+ORACLE_ONLY = {"solve_in_span", "solve_coeffs_one", "hnf_reduce"}
 
 
 def parsed(path):
@@ -35,6 +38,9 @@ def test_library_defines_no_span_solver():
         for path in modules
         for node in ast.walk(parsed(path))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name == "solve_in_span"
+        and node.name in ORACLE_ONLY
     ]
     assert found == []
+    oracles = Path(__file__).with_name("oracles.py")
+    defined = {node.name for node in ast.walk(parsed(oracles)) if isinstance(node, ast.FunctionDef)}
+    assert ORACLE_ONLY <= defined

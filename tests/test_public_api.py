@@ -18,8 +18,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # A mention in a docstring or comment is not a caller, so these need a reason.
 ALLOWED = {
     "caterpillar_cof": "the paper's construction of a full-dimensional cone, checked by the tests",
-    "complement": "the tests' multipartiteness oracle reads the complement's components",
-    "fan_to_json": "the dict form of a fan that the tests hold fan_json_text's output against",
     "reduce": "the paper's reduction to a stable type, checked against contraction in every order",
 }
 

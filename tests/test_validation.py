@@ -78,19 +78,38 @@ def test_cone_weight_must_be_positive(k4):
 
 
 def test_fan_rejects_dependent_rays(k4):
+    """A cone takes only the rays of strictly nested nonempty proper edge
+    sets: dependent rays are refused, and so are independent ones that no
+    such chain has, which were once accepted."""
     r = ray_of_flat(flat_of(k4, [(2, 3)]), k4.edges)
-    with pytest.raises(ValueError, match="dependent"):
-        Fan(k4.edges, [make_cone([r, r.scale(2)])])
     s = ray_of_flat(flat_of(k4, [(2, 4)]), k4.edges)
-    with pytest.raises(ValueError, match="dependent"):
-        Fan(k4.edges, [make_cone([r, s, r.scale(2) + s])])
     t = ray_of_flat(flat_of(k4, [(3, 4)]), k4.edges)
-    assert Fan(k4.edges, [make_cone([r, s, t.scale(3)])]).max_dim == 3
+    with pytest.raises(ValueError, match="nonempty proper edge sets"):
+        Fan(k4.edges, [make_cone([r, r.scale(2)])])
+    with pytest.raises(ValueError, match="nonempty proper edge sets"):
+        Fan(k4.edges, [make_cone([r, s, r.scale(2) + s])])
+    k3 = Graph.complete([2, 3, 4]).edges
+    a, b = QuotientVector(k3, (1, 0, 0)), QuotientVector(k3, (1, 2, 0))
+    for rays in (
+        [a, b],  # spans a sublattice of index two
+        [r.scale(2)],
+        [t.scale(3)],
+        [r, s, t.scale(3)],
+        [r - s],  # mixed signs
+        [QuotientVector.zero(k4.edges)],
+    ):
+        with pytest.raises(ValueError, match="nonempty proper edge sets"):
+            make_cone(rays)
+    with pytest.raises(ValueError, match="strictly nested"):
+        make_cone([r, s])  # {2-3} and {2-4} are incomparable
     # rays with Fraction coordinates are refused, dependent or not
     with pytest.raises(ValueError, match="integral"):
         make_cone([r, s, r + s.scale(Fraction(1, 2))])
     with pytest.raises(ValueError, match="integral"):
         make_cone([r, s, t.scale(Fraction(1, 3))])
+    with pytest.raises(ValueError, match="integral"):
+        make_cone([QuotientVector(k4.edges, (Fraction(-1), 0, 0, 0, 0, 0))])
+    assert make_cone([r, r + s]).dim == 2  # {2-3} below {2-3, 2-4}
 
 
 @pytest.mark.parametrize("weight", [0, -1, Fraction(3, 2)])
@@ -118,11 +137,13 @@ def test_reweighting_refuses_a_ray_set_that_is_not_a_cone(k4):
 def test_cone_built_directly_rejects_dependent_rays(k4):
     r = ray_of_flat(flat_of(k4, [(2, 3)]), k4.edges)
     s = ray_of_flat(flat_of(k4, [(2, 4)]), k4.edges)
-    with pytest.raises(ValueError, match="dependent"):
+    with pytest.raises(ValueError, match="strictly nested"):
         bergman.Cone((r, s, r + s))
-    with pytest.raises(ValueError, match="dependent"):
+    with pytest.raises(ValueError, match="strictly nested"):
+        bergman.Cone((r, r))
+    with pytest.raises(ValueError, match="nonempty proper edge sets"):
         bergman.Cone((QuotientVector.zero(k4.edges),))
-    assert bergman.Cone((r, s)).dim == 2
+    assert bergman.Cone((r, r + s)).dim == 2
 
 
 def test_fan_rejects_conflicting_weights(k4):
@@ -159,14 +180,11 @@ def test_broken_invariants_raise(k4, monkeypatch):
     with pytest.raises(RuntimeError, match="dimension"):
         bergman.bergman_fan(k4)
     monkeypatch.undo()
-    r = ray_of_flat(flat_of(k4, [(2, 3)]), k4.edges)
-    s = ray_of_flat(flat_of(k4, [(2, 4)]), k4.edges)
-    monkeypatch.setattr(bergman.ila, "solve_coeffs_one", lambda g: None)
-    with pytest.raises(RuntimeError, match="cyclic"):
-        primitive_normal(make_cone([r, s]), make_cone([s]))
-    monkeypatch.setattr(bergman.ila, "orthogonal_complement", lambda rows, ncols: [[0] * ncols])
-    with pytest.raises(RuntimeError, match="functional"):
-        primitive_normal(make_cone([r, s]), make_cone([s]))
+    fan = bergman.bergman_fan(k4)
+    # a basis of the same lattice, but not the rays handed in
+    monkeypatch.setattr(bergman.ila, "saturation", lambda rows, ncols: [[-x for x in r] for r in rows])
+    with pytest.raises(RuntimeError, match="basis"):
+        is_balanced(fan)
 
 
 def test_broken_moduli_invariants_raise(gamma_obstruction, monkeypatch):
