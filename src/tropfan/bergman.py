@@ -22,10 +22,15 @@ the rays are a basis of the lattice points of their span.  The primitive
 normal of a facet is therefore the remaining ray, modulo the facet's
 lattice, and rays are primitive, so fans are equal when their ray sets and
 maximal weights are.  Balancing certifies each maximal cone once, by
-``intlinalg.saturation`` handing its rays back unchanged, runs its span test
-on the fraction-free echelon kernel ``intlinalg.echelon``, and indexes the
-maximal cones by their facets, so each codimension-one face visits only its
-own star.
+``intlinalg.saturation`` handing its rays back unchanged, and indexes the
+maximal cones by their facets' edge masks (``Cone.masks``), so each
+codimension-one face visits only its own star.  Its span test needs no
+linear algebra: a vector lies in the span of a chain's rays plus the
+all-ones line exactly when it is constant on each layer F_1, F_2 - F_1,
+..., E - F_k of the chain, so balancing adds the star's edge sets, weighted,
+on edge masks and compares the sums within each layer.  The certificate is
+its one integer elimination left; the benchmark's gate still counts the
+``saturation`` calls it makes.
 
 Fans are written as JSON by ``fan_json_text``.
 """
@@ -33,10 +38,11 @@ Fans are written as JSON by ``fan_json_text``.
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence
 
@@ -191,7 +197,7 @@ class Cone:
         # a strict subset is a smaller int, so a chain sorts into its order;
         # it starts above the empty set, which no ray's mask is
         below = 0
-        for mask in sorted([r.edge_mask for r in self.rays]):
+        for mask in self.masks:
             if below | mask != mask or below == mask:
                 raise ValueError("cone rays must be the rays of strictly nested edge sets")
             below = mask
@@ -203,6 +209,15 @@ class Cone:
     @cached_property
     def rayset(self) -> frozenset:
         return frozenset(self.rays)
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """The rays' edge sets as bit masks, smallest first: the chain the
+        cone is spanned by.  Over one ambient edge list they name the rays,
+        so a fan keys its faces and stars by them.  Not cached here: a fan
+        that asks keeps one tuple of them for all its cones, and a fan that
+        never asks holds none."""
+        return tuple(sorted([r.edge_mask for r in self.rays]))
 
 
 def make_cone(
@@ -216,20 +231,27 @@ def make_cone(
 class Fan:
     """A weighted polyhedral fan given by its (simplicial) cones.
 
-    Each ray set is given at most once (a second cone on it is refused, as
-    no chain of flats yields one; ``project_fan`` merges its fibers before
-    building the image), and the cone with no rays is always present.
+    Every ray lies over the fan's ambient edge list (a cone over another is
+    refused with ValueError), each ray set is given at most once (a second
+    cone on it is refused, as no chain of flats yields one; ``project_fan``
+    merges its fibers before building the image), and the cone with no rays
+    is always present.
     The cones must be closed under faces: ``maximal_cones`` (and so
-    ``is_pure``, ``is_balanced`` and ``fans_equal``) refuses a fan that is
-    not with ValueError.
+    ``is_pure``, ``is_balanced``, ``fans_equal`` and ``with_weights``)
+    refuses a fan that is not with ValueError.
     Orderings are canonical everywhere so that repeated construction is
     byte-stable.
     """
 
     def __init__(self, ambient: Sequence[Edge], cones: Iterable[Cone]):
-        self.ambient = tuple(ambient)
+        self.ambient = ambient = tuple(ambient)
         by_rayset: dict[frozenset, Cone] = {}
         for cone in cones:
+            # every library fan shares its rays' ambient tuple; a cone's
+            # edge masks name its rays only over this one edge list
+            for r in cone.rays:
+                if r.ambient is not ambient and r.ambient != ambient:
+                    raise ValueError("a cone's rays lie over another ambient edge list")
             if cone.rayset in by_rayset:
                 raise ValueError("conflicting cones: a ray set is given twice")
             by_rayset[cone.rayset] = cone
@@ -239,14 +261,26 @@ class Fan:
         self.cones: tuple[Cone, ...] = tuple(
             sorted(by_rayset.values(), key=lambda c: (c.dim, [r.coords for r in c.rays]))
         )
-        self.max_dim = max(c.dim for c in self.cones)
+        self.max_dim = self.cones[-1].dim
+        # the cones of dimension d are cones[by_dim[d]]
+        counts = [0] * (self.max_dim + 2)
+        for c in self.cones:
+            counts[c.dim + 1] += 1
+        starts = list(accumulate(counts))
+        self._by_dim = [slice(a, b) for a, b in zip(starts, starts[1:])]
 
     @cached_property
     def rays(self) -> tuple[QuotientVector, ...]:
         return tuple(c.rays[0] for c in self.cones_of_dim(1))
 
     def cones_of_dim(self, d: int) -> tuple[Cone, ...]:
-        return tuple(c for c in self.cones if c.dim == d)
+        return self.cones[self._by_dim[d]] if 0 <= d <= self.max_dim else ()
+
+    @cached_property
+    def _masks(self) -> tuple[tuple[int, ...], ...]:
+        """Each cone's ``masks``, in cone order: one tuple per cone, kept by
+        the fan rather than on the cone, whose instance dict would grow."""
+        return tuple(c.masks for c in self.cones)
 
     @cached_property
     def maximal_cones(self) -> tuple[Cone, ...]:
@@ -254,12 +288,12 @@ class Fan:
         # exactly the facets of some other cone.  Closure is checked here,
         # not when the fan is built, where it would cost every fan.
         facets = set()
-        for c in self.cones:
-            for r in c.rays:
-                facets.add(c.rayset - {r})
-        if not facets <= self._by_rayset.keys():
+        for masks in self._masks:
+            for i in range(len(masks)):
+                facets.add(masks[:i] + masks[i + 1 :])
+        if not facets <= set(self._masks):
             raise ValueError("the fan is not closed under faces")
-        return tuple(c for c in self.cones if c.rayset not in facets)
+        return tuple(c for c, masks in zip(self.cones, self._masks) if masks not in facets)
 
     @property
     def is_pure(self) -> bool:
@@ -270,14 +304,24 @@ class Fan:
 
     def with_weights(self, overrides: dict[frozenset, int]) -> "Fan":
         """The fan with some weights replaced; other cones are shared.  A ray
-        set that is not a cone of this fan is refused with ValueError."""
+        set that is not a cone of this fan is refused with ValueError.
+
+        The ray sets are this fan's, so its cone order, its index by
+        dimension, its edge masks and its maximal cones carry over, with the
+        reweighted cones in their places, and are not sorted or checked
+        again."""
         if not self._by_rayset.keys() >= overrides.keys():
             raise ValueError("with_weights names a ray set that is not a cone of this fan")
-        cones = [
-            replace(c, weight=overrides[c.rayset]) if c.rayset in overrides else c
-            for c in self.cones
-        ]
-        return Fan(self.ambient, cones)
+        new = {rs: replace(self._by_rayset[rs], weight=w) for rs, w in overrides.items()}
+
+        def swap(cones: Iterable[Cone]) -> tuple[Cone, ...]:
+            return tuple(new.get(c.rayset, c) for c in cones)
+
+        fan = copy(self)
+        fan.__dict__["maximal_cones"] = swap(self.maximal_cones)
+        fan.cones = swap(self.cones)
+        fan._by_rayset = {**self._by_rayset, **new}
+        return fan
 
     def census(self) -> tuple[int, ...]:
         """Cone counts by dimension 0..max_dim."""
@@ -338,39 +382,74 @@ def is_balanced(fan: Fan) -> BalanceReport:
 
     For each face tau of dimension max_dim - 1, the weighted sum of primitive
     normals of the maximal cones containing tau must lie in tau's rational
-    span.  One pass over the maximal cones indexes them by facet, so each
-    face sums over its own star only.  The normal of sigma over tau is the
-    ray tau lacks, since sigma's rays are a basis of its lattice; each
-    maximal cone is certified so by ``_is_unimodular`` once, when a face
-    first reaches it, and a cone that fails raises RuntimeError.  The span
-    test echelonizes tau's rays once and reduces the sum against them.
-    Faces are visited in the fan's cone order, so the first failing face is
-    reported.  Exact arithmetic throughout.
+    span.  One pass over the maximal cones indexes them by facet, keyed by
+    edge masks, so each face sums over its own star only.  The normal of
+    sigma over tau is the ray of the edge set G that tau lacks, since
+    sigma's rays are a basis of its lattice; each maximal cone is certified
+    so by ``_is_unimodular`` once, when a face first reaches it, and a cone
+    that fails raises RuntimeError.  The span test is a layer test: tau's
+    span holds the sum exactly when the sum of weight times indicator of G
+    over tau's star is constant on each layer of tau's chain
+    (``_constant_on_layers``).  Faces are visited in the fan's cone order,
+    so the first failing face is reported.  Exact arithmetic throughout.
     """
     if not fan.is_pure:
         raise ValueError("balancing is only defined for pure fans")
     if fan.max_dim == 0:
         return BalanceReport(True)
-    star: dict[frozenset, list[tuple[Cone, QuotientVector]]] = {}
-    for sigma in fan.cones_of_dim(fan.max_dim):
-        for ray in sigma.rays:
-            star.setdefault(sigma.rayset - {ray}, []).append((sigma, ray))
-    certified: set[frozenset] = set()
-    for tau in fan.cones_of_dim(fan.max_dim - 1):
-        total = [0] * len(fan.ambient)
-        for sigma, ray in star.get(tau.rayset, ()):
-            if sigma.rayset not in certified:
+    top, codim1 = fan._by_dim[fan.max_dim], fan._by_dim[fan.max_dim - 1]
+    star: dict[tuple[int, ...], list[tuple[Cone, int]]] = {}
+    for sigma, masks in zip(fan.cones[top], fan._masks[top]):
+        for i, mask in enumerate(masks):
+            star.setdefault(masks[:i] + masks[i + 1 :], []).append((sigma, mask))
+    full = (1 << len(fan.ambient)) - 1
+    certified: set[int] = set()  # ids of the maximal cones
+    for tau, chain in zip(fan.cones[codim1], fan._masks[codim1]):
+        members = star.get(chain, ())
+        for sigma, _ in members:
+            if id(sigma) not in certified:
                 # canonical reps end in 0, which the lattice test leaves out
                 if not _is_unimodular([list(r.coords[:-1]) for r in sigma.rays]):
                     raise RuntimeError("a maximal cone's rays are not a basis of its lattice")
-                certified.add(sigma.rayset)
-            total = [t + sigma.weight * c for t, c in zip(total, ray.coords)]
-        if not any(total):
-            continue
-        span, pivots, _ = ila.echelon([r.coords for r in tau.rays])
-        if any(ila.echelon_reduce(span, pivots, total)):
+                certified.add(id(sigma))
+        if not _constant_on_layers(chain, [(g, s.weight) for s, g in members], full):
             return BalanceReport(False, tau)
     return BalanceReport(True)
+
+
+def _constant_on_layers(
+    chain: tuple[int, ...], star: Sequence[tuple[int, int]], full: int
+) -> bool:
+    """Whether the sum of weight times indicator over the (edge mask,
+    weight) pairs of ``star`` is constant on each layer of the chain of
+    edge masks F_1 < ... < F_k inside ``full``: on F_1, F_2 - F_1, ...,
+    full - F_k (on all of ``full`` for the empty chain).
+
+    The ray of G is the class of -1_G, and the span of the rays of the
+    chain plus the all-ones line is the set of vectors constant on each
+    layer (Ardila-Klivans; Feichtner-Sturmfels), so this is the span test
+    of the weighted sum of the rays of ``star``."""
+    # planes[k] is the set of edges whose sum has bit k set: one binary
+    # counter for every edge at once, added to by bitwise carries; no sum
+    # exceeds the total weight, so no carry leaves the top plane
+    planes = [0] * sum(w for _, w in star).bit_length()
+    for mask, weight in star:
+        for k in range(weight.bit_length()):
+            if not weight >> k & 1:
+                continue
+            carry, j = mask, k
+            while carry:
+                planes[j], carry = planes[j] ^ carry, planes[j] & carry
+                j += 1
+    # the sums agree on a layer when each plane holds all of it or none
+    below = 0
+    for upper in chain + (full,):
+        layer = upper & ~below
+        for plane in planes:
+            if plane & layer and plane & layer != layer:
+                return False
+        below = upper
+    return True
 
 
 def _is_unimodular(rows: list[list[int]]) -> bool:

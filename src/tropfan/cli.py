@@ -151,8 +151,8 @@ def _flat_counts(flats) -> list[int]:
 
 # ``fan`` and ``project`` build the Bergman fan of a graph on up to this many
 # labels (``project`` that of the complete graph on its target's labels):
-# ``fan --graph complete:7`` takes about 25 s on a 2-core host, with a
-# 300 MB peak, and K8's fan has about 10.3 million cones.
+# ``fan --graph complete:7`` (text) takes about 14 s on a 2-core host, with a
+# 304 MB peak, and K8's fan has about 10.3 million cones.
 MAX_FAN_LABELS = 7
 
 

@@ -1,12 +1,12 @@
 """Exact linear algebra over the integers.
 
 Everything here runs on plain Python ints; no fractions and no floating
-point.  Ranks, rational span tests and lattice saturation run on one
-fraction-free row echelon kernel, ``echelon``, which pivots on a unit entry
-whenever one exists; rows it echelonizes with unit pivots only are already a
-basis of their saturation.  Any other rows are saturated as a double
-orthogonal complement, from integer kernels that one Hermite elimination
-with its transform matrix computes.
+point.  Ranks and lattice saturation run on one fraction-free row echelon
+kernel, ``echelon``, which pivots on a unit entry whenever one exists; rows
+it echelonizes with unit pivots only are already a basis of their
+saturation.  Any other rows are saturated as a double orthogonal
+complement, from integer kernels that one Hermite elimination with its
+transform matrix computes.
 """
 
 from __future__ import annotations
@@ -86,18 +86,6 @@ def _eliminate(target: list[int], row: list[int], col: int) -> list[int]:
     out = [a * x - c * y for x, y in zip(target, row)]
     g = math.gcd(*out)
     return [x // g for x in out] if g > 1 else out
-
-
-def echelon_reduce(rows: Mat, pivots: Sequence[int], vec: Vec) -> list[int]:
-    """``vec`` eliminated against ``echelon`` rows and their pivot columns.
-
-    The result is zero exactly when ``vec`` lies in the rational span of the
-    rows (a nonzero result is a multiple of ``vec`` minus that span, not a
-    canonical representative)."""
-    v = list(vec)
-    for row, col in zip(rows, pivots):
-        v = _eliminate(v, row, col)
-    return v
 
 
 def hnf_transform(rows: Mat) -> tuple[list[list[int]], list[list[int]]]:

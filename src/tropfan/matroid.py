@@ -64,14 +64,23 @@ class ChainOfFlats:
     flats: tuple[Flat, ...]
 
     def __post_init__(self):
+        # one pass reads each flat's edge set once; a bad flat is reported
+        # before the first bad pair, which waits for the end of the pass
+        pair_error = None
+        below = None
         for f in self.flats:
-            if not 0 < f.mask < (1 << len(f.graph.edges)) - 1:
+            edges = f.edges
+            g, mask = edges.graph, edges.mask
+            if not 0 < mask < (1 << len(g.edges)) - 1:
                 raise ValueError("chain flats must be proper and nonempty")
-        for a, b in zip(self.flats, self.flats[1:]):
-            if a.graph is not b.graph and a.graph != b.graph:
-                raise ValueError("chain flats must share a parent graph")
-            if a.mask & ~b.mask or a.mask == b.mask:
-                raise ValueError("chain must strictly increase")
+            if below is not None and pair_error is None:
+                if below.graph is not g and below.graph != g:
+                    pair_error = "chain flats must share a parent graph"
+                elif below.mask & ~mask or below.mask == mask:
+                    pair_error = "chain must strictly increase"
+            below = edges
+        if pair_error is not None:
+            raise ValueError(pair_error)
 
     def __len__(self) -> int:
         return len(self.flats)

@@ -1,15 +1,16 @@
 """Slow, independent routes that the tests compare the library against.
 
-Rational Gauss-Jordan for ranks, span tests and inverses, Hermite forms
-and lattice reduction, the primitive normal of an arbitrary integer cone by
-its closed form, the dict form of a fan's JSON document, a graph's
-complement, the canonical distance class by Fraction sums, psi by inverting
-its matrix on the basis of two-element splits, graphic stability by the
-vertex-local rule, radial faces by weakly monotone level maps, circuits as
-minimal dependent sets by pairwise comparison, lattice covers by containment
-of every pair of flats, the trichotomy's injectivity and rank verdicts in
-two full passes, and the caterpillar chain grown as a vertex set.  None of
-these is on a library path.
+Rational Gauss-Jordan for ranks, span tests and inverses, span tests by
+integer echelon elimination, Hermite forms and lattice reduction, the
+primitive normal of an arbitrary integer cone by its closed form, the dict
+form of a fan's JSON document, a graph's complement, the canonical
+distance class by Fraction sums, psi by inverting its matrix on the basis
+of two-element splits, graphic stability by the vertex-local rule, radial
+faces by weakly monotone level maps, circuits as minimal dependent sets by
+pairwise comparison, lattice covers by containment of every pair of flats,
+the trichotomy's injectivity and rank verdicts in two full passes, and the
+caterpillar chain grown as a vertex set.  None of these is on a library
+path.
 """
 
 from __future__ import annotations
@@ -34,7 +35,13 @@ from tropfan import (
 )
 from tropfan.bergman import SCHEMA, edge_str
 from tropfan.graphs import _cluster_mask, is_acyclic, spanning_forest
-from tropfan.intlinalg import hnf_transform, orthogonal_complement, saturation
+from tropfan.intlinalg import (
+    _eliminate,
+    echelon,
+    hnf_transform,
+    orthogonal_complement,
+    saturation,
+)
 from tropfan.matroid import Flat
 from tropfan.tropmoduli import _stable_flats, pair_list
 
@@ -122,6 +129,17 @@ def solve_in_span(rows: Sequence[Sequence], target: Sequence) -> Optional[list[F
 
 def in_rational_span(rows: Sequence[Sequence], target: Sequence) -> bool:
     return solve_in_span(rows, target) is not None
+
+
+def echelon_in_span(rows: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
+    """Whether ``target`` lies in the rational span of integer ``rows``, by
+    eliminating it against their fraction-free ``echelon`` form: the
+    generic span test that balancing's layer test is compared against."""
+    span, pivots, _ = echelon(rows)
+    v = list(target)
+    for row, col in zip(span, pivots):
+        v = _eliminate(v, row, col)
+    return not any(v)
 
 
 def hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,11 +22,12 @@ from tropfan import (
     ray_of_flat,
 )
 from tropfan import intlinalg as ila
-from tropfan.bergman import _is_unimodular
+from tropfan.bergman import _constant_on_layers, _is_unimodular
 from tropfan.intlinalg import orthogonal_complement
 
 from conftest import closed_fan, flat_of
 from oracles import (
+    echelon_in_span,
     fan_to_json,
     hnf,
     hnf_reduce,
@@ -302,6 +304,7 @@ def test_fan_missing_a_face_is_refused(k4):
         lambda: is_balanced(broken),
         lambda: fans_equal(broken, fan),
         lambda: fans_equal(fan, broken),
+        lambda: broken.with_weights({}),
     ):
         with pytest.raises(ValueError, match="not closed under faces"):
             read()
@@ -364,6 +367,99 @@ def test_every_single_cone_doubling_matches_quadratic_scan(name):
         expected = quadratic_scan(perturbed, normals)
         assert (report.balanced, report.failing_face) == expected
         assert not report.balanced
+
+
+QUADRATIC_NORMALS: dict = {}  # quadratic_scan's memo per fan; weights do not change it
+
+
+@functools.cache
+def oracle_fan(name):
+    """``ORACLE_FANS[name]``, built once for the property tests."""
+    return ORACLE_FANS[name]()
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["K4", "K5"]), data=st.data())
+def test_random_weights_match_quadratic_scan(name, data):
+    """Weights 1..3 on every maximal cone, or one weight on all of them: the
+    layer test reports the verdict and the first failing face of the
+    generic scan."""
+    fan = oracle_fan(name)
+    maximal = fan.cones_of_dim(fan.max_dim)
+    if data.draw(st.booleans()):
+        weights = [data.draw(st.integers(1, 3))] * len(maximal)
+    else:
+        size = len(maximal)
+        weights = data.draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))
+    reweighted = fan.with_weights({c.rayset: w for c, w in zip(maximal, weights)})
+    report = is_balanced(reweighted)
+    expected = quadratic_scan(reweighted, QUADRATIC_NORMALS.setdefault(name, {}))
+    assert (report.balanced, report.failing_face) == expected
+
+
+def test_reweighted_fan_equals_the_fan_built_from_its_cones():
+    """``with_weights`` carries over its parent's cone order, index by
+    dimension, masks and maximal cones; building the reweighted cones into a
+    fan from scratch gives the same."""
+    fan = oracle_fan("K5")
+    maximal = fan.cones_of_dim(fan.max_dim)
+    reweighted = fan.with_weights({maximal[3].rayset: 2, maximal[7].rayset: 3})
+    rebuilt = Fan(fan.ambient, reweighted.cones[::-1])
+    assert reweighted.cones == rebuilt.cones
+    assert reweighted.maximal_cones == rebuilt.maximal_cones
+    assert reweighted.census() == rebuilt.census() == fan.census()
+    assert [c.weight for c in reweighted.maximal_cones].count(1) == len(maximal) - 2
+    assert reweighted.cone_with_rayset(maximal[7].rayset).weight == 3
+    assert fan.cone_with_rayset(maximal[7].rayset).weight == 1
+
+
+def test_k3_cone_doubling_is_unbalanced():
+    """K3's fan is three rays around the origin, whose one layer is every
+    edge: doubling one ray leaves a weighted sum that is not constant
+    there.  A layer test that skips the layer outside the chain passes it."""
+    fan = bergman_fan(Graph.complete([2, 3, 4]))
+    for sigma in fan.cones_of_dim(1):
+        report = is_balanced(fan.with_weights({sigma.rayset: 2}))
+        assert (report.balanced, report.failing_face) == (False, fan.cones[0])
+
+
+LAYER_FANS = {
+    "K3": lambda: bergman_fan(Graph.complete([2, 3, 4])),
+    "K6": lambda: bergman_fan(Graph.complete(range(2, 8))),
+    **{
+        f"M07-{name}-image": lambda name=name: project_fan(
+            moduli_fan_rad(7, SEVEN_END_TARGETS[name]), SEVEN_END_TARGETS[name]
+        )
+        for name in ("tripartite", "path")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_FANS))
+def test_layer_test_matches_echelon_span_test(name):
+    """On every codimension-one face, with weight one on its star and with
+    weights 1, 2, 3, ... in star order, the layer test agrees with the span
+    test on the integer echelon kernel.  Stars are found by ray sets here,
+    not by the edge masks ``is_balanced`` keys them by."""
+    fan = LAYER_FANS[name]()
+    star = {}
+    for sigma in fan.cones_of_dim(fan.max_dim):
+        for ray in sigma.rays:
+            star.setdefault(sigma.rayset - {ray}, []).append(ray)
+    full = (1 << len(fan.ambient)) - 1
+    verdicts = set()
+    for tau in fan.cones_of_dim(fan.max_dim - 1):
+        normals = star.get(tau.rayset, [])
+        for weights in ([1] * len(normals), range(1, len(normals) + 1)):
+            total = [0] * len(fan.ambient)
+            for w, ray in zip(weights, normals):
+                total = [t + w * c for t, c in zip(total, ray.coords)]
+            layered = _constant_on_layers(
+                tau.masks, [(r.edge_mask, w) for w, r in zip(weights, normals)], full
+            )
+            assert layered == echelon_in_span([r.coords for r in tau.rays], total)
+            verdicts.add(layered)
+    assert verdicts == {True, False}
 
 
 def ray_row(edge_set, m):

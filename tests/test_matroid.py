@@ -284,6 +284,20 @@ def test_chain_validation(k4, k4_flat_labels):
     ChainOfFlats((k4_flat_labels[1], k4_flat_labels[7]))  # fine
 
 
+def test_chain_validation_reports_a_bad_flat_before_a_bad_pair(k4, k4_flat_labels):
+    """A chain with several faults raises the same error whatever order the
+    checks read its flats in: an improper flat anywhere first, then the
+    first bad pair, a foreign graph before a failed containment."""
+    f1, f7 = k4_flat_labels[1], k4_flat_labels[7]
+    with pytest.raises(ValueError, match="proper"):
+        ChainOfFlats((f7, f1, flat_of(k4, [])))
+    k3_flat = flat_of(Graph.complete([2, 3, 4]), [(2, 3)])
+    with pytest.raises(ValueError, match="share a parent graph"):
+        ChainOfFlats((k3_flat, f1, f1))
+    with pytest.raises(ValueError, match="strictly increase"):
+        ChainOfFlats((f7, f1, k3_flat))
+
+
 def test_all_chains_counts(k4):
     chains = list(all_chains(k4))
     assert sum(1 for c in chains if len(c) == 0) == 1

@@ -134,6 +134,17 @@ def test_reweighting_refuses_a_ray_set_that_is_not_a_cone(k4):
     assert fan.with_weights({sigma.rayset: 2}).cone_with_rayset(sigma.rayset).weight == 2
 
 
+def test_fan_refuses_cones_over_another_ambient(k4):
+    """Edge masks name rays only over one edge list, so a fan refuses K3's
+    cones in K4's edge space; an equal edge list that is another tuple is
+    the same ambient."""
+    k3_fan = bergman.bergman_fan(Graph.complete([2, 3, 4]))
+    with pytest.raises(ValueError, match="another ambient"):
+        Fan(k4.edges, k3_fan.cones)
+    k4_fan = bergman.bergman_fan(k4)
+    assert bergman.fans_equal(Fan(list(k4.edges), k4_fan.cones), k4_fan)
+
+
 def test_cone_built_directly_rejects_dependent_rays(k4):
     r = ray_of_flat(flat_of(k4, [(2, 3)]), k4.edges)
     s = ray_of_flat(flat_of(k4, [(2, 4)]), k4.edges)
