@@ -10,7 +10,6 @@ from .bergman import (
     fan_json_text,
     fans_equal,
     is_balanced,
-    make_cone,
     primitive_normal,
     project_fan,
     project_vector,

@@ -1,38 +1,41 @@
 """Bergman fans in the chains-of-flats subdivision, as weighted integral fans.
 
-Vectors live in the quotient of edge space by the all-ones line; the canonical
-representative of a class is the one whose last coordinate vanishes, which
-makes equality a plain tuple comparison and identifies the quotient lattice
-with the integer vectors supported on the remaining coordinates.
+A cone is a chain of edge sets, stored as the ascending tuple of their bit
+masks over its fan's ambient edge list.  Vectors live in the quotient of
+edge space by the all-ones line; the canonical representative of a class is
+the one whose last coordinate vanishes, which makes equality a plain tuple
+comparison and identifies the quotient lattice with the integer vectors
+supported on the remaining coordinates.  The ray of a nonempty proper edge
+set F is the class of minus its indicator vector: -1 on F when F misses the
+last edge and 1 off F when F holds it, so in the nested-set subdivision a
+flat's mask names its ray (Ardila-Klivans; Feichtner-Sturmfels).  Every cone
+of a chain of flats, and of its projection onto a subgraph's edges, is such
+a chain of strictly nested nonempty proper edge sets, and a ``Cone`` refuses
+any other masks.
 
-Arithmetic is exact, never floating point.  A vector's coordinates are ints
-or Fractions (psi of a metric curve is rational), but a cone's rays are the
-rays of edge sets.  The ray of a set F is the class of minus its indicator
-vector: its canonical representative is -1 on F when F misses the last edge
-and 1 off F when F holds it, so ``QuotientVector.edge_mask`` reads F back.
-Every cone of a chain of flats, and of its projection onto a subgraph's
-edges, is spanned by the rays of strictly nested nonempty proper edge sets,
-and a ``Cone`` refuses any other rays.
+Arithmetic is exact, never floating point.  Vectors (``QuotientVector``,
+with int or Fraction coordinates, as psi of a metric curve is rational)
+appear only at the API's edge: ``Cone.rays``, ``Fan.rays`` and
+``primitive_normal`` make them on each call, and ``cone_with_rayset`` and
+``with_weights`` read ray sets back to masks.  A fan makes each distinct
+ray's coordinates once, to order its cones, for the rows of the saturation
+certificate and for ``fan_json_text``.
 
-The chains-of-flats subdivision is unimodular (Ardila-Klivans;
-Feichtner-Sturmfels): the canonical rays of a chain are signed indicators
-of a laminar family of edge sets (the sets missing the last edge and the
-complements of those holding it), so their matrix is totally unimodular and
-the rays are a basis of the lattice points of their span.  The primitive
-normal of a facet is therefore the remaining ray, modulo the facet's
-lattice, and rays are primitive, so fans are equal when their ray sets and
-maximal weights are.  Balancing certifies each maximal cone once, by
-``intlinalg.saturation`` handing its rays back unchanged, and indexes the
-maximal cones by their facets' edge masks (``Cone.masks``), so each
-codimension-one face visits only its own star.  Its span test needs no
-linear algebra: a vector lies in the span of a chain's rays plus the
+The subdivision is unimodular: the canonical rays of a chain are signed
+indicators of a laminar family of edge sets (the sets missing the last edge
+and the complements of those holding it), so their matrix is totally
+unimodular and the rays are a basis of the lattice points of their span.
+The primitive normal of a facet is therefore the ray of the set it lacks,
+and fans are equal when their chains and maximal weights are.  Balancing
+certifies each maximal cone once, by ``intlinalg.saturation`` handing its
+rays back unchanged, and indexes the maximal cones by their facets' masks,
+so each codimension-one face visits only its own star.  Its span test needs
+no linear algebra: a vector lies in the span of a chain's rays plus the
 all-ones line exactly when it is constant on each layer F_1, F_2 - F_1,
 ..., E - F_k of the chain, so balancing adds the star's edge sets, weighted,
 on edge masks and compares the sums within each layer.  The certificate is
 its one integer elimination left; the benchmark's gate still counts the
 ``saturation`` calls it makes.
-
-Fans are written as JSON by ``fan_json_text``.
 """
 
 from __future__ import annotations
@@ -136,30 +139,6 @@ class QuotientVector:
     def scale(self, factor) -> "QuotientVector":
         return QuotientVector(self.ambient, tuple(_num(factor * c) for c in self.coords))
 
-    @cached_property
-    def edge_mask(self) -> int:
-        """The nonempty proper edge set whose ray this vector is, as a bit
-        mask over ``ambient``: its -1 coordinates when all are 0 or -1, and
-        its 0 coordinates when all are 0 or 1.
-
-        Any other vector is the ray of no such set and raises ValueError:
-        the zero vector, a multiple of a ray, a vector of mixed signs or one
-        with a Fraction coordinate.  ``Cone`` asks each ray once, and the
-        mask is cached on the ray."""
-        if Fraction in map(type, self.coords):
-            raise ValueError("cone rays must be integral vectors, with int coordinates")
-        support = sum(1 << i for i, c in enumerate(self.coords) if c)
-        values = set(self.coords)
-        values.discard(0)
-        if values == {-1}:
-            return support
-        if values == {1}:
-            return ((1 << len(self.coords)) - 1) ^ support
-        raise ValueError(
-            "cone rays must be rays of nonempty proper edge sets, "
-            "with coordinates all in {0, -1} or all in {0, 1}"
-        )
-
     def _check(self, other: "QuotientVector"):
         if self.ambient != other.ambient:
             raise ValueError("vectors over different ambient edge lists")
@@ -177,89 +156,93 @@ def ray_of_flat(f: Flat, ambient: Sequence[Edge]) -> QuotientVector:
     return QuotientVector.from_raw(ambient, raw)
 
 
-@dataclass(frozen=True)
+def _ray_coords(mask: int, m: int) -> tuple[int, ...]:
+    """The canonical coordinates of the ray of the nonempty proper edge set
+    ``mask`` among m edges: -1 on the set when it misses the last edge, and
+    1 off it when it holds it."""
+    if mask >> (m - 1) & 1:
+        return tuple(1 - (mask >> i & 1) for i in range(m))
+    return tuple(-(mask >> i & 1) for i in range(m))
+
+
+def _ray(ambient: tuple[Edge, ...], mask: int) -> QuotientVector:
+    return QuotientVector(ambient, _ray_coords(mask, len(ambient)))
+
+
+@dataclass(frozen=True, slots=True)
 class Cone:
     """A cone spanned by the rays of a chain of edge sets, with weight and
-    origin.
+    origin: ``masks`` are the sets over ``ambient`` (the edge list its fan
+    shares), ascending, each a strict subset of the next and none empty or
+    full, as is checked with the weight.  Such rays are independent, so the
+    cone is simplicial.  ``rays`` and ``rayset`` make vectors on each call."""
 
-    Each ray must be the ray of a nonempty proper edge set (its
-    ``edge_mask``), and the sets must be strictly nested; both are checked
-    when the cone is built, with the weight.  Such rays are independent, so
-    the cone is simplicial."""
-
-    rays: tuple[QuotientVector, ...]
+    ambient: tuple[Edge, ...] = field(repr=False)
+    masks: tuple[int, ...]
     weight: int = 1
     provenance: tuple[ChainOfFlats, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if type(self.weight) is not int or self.weight < 1:
             raise ValueError(f"cone weights are positive integers, got {self.weight!r}")
-        # a strict subset is a smaller int, so a chain sorts into its order;
-        # it starts above the empty set, which no ray's mask is
-        below = 0
+        # a strict superset is a larger int, so a chain ascends as ints; it
+        # starts above the empty set and stays below the full one
+        full, below = (1 << len(self.ambient)) - 1, 0
         for mask in self.masks:
-            if below | mask != mask or below == mask:
-                raise ValueError("cone rays must be the rays of strictly nested edge sets")
+            if not below < mask < full or below & ~mask:
+                raise ValueError("cone rays must be the rays of strictly nested nonempty "
+                                 f"proper edge sets, got the masks {self.masks!r}")
             below = mask
 
     @property
     def dim(self) -> int:
-        return len(self.rays)
+        return len(self.masks)
 
-    @cached_property
+    @property
+    def rays(self) -> tuple[QuotientVector, ...]:
+        """The rays as vectors, in the order of their canonical coordinates."""
+        return tuple(sorted((_ray(self.ambient, x) for x in self.masks), key=lambda r: r.coords))
+
+    @property
     def rayset(self) -> frozenset:
         return frozenset(self.rays)
 
-    @property
-    def masks(self) -> tuple[int, ...]:
-        """The rays' edge sets as bit masks, smallest first: the chain the
-        cone is spanned by.  Over one ambient edge list they name the rays,
-        so a fan keys its faces and stars by them.  Not cached here: a fan
-        that asks keeps one tuple of them for all its cones, and a fan that
-        never asks holds none."""
-        return tuple(sorted([r.edge_mask for r in self.rays]))
-
-
-def make_cone(
-    rays: Iterable[QuotientVector],
-    weight: int = 1,
-    provenance: tuple[ChainOfFlats, ...] = (),
-) -> Cone:
-    return Cone(tuple(sorted(set(rays), key=lambda r: r.coords)), weight, provenance)
-
 
 class Fan:
-    """A weighted polyhedral fan given by its (simplicial) cones.
+    """A weighted polyhedral fan given by its (simplicial) cones, indexed by
+    their mask tuples.
 
-    Every ray lies over the fan's ambient edge list (a cone over another is
-    refused with ValueError), each ray set is given at most once (a second
+    Every cone lies over the fan's ambient edge list (a cone over another is
+    refused with ValueError), each chain is given at most once (a second
     cone on it is refused, as no chain of flats yields one; ``project_fan``
     merges its fibers before building the image), and the cone with no rays
-    is always present.
+    is always present.  Cones are ordered by dimension and then by their
+    rays' canonical coordinates, so repeated construction is byte-stable.
     The cones must be closed under faces: ``maximal_cones`` (and so
     ``is_pure``, ``is_balanced``, ``fans_equal`` and ``with_weights``)
     refuses a fan that is not with ValueError.
-    Orderings are canonical everywhere so that repeated construction is
-    byte-stable.
     """
 
     def __init__(self, ambient: Sequence[Edge], cones: Iterable[Cone]):
         self.ambient = ambient = tuple(ambient)
-        by_rayset: dict[frozenset, Cone] = {}
+        by_masks: dict[tuple[int, ...], Cone] = {}
         for cone in cones:
-            # every library fan shares its rays' ambient tuple; a cone's
-            # edge masks name its rays only over this one edge list
-            for r in cone.rays:
-                if r.ambient is not ambient and r.ambient != ambient:
-                    raise ValueError("a cone's rays lie over another ambient edge list")
-            if cone.rayset in by_rayset:
+            # every library fan shares its cones' ambient tuple; masks name
+            # rays only over this one edge list
+            if cone.ambient is not ambient and cone.ambient != ambient:
+                raise ValueError("a cone lies over another ambient edge list")
+            if cone.masks in by_masks:
                 raise ValueError("conflicting cones: a ray set is given twice")
-            by_rayset[cone.rayset] = cone
-        if frozenset() not in by_rayset:
-            by_rayset[frozenset()] = make_cone(())
-        self._by_rayset = by_rayset
+            by_masks[cone.masks] = cone
+        if () not in by_masks:
+            by_masks[()] = Cone(ambient, ())
+        self._by_masks = by_masks
+        # each ray's canonical coordinates, made once and kept in their order
+        rays = sorted((_ray_coords(x, len(ambient)), x) for x in {x for k in by_masks for x in k})
+        self._coords = {x: coords for coords, x in rays}
+        rank = {x: i for i, (_, x) in enumerate(rays)}.__getitem__
         self.cones: tuple[Cone, ...] = tuple(
-            sorted(by_rayset.values(), key=lambda c: (c.dim, [r.coords for r in c.rays]))
+            sorted(by_masks.values(), key=lambda c: (len(c.masks), sorted(map(rank, c.masks))))
         )
         self.max_dim = self.cones[-1].dim
         # the cones of dimension d are cones[by_dim[d]]
@@ -269,7 +252,7 @@ class Fan:
         starts = list(accumulate(counts))
         self._by_dim = [slice(a, b) for a, b in zip(starts, starts[1:])]
 
-    @cached_property
+    @property
     def rays(self) -> tuple[QuotientVector, ...]:
         return tuple(c.rays[0] for c in self.cones_of_dim(1))
 
@@ -277,50 +260,52 @@ class Fan:
         return self.cones[self._by_dim[d]] if 0 <= d <= self.max_dim else ()
 
     @cached_property
-    def _masks(self) -> tuple[tuple[int, ...], ...]:
-        """Each cone's ``masks``, in cone order: one tuple per cone, kept by
-        the fan rather than on the cone, whose instance dict would grow."""
-        return tuple(c.masks for c in self.cones)
-
-    @cached_property
     def maximal_cones(self) -> tuple[Cone, ...]:
         # in a fan closed under taking ray subsets, non-maximal cones are
         # exactly the facets of some other cone.  Closure is checked here,
         # not when the fan is built, where it would cost every fan.
         facets = set()
-        for masks in self._masks:
+        for c in self.cones:
+            masks = c.masks
             for i in range(len(masks)):
                 facets.add(masks[:i] + masks[i + 1 :])
-        if not facets <= set(self._masks):
+        if not facets <= self._by_masks.keys():
             raise ValueError("the fan is not closed under faces")
-        return tuple(c for c, masks in zip(self.cones, self._masks) if masks not in facets)
+        return tuple(c for c in self.cones if c.masks not in facets)
 
     @property
     def is_pure(self) -> bool:
         return all(c.dim == self.max_dim for c in self.maximal_cones)
 
+    def _masks_of(self, rays: Iterable[QuotientVector]) -> Optional[tuple[int, ...]]:
+        """The ascending masks of ``rays``, or None if one is not a ray of this fan."""
+        mask_of = {coords: x for x, coords in self._coords.items()}
+        masks = [mask_of.get(r.coords) if r.ambient == self.ambient else None for r in rays]
+        return None if None in masks else tuple(sorted(masks))
+
     def cone_with_rayset(self, rayset: frozenset) -> Optional[Cone]:
-        return self._by_rayset.get(rayset)
+        return self._by_masks.get(self._masks_of(rayset))
 
     def with_weights(self, overrides: dict[frozenset, int]) -> "Fan":
-        """The fan with some weights replaced; other cones are shared.  A ray
-        set that is not a cone of this fan is refused with ValueError.
+        """The fan with some weights replaced, each named by its cone's ray
+        set; other cones are shared.  A ray set that is not a cone of this
+        fan is refused with ValueError.
 
-        The ray sets are this fan's, so its cone order, its index by
-        dimension, its edge masks and its maximal cones carry over, with the
-        reweighted cones in their places, and are not sorted or checked
-        again."""
-        if not self._by_rayset.keys() >= overrides.keys():
+        The chains are this fan's, so its cone order, index by dimension,
+        ray coordinates and maximal cones carry over, with the reweighted
+        cones in their places, and are not sorted or checked again."""
+        weights = {self._masks_of(rays): w for rays, w in overrides.items()}
+        if not self._by_masks.keys() >= weights.keys():
             raise ValueError("with_weights names a ray set that is not a cone of this fan")
-        new = {rs: replace(self._by_rayset[rs], weight=w) for rs, w in overrides.items()}
+        new = {masks: replace(self._by_masks[masks], weight=w) for masks, w in weights.items()}
 
         def swap(cones: Iterable[Cone]) -> tuple[Cone, ...]:
-            return tuple(new.get(c.rayset, c) for c in cones)
+            return tuple(new.get(c.masks, c) for c in cones)
 
         fan = copy(self)
         fan.__dict__["maximal_cones"] = swap(self.maximal_cones)
         fan.cones = swap(self.cones)
-        fan._by_rayset = {**self._by_rayset, **new}
+        fan._by_masks = {**self._by_masks, **new}
         return fan
 
     def census(self) -> tuple[int, ...]:
@@ -342,13 +327,10 @@ def bergman_fan(g: Graph) -> Fan:
 
 def _chain_fan(g: Graph, flats: Sequence[Flat]) -> Fan:
     """One weight-one cone per chain of ``flats`` (proper flats of g in
-    canonical order), with the chain as provenance."""
-    ray_of = {f.mask: ray_of_flat(f, g.edges) for f in flats}
-    cones = [
-        make_cone([ray_of[f.mask] for f in chain], weight=1, provenance=(chain,))
-        for chain in _chain_walk(flats)
-    ]
-    return Fan(g.edges, cones)
+    canonical order), on the chain's edge masks, with the chain as
+    provenance."""
+    chains = _chain_walk(flats)
+    return Fan(g.edges, [Cone(g.edges, tuple(f.mask for f in c), 1, (c,)) for c in chains])
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +339,18 @@ def _chain_fan(g: Graph, flats: Sequence[Flat]) -> Fan:
 
 def primitive_normal(sigma: Cone, tau: Cone) -> QuotientVector:
     """The primitive lattice normal of the codimension-one face tau in sigma:
-    the ray of sigma that tau lacks.
+    the ray of the edge set in sigma's chain that tau's chain lacks.
 
     Sigma's rays are a basis of the integer points of its span, so that ray
     generates the quotient of sigma's lattice by tau's and points into
     sigma.  The normal is a class modulo tau's lattice; the ray is one
     member of it."""
-    if not tau.rayset <= sigma.rayset:
+    if tau.ambient != sigma.ambient or not set(tau.masks) <= set(sigma.masks):
         raise ValueError("tau is not a face of sigma")
     if sigma.dim != tau.dim + 1:
         raise ValueError("tau must have codimension one in sigma")
-    (ray,) = sigma.rayset - tau.rayset
-    return ray
+    (mask,) = set(sigma.masks).difference(tau.masks)
+    return _ray(sigma.ambient, mask)
 
 
 @dataclass(frozen=True)
@@ -399,20 +381,23 @@ def is_balanced(fan: Fan) -> BalanceReport:
         return BalanceReport(True)
     top, codim1 = fan._by_dim[fan.max_dim], fan._by_dim[fan.max_dim - 1]
     star: dict[tuple[int, ...], list[tuple[Cone, int]]] = {}
-    for sigma, masks in zip(fan.cones[top], fan._masks[top]):
+    for sigma in fan.cones[top]:
+        masks = sigma.masks
         for i, mask in enumerate(masks):
             star.setdefault(masks[:i] + masks[i + 1 :], []).append((sigma, mask))
     full = (1 << len(fan.ambient)) - 1
     certified: set[int] = set()  # ids of the maximal cones
-    for tau, chain in zip(fan.cones[codim1], fan._masks[codim1]):
-        members = star.get(chain, ())
+    for tau in fan.cones[codim1]:
+        members = star.get(tau.masks, ())
         for sigma, _ in members:
             if id(sigma) not in certified:
-                # canonical reps end in 0, which the lattice test leaves out
-                if not _is_unimodular([list(r.coords[:-1]) for r in sigma.rays]):
+                # the rays' canonical coordinates in their order; each ends
+                # in 0, which the lattice test leaves out
+                rays = sorted(fan._coords[x] for x in sigma.masks)
+                if not _is_unimodular([list(r[:-1]) for r in rays]):
                     raise RuntimeError("a maximal cone's rays are not a basis of its lattice")
                 certified.add(id(sigma))
-        if not _constant_on_layers(chain, [(g, s.weight) for s, g in members], full):
+        if not _constant_on_layers(tau.masks, [(g, s.weight) for s, g in members], full):
             return BalanceReport(False, tau)
     return BalanceReport(True)
 
@@ -472,50 +457,47 @@ def project_vector(v: QuotientVector, gamma: Graph) -> QuotientVector:
 def project_fan(fan: Fan, gamma: Graph) -> Fan:
     """Image of a fan in the complete-graph edge space under edge deletion.
 
-    Rays that project to zero are dropped and coinciding images are merged;
-    each image cone keeps every source cone's provenance as its fiber and
-    carries weight one; building each image cone checks its rays once.
+    Forgetting the other edges sends the ray of an edge set F to the ray of
+    its trace F & E(gamma), or to zero when the trace is empty or all of
+    gamma's edges; each image cone is the chain of its rays' nonzero
+    traces.  Coinciding images are merged: each image cone keeps every
+    source cone's provenance as its fiber and carries weight one.
     """
     complete_edges = tuple(combinations(gamma.labels, 2))
     if fan.ambient != complete_edges:
         raise ValueError(
             "fan ambient must be the complete graph on the target graph's labels"
         )
-    merged: dict[frozenset, tuple[list[QuotientVector], list]] = {}
-    image_of: dict[QuotientVector, QuotientVector] = {}  # each ray's, computed once
+    # gamma's edges keep their order among the complete graph's; each ray's
+    # trace is kept if it is not empty or full, that is if its image is not 0
+    positions = [i for i, e in enumerate(fan.ambient) if e in gamma.edge_index]
+    full = (1 << len(positions)) - 1
+    trace = {}
+    for x in fan._coords:
+        t = sum(1 << j for j, i in enumerate(positions) if x >> i & 1)
+        if 0 < t < full:
+            trace[x] = t
+    merged: dict[tuple[int, ...], list] = {}
     for cone in fan.cones:
-        image = []
-        for ray in cone.rays:
-            p = image_of.get(ray)
-            if p is None:
-                p = image_of[ray] = project_vector(ray, gamma)
-            if not p.is_zero and p not in image:
-                image.append(p)
-        key = frozenset(image)
-        slot = merged.setdefault(key, (image, []))
-        slot[1].extend(cone.provenance)
-    cones = [
-        make_cone(rays, weight=1, provenance=tuple(fibers))
-        for rays, fibers in merged.values()
-    ]
-    return Fan(gamma.edges, cones)
+        image = tuple(sorted({trace[x] for x in cone.masks if x in trace}))
+        merged.setdefault(image, []).extend(cone.provenance)
+    return Fan(gamma.edges, [Cone(gamma.edges, k, 1, tuple(f)) for k, f in merged.items()])
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:
-    """Structural equality: same ambient, same cone ray sets, and matching
-    weights on maximal cones.  Rays of edge sets are primitive, so equal
-    cones have equal rays."""
+    """Structural equality: same ambient, same chains of edge masks, and
+    matching weights on maximal cones.  Rays of edge sets are primitive, so
+    equal cones have equal rays."""
     if a.ambient != b.ambient:
         return False
 
     def shape(fan: Fan) -> dict:
-        maximal = {c.rayset for c in fan.maximal_cones}
-        return {c.rayset: c.weight if c.rayset in maximal else None for c in fan.cones}
+        maximal = {c.masks for c in fan.maximal_cones}
+        return {c.masks: c.weight if c.masks in maximal else None for c in fan.cones}
 
     return shape(a) == shape(b)
 
 
-# ---------------------------------------------------------------------------
 # Serialization
 
 SCHEMA = 1  # version of every JSON document the CLI writes
@@ -578,13 +560,8 @@ def fan_json_text(fan: Fan, depth: int = 0, **fields) -> str:
     repeats a few hundred flats tens of thousands of times.  Whatever
     ``json.dumps`` refuses, such as a Fraction field value, raises TypeError.
     """
-    # Rays and flats are looked up by id, which hashes far faster than their
-    # dataclass fields; the fan holds every object for the whole call, and
-    # equal but distinct objects only cost a second, identical encoding.
-    ray_of_id = {id(r): r for c in fan.cones for r in c.rays}
-    rays = sorted(set(ray_of_id.values()), key=lambda r: r.coords)
-    index = {r: i for i, r in enumerate(rays)}
-    index_of_id = {k: index[r] for k, r in ray_of_id.items()}
+    # the fan's rays are its ray coordinates' keys, in their order
+    index = {x: i for i, x in enumerate(fan._coords)}
     # nl[k] starts a line at nesting depth + k; sep[k] ends an item before it
     nl = ["\n" + _INDENT * (depth + k) for k in range(7)]
     sep = ["," + s for s in nl]
@@ -593,6 +570,9 @@ def fan_json_text(fan: Fan, depth: int = 0, **fields) -> str:
         """json_array(items, depth + k) from the precomputed separators."""
         return "[" + nl[k + 1] + sep[k + 1].join(items) + nl[k] + "]" if items else "[]"
 
+    # Flats are looked up by id, which hashes far faster than their dataclass
+    # fields; the fan holds every flat for the whole call, and equal but
+    # distinct flats only cost a second, identical encoding.
     flat_text: dict[int, str] = {}
 
     def chain_block(chain: ChainOfFlats) -> str:
@@ -607,7 +587,7 @@ def fan_json_text(fan: Fan, depth: int = 0, **fields) -> str:
 
     cones = []
     for c in fan.cones:
-        ids = sorted(index_of_id[id(r)] for r in c.rays)
+        ids = sorted([index[x] for x in c.masks])
         cones.append(
             "{" + nl[3] + '"rays": ' + block(list(map(str, ids)), 3)
             + sep[3] + '"weight": ' + json_scalar(c.weight)
@@ -617,7 +597,7 @@ def fan_json_text(fan: Fan, depth: int = 0, **fields) -> str:
     members = [
         ("schema", json_scalar(SCHEMA)),
         ("ambient", block([json_scalar(edge_str(e)) for e in fan.ambient], 1)),
-        ("rays", block([block(list(map(json_scalar, r.coords)), 2) for r in rays], 1)),
+        ("rays", block([block(list(map(json_scalar, r)), 2) for r in fan._coords.values()], 1)),
         ("cones", block(cones, 1)),
     ]
     members += [(key, json_scalar(value)) for key, value in fields.items()]

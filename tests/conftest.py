@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from tropfan import ChainOfFlats, EdgeSet, Fan, Flat, Graph, make_cone
+from tropfan import ChainOfFlats, Cone, EdgeSet, Fan, Flat, Graph
 
 
 @pytest.fixture
@@ -25,15 +25,15 @@ def chain_of(graph: Graph, *edge_lists) -> ChainOfFlats:
 
 def closed_fan(ambient, cones) -> Fan:
     """The fan of the given cones and every face of them; a face that is not
-    among the given cones gets weight one.  A ``Fan`` takes each ray set
-    once, so a face shared by several cones is built once."""
-    cones = list(cones)
-    faces = {c.rayset: c for c in cones}
+    among the given cones gets weight one.  A ``Fan`` takes each chain of
+    edge masks once, so a face shared by several cones is built once."""
+    ambient, cones = tuple(ambient), list(cones)
+    faces = {c.masks: c for c in cones}
     for c in cones:
         for k in range(c.dim):
-            for sub in itertools.combinations(c.rays, k):
-                if frozenset(sub) not in faces:
-                    faces[frozenset(sub)] = make_cone(sub)
+            for sub in itertools.combinations(c.masks, k):
+                if sub not in faces:
+                    faces[sub] = Cone(ambient, sub)
     return Fan(ambient, faces.values())
 
 

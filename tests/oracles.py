@@ -9,8 +9,9 @@ of two-element splits, graphic stability by the vertex-local rule, radial
 faces by weakly monotone level maps, circuits as minimal dependent sets by
 pairwise comparison, lattice covers by containment of every pair of flats,
 the trichotomy's injectivity and rank verdicts in two full passes, and the
-caterpillar chain grown as a vertex set.  None of these is on a library
-path.
+caterpillar chain grown as a vertex set, and the vector route to a fan: cones
+built from their rays as vectors and keyed by ray sets, with projection by
+coordinates.  None of these is on a library path.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Optional, Sequence
 
 from tropfan import (
     ChainOfFlats,
+    Cone,
     EdgeSet,
     Graph,
     QnVector,
@@ -30,6 +32,8 @@ from tropfan import (
     enumerate_flats,
     graph_rank,
     is_complete_multipartite,
+    project_vector,
+    ray_of_flat,
     rho_split,
     tropical_type,
 )
@@ -42,7 +46,7 @@ from tropfan.intlinalg import (
     orthogonal_complement,
     saturation,
 )
-from tropfan.matroid import Flat
+from tropfan.matroid import Flat, _chain_walk
 from tropfan.tropmoduli import _stable_flats, pair_list
 
 
@@ -447,3 +451,79 @@ def complement(g: Graph) -> Graph:
     """The graph on g's labels whose edges are the pairs g lacks."""
     edges = tuple(e for e in combinations(g.labels, 2) if e not in g.edge_index)
     return Graph(g.labels, edges)
+
+
+# ---------------------------------------------------------------------------
+# The vector route: cones from rays as vectors
+
+
+def edge_mask(v: QuotientVector) -> int:
+    """The nonempty proper edge set whose ray ``v`` is, as a bit mask over
+    its ambient: its -1 coordinates when all are 0 or -1, and its 0
+    coordinates when all are 0 or 1.
+
+    Any other vector is the ray of no such set and raises ValueError: the
+    zero vector, a multiple of a ray, a vector of mixed signs or one with a
+    Fraction coordinate."""
+    if Fraction in map(type, v.coords):
+        raise ValueError("cone rays must be integral vectors, with int coordinates")
+    support = sum(1 << i for i, c in enumerate(v.coords) if c)
+    values = set(v.coords)
+    values.discard(0)
+    if values == {-1}:
+        return support
+    if values == {1}:
+        return ((1 << len(v.coords)) - 1) ^ support
+    raise ValueError(
+        "cone rays must be rays of nonempty proper edge sets, "
+        "with coordinates all in {0, -1} or all in {0, 1}"
+    )
+
+
+def cone_of_rays(rays, weight=1, provenance=(), ambient=None) -> Cone:
+    """The cone on the edge sets whose rays are ``rays`` (vectors, in any
+    order, a repeat refused as not strictly nested), over their ambient or,
+    for no rays, over ``ambient``."""
+    rays = list(rays)
+    if ambient is None:
+        ambient = rays[0].ambient
+    if any(r.ambient != ambient for r in rays):
+        raise ValueError("rays over different ambient edge lists")
+    return Cone(tuple(ambient), tuple(sorted(map(edge_mask, rays))), weight, provenance)
+
+
+def make_cone(rays, weight=1, provenance=(), ambient=None) -> Cone:
+    """``cone_of_rays`` of the distinct vectors among ``rays``."""
+    return cone_of_rays(set(rays), weight, provenance, ambient)
+
+
+def vector_cones(cones: dict) -> list[tuple]:
+    """(ray coordinates, weight, provenance) of each cone of a {ray set:
+    (weight, provenance)} dict, the rays sorted by coordinates and the cones
+    by dimension and then by their rays: the order a fan keeps."""
+    out = [
+        (tuple(sorted(r.coords for r in rays)), weight, tuple(provenance))
+        for rays, (weight, provenance) in cones.items()
+    ]
+    return sorted(out, key=lambda c: (len(c[0]), c[0]))
+
+
+def vector_chain_fan(g: Graph, flats) -> dict:
+    """One weight-one cone per chain of ``flats``, keyed by the ray set of
+    its flats (``ray_of_flat`` over g's edges)."""
+    return {
+        frozenset(ray_of_flat(f, g.edges) for f in chain): (1, [chain])
+        for chain in _chain_walk(flats)
+    }
+
+
+def vector_project_fan(cones: dict, gamma: Graph) -> dict:
+    """The image of a ray-set keyed fan under ``project_vector``: zero
+    images dropped, cones with one image merged, their fibers joined in the
+    order of ``vector_cones``."""
+    merged: dict = {}
+    ordered = sorted(cones.items(), key=lambda item: (len(item[0]), sorted(r.coords for r in item[0])))
+    for rays, (_, provenance) in ordered:
+        image = frozenset(p for p in (project_vector(r, gamma) for r in rays) if not p.is_zero)
+        merged.setdefault(image, (1, []))[1].extend(provenance)
+    return merged

@@ -7,14 +7,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tropfan import (
-    Cone,
     Fan,
     Graph,
     QuotientVector,
     bergman_fan,
     fans_equal,
     is_balanced,
-    make_cone,
     moduli_fan_rad,
     primitive_normal,
     project_fan,
@@ -27,13 +25,16 @@ from tropfan.intlinalg import orthogonal_complement
 
 from conftest import closed_fan, flat_of
 from oracles import (
+    cone_of_rays,
     echelon_in_span,
+    edge_mask,
     fan_to_json,
     hnf,
     hnf_reduce,
     in_lattice,
     in_rational_span,
     lattice_normal,
+    make_cone,
     primitive_vector,
     rational_rank,
     solve_in_span,
@@ -148,7 +149,7 @@ def test_cone_dim_equals_chain_length(k4):
 def test_primitive_normal_of_ray_at_origin(k4, k4_flat_labels):
     ray = ray_of_flat(k4_flat_labels[1], k4.edges)
     sigma = make_cone([ray])
-    tau = make_cone([])
+    tau = make_cone([], ambient=k4.edges)
     u = primitive_normal(sigma, tau)
     assert u.coords == ray.coords  # already primitive
 
@@ -264,7 +265,7 @@ def test_k3_fan_balances_by_hand():
     fan = bergman_fan(k3)
     total = [0, 0, 0]
     for cone in fan.cones_of_dim(1):
-        u = primitive_normal(cone, make_cone([]))
+        u = primitive_normal(cone, make_cone([], ambient=k3.edges))
         total = [a + b for a, b in zip(total, u.coords)]
     assert total == [0, 0, 0]
     assert is_balanced(fan).balanced
@@ -310,20 +311,27 @@ def test_fan_missing_a_face_is_refused(k4):
             read()
 
 
+@functools.cache
+def rayset_of(cone):
+    """``cone.rayset``, which makes the rays on each call, made once per cone."""
+    return cone.rayset
+
+
 def quadratic_scan(fan, normals):
     """The generic balancing check: every codimension-one face against every
     maximal cone, primitive normals by the oracles' closed form, rational
     span test.  ``normals`` memoizes the normals by ray sets, which weights
     do not change."""
     m = len(fan.ambient) - 1
-    maximal = fan.cones_of_dim(fan.max_dim)
+    maximal = [(sigma, rayset_of(sigma)) for sigma in fan.cones_of_dim(fan.max_dim)]
     for tau in fan.cones_of_dim(fan.max_dim - 1):
         total = [0] * m
-        for sigma in maximal:
-            if tau.rayset <= sigma.rayset:
-                key = (sigma.rayset, tau.rayset)
+        tau_rays = rayset_of(tau)
+        for sigma, sigma_rays in maximal:
+            if tau_rays <= sigma_rays:
+                key = (sigma_rays, tau_rays)
                 if key not in normals:
-                    (extra,) = sigma.rayset - tau.rayset
+                    (extra,) = sigma_rays - tau_rays
                     normals[key] = lattice_normal(lattice_rows(tau), extra.coords[:-1], m)
                 total = [t + sigma.weight * c for t, c in zip(total, normals[key])]
         if any(total) and not in_rational_span(lattice_rows(tau), total):
@@ -347,7 +355,7 @@ def test_missing_ray_is_the_primitive_normal(name):
     m = len(fan.ambient) - 1
     for sigma in fan.cones_of_dim(fan.max_dim):
         for ray in sigma.rays:
-            tau = make_cone(sigma.rayset - {ray})
+            tau = make_cone(sigma.rayset - {ray}, ambient=fan.ambient)
             assert primitive_normal(sigma, tau) == ray
             tau_rows = lattice_rows(tau)
             got = list(ray.coords[:-1])
@@ -455,7 +463,7 @@ def test_layer_test_matches_echelon_span_test(name):
             for w, ray in zip(weights, normals):
                 total = [t + w * c for t, c in zip(total, ray.coords)]
             layered = _constant_on_layers(
-                tau.masks, [(r.edge_mask, w) for w, r in zip(weights, normals)], full
+                tau.masks, [(edge_mask(r), w) for w, r in zip(weights, normals)], full
             )
             assert layered == echelon_in_span([r.coords for r in tau.rays], total)
             verdicts.add(layered)
@@ -504,10 +512,10 @@ def chain_rows(draw):
 
 
 def cone_on(rows):
-    """``Cone`` built straight from rational rows (quotient vectors ending
-    in 0), keeping repeated rows."""
+    """The cone on rational rows (quotient vectors ending in 0), keeping
+    repeated rows."""
     ambient = tuple((2, j) for j in range(3, len(rows[0]) + 4)) if rows else ()
-    return Cone(tuple(QuotientVector(ambient, tuple(r) + (0,)) for r in rows))
+    return cone_of_rays([QuotientVector(ambient, tuple(r) + (0,)) for r in rows], ambient=ambient)
 
 
 @settings(max_examples=400, deadline=None)

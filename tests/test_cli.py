@@ -311,3 +311,18 @@ def test_counts_complete_out_of_range_exits_2(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "needs 0 <= m <= 10" in captured.err, m
+
+
+@pytest.mark.parametrize(
+    "argv", [["flats", "--graph", "k4"], ["verify", "psi"]], ids=["flats", "verify-psi"]
+)
+def test_unwritable_output_exits_2(argv, tmp_path, capsys):
+    """An output path that is a directory, or whose parent is missing, is
+    refused with an error line and exit status 2, which the CLI keeps for
+    malformed input (1 means a verification failed)."""
+    for target in (tmp_path, tmp_path / "missing" / "out.txt"):
+        assert main(argv + ["-o", str(target)]) == 2, target
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: "), captured.err
+    assert not (tmp_path / "missing").exists()

@@ -1,0 +1,192 @@
+"""Cones stored as chains of edge masks, against the vector route.
+
+A fan answers ``cone_with_rayset``, ``with_weights``, ``primitive_normal``
+and ``failing_face.rays`` in vectors; the first tests pin what those views
+return and refuse.  The oracles' vector route builds each cone from its
+rays as vectors, keyed by ray sets, and projects by coordinates; the mask
+route must match it cone for cone.  The fan routines themselves make no
+vector at all."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from tropfan import (
+    EdgeSet,
+    Fan,
+    Graph,
+    QuotientVector,
+    bergman_fan,
+    fan_json_text,
+    fans_equal,
+    is_balanced,
+    moduli_fan_rad,
+    primitive_normal,
+    project_fan,
+    proper_flats,
+)
+from tropfan.tropmoduli import _stable_flats
+
+from oracles import fan_to_json, vector_chain_fan, vector_cones, vector_project_fan
+
+
+@pytest.fixture
+def k4_fan(k4):
+    return bergman_fan(k4)
+
+
+def coords(rays):
+    return [r.coords for r in rays]
+
+
+def not_cones(k4):
+    """Ray sets that name no cone of K4's fan, each for another reason."""
+    ray = bergman_fan(Graph.complete([2, 3, 4, 5])).rays[0]
+    k3 = Graph.complete([2, 3, 4]).edges
+    other = tuple(reversed(k4.edges))  # the same edges, listed in another order
+    return {
+        "zero vector": frozenset([QuotientVector.zero(k4.edges)]),
+        "Fraction vector": frozenset([ray.scale(Fraction(1, 2))]),
+        "foreign ambient": frozenset([QuotientVector(other, ray.coords)]),
+        "foreign length": frozenset([QuotientVector.from_raw(k3, [-1, 0, 0])]),
+        "non-nested pair": frozenset(
+            [
+                QuotientVector(k4.edges, (-1, 0, 0, 0, 0, 0)),
+                QuotientVector(k4.edges, (0, -1, 0, 0, 0, 0)),
+            ]
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["zero vector", "Fraction vector", "foreign ambient", "foreign length", "non-nested pair"]
+)
+def test_ray_sets_of_no_cone_are_not_found_and_not_reweighted(k4, k4_fan, name):
+    rays = not_cones(k4)[name]
+    assert k4_fan.cone_with_rayset(rays) is None
+    with pytest.raises(ValueError, match="not a cone of this fan"):
+        k4_fan.with_weights({rays: 2})
+
+
+def test_every_cone_is_found_by_its_ray_set(k4_fan):
+    for cone in k4_fan.cones:
+        assert k4_fan.cone_with_rayset(cone.rayset) is cone
+        assert k4_fan.cone_with_rayset(frozenset(cone.rays)) is cone
+
+
+def test_failing_faces_are_the_vectors_they_were(k4_fan):
+    """The first failing face after doubling a maximal cone of K4's fan,
+    by its rays' canonical coordinates."""
+    maximal = k4_fan.cones_of_dim(2)
+    expected = {
+        0: ([(-1, -1, 0, -1, 0, 0), (-1, 0, 0, 0, 0, 0)], [(-1, -1, 0, -1, 0, 0)]),
+        5: ([(-1, 0, -1, 0, -1, 0), (0, 0, 0, 0, -1, 0)], [(-1, 0, -1, 0, -1, 0)]),
+        17: ([(1, 1, 1, 0, 0, 0), (1, 1, 1, 1, 1, 0)], [(1, 1, 1, 0, 0, 0)]),
+    }
+    for i, (sigma_rays, face_rays) in expected.items():
+        sigma = maximal[i]
+        assert coords(sigma.rays) == sigma_rays
+        report = is_balanced(k4_fan.with_weights({sigma.rayset: 2}))
+        assert coords(report.failing_face.rays) == face_rays
+    k3 = bergman_fan(Graph.complete([2, 3, 4]))
+    for ray in k3.cones_of_dim(1):
+        assert is_balanced(k3.with_weights({ray.rayset: 2})).failing_face.rays == ()
+
+
+def test_primitive_normals_are_the_vectors_they_were(k4_fan):
+    """The normal of a maximal cone over each of its facets is the ray the
+    facet lacks, as a vector over the fan's edges."""
+    sigma = k4_fan.cones_of_dim(2)[5]
+    normals = []
+    for ray in sigma.rays:
+        tau = k4_fan.cone_with_rayset(sigma.rayset - {ray})
+        normal = primitive_normal(sigma, tau)
+        assert normal == ray and normal.ambient == k4_fan.ambient
+        normals.append((coords(tau.rays), normal.coords))
+    assert normals == [
+        ([(0, 0, 0, 0, -1, 0)], (-1, 0, -1, 0, -1, 0)),
+        ([(-1, 0, -1, 0, -1, 0)], (0, 0, 0, 0, -1, 0)),
+    ]
+    for sigma in k4_fan.cones_of_dim(2):
+        for tau in k4_fan.cones_of_dim(1):
+            if tau.rayset <= sigma.rayset:
+                assert {primitive_normal(sigma, tau)} == sigma.rayset - tau.rayset
+
+
+# ---------------------------------------------------------------------------
+# The mask route against the vector route
+
+
+def path_on(labels):
+    return Graph.from_edges(list(zip(labels, labels[1:])), labels)
+
+
+def cycle_on(labels):
+    return Graph.from_edges(list(zip(labels, labels[1:])) + [(labels[0], labels[-1])], labels)
+
+
+K33 = Graph.from_edges([(a, b) for a in (2, 3, 4) for b in (5, 6, 7)], range(2, 8))
+
+
+def assert_matches(fan: Fan, cones: dict):
+    """The fan's cones, in order, have the vector route's ray coordinates,
+    weights and provenance, and its JSON document is the oracle's."""
+    assert all(c.ambient == fan.ambient for c in fan.cones)
+    got = [(tuple(r.coords for r in c.rays), c.weight, c.provenance) for c in fan.cones]
+    assert got == vector_cones(cones)
+    assert all(r.ambient == fan.ambient for c in fan.cones for r in c.rays)
+    assert fan_json_text(fan) == json.dumps(fan_to_json(fan), indent=2)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_bergman_fans_match_the_vector_route(m):
+    labels = tuple(range(2, m + 2))
+    g = Graph.complete(labels)
+    fan = bergman_fan(g)
+    cones = vector_chain_fan(g, proper_flats(g))
+    assert_matches(fan, cones)
+    for gamma in (path_on(labels), cycle_on(labels)):
+        assert_matches(project_fan(fan, gamma), vector_project_fan(cones, gamma))
+
+
+MODULI_TARGETS = [
+    (n, name)
+    for n in (5, 6, 7)
+    for name in ("complete", "path", "cycle")
+] + [(7, "K33")]
+
+
+@pytest.mark.parametrize("n, name", MODULI_TARGETS)
+def test_moduli_fans_match_the_vector_route(n, name):
+    labels = tuple(range(2, n + 1))
+    ambient = Graph.complete(labels)
+    gamma = {"complete": ambient, "path": path_on(labels), "cycle": cycle_on(labels), "K33": K33}[name]
+    fan = moduli_fan_rad(n, gamma)
+    gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
+    cones = vector_chain_fan(ambient, _stable_flats(n, gmask))
+    assert_matches(fan, cones)
+    assert_matches(project_fan(fan, gamma), vector_project_fan(cones, gamma))
+
+
+def test_fan_routines_make_no_vectors(monkeypatch):
+    """Building, balancing, projecting, comparing and writing fans make no
+    ``QuotientVector``; the vector views make one per ray."""
+    made = []
+    check = QuotientVector.__post_init__
+
+    def counted(self):
+        made.append(self)
+        check(self)
+
+    monkeypatch.setattr(QuotientVector, "__post_init__", counted)
+    k6 = bergman_fan(Graph.complete(range(2, 8)))
+    assert is_balanced(k6).balanced
+    path = path_on(tuple(range(2, 8)))
+    moduli = moduli_fan_rad(7, path)
+    image = project_fan(moduli, path)
+    assert fans_equal(k6, Fan(k6.ambient, k6.cones[::-1]))
+    assert fans_equal(image, project_fan(moduli, path))
+    fan_json_text(image)
+    assert len(made) == 0
+    assert len(k6.rays) == len(made) == 201

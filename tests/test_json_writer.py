@@ -15,13 +15,12 @@ from tropfan import (
     QuotientVector,
     bergman_fan,
     fan_json_text,
-    make_cone,
     moduli_fan_rad,
     project_fan,
 )
 from tropfan.cli import NAMED_GRAPHS, main, resolve_graph
 
-from oracles import fan_to_json
+from oracles import fan_to_json, make_cone
 
 
 def oracle(fan: Fan, **fields) -> str:

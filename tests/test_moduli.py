@@ -20,7 +20,6 @@ from tropfan import (
     is_balanced,
     is_complete_multipartite,
     is_gamma_stable,
-    make_cone,
     moduli_fan_rad,
     project_fan,
     project_vector,
@@ -33,7 +32,13 @@ from tropfan import (
 from tropfan.graphs import EdgeSet
 from tropfan.matroid import proper_flats, set_partitions
 
-from oracles import caterpillar_by_growth, fan_to_json, injectivity_two_pass, vertex_demand
+from oracles import (
+    caterpillar_by_growth,
+    fan_to_json,
+    injectivity_two_pass,
+    make_cone,
+    vertex_demand,
+)
 
 
 def multipartite_graphs(labels):
@@ -160,7 +165,7 @@ def typed_radial_cones(n):
             for radial in radial_alignments(typ):
                 chain = psi_radial_to_cof(radial)
                 rays = [ray_of_flat(f, ambient) for f in chain]
-                cones.append(make_cone(rays, weight=1, provenance=(chain,)))
+                cones.append(make_cone(rays, weight=1, provenance=(chain,), ambient=ambient))
             out.append((typ, cones))
     return ambient, out
 

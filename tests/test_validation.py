@@ -17,7 +17,6 @@ from tropfan import (
     RadialType,
     enumerate_flats,
     is_balanced,
-    make_cone,
     primitive_normal,
     psi_linear,
     ray_of_flat,
@@ -26,6 +25,7 @@ from tropfan import (
 )
 
 from conftest import closed_fan, flat_of
+from oracles import cone_of_rays, make_cone
 
 
 def test_graph_rejects_foreign_endpoints():
@@ -146,15 +146,38 @@ def test_fan_refuses_cones_over_another_ambient(k4):
 
 
 def test_cone_built_directly_rejects_dependent_rays(k4):
+    """Rays given as vectors, in order and with repeats kept."""
     r = ray_of_flat(flat_of(k4, [(2, 3)]), k4.edges)
     s = ray_of_flat(flat_of(k4, [(2, 4)]), k4.edges)
     with pytest.raises(ValueError, match="strictly nested"):
-        bergman.Cone((r, s, r + s))
+        cone_of_rays((r, s, r + s))
     with pytest.raises(ValueError, match="strictly nested"):
-        bergman.Cone((r, r))
+        cone_of_rays((r, r))
     with pytest.raises(ValueError, match="nonempty proper edge sets"):
-        bergman.Cone((QuotientVector.zero(k4.edges),))
-    assert bergman.Cone((r, r + s)).dim == 2
+        cone_of_rays((QuotientVector.zero(k4.edges),))
+    assert cone_of_rays((r, r + s)).dim == 2
+
+
+def test_cone_built_directly_refuses_masks_of_no_chain(k4):
+    """A ``Cone`` takes the ascending masks of strictly nested nonempty
+    proper edge sets over its ambient edge list, and no other masks."""
+    full = (1 << len(k4.edges)) - 1
+    for masks in [
+        (0b11, 0b101),  # {2-3, 2-4} and {2-3, 2-5} are incomparable
+        (0b11, 0b11),  # a repeated set
+        (0b111, 0b11),  # nested, but descending
+        (0,),  # the empty set
+        (0b1, 0),
+        (full,),  # the full set
+        (0b1, full),
+        (1 << len(k4.edges),),  # out of range: an edge the ambient lacks
+        (0b1, full | 1 << len(k4.edges)),
+        (-1,),
+    ]:
+        with pytest.raises(ValueError, match="strictly nested nonempty proper edge sets"):
+            bergman.Cone(k4.edges, masks)
+    assert bergman.Cone(k4.edges, (0b1, 0b11, full >> 1)).dim == 3
+    assert bergman.Cone(k4.edges, ()).rays == ()
 
 
 def test_fan_rejects_conflicting_weights(k4):
@@ -173,7 +196,7 @@ def test_fan_rejects_a_repeated_ray_set(k4):
     with pytest.raises(ValueError, match="conflicting"):
         Fan(k4.edges, [make_cone([r, s]), make_cone([s, r], weight=1)])
     with pytest.raises(ValueError, match="conflicting"):
-        Fan(k4.edges, [make_cone([]), make_cone([])])
+        Fan(k4.edges, [make_cone([], ambient=k4.edges), make_cone([], ambient=k4.edges)])
 
 
 def test_primitive_normal_needs_integral_rays(k4):
