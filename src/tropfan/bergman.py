@@ -113,10 +113,6 @@ class QuotientVector:
         last = coords[-1]
         return cls(tuple(ambient), tuple(_num(c - last) for c in coords))
 
-    @classmethod
-    def zero(cls, ambient: Sequence[Edge]) -> "QuotientVector":
-        return cls(tuple(ambient), (0,) * len(ambient))
-
     @property
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -126,18 +122,6 @@ class QuotientVector:
         return QuotientVector(
             self.ambient, tuple(_num(a + b) for a, b in zip(self.coords, other.coords))
         )
-
-    def __sub__(self, other: "QuotientVector") -> "QuotientVector":
-        self._check(other)
-        return QuotientVector(
-            self.ambient, tuple(_num(a - b) for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self) -> "QuotientVector":
-        return QuotientVector(self.ambient, tuple(_num(-c) for c in self.coords))
-
-    def scale(self, factor) -> "QuotientVector":
-        return QuotientVector(self.ambient, tuple(_num(factor * c) for c in self.coords))
 
     def _check(self, other: "QuotientVector"):
         if self.ambient != other.ambient:

@@ -249,17 +249,46 @@ def is_acyclic(g: Graph, s: EdgeSet) -> bool:
     return spanning_forest(g, s).mask == s.mask
 
 
+def _adjacency(g: Graph) -> list[int]:
+    """Each vertex's neighbours as a bitmask, both indexed by label
+    position: bit j of entry i says that labels i and j are adjacent."""
+    index = {v: i for i, v in enumerate(g.labels)}
+    adj = [0] * len(g.labels)
+    for a, b in g.edges:
+        adj[index[a]] |= 1 << index[b]
+        adj[index[b]] |= 1 << index[a]
+    return adj
+
+
+def _connected_on(adj: Sequence[int], vertices: int) -> bool:
+    """Whether the vertex set ``vertices`` (a nonempty bitmask of label
+    positions) induces a connected subgraph of the graph with adjacency
+    masks ``adj``: a breadth-first search from its lowest vertex that never
+    leaves the set reaches all of it."""
+    seen = frontier = vertices & -vertices
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= adj[low.bit_length() - 1]
+        frontier = reach & vertices & ~seen
+        seen |= frontier
+    return seen == vertices
+
+
 def is_complete_multipartite(g: Graph) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Decide complete multipartiteness.
 
     A graph is complete multipartite exactly when no 3 vertices induce exactly
     one edge.  Returns ``(True, None)`` or ``(False, witness_triple)`` with the
-    first offending triple in label order.
+    first offending triple in label order.  Each pair is read off the
+    adjacency bitmasks.
     """
-    for triple in combinations(g.labels, 3):
-        count = sum(g.has_edge(a, b) for a, b in combinations(triple, 2))
-        if count == 1:
-            return False, triple
+    adj = _adjacency(g)
+    for i, j, k in combinations(range(len(g.labels)), 3):
+        if (adj[i] >> j & 1) + (adj[i] >> k & 1) + (adj[j] >> k & 1) == 1:
+            return False, (g.labels[i], g.labels[j], g.labels[k])
     return True, None
 
 

@@ -29,9 +29,11 @@ when each of its one-flat types is.  A one-flat type hangs one leaf per
 nontrivial block of its flat off the root, so ``_flat_demands`` lists those
 blocks as edge masks, once per n, and ``moduli_fan_rad`` and
 ``verify_injectivity`` test them against the graph's mask.  The trichotomy
-reads its injectivity and rank verdicts off one list of the stable flats'
-restrictions.  The route through types, alignments, ``psi_radial_to_cof``
-and ``flat_gamma_stable`` stays public and is the test oracle.
+reads its injectivity and rank verdicts off one pass over that table: the
+rank of a flat survives restriction exactly when each of its blocks is
+connected in the graph.  The route through types, alignments,
+``psi_radial_to_cof`` and ``flat_gamma_stable`` stays public and is the
+test oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ from .bergman import Fan, QuotientVector, _chain_fan, _check_rational, _num, _nu
 from .graphs import (
     EdgeSet,
     Graph,
+    _adjacency,
     _cluster_mask,
+    _connected_on,
     graph_rank,
     is_complete_multipartite,
     spanning_forest,
@@ -494,7 +498,10 @@ def psi_linear(v: QnVector) -> QuotientVector:
 # The bijection with chains of flats
 
 
+@cache
 def _complete_on(n: int) -> Graph:
+    """The complete graph on 2..n, built once per n (with its edge index),
+    since ``verify_injectivity`` reads its edge order for every graph."""
     return Graph.complete(range(2, n + 1))
 
 
@@ -628,24 +635,31 @@ class InjectivityReport:
 
 
 @cache
-def _flat_demands(n: int) -> tuple[tuple[Flat, tuple[int, ...]], ...]:
+def _flat_demands(n: int) -> tuple[tuple[Flat, tuple[int, ...], tuple[int, ...]], ...]:
     """The proper flats of the complete graph on 2..n, each with what a
-    stability graph must meet for the one-flat chain's type to be stable.
+    stability graph must meet for the one-flat chain's type to be stable,
+    and the flat's blocks as vertex sets.
 
-    For each flat, in ``proper_flats`` order: the edge mask (in the complete
-    graph's edge order) of each of its blocks, every one of which a stable
-    graph's edge mask must intersect.  The one-flat type's leaves are
-    exactly these blocks: each hangs off the root holding the block's ends
-    and asks for an edge inside it, and a block has at least two ends, so
-    its mask is never empty.
+    Each row, in ``proper_flats`` order, is ``(flat, demands, vertices)``.
+    ``demands`` holds the edge mask (in the complete graph's edge order) of
+    each of the flat's blocks, every one of which a stable graph's edge mask
+    must intersect.  The one-flat type's leaves are exactly these blocks:
+    each hangs off the root holding the block's ends and asks for an edge
+    inside it, and a block has at least two ends, so its mask is never
+    empty.  ``vertices`` holds the same blocks as vertex bitmasks, label v
+    at bit v - 2 (its position among 2..n, as in ``graphs._adjacency``).
     None of this depends on the graph, and n is at most 7 in every caller,
     so the cache stays small.  Read through ``_stable_flats`` by
-    ``moduli_fan_rad`` (a chain is stable when all its flats are) and
+    ``moduli_fan_rad`` (a chain is stable when all its flats are) and by
     ``verify_injectivity``.
     """
     ambient = _complete_on(n)
     return tuple(
-        (f, tuple(_cluster_mask(ambient, [block]) for block in f.blocks))
+        (
+            f,
+            tuple(_cluster_mask(ambient, [block]) for block in f.blocks),
+            tuple(sum(1 << (v - 2) for v in block) for block in f.blocks),
+        )
         for f in proper_flats(ambient)
     )
 
@@ -655,7 +669,7 @@ def _stable_flats(n: int, gmask: int) -> list[Flat]:
     order, whose one-flat type is stable for the graph with edge mask
     ``gmask`` (in the complete graph's edge order)."""
     stable = []
-    for f, demands in _flat_demands(n):
+    for f, demands, _ in _flat_demands(n):
         for m in demands:  # a plain loop: all() pays for a generator per flat
             if not m & gmask:
                 break
@@ -671,26 +685,44 @@ def verify_injectivity(gamma: Graph) -> InjectivityReport:
     (b) edge-restriction preserves the rank of every stable flat, and
     (c) gamma is complete multipartite.  The three are computed independently
     and returned; ``report.agree`` says whether they agree, and the caller
-    decides what a split means.  Stability is read off ``_flat_demands``
-    (through ``_stable_flats``), so each flat costs a few mask tests.  One
-    list holds each stable flat's restriction: (a) holds when its entries
-    are distinct, and the witness of (b) is the first stable flat whose
-    restriction loses rank, so no rank is computed after it.
+    decides what a split means.
+
+    One pass over ``_flat_demands`` decides (a) and (b).  A flat is stable
+    when gamma's edge mask meets each of its blocks' edge masks; (a) holds
+    when the stable flats' restrictions ``mask & gmask`` are distinct.  For
+    (b), a proper flat F of the complete graph is the disjoint union of the
+    cliques on its blocks B, so F restricted to gamma is the disjoint union
+    of the induced subgraphs gamma[B], and its rank is the sum over B of
+    |B| minus the number of components of gamma[B].  That equals the rank
+    of F, the sum of |B| - 1, exactly when every gamma[B] is connected.  So
+    (b) tests each block's vertex set for connectivity in gamma, once per
+    distinct block, and its witness is the first stable flat with a
+    disconnected block; no block is tested after it.
     """
     if not 1 <= len(gamma.labels) <= 6:
         raise ValueError("verify_injectivity supports 1 to 6 vertices")
     n = gamma.labels[-1]
     _check_stability_graph(n, gamma)
-    ambient = _complete_on(n)
-    gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
-    stable = _stable_flats(n, gmask)
-    images = [f.mask & gmask for f in stable]
-    # each restriction stays in the complete graph's edge order: its rank
-    # does not depend on which graph holds it
-    witness = next(
-        (f for f, m in zip(stable, images) if graph_rank(ambient, EdgeSet(ambient, m)) != f.rank),
-        None,
-    )
-    injective = len(set(images)) == len(images)
+    gmask = EdgeSet.from_edges(_complete_on(n), gamma.edges).mask
+    adj = _adjacency(gamma)  # gamma is labeled 2..n, so label v is at position v - 2
+    connected: dict[int, bool] = {}
+    images = set()
+    stable = 0
+    witness = None
+    for f, demands, vertices in _flat_demands(n):
+        for m in demands:  # _stable_flats' test, inline to keep one pass
+            if not m & gmask:
+                break
+        else:
+            stable += 1
+            images.add(f.mask & gmask)
+            if witness is None:
+                for b in vertices:
+                    ok = connected.get(b)
+                    if ok is None:
+                        ok = connected[b] = _connected_on(adj, b)
+                    if not ok:
+                        witness = f
+                        break
     multipartite, triple = is_complete_multipartite(gamma)
-    return InjectivityReport(injective, witness is None, multipartite, witness, triple)
+    return InjectivityReport(len(images) == stable, witness is None, multipartite, witness, triple)

@@ -11,7 +11,8 @@ pairwise comparison, lattice covers by containment of every pair of flats,
 the trichotomy's injectivity and rank verdicts in two full passes, and the
 caterpillar chain grown as a vertex set, and the vector route to a fan: cones
 built from their rays as vectors and keyed by ray sets, with projection by
-coordinates.  None of these is on a library path.
+coordinates, and the vector arithmetic (zero, scaling, negation and
+difference) that builds test vectors.  None of these is on a library path.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from tropfan import (
     rho_split,
     tropical_type,
 )
-from tropfan.bergman import SCHEMA, edge_str
+from tropfan.bergman import SCHEMA, _num, edge_str
 from tropfan.graphs import _cluster_mask, is_acyclic, spanning_forest
 from tropfan.intlinalg import (
     _eliminate,
@@ -455,6 +456,25 @@ def complement(g: Graph) -> Graph:
 
 # ---------------------------------------------------------------------------
 # The vector route: cones from rays as vectors
+
+
+def zero_vector(ambient: Sequence) -> QuotientVector:
+    return QuotientVector(tuple(ambient), (0,) * len(ambient))
+
+
+def scale_vector(v: QuotientVector, factor) -> QuotientVector:
+    return QuotientVector(v.ambient, tuple(_num(factor * c) for c in v.coords))
+
+
+def neg_vector(v: QuotientVector) -> QuotientVector:
+    return scale_vector(v, -1)
+
+
+def sub_vectors(a: QuotientVector, b: QuotientVector) -> QuotientVector:
+    """a - b; vectors over different ambient edge lists raise ValueError."""
+    if a.ambient != b.ambient:
+        raise ValueError("vectors over different ambient edge lists")
+    return QuotientVector(a.ambient, tuple(_num(x - y) for x, y in zip(a.coords, b.coords)))
 
 
 def edge_mask(v: QuotientVector) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import tempfile
@@ -102,6 +103,25 @@ def test_verify_theorem_refuses_out_of_range_sizes(capsys):
         assert status == 2
         assert captured.out == ""
         assert "between 4 and 6" in captured.err
+
+
+def test_verify_theorem_full_sweep_to_six_vertices(capsys, tmp_path):
+    """All 27,470 connected graphs on 4 to 6 labels, in process, written with
+    -o: the three tallies and the file's digest are the seed's (budget
+    60 s, about 4 s on a 2-core host)."""
+    path = tmp_path / "theorem.txt"
+    start = time.perf_counter()
+    status, out = run(capsys, "verify", "theorem", "--max-vertices", "6", "-o", str(path))
+    elapsed = time.perf_counter() - start
+    assert status == 0 and out == ""
+    assert path.read_text().splitlines() == [
+        f"ok: {graphs} connected graphs on {nv} vertices, {injective} with bijective projection, all agreeing"
+        for nv, graphs, injective in ((4, 38, 14), (5, 728, 51), (6, 26704, 202))
+    ]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "5389c363104b8f194de7bd3a8abeca652d51f1686e31a6b739c64f8d978a182f"
+    )
+    assert elapsed < 60
 
 
 def test_verify_theorem_reports_a_split(capsys, monkeypatch):

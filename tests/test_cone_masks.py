@@ -28,7 +28,14 @@ from tropfan import (
 )
 from tropfan.tropmoduli import _stable_flats
 
-from oracles import fan_to_json, vector_chain_fan, vector_cones, vector_project_fan
+from oracles import (
+    fan_to_json,
+    scale_vector,
+    vector_chain_fan,
+    vector_cones,
+    vector_project_fan,
+    zero_vector,
+)
 
 
 @pytest.fixture
@@ -46,8 +53,8 @@ def not_cones(k4):
     k3 = Graph.complete([2, 3, 4]).edges
     other = tuple(reversed(k4.edges))  # the same edges, listed in another order
     return {
-        "zero vector": frozenset([QuotientVector.zero(k4.edges)]),
-        "Fraction vector": frozenset([ray.scale(Fraction(1, 2))]),
+        "zero vector": frozenset([zero_vector(k4.edges)]),
+        "Fraction vector": frozenset([scale_vector(ray, Fraction(1, 2))]),
         "foreign ambient": frozenset([QuotientVector(other, ray.coords)]),
         "foreign length": frozenset([QuotientVector.from_raw(k3, [-1, 0, 0])]),
         "non-nested pair": frozenset(

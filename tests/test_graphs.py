@@ -215,6 +215,24 @@ def test_three_characterizations_agree_exhaustively():
             assert a == b == c, g
 
 
+def test_multipartite_witness_matches_triple_count_exhaustively():
+    """Verdict and witness equal the definition read edge by edge: the first
+    triple, in label order, that induces exactly one edge.  Every graph on
+    0 to 6 labels; the labels have gaps, so a label and its position in
+    the label tuple differ."""
+    for size in range(7):
+        for g in all_graphs((0, 3, 4, 9, 10, 17)[:size]):
+            triple = next(
+                (
+                    t
+                    for t in itertools.combinations(g.labels, 3)
+                    if sum(g.has_edge(a, b) for a, b in itertools.combinations(t, 2)) == 1
+                ),
+                None,
+            )
+            assert is_complete_multipartite(g) == (triple is None, triple), g.edges
+
+
 def test_multipartite_complement_is_cluster_graph():
     for g in all_graphs((2, 3, 4, 5)):
         if not is_complete_multipartite(g)[0]:

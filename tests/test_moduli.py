@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 import time
 
@@ -29,7 +31,7 @@ from tropfan import (
     ray_of_flat,
     verify_injectivity,
 )
-from tropfan.graphs import EdgeSet
+from tropfan.graphs import EdgeSet, _adjacency, _connected_on
 from tropfan.matroid import proper_flats, set_partitions
 
 from oracles import (
@@ -329,28 +331,34 @@ def oracle_graphs():
 def test_flat_table_matches_flat_gamma_stable():
     for n in (5, 6, 7):
         ambient = Graph.complete(range(2, n + 1))
-        assert [f for f, _ in tm._flat_demands(n)] == proper_flats(ambient)
+        assert [f for f, _, _ in tm._flat_demands(n)] == proper_flats(ambient)
     for gamma in oracle_graphs():
         n = gamma.labels[-1]
         ambient = Graph.complete(range(2, n + 1))
         gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
-        for f, demands in tm._flat_demands(n):
+        for f, demands, _ in tm._flat_demands(n):
             stable = demands is not None and all(m & gmask for m in demands)
             assert stable == flat_gamma_stable(f, gamma), (gamma.edges, f.edges.edges)
 
 
 def test_flat_demands_are_the_flat_blocks():
-    """Each flat's row is the edge masks of its blocks, never None, and as a
-    set it is what the vertex-local rule (``oracles.vertex_demand``) asks of
-    the one-flat type's vertices."""
+    """Each flat's row holds the edge masks of its blocks, never None, and as
+    a set they are what the vertex-local rule (``oracles.vertex_demand``)
+    asks of the one-flat type's vertices.  The row's vertex masks are the
+    same blocks, each the OR of its labels' bits (label v at bit v - 2)."""
     for n in (4, 5, 6, 7):
         ambient = Graph.complete(range(2, n + 1))
-        for f, demands in tm._flat_demands(n):
+        for f, demands, vertices in tm._flat_demands(n):
             blocks = tuple(
                 EdgeSet.from_edges(ambient, itertools.combinations(b, 2)).mask
                 for b in f.blocks
             )
             assert demands is not None and demands == blocks
+            bits = tuple(
+                functools.reduce(operator.or_, (1 << ambient.labels.index(v) for v in b))
+                for b in f.blocks
+            )
+            assert vertices == bits
             typ = psi_cof_to_radial(ChainOfFlats((f,))).type
             by_type = set()
             for v in range(typ.num_vertices):
@@ -409,6 +417,47 @@ def test_verify_injectivity_matches_two_pass_oracle():
         mask = lambda f: None if f is None else f.mask
         assert mask(r.witness_flat) == mask(witness), g.edges
     assert time.perf_counter() - start < 60
+
+
+def block_rule_graphs():
+    """Every connected graph on 3 to 5 labels and every 7th on 6 labels."""
+    graphs = [g for k in (3, 4, 5) for g in all_graphs(range(2, 2 + k), connected=True)]
+    return graphs + list(all_graphs(range(2, 8), connected=True))[::7]
+
+
+def test_rank_survives_restriction_exactly_when_blocks_are_connected():
+    """The lemma behind ``verify_injectivity``'s rank verdict: a proper flat
+    F of the complete graph keeps its rank on restriction to gamma exactly
+    when every block of F induces a connected subgraph of gamma.  Checked
+    for every proper flat of the complete graph on gamma's labels, flat
+    stable or not (budget 60 s, about 6 s on a 2-core host)."""
+    start = time.perf_counter()
+    for gamma in block_rule_graphs():
+        n = gamma.labels[-1]
+        ambient = Graph.complete(range(2, n + 1))
+        gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
+        adj = _adjacency(gamma)
+        for f, _, vertices in tm._flat_demands(n):
+            connected = all(_connected_on(adj, b) for b in vertices)
+            keeps_rank = graph_rank(ambient, EdgeSet(ambient, f.mask & gmask)) == f.rank
+            assert connected == keeps_rank, (gamma.edges, f.edges.edges)
+    assert time.perf_counter() - start < 60
+
+
+def test_block_rule_mutation_is_caught(monkeypatch):
+    """A connectivity test that calls every block connected makes
+    ``verify_injectivity`` disagree with the two-pass oracle, which ranks
+    each restriction with ``graph_rank``."""
+    monkeypatch.setattr(tm, "_connected_on", lambda adj, vertices: True)
+    split = next(
+        (
+            g
+            for g in block_rule_graphs()
+            if verify_injectivity(g).rank_criterion != injectivity_two_pass(g)[1]
+        ),
+        None,
+    )
+    assert split is not None
 
 
 # ---------------------------------------------------------------------------
