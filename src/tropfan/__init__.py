@@ -10,6 +10,7 @@ from .bergman import (
     fan_json_text,
     fans_equal,
     is_balanced,
+    lattice_balanced,
     primitive_normal,
     project_fan,
     project_vector,
@@ -29,6 +30,7 @@ from .matroid import (
     AxiomReport,
     ChainOfFlats,
     Flat,
+    FlatLattice,
     SetSystem,
     all_chains,
     bases,
@@ -38,7 +40,6 @@ from .matroid import (
     enumerate_flats,
     flats_lattice,
     independent_sets,
-    proper_flats,
     rank_table,
     verify_matroid_axioms,
 )

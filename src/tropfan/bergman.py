@@ -36,6 +36,13 @@ all-ones line exactly when it is constant on each layer F_1, F_2 - F_1,
 on edge masks and compares the sums within each layer.  The certificate is
 its one integer elimination left; the benchmark's gate still counts the
 ``saturation`` calls it makes.
+
+A Bergman fan has weight one, and the star of a codimension-one face with
+the rank-2 gap [A, B] is the set of atoms of that interval of the lattice
+of flats.  So ``lattice_balanced`` gives the fan's verdict from the
+lattice alone, one layer test per rank-2 interval instead of one per face,
+and the CLI's ``fan`` takes its ``balanced`` field from it; ``is_balanced``
+stays the weighted checker for built fans, such as reweighted ones.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import intlinalg as ila
 from .graphs import Edge, Graph
-from .matroid import ChainOfFlats, Flat, _chain_walk, graph_rank, proper_flats
+from .matroid import ChainOfFlats, Flat, FlatLattice, _chain_walk, graph_rank
 
 
 def _num(x):
@@ -297,10 +304,15 @@ class Fan:
         return tuple(len(self.cones_of_dim(d)) for d in range(self.max_dim + 1))
 
 
-def bergman_fan(g: Graph) -> Fan:
+def bergman_fan(g: Graph, lattice: Optional[FlatLattice] = None) -> Fan:
     """The fan whose cones are spanned by rays of chains of proper nonempty
-    flats, all weights one; its dimension is rank(g) - 1."""
-    fan = _chain_fan(g, proper_flats(g))
+    flats, all weights one; its dimension is rank(g) - 1.  ``lattice`` is
+    g's ``FlatLattice``, if the caller has built it already."""
+    if lattice is None:
+        lattice = FlatLattice(g)
+    elif lattice.graph != g:
+        raise ValueError("the lattice is not the graph's")
+    fan = _chain_fan(lattice, lattice.proper)
     expected = max(graph_rank(g, g.full_edge_set()) - 1, 0)
     if fan.max_dim != expected:
         raise RuntimeError(
@@ -309,12 +321,13 @@ def bergman_fan(g: Graph) -> Fan:
     return fan
 
 
-def _chain_fan(g: Graph, flats: Sequence[Flat]) -> Fan:
-    """One weight-one cone per chain of ``flats`` (proper flats of g in
-    canonical order), on the chain's edge masks, with the chain as
-    provenance."""
-    chains = _chain_walk(flats)
-    return Fan(g.edges, [Cone(g.edges, tuple(f.mask for f in c), 1, (c,)) for c in chains])
+def _chain_fan(lattice: FlatLattice, allowed: int) -> Fan:
+    """One weight-one cone per chain of the flats in the bitset ``allowed``
+    (proper flats of the lattice), on the chain's edge masks, with the
+    chain as provenance."""
+    edges = lattice.graph.edges
+    chains = _chain_walk(lattice, allowed)
+    return Fan(edges, [Cone(edges, masks, 1, (ChainOfFlats(c),)) for c, masks in chains])
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +397,27 @@ def is_balanced(fan: Fan) -> BalanceReport:
         if not _constant_on_layers(tau.masks, [(g, s.weight) for s, g in members], full):
             return BalanceReport(False, tau)
     return BalanceReport(True)
+
+
+def lattice_balanced(lattice: FlatLattice) -> bool:
+    """Whether the graph's Bergman fan, of weight one, is balanced, read off
+    the rank-2 intervals of its lattice of flats without building a cone.
+
+    A codimension-one face is a chain of proper flats with one rank-2 gap
+    [A, B], A the empty flat or B the full one included, and its star's
+    edge sets are the atoms of [A, B].  All of them hold A and lie in B, so
+    ``_constant_on_layers`` on the chain (A, B) is that face's layer test,
+    and faces with one gap share it.  In a lattice of flats the atoms'
+    edges outside A partition B - A (Ardila-Klivans; Feichtner-Sturmfels),
+    so every edge there lies in exactly one atom.  ``is_balanced`` is the
+    weighted checker on a built fan; this reads the covers only."""
+    flats = lattice.flats
+    full = (1 << len(lattice.graph.edges)) - 1
+    for a, b, atoms in lattice.rank2_intervals():
+        gap = tuple(m for m in (flats[a].mask, flats[b].mask) if 0 < m < full)
+        if not _constant_on_layers(gap, [(flats[c].mask, 1) for c in atoms], full):
+            return False
+    return True
 
 
 def _constant_on_layers(

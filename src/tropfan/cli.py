@@ -23,10 +23,17 @@ from .bergman import (
     json_array,
     json_object,
     json_scalar,
+    lattice_balanced,
     project_fan,
 )
 from .graphs import Graph, all_graphs, parse_graph
-from .matroid import SetSystem, enumerate_flats, flats_lattice, verify_matroid_axioms
+from .matroid import (
+    FlatLattice,
+    SetSystem,
+    enumerate_flats,
+    flats_lattice,
+    verify_matroid_axioms,
+)
 from .tropmoduli import moduli_fan_rad, qn_relations_check, verify_injectivity
 
 
@@ -153,24 +160,26 @@ def _flat_counts(flats) -> list[int]:
     return [sum(1 for f in flats if f.rank == r) for r in range(top + 1)]
 
 
-# ``fan`` and ``project`` build the Bergman fan of a graph on up to this many
-# labels (``project`` that of the complete graph on its target's labels):
-# ``fan --graph complete:7`` (text) takes about 8 s on a 2-core host, with a
-# 174 MB peak, and K8's fan has about 10.3 million cones.
+# ``fan`` and ``project`` handle graphs on up to this many labels.  ``fan``
+# reads its text census and its balancing verdict off the lattice of flats
+# (``fan --graph complete:7`` takes well under a second), but ``fan --format
+# json`` and ``project`` build the Bergman fan, or that of the complete
+# graph on the target's labels: K7's JSON document is 164 MB, and K8's fan
+# has about 10.3 million cones.
 MAX_FAN_LABELS = 7
 
 
 def cmd_fan(args) -> int:
     g = resolve_graph(args.graph)
     _check_size(g, "fan", MAX_FAN_LABELS)
-    fan = bergman_fan(g)
-    balance = is_balanced(fan)
+    lattice = FlatLattice(g)
+    balanced = lattice_balanced(lattice)
     if args.format == "json":
-        _emit(fan_json_text(fan, balanced=balance.balanced), args.output)
+        _emit(fan_json_text(bergman_fan(g, lattice), balanced=balanced), args.output)
     else:
         lines = [
-            "cones by dimension: " + ",".join(map(str, fan.census())),
-            f"balanced: {str(balance.balanced).lower()}",
+            "cones by dimension: " + ",".join(map(str, lattice.chain_census(lattice.proper))),
+            f"balanced: {str(balanced).lower()}",
         ]
         _emit("\n".join(lines), args.output)
     return 0
@@ -216,7 +225,9 @@ def cmd_project(args) -> int:
     return 0
 
 
-# ``counts`` builds the Bergman fan only up to this many labels (K7's takes 3.7 s)
+# ``counts`` prints the cone census, a DP over the lattice of flats that
+# builds no cone, only up to this many labels; a larger graph gets its flat
+# census alone, from the flats without their covers.
 MAX_COUNTS_CONES_LABELS = 6
 
 
@@ -225,11 +236,14 @@ def cmd_counts(args) -> int:
         g = resolve_graph(f"complete:{args.complete}")  # with its size check
     else:
         g = resolve_graph(args.graph)
-    flats = enumerate_flats(g)
-    lines = ["flats: " + ",".join(map(str, _flat_counts(flats)))]
     if g.num_vertices <= MAX_COUNTS_CONES_LABELS:
-        fan = bergman_fan(g)
-        lines.append("cones: " + ",".join(map(str, fan.census())))
+        lattice = FlatLattice(g)
+        lines = [
+            "flats: " + ",".join(map(str, _flat_counts(lattice.flats))),
+            "cones: " + ",".join(map(str, lattice.chain_census(lattice.proper))),
+        ]
+    else:
+        lines = ["flats: " + ",".join(map(str, _flat_counts(enumerate_flats(g))))]
     _emit("\n".join(lines), args.output)
     return 0
 

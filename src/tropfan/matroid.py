@@ -3,10 +3,16 @@
 Flats of the cycle matroid of a complete graph are cluster graphs (disjoint
 unions of cliques), so flat enumeration walks set partitions of the label set
 and restricts to the graph at hand.  A ``Flat`` derives its blocks from its
-edge set and refuses a set that is not closed.  The axiom verifiers
-exhaustively check a presented set system against one of the five axiom
-families (independence, bases, two rank systems, closure, circuits) and
-report the first counterexample in canonical order.
+edge set and refuses a set that is not closed.  ``FlatLattice`` builds a
+graph's lattice of flats once: the flats, their covers read off block
+merges, and each flat's strict up-set as an int bitset.  Chains of flats
+are walked depth first on the up-sets, restricted to a bitset of allowed
+flats, and counted by length with a DP over the same up-sets, without
+building a chain; the rank-2 intervals, which the Bergman fan's balancing
+verdict reads, come off the covers.  The axiom verifiers exhaustively check
+a presented set system against one of the five axiom families
+(independence, bases, two rank systems, closure, circuits) and report the
+first counterexample in canonical order.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ class Flat:
 
     @cached_property
     def rank(self) -> int:
-        # the chain walk's successor test asks for it once per pair of flats
+        # sorting the flats and counting them by rank read it many times
         return sum(len(b) - 1 for b in self.blocks)
 
     @property
@@ -135,61 +141,127 @@ def enumerate_flats(g: Graph) -> list[Flat]:
     return sorted(seen.values(), key=Flat.sort_key)
 
 
-def proper_flats(g: Graph) -> list[Flat]:
-    """Nonempty flats other than the full edge set, in canonical order."""
-    full = g.full_edge_set().mask
-    return [f for f in enumerate_flats(g) if f.mask not in (0, full)]
+class FlatLattice:
+    """The lattice of flats of a graph's cycle matroid, built once.
+
+    ``flats`` are in ``enumerate_flats`` order and ``index`` maps each
+    flat's edge mask to its position there.  ``covers[i]`` lists, ascending,
+    the positions of the flats that cover flat i: adding an edge outside a
+    flat and closing merges the two blocks (the components, or isolated
+    vertices) that it joins, and every cover arises so, as the flat plus
+    the clique on the merged block.  ``up[i]`` is flat i's strict up-set as
+    an int bitset over positions; a cover comes later in the order, so the
+    up-sets are ORed from the covers' in reverse order.  ``proper`` is the
+    bitset of the nonempty flats other than the full edge set.  Sets of
+    flats are passed around as such bitsets.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.flats = flats = enumerate_flats(g)
+        self.index = index = {f.mask: i for i, f in enumerate(flats)}
+        self.covers: list[list[int]] = []
+        for child in flats:
+            block_of = {v: block for block in child.blocks for v in block}
+            merged = {
+                tuple(sorted(block_of.get(a, (a,)) + block_of.get(b, (b,))))
+                for i, (a, b) in enumerate(g.edges)
+                if not child.mask >> i & 1
+            }
+            self.covers.append(sorted(index[child.mask | _cluster_mask(g, [m])] for m in merged))
+        self.up = up = [0] * len(flats)
+        for i in reversed(range(len(flats))):
+            for p in self.covers[i]:
+                up[i] |= 1 << p | up[p]
+        # positions 1 .. len - 2: the empty flat is first and the full one last
+        self.proper = ((1 << (len(flats) - 1)) - 1) & ~1
+
+    def rank2_intervals(self) -> Iterator[tuple[int, int, list[int]]]:
+        """Every interval [A, B] with rank B = rank A + 2, as ``(a, b,
+        atoms)``: the positions of A and B, by a and then by b, and the
+        positions of the flats between them (the atoms of the interval),
+        ascending.  Each is read off ``covers``: B covers an atom, which
+        covers A."""
+        for a, above in enumerate(self.covers):
+            atoms: dict[int, list[int]] = {}
+            for c in above:
+                for b in self.covers[c]:
+                    atoms.setdefault(b, []).append(c)
+            for b in sorted(atoms):
+                yield a, b, atoms[b]
+
+    def chain_census(self, allowed: int) -> tuple[int, ...]:
+        """The number of strictly increasing chains of the flats in the
+        bitset ``allowed``, by length 0, 1, ..., up to the longest: the
+        census of their chain fan.  A DP over the up-sets, from the last
+        position down: the chains that start at flat i are i alone and i
+        followed by a chain that starts in ``up[i] & allowed``."""
+        size = self.flats[-1].rank + 2  # a chain holds at most one flat per rank
+        starting: dict[int, list[int]] = {}  # position -> counts by length
+        total = [1] + [0] * (size - 1)
+        for i in reversed(list(_positions(allowed))):
+            counts = [0, 1] + [0] * (size - 2)
+            for j in _positions(self.up[i] & allowed):
+                after = starting[j]
+                for k in range(1, size - 1):
+                    counts[k + 1] += after[k]
+            starting[i] = counts
+            for k in range(1, size):
+                total[k] += counts[k]
+        while total[-1] == 0:
+            total.pop()
+        return tuple(total)
+
+
+def _positions(bits: int) -> Iterator[int]:
+    """The positions of the set bits of ``bits``, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def flats_lattice(g: Graph) -> tuple[list[Flat], list[tuple[int, int]]]:
     """The flats in ``enumerate_flats`` order and the covering pairs (child,
     parent) of their lattice as indices into that list, by child and then
-    by parent.
-
-    Adding an edge outside a flat and closing merges the two blocks (the
-    components, or isolated vertices) that it joins, and every cover arises
-    so: the parent is the flat plus the clique on the merged block.
-    """
-    flats = enumerate_flats(g)
-    index = {f.mask: i for i, f in enumerate(flats)}
-    covers = []
-    for c, child in enumerate(flats):
-        block_of = {v: block for block in child.blocks for v in block}
-        merged = {
-            tuple(sorted(block_of.get(a, (a,)) + block_of.get(b, (b,))))
-            for i, (a, b) in enumerate(g.edges)
-            if not child.mask >> i & 1
-        }
-        parents = sorted(index[child.mask | _cluster_mask(g, [m])] for m in merged)
-        covers.extend((c, p) for p in parents)
-    return flats, covers
+    by parent (``FlatLattice``)."""
+    lattice = FlatLattice(g)
+    return lattice.flats, [(c, p) for c, above in enumerate(lattice.covers) for p in above]
 
 
 def all_chains(g: Graph) -> Iterator[ChainOfFlats]:
     """Every strictly increasing chain of proper nonempty flats, the empty
     chain included, in canonical (lexicographic on flat order) order."""
-    yield from _chain_walk(proper_flats(g))
+    lattice = FlatLattice(g)
+    for flats, _ in _chain_walk(lattice, lattice.proper):
+        yield ChainOfFlats(flats)
 
 
-def _chain_walk(flats: Sequence[Flat]) -> Iterator[ChainOfFlats]:
-    """Every strictly increasing chain drawn from ``flats`` (proper flats of
-    one graph, in canonical order), the empty chain first, lexicographic on
-    that order.  On a subset of ``proper_flats`` this is the subsequence of
-    ``all_chains`` whose flats all lie in the subset."""
-    succ = [
-        [j for j, b in enumerate(flats) if a.rank < b.rank and a.mask & ~b.mask == 0]
-        for a in flats
-    ]
-
-    def extend(prefix: list[int], start_choices: Iterable[int]) -> Iterator[list[int]]:
-        for j in start_choices:
-            chain = prefix + [j]
-            yield chain
-            yield from extend(chain, succ[j])
-
-    yield ChainOfFlats(())
-    for idxs in extend([], range(len(flats))):
-        yield ChainOfFlats(tuple(flats[i] for i in idxs))
+def _chain_walk(
+    lattice: FlatLattice, allowed: int
+) -> Iterator[tuple[tuple[Flat, ...], tuple[int, ...]]]:
+    """Every strictly increasing chain of the flats in the bitset
+    ``allowed`` (proper flats of the lattice), as its flats and their edge
+    masks, the empty chain first, lexicographic on the flat order: a
+    depth-first walk that follows each chain ending at flat i by its
+    extensions through the flats of ``up[i] & allowed``, ascending.  On a
+    subset of the proper flats this is the subsequence of ``all_chains``
+    whose flats all lie in the subset.  The callers make each
+    ``ChainOfFlats``, which checks it."""
+    flats, up = lattice.flats, lattice.up
+    masks = [f.mask for f in flats]
+    yield (), ()
+    # each entry is a chain, its masks, and the positions still to try after it
+    stack = [((), (), _positions(allowed))]
+    while stack:
+        chain, chain_masks, rest = stack[-1]
+        i = next(rest, None)
+        if i is None:
+            stack.pop()
+            continue
+        longer = (chain + (flats[i],), chain_masks + (masks[i],))
+        yield longer
+        stack.append((*longer, _positions(up[i] & allowed)))
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ from .graphs import (
     is_complete_multipartite,
     spanning_forest,
 )
-from .matroid import ChainOfFlats, Flat, proper_flats
+from .matroid import ChainOfFlats, Flat, FlatLattice
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +572,11 @@ def moduli_fan_rad(n: int, gamma: Union[Graph, str] = "complete") -> Fan:
     """The fan of radially aligned stable types in complete-graph edge space.
 
     Walks the chains of flats of the complete graph on 2..n whose flats are
-    all stable for gamma (``_stable_flats``), never building the others; by
+    all stable for gamma (``_stable_flats``), on the up-sets of that graph's
+    lattice of flats, built once per n, never building the other chains; by
     the leaf-block argument in the module docstring, these are exactly the
     chains of the gamma-stable radial types.  Each chain's cone is spanned
-    by the rays of its flats, computed once per flat (``bergman._chain_fan``).
+    by the rays of its flats (``bergman._chain_fan``).
     Projecting the result onto the stability graph's edges gives the image fan.
     """
     if not 4 <= n <= 7:
@@ -585,9 +586,12 @@ def moduli_fan_rad(n: int, gamma: Union[Graph, str] = "complete") -> Fan:
     if not isinstance(gamma, Graph):
         raise ValueError("gamma must be a Graph or the string 'complete'")
     _check_stability_graph(n, gamma)
-    ambient = _complete_on(n)
-    gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
-    return _chain_fan(ambient, _stable_flats(n, gmask))
+    lattice = _complete_lattice(n)
+    gmask = EdgeSet.from_edges(lattice.graph, gamma.edges).mask
+    stable = 0
+    for f in _stable_flats(n, gmask):
+        stable |= 1 << lattice.index[f.mask]
+    return _chain_fan(lattice, stable)
 
 
 def caterpillar_cof(gamma: Graph) -> ChainOfFlats:
@@ -635,41 +639,52 @@ class InjectivityReport:
 
 
 @cache
-def _flat_demands(n: int) -> tuple[tuple[Flat, tuple[int, ...], tuple[int, ...]], ...]:
-    """The proper flats of the complete graph on 2..n, each with what a
-    stability graph must meet for the one-flat chain's type to be stable,
-    and the flat's blocks as vertex sets.
+def _complete_lattice(n: int) -> FlatLattice:
+    """The lattice of flats of the complete graph on 2..n, built once per n:
+    ``moduli_fan_rad`` walks its chains and ``_flat_demands`` reads its
+    proper flats."""
+    return FlatLattice(_complete_on(n))
 
-    Each row, in ``proper_flats`` order, is ``(flat, demands, vertices)``.
-    ``demands`` holds the edge mask (in the complete graph's edge order) of
-    each of the flat's blocks, every one of which a stable graph's edge mask
-    must intersect.  The one-flat type's leaves are exactly these blocks:
-    each hangs off the root holding the block's ends and asks for an edge
-    inside it, and a block has at least two ends, so its mask is never
-    empty.  ``vertices`` holds the same blocks as vertex bitmasks, label v
-    at bit v - 2 (its position among 2..n, as in ``graphs._adjacency``).
-    None of this depends on the graph, and n is at most 7 in every caller,
-    so the cache stays small.  Read through ``_stable_flats`` by
-    ``moduli_fan_rad`` (a chain is stable when all its flats are) and by
-    ``verify_injectivity``.
+
+@cache
+def _flat_demands(n: int) -> tuple[tuple[Flat, int, tuple[int, ...], tuple[int, ...]], ...]:
+    """The proper flats of the complete graph on 2..n, each with its edge
+    mask, what a stability graph must meet for the one-flat chain's type to
+    be stable, and the flat's blocks as vertex sets.
+
+    Each row, in ``enumerate_flats`` order, is ``(flat, mask, demands,
+    vertices)``, ``mask`` being ``flat.mask``, kept so that the callers'
+    loops read no property.  ``demands`` holds the edge mask (in the
+    complete graph's edge order) of each of the flat's blocks, every one of
+    which a stable graph's edge mask must intersect.  The one-flat type's
+    leaves are exactly these blocks: each hangs off the root holding the
+    block's ends and asks for an edge inside it, and a block has at least
+    two ends, so its mask is never empty.  ``vertices`` holds the same
+    blocks as vertex bitmasks, label v at bit v - 2 (its position among
+    2..n, as in ``graphs._adjacency``).  None of this depends on the graph,
+    and n is at most 7 in every caller, so the cache stays small.  Read
+    through ``_stable_flats`` by ``moduli_fan_rad`` (a chain is stable when
+    all its flats are) and by ``verify_injectivity``.
     """
-    ambient = _complete_on(n)
+    lattice = _complete_lattice(n)
+    ambient = lattice.graph
     return tuple(
         (
             f,
+            f.mask,
             tuple(_cluster_mask(ambient, [block]) for block in f.blocks),
             tuple(sum(1 << (v - 2) for v in block) for block in f.blocks),
         )
-        for f in proper_flats(ambient)
+        for f in lattice.flats[1:-1]  # the empty flat is first and the full one last
     )
 
 
 def _stable_flats(n: int, gmask: int) -> list[Flat]:
-    """The proper flats of the complete graph on 2..n, in ``proper_flats``
+    """The proper flats of the complete graph on 2..n, in ``enumerate_flats``
     order, whose one-flat type is stable for the graph with edge mask
     ``gmask`` (in the complete graph's edge order)."""
     stable = []
-    for f, demands, _ in _flat_demands(n):
+    for f, _, demands, _ in _flat_demands(n):
         for m in demands:  # a plain loop: all() pays for a generator per flat
             if not m & gmask:
                 break
@@ -709,13 +724,13 @@ def verify_injectivity(gamma: Graph) -> InjectivityReport:
     images = set()
     stable = 0
     witness = None
-    for f, demands, vertices in _flat_demands(n):
+    for f, mask, demands, vertices in _flat_demands(n):
         for m in demands:  # _stable_flats' test, inline to keep one pass
             if not m & gmask:
                 break
         else:
             stable += 1
-            images.add(f.mask & gmask)
+            images.add(mask & gmask)
             if witness is None:
                 for b in vertices:
                     ok = connected.get(b)

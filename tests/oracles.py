@@ -8,7 +8,8 @@ distance class by Fraction sums, psi by inverting its matrix on the basis
 of two-element splits, graphic stability by the vertex-local rule, radial
 faces by weakly monotone level maps, circuits as minimal dependent sets by
 pairwise comparison, lattice covers by containment of every pair of flats,
-the trichotomy's injectivity and rank verdicts in two full passes, and the
+chains of flats by a successor scan over every pair of flats, the
+trichotomy's injectivity and rank verdicts in two full passes, and the
 caterpillar chain grown as a vertex set, and the vector route to a fan: cones
 built from their rays as vectors and keyed by ray sets, with projection by
 coordinates, and the vector arithmetic (zero, scaling, negation and
@@ -47,7 +48,7 @@ from tropfan.intlinalg import (
     orthogonal_complement,
     saturation,
 )
-from tropfan.matroid import Flat, _chain_walk
+from tropfan.matroid import Flat
 from tropfan.tropmoduli import _stable_flats, pair_list
 
 
@@ -528,12 +529,40 @@ def vector_cones(cones: dict) -> list[tuple]:
     return sorted(out, key=lambda c: (len(c[0]), c[0]))
 
 
+def proper_flats(g: Graph) -> list:
+    """The nonempty flats other than the full edge set, in
+    ``enumerate_flats`` order, filtered from all the flats."""
+    full = g.full_edge_set().mask
+    return [f for f in enumerate_flats(g) if f.mask not in (0, full)]
+
+
+def pairwise_chain_walk(flats):
+    """Every strictly increasing chain drawn from ``flats`` (flats of one
+    graph, in canonical order), the empty chain first, lexicographic on
+    that order: each flat's successors are found by testing it against
+    every flat for a rise in rank and containment."""
+    succ = [
+        [j for j, b in enumerate(flats) if a.rank < b.rank and a.mask & ~b.mask == 0]
+        for a in flats
+    ]
+
+    def extend(prefix, choices):
+        for j in choices:
+            chain = prefix + [j]
+            yield chain
+            yield from extend(chain, succ[j])
+
+    yield ChainOfFlats(())
+    for idxs in extend([], range(len(flats))):
+        yield ChainOfFlats(tuple(flats[i] for i in idxs))
+
+
 def vector_chain_fan(g: Graph, flats) -> dict:
     """One weight-one cone per chain of ``flats``, keyed by the ray set of
     its flats (``ray_of_flat`` over g's edges)."""
     return {
         frozenset(ray_of_flat(f, g.edges) for f in chain): (1, [chain])
-        for chain in _chain_walk(flats)
+        for chain in pairwise_chain_walk(flats)
     }
 
 

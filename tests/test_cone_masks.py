@@ -24,12 +24,12 @@ from tropfan import (
     moduli_fan_rad,
     primitive_normal,
     project_fan,
-    proper_flats,
 )
 from tropfan.tropmoduli import _stable_flats
 
 from oracles import (
     fan_to_json,
+    proper_flats,
     scale_vector,
     vector_chain_fan,
     vector_cones,

@@ -32,13 +32,14 @@ from tropfan import (
     verify_injectivity,
 )
 from tropfan.graphs import EdgeSet, _adjacency, _connected_on
-from tropfan.matroid import proper_flats, set_partitions
+from tropfan.matroid import set_partitions
 
 from oracles import (
     caterpillar_by_growth,
     fan_to_json,
     injectivity_two_pass,
     make_cone,
+    proper_flats,
     vertex_demand,
 )
 
@@ -331,12 +332,14 @@ def oracle_graphs():
 def test_flat_table_matches_flat_gamma_stable():
     for n in (5, 6, 7):
         ambient = Graph.complete(range(2, n + 1))
-        assert [f for f, _, _ in tm._flat_demands(n)] == proper_flats(ambient)
+        rows = tm._flat_demands(n)
+        assert [f for f, _, _, _ in rows] == proper_flats(ambient)
+        assert [mask for _, mask, _, _ in rows] == [f.mask for f in proper_flats(ambient)]
     for gamma in oracle_graphs():
         n = gamma.labels[-1]
         ambient = Graph.complete(range(2, n + 1))
         gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
-        for f, demands, _ in tm._flat_demands(n):
+        for f, _, demands, _ in tm._flat_demands(n):
             stable = demands is not None and all(m & gmask for m in demands)
             assert stable == flat_gamma_stable(f, gamma), (gamma.edges, f.edges.edges)
 
@@ -348,7 +351,7 @@ def test_flat_demands_are_the_flat_blocks():
     same blocks, each the OR of its labels' bits (label v at bit v - 2)."""
     for n in (4, 5, 6, 7):
         ambient = Graph.complete(range(2, n + 1))
-        for f, demands, vertices in tm._flat_demands(n):
+        for f, _, demands, vertices in tm._flat_demands(n):
             blocks = tuple(
                 EdgeSet.from_edges(ambient, itertools.combinations(b, 2)).mask
                 for b in f.blocks
@@ -437,7 +440,7 @@ def test_rank_survives_restriction_exactly_when_blocks_are_connected():
         ambient = Graph.complete(range(2, n + 1))
         gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
         adj = _adjacency(gamma)
-        for f, _, vertices in tm._flat_demands(n):
+        for f, _, _, vertices in tm._flat_demands(n):
             connected = all(_connected_on(adj, b) for b in vertices)
             keeps_rank = graph_rank(ambient, EdgeSet(ambient, f.mask & gmask)) == f.rank
             assert connected == keeps_rank, (gamma.edges, f.edges.edges)

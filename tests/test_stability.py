@@ -116,7 +116,7 @@ def test_flat_stability_examples(k4, k4_flat_labels, gamma_obstruction):
 
 
 def test_flat_stability_matches_clique_criterion(k4, gamma_obstruction):
-    from tropfan import proper_flats
+    from oracles import proper_flats
 
     for gamma in (gamma_obstruction, k4_minus((2, 5)), k4_minus((2, 5), (3, 4))):
         for f in proper_flats(k4):
