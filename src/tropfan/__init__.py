@@ -7,7 +7,7 @@ from .bergman import (
     Fan,
     QuotientVector,
     bergman_fan,
-    fan_json_text,
+    fan_json_chunks,
     fans_equal,
     is_balanced,
     lattice_balanced,

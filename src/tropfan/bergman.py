@@ -19,7 +19,9 @@ appear only at the API's edge: ``Cone.rays``, ``Fan.rays`` and
 ``primitive_normal`` make them on each call, and ``cone_with_rayset`` and
 ``with_weights`` read ray sets back to masks.  A fan makes each distinct
 ray's coordinates once, to order its cones, for the rows of the saturation
-certificate and for ``fan_json_text``.
+certificate and for the JSON writer, and keeps each cone's ray ids (its
+rays' positions in that order), which order the cones and which
+``fan_json_chunks`` prints.
 
 The subdivision is unimodular: the canonical rays of a chain are signed
 indicators of a laminar family of edge sets (the sets missing the last edge
@@ -54,7 +56,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import intlinalg as ila
 from .graphs import Edge, Graph
@@ -232,9 +234,11 @@ class Fan:
         rays = sorted((_ray_coords(x, len(ambient)), x) for x in {x for k in by_masks for x in k})
         self._coords = {x: coords for coords, x in rays}
         rank = {x: i for i, (_, x) in enumerate(rays)}.__getitem__
-        self.cones: tuple[Cone, ...] = tuple(
-            sorted(by_masks.values(), key=lambda c: (len(c.masks), sorted(map(rank, c.masks))))
-        )
+        # each cone's ray ids (positions among the rays), ascending, made
+        # once: they order the cones and the writer prints them
+        keyed = sorted((len(k), tuple(sorted(map(rank, k))), k) for k in by_masks)
+        self.cones: tuple[Cone, ...] = tuple(by_masks[k] for _, _, k in keyed)
+        self._ray_ids: tuple[tuple[int, ...], ...] = tuple(ids for _, ids, _ in keyed)
         self.max_dim = self.cones[-1].dim
         # the cones of dimension d are cones[by_dim[d]]
         counts = [0] * (self.max_dim + 2)
@@ -283,8 +287,9 @@ class Fan:
         fan is refused with ValueError.
 
         The chains are this fan's, so its cone order, index by dimension,
-        ray coordinates and maximal cones carry over, with the reweighted
-        cones in their places, and are not sorted or checked again."""
+        ray coordinates, ray ids and maximal cones carry over, with the
+        reweighted cones in their places, and are not sorted or checked
+        again."""
         weights = {self._masks_of(rays): w for rays, w in overrides.items()}
         if not self._by_masks.keys() >= weights.keys():
             raise ValueError("with_weights names a ray set that is not a cone of this fan")
@@ -495,10 +500,16 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
         t = sum(1 << j for j, i in enumerate(positions) if x >> i & 1)
         if 0 < t < full:
             trace[x] = t
+    # the traces of nested sets are nested, so a cone's image is read off
+    # its ascending masks in order, skipping absent traces and repeats
     merged: dict[tuple[int, ...], list] = {}
     for cone in fan.cones:
-        image = tuple(sorted({trace[x] for x in cone.masks if x in trace}))
-        merged.setdefault(image, []).extend(cone.provenance)
+        image = []
+        for x in cone.masks:
+            t = trace.get(x)
+            if t is not None and (not image or image[-1] != t):
+                image.append(t)
+        merged.setdefault(tuple(image), []).extend(cone.provenance)
     return Fan(gamma.edges, [Cone(gamma.edges, k, 1, tuple(f)) for k, f in merged.items()])
 
 
@@ -550,47 +561,34 @@ def json_array(items: Sequence[str], depth: int = 0) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + _INDENT * depth + "]"
 
 
-def json_object(members: Sequence[tuple[str, str]], depth: int = 0) -> str:
-    """A JSON object of (key, encoded value) members, laid out as
-    ``json.dumps(indent=2)`` lays it out at nesting depth ``depth``."""
-    if not members:
-        return "{}"
-    inner = "\n" + _INDENT * (depth + 1)
-    return (
-        "{"
-        + inner
-        + ("," + inner).join(f"{json_scalar(k)}: {v}" for k, v in members)
-        + "\n"
-        + _INDENT * depth
-        + "}"
-    )
+def fan_json_chunks(fan: Fan, depth: int = 0, **fields) -> Iterator[str]:
+    """A fan's JSON document as string chunks in document order, whose
+    concatenation is ``json.dumps(doc, indent=2)`` of the document at
+    nesting depth ``depth``; neither ``doc`` nor the whole text is built.
+    The chunks are the header (schema, ambient edges, rays and the opening
+    of the cone list), one chunk per cone (its ray ids, weight and
+    provenance chains, one list of chains per cone fiber), and the closing
+    text with the scalar ``fields`` appended.
 
-
-def fan_json_text(fan: Fan, depth: int = 0, **fields) -> str:
-    """A fan's JSON document, laid out as ``json.dumps(doc, indent=2)`` lays
-    it out at nesting depth ``depth``, without building ``doc``: its schema,
-    ambient edges, rays, then its cones by ray indices with weights and
-    provenance chains (one list of chains per cone fiber), and the scalar
-    ``fields`` appended.
-
-    Cones are joined from precomputed separators, and each flat's block of
-    edge strings is encoded once per call: a projected fan's provenance
-    repeats a few hundred flats tens of thousands of times.  Whatever
-    ``json.dumps`` refuses, such as a Fraction field value, raises TypeError.
+    The fields are encoded on the call, so whatever ``json.dumps`` refuses,
+    such as a Fraction field value, raises TypeError before any chunk is
+    made.  Each cone's ray ids are the fan's own (``Fan._ray_ids``), written
+    from one string per ray id, and each flat's block of edge strings is
+    encoded once per call: a projected fan's provenance repeats a few
+    hundred flats tens of thousands of times.
     """
-    # the fan's rays are its ray coordinates' keys, in their order
-    index = {x: i for i, x in enumerate(fan._coords)}
     # nl[k] starts a line at nesting depth + k; sep[k] ends an item before it
     nl = ["\n" + _INDENT * (depth + k) for k in range(7)]
     sep = ["," + s for s in nl]
+    tail = "".join(sep[1] + json_scalar(k) + ": " + json_scalar(v) for k, v in fields.items())
 
     def block(items: Sequence[str], k: int) -> str:
         """json_array(items, depth + k) from the precomputed separators."""
         return "[" + nl[k + 1] + sep[k + 1].join(items) + nl[k] + "]" if items else "[]"
 
     # Flats are looked up by id, which hashes far faster than their dataclass
-    # fields; the fan holds every flat for the whole call, and equal but
-    # distinct flats only cost a second, identical encoding.
+    # fields; the fan holds every flat while the chunks are made, and equal
+    # but distinct flats only cost a second, identical encoding.
     flat_text: dict[int, str] = {}
 
     def chain_block(chain: ChainOfFlats) -> str:
@@ -603,20 +601,25 @@ def fan_json_text(fan: Fan, depth: int = 0, **fields) -> str:
             blocks.append(text)
         return block(blocks, 4)
 
-    cones = []
-    for c in fan.cones:
-        ids = sorted([index[x] for x in c.masks])
-        cones.append(
-            "{" + nl[3] + '"rays": ' + block(list(map(str, ids)), 3)
-            + sep[3] + '"weight": ' + json_scalar(c.weight)
-            + sep[3] + '"provenance": ' + block(list(map(chain_block, c.provenance)), 3)
-            + nl[2] + "}"
+    def chunks() -> Iterator[str]:
+        yield (
+            "{" + nl[1] + '"schema": ' + json_scalar(SCHEMA)
+            + sep[1] + '"ambient": ' + block([json_scalar(edge_str(e)) for e in fan.ambient], 1)
+            + sep[1] + '"rays": '
+            + block([block(list(map(json_scalar, r)), 2) for r in fan._coords.values()], 1)
+            + sep[1] + '"cones": ['
         )
-    members = [
-        ("schema", json_scalar(SCHEMA)),
-        ("ambient", block([json_scalar(edge_str(e)) for e in fan.ambient], 1)),
-        ("rays", block([block(list(map(json_scalar, r)), 2) for r in fan._coords.values()], 1)),
-        ("cones", block(cones, 1)),
-    ]
-    members += [(key, json_scalar(value)) for key, value in fields.items()]
-    return json_object(members, depth)
+        # the fan's rays are its ray coordinates' keys, in their order
+        names = [str(i) for i in range(len(fan._coords))]
+        lead = nl[2]  # a fan always holds the cone with no rays
+        for ids, c in zip(fan._ray_ids, fan.cones):
+            yield (
+                lead + "{" + nl[3] + '"rays": ' + block([names[i] for i in ids], 3)
+                + sep[3] + '"weight": ' + json_scalar(c.weight)
+                + sep[3] + '"provenance": ' + block(list(map(chain_block, c.provenance)), 3)
+                + nl[2] + "}"
+            )
+            lead = sep[2]
+        yield nl[1] + "]" + tail + nl[0] + "}"
+
+    return chunks()

@@ -11,17 +11,16 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from . import matroid, tropmoduli
 from .bergman import (
     SCHEMA,
     bergman_fan,
     edge_str,
-    fan_json_text,
+    fan_json_chunks,
     is_balanced,
     json_array,
-    json_object,
     json_scalar,
     lattice_balanced,
     project_fan,
@@ -81,17 +80,22 @@ def resolve_graph(spec: str) -> Graph:
     return parse_graph(spec.replace(",", "\n").replace(";", "\n"))
 
 
-def _emit(doc: str, output: Optional[str]):
-    """``print`` adds the final newline without copying the document.  An
+def _emit(doc: Union[str, Iterable[str]], output: Optional[str]):
+    """Write a document, given whole or as string chunks in order, and the
+    final newline, to the file ``output`` or to stdout; each chunk is
+    written as it comes, so a streamed document is never held whole.  An
     output path that cannot be written is malformed input (exit status 2)."""
+    chunks = (doc,) if isinstance(doc, str) else doc
     if output:
         try:
             with open(output, "w") as fh:
-                print(doc, file=fh)
+                fh.writelines(chunks)
+                fh.write("\n")
         except OSError as exc:
             raise ValueError(f"cannot write {output}: {exc}") from exc
     else:
-        print(doc)
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
 
 
 def _flat_json(f) -> list[str]:
@@ -175,7 +179,7 @@ def cmd_fan(args) -> int:
     lattice = FlatLattice(g)
     balanced = lattice_balanced(lattice)
     if args.format == "json":
-        _emit(fan_json_text(bergman_fan(g, lattice), balanced=balanced), args.output)
+        _emit(fan_json_chunks(bergman_fan(g, lattice), balanced=balanced), args.output)
     else:
         lines = [
             "cones by dimension: " + ",".join(map(str, lattice.chain_census(lattice.proper))),
@@ -191,17 +195,7 @@ def cmd_moduli(args) -> int:
     target = gamma if isinstance(gamma, Graph) else Graph.complete(range(2, args.n + 1))
     projected = project_fan(fan, target)
     if args.format == "json":
-        graph = [json_scalar(edge_str(e)) for e in target.edges]
-        doc = json_object(
-            [
-                ("schema", json_scalar(SCHEMA)),
-                ("n", json_scalar(args.n)),
-                ("graph", json_array(graph, 1)),
-                ("radial_fan", fan_json_text(fan, 1)),
-                ("projected_fan", fan_json_text(projected, 1)),
-            ]
-        )
-        _emit(doc, args.output)
+        _emit(_moduli_json_chunks(args.n, target, fan, projected), args.output)
     else:
         lines = [
             "radial cones by dimension: " + ",".join(map(str, fan.census())),
@@ -211,6 +205,20 @@ def cmd_moduli(args) -> int:
     return 0
 
 
+def _moduli_json_chunks(n: int, target: Graph, fan, projected) -> Iterator[str]:
+    """The moduli document as ``json.dumps(doc, indent=2)`` writes it, in
+    chunks: its schema, n and graph, then both fans' chunks at depth 1."""
+    graph = [json_scalar(edge_str(e)) for e in target.edges]
+    yield (
+        '{\n  "schema": ' + json_scalar(SCHEMA) + ',\n  "n": ' + json_scalar(n)
+        + ',\n  "graph": ' + json_array(graph, 1) + ',\n  "radial_fan": '
+    )
+    yield from fan_json_chunks(fan, 1)
+    yield ',\n  "projected_fan": '
+    yield from fan_json_chunks(projected, 1)
+    yield "\n}"
+
+
 def cmd_project(args) -> int:
     gamma = resolve_graph(args.graph)
     _check_size(gamma, "project", MAX_FAN_LABELS)
@@ -218,7 +226,7 @@ def cmd_project(args) -> int:
     fan = bergman_fan(ambient)
     projected = project_fan(fan, gamma)
     if args.format == "json":
-        _emit(fan_json_text(projected), args.output)
+        _emit(fan_json_chunks(projected), args.output)
     else:
         census = ",".join(map(str, projected.census()))
         _emit(f"projected cones by dimension: {census}", args.output)

@@ -3,7 +3,8 @@
 Rational Gauss-Jordan for ranks, span tests and inverses, span tests by
 integer echelon elimination, Hermite forms and lattice reduction, the
 primitive normal of an arbitrary integer cone by its closed form, the dict
-form of a fan's JSON document, a graph's complement, the canonical
+form of a fan's JSON document (beside the library writer's chunks joined
+into one text), a graph's complement, the canonical
 distance class by Fraction sums, psi by inverting its matrix on the basis
 of two-element splits, graphic stability by the vertex-local rule, radial
 faces by weakly monotone level maps, circuits as minimal dependent sets by
@@ -32,6 +33,7 @@ from tropfan import (
     QuotientVector,
     RadialType,
     enumerate_flats,
+    fan_json_chunks,
     graph_rank,
     is_complete_multipartite,
     project_vector,
@@ -414,11 +416,17 @@ def caterpillar_by_growth(gamma) -> ChainOfFlats:
     return ChainOfFlats(tuple(flats))
 
 
+def fan_json_text(fan, depth: int = 0, **fields) -> str:
+    """The chunks of ``fan_json_chunks`` joined into the whole document, the
+    text that the tests compare with ``json.dumps`` of ``fan_to_json``."""
+    return "".join(fan_json_chunks(fan, depth, **fields))
+
+
 def fan_to_json(fan) -> dict:
     """The dict form of a fan: ambient edges, rays, cones by ray indices with
     weights and provenance chains (one list of chains per cone fiber).
-    ``json.dumps(fan_to_json(fan), indent=2)`` is the document that
-    ``fan_json_text`` writes."""
+    ``json.dumps(fan_to_json(fan), indent=2)`` is the document whose chunks
+    ``fan_json_chunks`` writes."""
     rays = sorted({r for c in fan.cones for r in c.rays}, key=lambda r: r.coords)
     index = {r: i for i, r in enumerate(rays)}
     flat_json: dict[Flat, list[str]] = {}  # each flat's edge strings, built once

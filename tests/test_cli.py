@@ -369,7 +369,14 @@ def test_counts_complete_out_of_range_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["flats", "--graph", "k4"], ["verify", "psi"]], ids=["flats", "verify-psi"]
+    "argv",
+    [
+        ["flats", "--graph", "k4"],
+        ["verify", "psi"],
+        ["fan", "--graph", "k4", "--format", "json"],
+        ["moduli", "--n", "5", "--format", "json"],
+    ],
+    ids=["flats", "verify-psi", "fan-json", "moduli-json"],
 )
 def test_unwritable_output_exits_2(argv, tmp_path, capsys):
     """An output path that is a directory, or whose parent is missing, is

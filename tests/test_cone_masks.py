@@ -18,7 +18,6 @@ from tropfan import (
     Graph,
     QuotientVector,
     bergman_fan,
-    fan_json_text,
     fans_equal,
     is_balanced,
     moduli_fan_rad,
@@ -28,6 +27,7 @@ from tropfan import (
 from tropfan.tropmoduli import _stable_flats
 
 from oracles import (
+    fan_json_text,
     fan_to_json,
     proper_flats,
     scale_vector,

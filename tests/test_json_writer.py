@@ -1,7 +1,9 @@
 """The fan and moduli JSON writer against its oracle, json.dumps(indent=2) of
-the dict form ``fan_to_json``, byte for byte."""
+the dict form ``fan_to_json``, byte for byte, and the CLI's streaming of its
+chunks."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,13 +16,13 @@ from tropfan import (
     Graph,
     QuotientVector,
     bergman_fan,
-    fan_json_text,
+    fan_json_chunks,
     moduli_fan_rad,
     project_fan,
 )
-from tropfan.cli import NAMED_GRAPHS, main, resolve_graph
+from tropfan.cli import NAMED_GRAPHS, _emit, main, resolve_graph
 
-from oracles import fan_to_json, make_cone
+from oracles import fan_json_text, fan_to_json, make_cone
 
 
 def oracle(fan: Fan, **fields) -> str:
@@ -28,7 +30,9 @@ def oracle(fan: Fan, **fields) -> str:
 
 
 def assert_writes_like_oracle(fan: Fan):
-    assert fan_json_text(fan) == oracle(fan)
+    chunks = list(fan_json_chunks(fan))
+    assert len(chunks) == len(fan.cones) + 2  # the header, one per cone, the close
+    assert "".join(chunks) == fan_json_text(fan) == oracle(fan)
     # one level down, as the moduli document nests its two fans
     nested = json.dumps({"fan": fan_to_json(fan)}, indent=2)
     assert nested == '{\n  "fan": ' + fan_json_text(fan, 1) + "\n}"
@@ -50,6 +54,18 @@ def test_reweighted_fan(k4):
     sigma = fan.cones_of_dim(fan.max_dim)[0]
     heavy = fan.with_weights({sigma.rayset: 2})
     assert '"weight": 2' in fan_json_text(heavy)
+    assert_writes_like_oracle(heavy)
+
+
+@pytest.mark.parametrize("step", [1, 3, 7])
+def test_reweighted_k5_fans_keep_their_ray_ids(step):
+    """Several cones of every dimension reweighted; the new fan shares the
+    ray ids of the old one, which must still name each cone's rays."""
+    fan = bergman_fan(Graph.complete(range(2, 7)))
+    changed = fan.cones[1::step]
+    heavy = fan.with_weights({c.rayset: 2 + i % 3 for i, c in enumerate(changed)})
+    assert heavy._ray_ids is fan._ray_ids
+    assert sum(c.weight > 1 for c in heavy.cones) == len(changed) > 10
     assert_writes_like_oracle(heavy)
 
 
@@ -113,6 +129,41 @@ def test_fraction_coordinates_are_refused():
         oracle(fan, balanced=Fraction(1, 2))
     with pytest.raises(TypeError):
         fan_json_text(fan, balanced=Fraction(1, 2))
+
+
+def test_fraction_field_is_refused_before_the_first_chunk(k4):
+    """The fields are encoded on the call, so the CLI opens no output for a
+    document it cannot finish."""
+    with pytest.raises(TypeError):
+        fan_json_chunks(bergman_fan(k4), balanced=Fraction(1, 2))
+
+
+def test_emit_writes_the_same_bytes_to_a_file_and_to_stdout(k4, tmp_path, capsys):
+    fan = bergman_fan(k4)
+    target = tmp_path / "fan.json"
+    expected = (oracle(fan, balanced=True) + "\n").encode()
+    for make in (lambda: fan_json_chunks(fan, balanced=True), lambda: oracle(fan, balanced=True)):
+        _emit(make(), str(target))
+        _emit(make(), None)
+        assert target.read_bytes() == capsys.readouterr().out.encode() == expected
+
+
+def test_streamed_k6_document_is_never_held_whole(tmp_path):
+    """Writing K6's fan document (about 4 MB) to a file allocates, beyond
+    the built fan, less than a quarter of its size at any moment: no chunk
+    list, cone block or whole document is joined (a joined document peaks
+    above twice its size)."""
+    fan = bergman_fan(Graph.complete(range(2, 8)))
+    target = tmp_path / "k6.json"
+    tracemalloc.start()
+    try:
+        _emit(fan_json_chunks(fan, balanced=True), str(target))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert size > 3_000_000
+    assert peak < size / 4, (peak, size)
 
 
 @pytest.mark.parametrize(
