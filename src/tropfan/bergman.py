@@ -19,9 +19,11 @@ appear only at the API's edge: ``Cone.rays``, ``Fan.rays`` and
 ``primitive_normal`` make them on each call, and ``cone_with_rayset`` and
 ``with_weights`` read ray sets back to masks.  A fan makes each distinct
 ray's coordinates once, to order its cones, for the rows of the saturation
-certificate and for the JSON writer, and keeps each cone's ray ids (its
-rays' positions in that order), which order the cones and which
-``fan_json_chunks`` prints.
+certificate and for the JSON writer.  It keeps each cone as a row: its
+masks, weight, provenance and ray ids (its rays' positions in that order),
+which order the cones and which ``fan_json_chunks`` prints.  Balancing,
+projection, equality, the census and the writer read the rows; ``Cone``
+objects, too, are made only at the API's edge, once per cone and fan.
 
 The subdivision is unimodular: the canonical rays of a chain are signed
 indicators of a laminar family of edge sets (the sets missing the last edge
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import math
 from copy import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations
@@ -162,6 +164,21 @@ def _ray(ambient: tuple[Edge, ...], mask: int) -> QuotientVector:
     return QuotientVector(ambient, _ray_coords(mask, len(ambient)))
 
 
+def _check_row(masks: tuple[int, ...], weight, full: int):
+    """Refuse a weight that is not a positive int, and masks that are not
+    strictly nested, nonempty, proper subsets of the edge set ``full``,
+    ascending: a strict superset is a larger int, so a chain ascends as
+    ints; it starts above the empty set and stays below the full one."""
+    if type(weight) is not int or weight < 1:
+        raise ValueError(f"cone weights are positive integers, got {weight!r}")
+    below = 0
+    for mask in masks:
+        if not below < mask < full or below & ~mask:
+            raise ValueError("cone rays must be the rays of strictly nested nonempty "
+                             f"proper edge sets, got the masks {masks!r}")
+        below = mask
+
+
 @dataclass(frozen=True, slots=True)
 class Cone:
     """A cone spanned by the rays of a chain of edge sets, with weight and
@@ -176,16 +193,7 @@ class Cone:
     provenance: tuple[ChainOfFlats, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        if type(self.weight) is not int or self.weight < 1:
-            raise ValueError(f"cone weights are positive integers, got {self.weight!r}")
-        # a strict superset is a larger int, so a chain ascends as ints; it
-        # starts above the empty set and stays below the full one
-        full, below = (1 << len(self.ambient)) - 1, 0
-        for mask in self.masks:
-            if not below < mask < full or below & ~mask:
-                raise ValueError("cone rays must be the rays of strictly nested nonempty "
-                                 f"proper edge sets, got the masks {self.masks!r}")
-            below = mask
+        _check_row(self.masks, self.weight, (1 << len(self.ambient)) - 1)
 
     @property
     def dim(self) -> int:
@@ -202,111 +210,168 @@ class Cone:
 
 
 class Fan:
-    """A weighted polyhedral fan given by its (simplicial) cones, indexed by
-    their mask tuples.
+    """A weighted polyhedral fan given by its (simplicial) cones.
 
-    Every cone lies over the fan's ambient edge list (a cone over another is
+    The fan stores each cone as a row, in cone order: its ascending masks,
+    its weight, its provenance and its ray ids, one column each.  Every
+    cone lies over the fan's ambient edge list (a cone over another is
     refused with ValueError), each chain is given at most once (a second
     cone on it is refused, as no chain of flats yields one; ``project_fan``
     merges its fibers before building the image), and the cone with no rays
     is always present.  Cones are ordered by dimension and then by their
     rays' canonical coordinates, so repeated construction is byte-stable.
-    The cones must be closed under faces: ``maximal_cones`` (and so
-    ``is_pure``, ``is_balanced``, ``fans_equal`` and ``with_weights``)
-    refuses a fan that is not with ValueError.
+    ``Cone`` objects are made from the rows only when the API hands one out
+    (``cones``, ``cones_of_dim``, ``maximal_cones``, ``cone_with_rayset``
+    and ``failing_face``), at most once per cone and fan.  The cones must be
+    closed under faces: ``maximal_cones`` (and so ``is_pure``,
+    ``is_balanced``, ``fans_equal`` and ``with_weights``) refuses a fan
+    that is not with ValueError.
     """
 
     def __init__(self, ambient: Sequence[Edge], cones: Iterable[Cone]):
-        self.ambient = ambient = tuple(ambient)
-        by_masks: dict[tuple[int, ...], Cone] = {}
+        ambient = tuple(ambient)
+        rows = []
         for cone in cones:
             # every library fan shares its cones' ambient tuple; masks name
             # rays only over this one edge list
             if cone.ambient is not ambient and cone.ambient != ambient:
                 raise ValueError("a cone lies over another ambient edge list")
-            if cone.masks in by_masks:
-                raise ValueError("conflicting cones: a ray set is given twice")
-            by_masks[cone.masks] = cone
-        if () not in by_masks:
-            by_masks[()] = Cone(ambient, ())
-        self._by_masks = by_masks
+            rows.append((cone.masks, cone.weight, cone.provenance))
+        self._build(ambient, rows)
+
+    @classmethod
+    def _from_rows(cls, ambient: tuple[Edge, ...], rows: Iterable[tuple]) -> "Fan":
+        """The fan of (masks, weight, provenance) rows over ``ambient``."""
+        fan = cls.__new__(cls)
+        fan._build(ambient, rows)
+        return fan
+
+    def _build(self, ambient: tuple[Edge, ...], rows: Iterable[tuple]):
+        """The row builder: check every (masks, weight, provenance) row
+        once, add the cone with no rays if it is missing, and lay the rows
+        out as columns in cone order."""
+        self.ambient = ambient
+        m, full = len(ambient), (1 << len(ambient)) - 1
+        chains, weights, provenance = [], [], []
+        for masks, weight, origin in rows:
+            _check_row(masks, weight, full)
+            chains.append(masks)
+            weights.append(weight)
+            provenance.append(origin)
+        distinct = set(chains)
+        if len(distinct) < len(chains):
+            raise ValueError("conflicting cones: a ray set is given twice")
+        if () not in distinct:
+            chains.append(())
+            weights.append(1)
+            provenance.append(())
         # each ray's canonical coordinates, made once and kept in their order
-        rays = sorted((_ray_coords(x, len(ambient)), x) for x in {x for k in by_masks for x in k})
+        rays = sorted((_ray_coords(x, m), x) for x in {x for k in distinct for x in k})
+        del distinct
         self._coords = {x: coords for coords, x in rays}
+        self._mask_of = {coords: x for coords, x in rays}  # read by ray-set lookups
         rank = {x: i for i, (_, x) in enumerate(rays)}.__getitem__
         # each cone's ray ids (positions among the rays), ascending, made
-        # once: they order the cones and the writer prints them
-        keyed = sorted((len(k), tuple(sorted(map(rank, k))), k) for k in by_masks)
-        self.cones: tuple[Cone, ...] = tuple(by_masks[k] for _, _, k in keyed)
-        self._ray_ids: tuple[tuple[int, ...], ...] = tuple(ids for _, ids, _ in keyed)
-        self.max_dim = self.cones[-1].dim
-        # the cones of dimension d are cones[by_dim[d]]
+        # once: they order the cones and the writer prints them.  No two
+        # chains have the same ids, so the sort never compares further.
+        ids = [tuple(sorted(map(rank, k))) for k in chains]
+        keyed = sorted(zip(map(len, chains), ids, chains, weights, provenance))
+        # the input columns go before the sorted ones are made, to keep the
+        # peak of a large fan down
+        del chains, weights, provenance, ids
+        _, self._ray_ids, self._masks, self._weights, self._provenance = zip(*keyed)
+        self.max_dim = len(self._masks[-1])
+        # the cones of dimension d are the rows in by_dim[d]
         counts = [0] * (self.max_dim + 2)
-        for c in self.cones:
-            counts[c.dim + 1] += 1
+        for masks in self._masks:
+            counts[len(masks) + 1] += 1
         starts = list(accumulate(counts))
-        self._by_dim = [slice(a, b) for a, b in zip(starts, starts[1:])]
+        self._by_dim = [range(a, b) for a, b in zip(starts, starts[1:])]
+        self._made: dict[int, Cone] = {}
+
+    def _cone(self, i: int) -> Cone:
+        """Row i as a ``Cone``, made on the first request."""
+        cone = self._made.get(i)
+        if cone is None:
+            cone = self._made[i] = Cone(
+                self.ambient, self._masks[i], self._weights[i], self._provenance[i]
+            )
+        return cone
+
+    @cached_property
+    def cones(self) -> tuple[Cone, ...]:
+        return tuple(map(self._cone, range(len(self._masks))))
 
     @property
     def rays(self) -> tuple[QuotientVector, ...]:
-        return tuple(c.rays[0] for c in self.cones_of_dim(1))
+        return tuple(QuotientVector(self.ambient, coords) for coords in self._coords.values())
 
     def cones_of_dim(self, d: int) -> tuple[Cone, ...]:
-        return self.cones[self._by_dim[d]] if 0 <= d <= self.max_dim else ()
+        return tuple(map(self._cone, self._by_dim[d])) if 0 <= d <= self.max_dim else ()
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        """Each cone's row, by its masks."""
+        return {masks: i for i, masks in enumerate(self._masks)}
+
+    @cached_property
+    def _maximal(self) -> tuple[int, ...]:
+        """The rows of the maximal cones.  In a fan closed under taking ray
+        subsets, non-maximal cones are exactly the facets of some other
+        cone.  Closure is checked here, not when the fan is built, where it
+        would cost every fan."""
+        facets = set()
+        for masks in self._masks:
+            for i in range(len(masks)):
+                facets.add(masks[:i] + masks[i + 1 :])
+        if not facets <= self._index.keys():
+            raise ValueError("the fan is not closed under faces")
+        return tuple(i for i, masks in enumerate(self._masks) if masks not in facets)
 
     @cached_property
     def maximal_cones(self) -> tuple[Cone, ...]:
-        # in a fan closed under taking ray subsets, non-maximal cones are
-        # exactly the facets of some other cone.  Closure is checked here,
-        # not when the fan is built, where it would cost every fan.
-        facets = set()
-        for c in self.cones:
-            masks = c.masks
-            for i in range(len(masks)):
-                facets.add(masks[:i] + masks[i + 1 :])
-        if not facets <= self._by_masks.keys():
-            raise ValueError("the fan is not closed under faces")
-        return tuple(c for c in self.cones if c.masks not in facets)
+        return tuple(map(self._cone, self._maximal))
 
     @property
     def is_pure(self) -> bool:
-        return all(c.dim == self.max_dim for c in self.maximal_cones)
+        return all(len(self._masks[i]) == self.max_dim for i in self._maximal)
 
-    def _masks_of(self, rays: Iterable[QuotientVector]) -> Optional[tuple[int, ...]]:
-        """The ascending masks of ``rays``, or None if one is not a ray of this fan."""
-        mask_of = {coords: x for x, coords in self._coords.items()}
+    def _row_of(self, rays: Iterable[QuotientVector]) -> Optional[int]:
+        """The row of the cone on ``rays``, or None if there is none."""
+        mask_of = self._mask_of
         masks = [mask_of.get(r.coords) if r.ambient == self.ambient else None for r in rays]
-        return None if None in masks else tuple(sorted(masks))
+        return None if None in masks else self._index.get(tuple(sorted(masks)))
 
     def cone_with_rayset(self, rayset: frozenset) -> Optional[Cone]:
-        return self._by_masks.get(self._masks_of(rayset))
+        i = self._row_of(rayset)
+        return None if i is None else self._cone(i)
 
     def with_weights(self, overrides: dict[frozenset, int]) -> "Fan":
         """The fan with some weights replaced, each named by its cone's ray
-        set; other cones are shared.  A ray set that is not a cone of this
-        fan is refused with ValueError.
+        set.  A ray set that is not a cone of this fan is refused with
+        ValueError, and so is a weight that is not a positive int.
 
-        The chains are this fan's, so its cone order, index by dimension,
-        ray coordinates, ray ids and maximal cones carry over, with the
-        reweighted cones in their places, and are not sorted or checked
-        again."""
-        weights = {self._masks_of(rays): w for rays, w in overrides.items()}
-        if not self._by_masks.keys() >= weights.keys():
+        The chains are this fan's, so the new fan shares its masks,
+        provenance and ray ids columns, its ray coordinates and its index
+        of rows and maximal rows; only the weights column is new."""
+        rows = {self._row_of(rays): w for rays, w in overrides.items()}
+        if None in rows:
             raise ValueError("with_weights names a ray set that is not a cone of this fan")
-        new = {masks: replace(self._by_masks[masks], weight=w) for masks, w in weights.items()}
-
-        def swap(cones: Iterable[Cone]) -> tuple[Cone, ...]:
-            return tuple(new.get(c.masks, c) for c in cones)
-
+        self._maximal  # refuses a fan that is not closed under faces
+        full = (1 << len(self.ambient)) - 1
+        weights = list(self._weights)
+        for i, w in rows.items():
+            _check_row(self._masks[i], w, full)
+            weights[i] = w
         fan = copy(self)
-        fan.__dict__["maximal_cones"] = swap(self.maximal_cones)
-        fan.cones = swap(self.cones)
-        fan._by_masks = {**self._by_masks, **new}
+        fan._weights, fan._made = tuple(weights), {}
+        for name in ("cones", "maximal_cones"):  # cached Cones carry the old weights
+            fan.__dict__.pop(name, None)
         return fan
 
     def census(self) -> tuple[int, ...]:
         """Cone counts by dimension 0..max_dim."""
-        return tuple(len(self.cones_of_dim(d)) for d in range(self.max_dim + 1))
+        return tuple(map(len, self._by_dim))
 
 
 def bergman_fan(g: Graph, lattice: Optional[FlatLattice] = None) -> Fan:
@@ -327,12 +392,13 @@ def bergman_fan(g: Graph, lattice: Optional[FlatLattice] = None) -> Fan:
 
 
 def _chain_fan(lattice: FlatLattice, allowed: int) -> Fan:
-    """One weight-one cone per chain of the flats in the bitset ``allowed``
+    """One weight-one row per chain of the flats in the bitset ``allowed``
     (proper flats of the lattice), on the chain's edge masks, with the
     chain as provenance."""
-    edges = lattice.graph.edges
     chains = _chain_walk(lattice, allowed)
-    return Fan(edges, [Cone(edges, masks, 1, (ChainOfFlats(c),)) for c, masks in chains])
+    return Fan._from_rows(
+        lattice.graph.edges, ((masks, 1, (ChainOfFlats(c),)) for c, masks in chains)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,26 +447,28 @@ def is_balanced(fan: Fan) -> BalanceReport:
         raise ValueError("balancing is only defined for pure fans")
     if fan.max_dim == 0:
         return BalanceReport(True)
-    top, codim1 = fan._by_dim[fan.max_dim], fan._by_dim[fan.max_dim - 1]
-    star: dict[tuple[int, ...], list[tuple[Cone, int]]] = {}
-    for sigma in fan.cones[top]:
-        masks = sigma.masks
+    chains, weights, coords = fan._masks, fan._weights, fan._coords
+    # each facet's star: the rows of the maximal cones over it and the
+    # masks they add to it
+    star: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for s in fan._by_dim[fan.max_dim]:
+        masks = chains[s]
         for i, mask in enumerate(masks):
-            star.setdefault(masks[:i] + masks[i + 1 :], []).append((sigma, mask))
+            star.setdefault(masks[:i] + masks[i + 1 :], []).append((s, mask))
     full = (1 << len(fan.ambient)) - 1
-    certified: set[int] = set()  # ids of the maximal cones
-    for tau in fan.cones[codim1]:
-        members = star.get(tau.masks, ())
-        for sigma, _ in members:
-            if id(sigma) not in certified:
+    certified: set[int] = set()  # rows of the maximal cones
+    for t in fan._by_dim[fan.max_dim - 1]:
+        members = star.get(chains[t], ())
+        for s, _ in members:
+            if s not in certified:
                 # the rays' canonical coordinates in their order; each ends
                 # in 0, which the lattice test leaves out
-                rays = sorted(fan._coords[x] for x in sigma.masks)
+                rays = sorted(coords[x] for x in chains[s])
                 if not _is_unimodular([list(r[:-1]) for r in rays]):
                     raise RuntimeError("a maximal cone's rays are not a basis of its lattice")
-                certified.add(id(sigma))
-        if not _constant_on_layers(tau.masks, [(g, s.weight) for s, g in members], full):
-            return BalanceReport(False, tau)
+                certified.add(s)
+        if not _constant_on_layers(chains[t], [(g, weights[s]) for s, g in members], full):
+            return BalanceReport(False, fan._cone(t))
     return BalanceReport(True)
 
 
@@ -503,14 +571,14 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
     # the traces of nested sets are nested, so a cone's image is read off
     # its ascending masks in order, skipping absent traces and repeats
     merged: dict[tuple[int, ...], list] = {}
-    for cone in fan.cones:
+    for masks, provenance in zip(fan._masks, fan._provenance):
         image = []
-        for x in cone.masks:
+        for x in masks:
             t = trace.get(x)
             if t is not None and (not image or image[-1] != t):
                 image.append(t)
-        merged.setdefault(tuple(image), []).extend(cone.provenance)
-    return Fan(gamma.edges, [Cone(gamma.edges, k, 1, tuple(f)) for k, f in merged.items()])
+        merged.setdefault(tuple(image), []).extend(provenance)
+    return Fan._from_rows(gamma.edges, [(k, 1, tuple(f)) for k, f in merged.items()])
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:
@@ -519,12 +587,10 @@ def fans_equal(a: Fan, b: Fan) -> bool:
     equal cones have equal rays."""
     if a.ambient != b.ambient:
         return False
-
-    def shape(fan: Fan) -> dict:
-        maximal = {c.masks for c in fan.maximal_cones}
-        return {c.masks: c.weight if c.masks in maximal else None for c in fan.cones}
-
-    return shape(a) == shape(b)
+    # a set of chains has one cone order, so equal sets are equal columns
+    maximal = a._maximal
+    b._maximal  # refuses a fan that is not closed under faces, as a's does
+    return a._masks == b._masks and all(a._weights[i] == b._weights[i] for i in maximal)
 
 
 # Serialization
@@ -572,10 +638,13 @@ def fan_json_chunks(fan: Fan, depth: int = 0, **fields) -> Iterator[str]:
 
     The fields are encoded on the call, so whatever ``json.dumps`` refuses,
     such as a Fraction field value, raises TypeError before any chunk is
-    made.  Each cone's ray ids are the fan's own (``Fan._ray_ids``), written
-    from one string per ray id, and each flat's block of edge strings is
-    encoded once per call: a projected fan's provenance repeats a few
-    hundred flats tens of thousands of times.
+    made.  The chunks are read off the fan's rows.  Each cone's chunk is
+    one concatenation of pieces prepared beforehand: the opening and
+    closing text of its rays and provenance blocks, one string per ray id
+    (its ids are the fan's own, ``Fan._ray_ids``) and one per weight value.
+    Each flat's block of edge strings is encoded once per call: a projected
+    fan's provenance repeats a few hundred flats tens of thousands of
+    times.
     """
     # nl[k] starts a line at nesting depth + k; sep[k] ends an item before it
     nl = ["\n" + _INDENT * (depth + k) for k in range(7)]
@@ -609,15 +678,27 @@ def fan_json_chunks(fan: Fan, depth: int = 0, **fields) -> Iterator[str]:
             + block([block(list(map(json_scalar, r)), 2) for r in fan._coords.values()], 1)
             + sep[1] + '"cones": ['
         )
+        # a cone is {"rays": [ids], "weight": w, "provenance": [chains]};
+        # ray ids and chains are both items at depth + 4
+        item = sep[4]
+        open_rays, close_rays = "{" + nl[3] + '"rays": [' + nl[4], nl[3] + "]"
+        no_rays = "{" + nl[3] + '"rays": []'
+        open_chains, close_chains = "[" + nl[4], nl[3] + "]" + nl[2] + "}"
+        no_chains = "[]" + nl[2] + "}"
+        weight_text = {
+            w: sep[3] + '"weight": ' + json_scalar(w) + sep[3] + '"provenance": '
+            for w in set(fan._weights)
+        }
         # the fan's rays are its ray coordinates' keys, in their order
-        names = [str(i) for i in range(len(fan._coords))]
+        name = [str(i) for i in range(len(fan._coords))].__getitem__
         lead = nl[2]  # a fan always holds the cone with no rays
-        for ids, c in zip(fan._ray_ids, fan.cones):
+        for ids, weight, chains in zip(fan._ray_ids, fan._weights, fan._provenance):
             yield (
-                lead + "{" + nl[3] + '"rays": ' + block([names[i] for i in ids], 3)
-                + sep[3] + '"weight": ' + json_scalar(c.weight)
-                + sep[3] + '"provenance": ' + block(list(map(chain_block, c.provenance)), 3)
-                + nl[2] + "}"
+                lead
+                + (open_rays + item.join(map(name, ids)) + close_rays if ids else no_rays)
+                + weight_text[weight]
+                + (open_chains + item.join(map(chain_block, chains)) + close_chains
+                   if chains else no_chains)
             )
             lead = sep[2]
         yield nl[1] + "]" + tail + nl[0] + "}"

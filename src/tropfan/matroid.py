@@ -61,7 +61,7 @@ class Flat:
         return (self.rank, self.edges.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainOfFlats:
     """A strictly increasing chain of proper nonempty flats of one matroid.
     Ranks rise along it: an edge of G outside F < G joins two blocks of F,

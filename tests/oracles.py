@@ -426,9 +426,18 @@ def fan_to_json(fan) -> dict:
     """The dict form of a fan: ambient edges, rays, cones by ray indices with
     weights and provenance chains (one list of chains per cone fiber).
     ``json.dumps(fan_to_json(fan), indent=2)`` is the document whose chunks
-    ``fan_json_chunks`` writes."""
-    rays = sorted({r for c in fan.cones for r in c.rays}, key=lambda r: r.coords)
-    index = {r: i for i, r in enumerate(rays)}
+    ``fan_json_chunks`` writes.
+
+    Each ray is made once per (ambient, mask), as the one ray of the cone
+    on that mask, and every cone names its rays by their masks; the fan's
+    own ray coordinates and ray ids are not read."""
+    ray: dict[tuple, QuotientVector] = {}
+    for c in fan.cones:
+        for x in c.masks:
+            if (c.ambient, x) not in ray:
+                ray[c.ambient, x] = Cone(c.ambient, (x,)).rays[0]
+    rays = sorted(ray.items(), key=lambda item: item[1].coords)
+    index = {key: i for i, (key, _) in enumerate(rays)}
     flat_json: dict[Flat, list[str]] = {}  # each flat's edge strings, built once
 
     def chain_json(chain) -> list:
@@ -444,7 +453,7 @@ def fan_to_json(fan) -> dict:
     for c in fan.cones:
         cones.append(
             {
-                "rays": sorted(index[r] for r in c.rays),
+                "rays": sorted(index[c.ambient, x] for x in c.masks),
                 "weight": c.weight,
                 "provenance": [chain_json(ch) for ch in c.provenance],
             }
@@ -452,7 +461,7 @@ def fan_to_json(fan) -> dict:
     return {
         "schema": SCHEMA,
         "ambient": [edge_str(e) for e in fan.ambient],
-        "rays": [list(r.coords) for r in rays],
+        "rays": [list(r.coords) for _, r in rays],
         "cones": cones,
     }
 

@@ -2,13 +2,17 @@
 
 A fan answers ``cone_with_rayset``, ``with_weights``, ``primitive_normal``
 and ``failing_face.rays`` in vectors; the first tests pin what those views
-return and refuse.  The oracles' vector route builds each cone from its
-rays as vectors, keyed by ray sets, and projects by coordinates; the mask
-route must match it cone for cone.  The fan routines themselves make no
-vector at all."""
+return and refuse.  A fan keeps its cones as rows, checked by one row
+builder, and makes ``Cone`` objects from them only when asked; the row
+tests pin what the builder refuses and what reweighting shares.  The
+oracles' vector route builds each cone from its rays as vectors, keyed by
+ray sets, and projects by coordinates; the mask route must match it cone
+for cone, and so must a fan built from the vector route's ``Cone``
+objects.  The fan routines themselves make no vector at all."""
 
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +31,7 @@ from tropfan import (
 from tropfan.tropmoduli import _stable_flats
 
 from oracles import (
+    cone_of_rays,
     fan_json_text,
     fan_to_json,
     proper_flats,
@@ -122,6 +127,62 @@ def test_primitive_normals_are_the_vectors_they_were(k4_fan):
 
 
 # ---------------------------------------------------------------------------
+# Rows
+
+
+def stand_in(ambient, masks, weight=1):
+    """A cone's fields without ``Cone``'s own check, so that only the fan's
+    row builder can refuse them."""
+    return SimpleNamespace(ambient=ambient, masks=masks, weight=weight, provenance=())
+
+
+NESTED = "strictly nested nonempty proper"
+BAD_ROWS = {
+    "empty mask": ((0, 0b11), 1, NESTED),
+    "full mask": ((0b1, 0b111111), 1, NESTED),
+    "out-of-order chain": ((0b11, 0b1), 1, NESTED),
+    "weight 0": ((0b1,), 0, "positive integers"),
+    "weight True": ((0b1,), True, "positive integers"),
+    "weight Fraction(2)": ((0b1,), Fraction(2), "positive integers"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ROWS))
+def test_row_builder_refuses_bad_rows(k4, k4_fan, name):
+    """Every row is checked once, by the row builder, whether it comes
+    through ``Fan(...)`` or, for a weight, through ``with_weights``."""
+    masks, weight, message = BAD_ROWS[name]
+    good = [stand_in(k4.edges, ()), stand_in(k4.edges, (0b1,))]
+    with pytest.raises(ValueError, match=message):
+        Fan(k4.edges, good + [stand_in(k4.edges, masks, weight)])
+    if message != NESTED:
+        sigma = k4_fan.cones_of_dim(2)[3]
+        with pytest.raises(ValueError, match=message):
+            k4_fan.with_weights({sigma.rayset: weight})
+
+
+def test_row_builder_refuses_a_chain_given_twice(k4):
+    cones = [stand_in(k4.edges, (0b1, 0b11)), stand_in(k4.edges, (0b1,))]
+    with pytest.raises(ValueError, match="given twice"):
+        Fan(k4.edges, cones + [stand_in(k4.edges, (0b1, 0b11), 2)])
+    assert Fan(k4.edges, cones).census() == (1, 1, 1)
+
+
+def test_reweighting_shares_every_column_but_the_weights(k4_fan):
+    """``with_weights`` makes a new weights column and shares the masks,
+    provenance and ray ids columns, the ray coordinates and both indexes;
+    each fan makes its own ``Cone`` objects, with its own weights."""
+    sigma = k4_fan.cones_of_dim(2)[3]
+    heavy = k4_fan.with_weights({sigma.rayset: 2})
+    for column in ("_masks", "_provenance", "_ray_ids", "_coords", "_index", "_mask_of"):
+        assert getattr(heavy, column) is getattr(k4_fan, column), column
+    assert heavy._weights != k4_fan._weights
+    assert heavy.cone_with_rayset(sigma.rayset).weight == 2
+    assert k4_fan.cone_with_rayset(sigma.rayset) is sigma and sigma.weight == 1
+    assert [c.weight for c in heavy.maximal_cones].count(2) == 1
+
+
+# ---------------------------------------------------------------------------
 # The mask route against the vector route
 
 
@@ -138,11 +199,20 @@ K33 = Graph.from_edges([(a, b) for a in (2, 3, 4) for b in (5, 6, 7)], range(2, 
 
 def assert_matches(fan: Fan, cones: dict):
     """The fan's cones, in order, have the vector route's ray coordinates,
-    weights and provenance, and its JSON document is the oracle's."""
+    weights and provenance, and its JSON document is the oracle's.  The
+    ``Cone`` objects it makes on demand equal those of the fan built by
+    ``Fan(ambient, cones)`` from the vector route's ``Cone`` objects."""
     assert all(c.ambient == fan.ambient for c in fan.cones)
     got = [(tuple(r.coords for r in c.rays), c.weight, c.provenance) for c in fan.cones]
     assert got == vector_cones(cones)
     assert all(r.ambient == fan.ambient for c in fan.cones for r in c.rays)
+    given = [cone_of_rays(rays, w, tuple(p), fan.ambient) for rays, (w, p) in cones.items()]
+    built = Fan(fan.ambient, given)
+    assert fan.cones == built.cones
+    assert set(fan.cones) == set(given)
+    assert [c.provenance for c in fan.cones] == [c.provenance for c in built.cones]
+    assert fan.maximal_cones == built.maximal_cones
+    assert fan.rays == built.rays
     assert fan_json_text(fan) == json.dumps(fan_to_json(fan), indent=2)
 
 
