@@ -272,14 +272,17 @@ class Fan:
         self._mask_of = {coords: x for coords, x in rays}  # read by ray-set lookups
         rank = {x: i for i, (_, x) in enumerate(rays)}.__getitem__
         # each cone's ray ids (positions among the rays), ascending, made
-        # once: they order the cones and the writer prints them.  No two
-        # chains have the same ids, so the sort never compares further.
+        # once: they order the cones and the writer prints them.  The rows
+        # are ordered by dimension and then by ray ids through their
+        # positions, so the sort makes no tuple per row: such tuples would
+        # hold the provenance and stay tracked by the garbage collector.
         ids = [tuple(sorted(map(rank, k))) for k in chains]
-        keyed = sorted(zip(map(len, chains), ids, chains, weights, provenance))
-        # the input columns go before the sorted ones are made, to keep the
-        # peak of a large fan down
-        del chains, weights, provenance, ids
-        _, self._ray_ids, self._masks, self._weights, self._provenance = zip(*keyed)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        order.sort(key=list(map(len, ids)).__getitem__)  # stable
+        self._ray_ids = tuple(map(ids.__getitem__, order))
+        self._masks = tuple(map(chains.__getitem__, order))
+        self._weights = tuple(map(weights.__getitem__, order))
+        self._provenance = tuple(map(provenance.__getitem__, order))
         self.max_dim = len(self._masks[-1])
         # the cones of dimension d are the rows in by_dim[d]
         counts = [0] * (self.max_dim + 2)
@@ -578,7 +581,7 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
             if t is not None and (not image or image[-1] != t):
                 image.append(t)
         merged.setdefault(tuple(image), []).extend(provenance)
-    return Fan._from_rows(gamma.edges, [(k, 1, tuple(f)) for k, f in merged.items()])
+    return Fan._from_rows(gamma.edges, ((k, 1, tuple(f)) for k, f in merged.items()))
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:
