@@ -267,7 +267,7 @@ class Fan:
             provenance.append(())
         # each ray's canonical coordinates, made once and kept in their order
         rays = sorted((_ray_coords(x, m), x) for x in {x for k in distinct for x in k})
-        del distinct
+        del distinct  # freed before the sort, to keep a large fan's peak down
         self._coords = {x: coords for coords, x in rays}
         self._mask_of = {coords: x for coords, x in rays}  # read by ray-set lookups
         rank = {x: i for i, (_, x) in enumerate(rays)}.__getitem__
