@@ -21,9 +21,13 @@ appear only at the API's edge: ``Cone.rays``, ``Fan.rays`` and
 ray's coordinates once, to order its cones, for the rows of the saturation
 certificate and for the JSON writer.  It keeps each cone as a row: its
 masks, weight, provenance and ray ids (its rays' positions in that order),
-which order the cones and which ``fan_json_chunks`` prints.  Balancing,
-projection, equality, the census and the writer read the rows; ``Cone``
-objects, too, are made only at the API's edge, once per cone and fan.
+which order the cones and which ``fan_json_chunks`` prints.  A row's
+provenance holds each source chain as the plain tuple of its ``Flat``s, as
+the lattice walk yields it: the walk only follows up-sets, so a walked
+chain is nested by construction, and the row check on its masks is its one
+check.  Balancing, projection, equality, the census and the writer read the
+rows; ``Cone`` objects, and the validating ``ChainOfFlats`` of their
+provenance, are made only at the API's edge, once per cone and fan.
 
 The subdivision is unimodular: the canonical rays of a chain are signed
 indicators of a laminar family of edge sets (the sets missing the last edge
@@ -31,9 +35,11 @@ and the complements of those holding it), so their matrix is totally
 unimodular and the rays are a basis of the lattice points of their span.
 The primitive normal of a facet is therefore the ray of the set it lacks,
 and fans are equal when their chains and maximal weights are.  Balancing
-certifies each maximal cone once, by ``intlinalg.saturation`` handing its
-rays back unchanged, and indexes the maximal cones by their facets' masks,
-so each codimension-one face visits only its own star.  Its span test needs
+certifies each maximal cone once per masks column, by
+``intlinalg.saturation`` handing its rays back unchanged, so the
+reweighted copies of a fan, which share its masks, share its certificate
+too.  It indexes the maximal cones by their facets' masks, so each
+codimension-one face visits only its own star.  Its span test needs
 no linear algebra: a vector lies in the span of a chain's rays plus the
 all-ones line exactly when it is constant on each layer F_1, F_2 - F_1,
 ..., E - F_k of the chain, so balancing adds the star's edge sets, weighted,
@@ -213,7 +219,10 @@ class Fan:
     """A weighted polyhedral fan given by its (simplicial) cones.
 
     The fan stores each cone as a row, in cone order: its ascending masks,
-    its weight, its provenance and its ray ids, one column each.  Every
+    its weight, its provenance and its ray ids, one column each.  A row's
+    provenance is a tuple of source chains, each the tuple of its flats
+    (``Fan(ambient, cones)`` stores each given chain's ``flats``); the
+    ``Cone`` made from the row gets them back as ``ChainOfFlats``.  Every
     cone lies over the fan's ambient edge list (a cone over another is
     refused with ValueError), each chain is given at most once (a second
     cone on it is refused, as no chain of flats yields one; ``project_fan``
@@ -236,12 +245,13 @@ class Fan:
             # rays only over this one edge list
             if cone.ambient is not ambient and cone.ambient != ambient:
                 raise ValueError("a cone lies over another ambient edge list")
-            rows.append((cone.masks, cone.weight, cone.provenance))
+            rows.append((cone.masks, cone.weight, tuple(c.flats for c in cone.provenance)))
         self._build(ambient, rows)
 
     @classmethod
     def _from_rows(cls, ambient: tuple[Edge, ...], rows: Iterable[tuple]) -> "Fan":
-        """The fan of (masks, weight, provenance) rows over ``ambient``."""
+        """The fan of (masks, weight, provenance) rows over ``ambient``, the
+        provenance a tuple of chains, each a tuple of flats."""
         fan = cls.__new__(cls)
         fan._build(ambient, rows)
         return fan
@@ -291,14 +301,17 @@ class Fan:
         starts = list(accumulate(counts))
         self._by_dim = [range(a, b) for a, b in zip(starts, starts[1:])]
         self._made: dict[int, Cone] = {}
+        # the maximal rows whose rays ``is_balanced`` has certified; they
+        # depend on the masks only, so reweighted copies share the set
+        self._certified: set[int] = set()
 
     def _cone(self, i: int) -> Cone:
-        """Row i as a ``Cone``, made on the first request."""
+        """Row i as a ``Cone``, made on the first request, with each chain
+        of its provenance made a ``ChainOfFlats``."""
         cone = self._made.get(i)
         if cone is None:
-            cone = self._made[i] = Cone(
-                self.ambient, self._masks[i], self._weights[i], self._provenance[i]
-            )
+            chains = tuple(map(ChainOfFlats, self._provenance[i]))
+            cone = self._made[i] = Cone(self.ambient, self._masks[i], self._weights[i], chains)
         return cone
 
     @cached_property
@@ -355,8 +368,9 @@ class Fan:
         ValueError, and so is a weight that is not a positive int.
 
         The chains are this fan's, so the new fan shares its masks,
-        provenance and ray ids columns, its ray coordinates and its index
-        of rows and maximal rows; only the weights column is new."""
+        provenance and ray ids columns, its ray coordinates, its index of
+        rows and maximal rows, and the set of maximal rows that balancing
+        has certified; only the weights column is new."""
         rows = {self._row_of(rays): w for rays, w in overrides.items()}
         if None in rows:
             raise ValueError("with_weights names a ray set that is not a cone of this fan")
@@ -397,11 +411,10 @@ def bergman_fan(g: Graph, lattice: Optional[FlatLattice] = None) -> Fan:
 def _chain_fan(lattice: FlatLattice, allowed: int) -> Fan:
     """One weight-one row per chain of the flats in the bitset ``allowed``
     (proper flats of the lattice), on the chain's edge masks, with the
-    chain as provenance."""
+    walk's tuple of flats as provenance.  The row builder's check of the
+    masks is the walked chain's one check."""
     chains = _chain_walk(lattice, allowed)
-    return Fan._from_rows(
-        lattice.graph.edges, ((masks, 1, (ChainOfFlats(c),)) for c, masks in chains)
-    )
+    return Fan._from_rows(lattice.graph.edges, ((masks, 1, (c,)) for c, masks in chains))
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +452,16 @@ def is_balanced(fan: Fan) -> BalanceReport:
     edge masks, so each face sums over its own star only.  The normal of
     sigma over tau is the ray of the edge set G that tau lacks, since
     sigma's rays are a basis of its lattice; each maximal cone is certified
-    so by ``_is_unimodular`` once, when a face first reaches it, and a cone
-    that fails raises RuntimeError.  The span test is a layer test: tau's
-    span holds the sum exactly when the sum of weight times indicator of G
-    over tau's star is constant on each layer of tau's chain
-    (``_constant_on_layers``).  Faces are visited in the fan's cone order,
-    so the first failing face is reported.  Exact arithmetic throughout.
+    so by ``_is_unimodular`` when a face first reaches it, and a cone that
+    fails raises RuntimeError.  A certified row is recorded in
+    ``fan._certified``, which the fan's reweighted copies share, as they
+    share its masks column, so each masks column certifies each maximal
+    cone once; a failed certificate is never recorded.  The span test is a
+    layer test: tau's span holds the sum exactly when the sum of weight
+    times indicator of G over tau's star is constant on each layer of tau's
+    chain (``_constant_on_layers``).  Faces are visited in the fan's cone
+    order, so the first failing face is reported.  Exact arithmetic
+    throughout.
     """
     if not fan.is_pure:
         raise ValueError("balancing is only defined for pure fans")
@@ -459,7 +476,7 @@ def is_balanced(fan: Fan) -> BalanceReport:
         for i, mask in enumerate(masks):
             star.setdefault(masks[:i] + masks[i + 1 :], []).append((s, mask))
     full = (1 << len(fan.ambient)) - 1
-    certified: set[int] = set()  # rows of the maximal cones
+    certified = fan._certified  # rows of the maximal cones, shared by reweighting
     for t in fan._by_dim[fan.max_dim - 1]:
         members = star.get(chains[t], ())
         for s, _ in members:
@@ -663,9 +680,9 @@ def fan_json_chunks(fan: Fan, depth: int = 0, **fields) -> Iterator[str]:
     # but distinct flats only cost a second, identical encoding.
     flat_text: dict[int, str] = {}
 
-    def chain_block(chain: ChainOfFlats) -> str:
+    def chain_block(chain: tuple[Flat, ...]) -> str:
         blocks = []
-        for f in chain.flats:
+        for f in chain:
             text = flat_text.get(id(f))
             if text is None:
                 edges = [json_scalar(edge_str(e)) for e in f.edges.edges]

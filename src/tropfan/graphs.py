@@ -85,11 +85,11 @@ class Graph:
     @cached_property
     def is_connected(self) -> bool:
         """Connectivity over the whole label set, isolated vertices included:
-        a spanning tree has one edge fewer than the graph has labels.
-        Cached, as every stability check asks it of the same graph."""
+        a search on the adjacency bitmasks reaches every label.  Cached, as
+        every stability check asks it of the same graph."""
         if not self.labels:
             return True
-        return graph_rank(self, self.full_edge_set()) == len(self.labels) - 1
+        return _connected_on(_adjacency(self), (1 << len(self.labels)) - 1)
 
 
 @dataclass(frozen=True)
@@ -297,12 +297,25 @@ def all_graphs(labels: Iterable[int], connected: bool = False) -> Iterator[Graph
 
     Graph number ``bits`` has the edges whose positions in the lexicographic
     list of label pairs are the set bits of ``bits``; graphs come in that
-    order.
+    order.  Connectivity is tested on the edge subset's adjacency bitmasks,
+    before a ``Graph`` is built, so a disconnected subset builds none.
     """
     labels = tuple(labels)
     pool = list(combinations(labels, 2))
+    # each label pair as the positions of its ends among the labels
+    ends = list(combinations(range(len(labels)), 2))
+    everyone = (1 << len(labels)) - 1
     for bits in range(1 << len(pool)):
-        g = Graph(labels, tuple(e for i, e in enumerate(pool) if bits >> i & 1))
-        if not connected or g.is_connected:
-            yield g
+        if connected and labels:
+            adj = [0] * len(labels)
+            rest = bits
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a, b = ends[low.bit_length() - 1]
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+            if not _connected_on(adj, everyone):
+                continue
+        yield Graph(labels, tuple(e for i, e in enumerate(pool) if bits >> i & 1))
 

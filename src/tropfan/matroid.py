@@ -246,8 +246,9 @@ def _chain_walk(
     depth-first walk that follows each chain ending at flat i by its
     extensions through the flats of ``up[i] & allowed``, ascending.  On a
     subset of the proper flats this is the subsequence of ``all_chains``
-    whose flats all lie in the subset.  The callers make each
-    ``ChainOfFlats``, which checks it."""
+    whose flats all lie in the subset.  ``all_chains`` makes each a
+    ``ChainOfFlats``, which checks it; a fan keeps the flat tuples as
+    provenance, and its row builder checks their masks."""
     flats, up = lattice.flats, lattice.up
     masks = [f.mask for f in flats]
     yield (), ()

@@ -548,14 +548,24 @@ def psi_radial_to_cof(c: RadialType) -> ChainOfFlats:
     its split: these splits are the flat's blocks, and the other splits nest
     inside them.
     """
-    ambient = _complete_on(c.type.n)
+    n = c.type.n
+    ambient = _complete_on(n)
     level_of = c.level_of
     splits = [(level_of[v], sorted(s)) for v, s in enumerate(c.type.splits, start=1)]
     flats = []
     for i in range(c.num_levels, 0, -1):
         mask = _cluster_mask(ambient, [s for lvl, s in splits if lvl >= i])
-        flats.append(Flat(EdgeSet(ambient, mask)))
+        flats.append(_complete_flat(n, mask))
     return ChainOfFlats(tuple(flats))
+
+
+@cache
+def _complete_flat(n: int, mask: int) -> Flat:
+    """The flat of the complete graph on 2..n with edge mask ``mask``,
+    built and checked once per (n, mask): ``psi_radial_to_cof`` meets the
+    same few flats again and again, and building the whole lattice of
+    flats for one call would cost far more at large n."""
+    return Flat(EdgeSet(_complete_on(n), mask))
 
 
 def flat_gamma_stable(f: Flat, gamma: Graph) -> bool:

@@ -428,24 +428,28 @@ def fan_to_json(fan) -> dict:
     ``json.dumps(fan_to_json(fan), indent=2)`` is the document whose chunks
     ``fan_json_chunks`` writes.
 
-    Each ray is made once per (ambient, mask), as the one ray of the cone
-    on that mask, and every cone names its rays by their masks; the fan's
-    own ray coordinates and ray ids are not read."""
-    ray: dict[tuple, QuotientVector] = {}
+    Each ray is made once per mask, as the one ray of the cone on that
+    mask over the fan's ambient, which all its cones share, and every cone
+    names its rays by their masks; the fan's own ray coordinates and ray
+    ids are not read.  Each flat's edge strings are made once, memoised by
+    the flat's ``id``: the fan holds every flat while this runs, and
+    hashing a flat's dataclass fields on every lookup would cost more than
+    the rest of the walk."""
+    ray: dict[int, QuotientVector] = {}
     for c in fan.cones:
         for x in c.masks:
-            if (c.ambient, x) not in ray:
-                ray[c.ambient, x] = Cone(c.ambient, (x,)).rays[0]
+            if x not in ray:
+                ray[x] = Cone(fan.ambient, (x,)).rays[0]
     rays = sorted(ray.items(), key=lambda item: item[1].coords)
-    index = {key: i for i, (key, _) in enumerate(rays)}
-    flat_json: dict[Flat, list[str]] = {}  # each flat's edge strings, built once
+    index = {x: i for i, (x, _) in enumerate(rays)}
+    flat_json: dict[int, list[str]] = {}  # each flat's edge strings, by id
 
     def chain_json(chain) -> list:
         out = []
         for f in chain:
-            edges = flat_json.get(f)
+            edges = flat_json.get(id(f))
             if edges is None:
-                edges = flat_json[f] = [edge_str(e) for e in f.edges.edges]
+                edges = flat_json[id(f)] = [edge_str(e) for e in f.edges.edges]
             out.append(edges)
         return out
 
@@ -453,7 +457,7 @@ def fan_to_json(fan) -> dict:
     for c in fan.cones:
         cones.append(
             {
-                "rays": sorted(index[c.ambient, x] for x in c.masks),
+                "rays": sorted(index[x] for x in c.masks),
                 "weight": c.weight,
                 "provenance": [chain_json(ch) for ch in c.provenance],
             }

@@ -263,6 +263,24 @@ def test_is_connected_matches_networkx():
     assert not Graph((2, 3, 4), ((2, 3),)).is_connected
 
 
+def test_connectivity_on_bitmasks_matches_graph_rank():
+    """``is_connected`` and ``all_graphs(connected=True)``, which test
+    adjacency bitmasks, against the spanning forest's size on every graph
+    with up to 5 labels: a graph is connected when its rank is one less
+    than its label count.  The connected graphs keep the order of all."""
+    for size in range(6):
+        labels = range(2, 2 + size)
+        graphs = list(all_graphs(labels))
+        spans = [size == 0 or graph_rank(g, g.full_edge_set()) == size - 1 for g in graphs]
+        assert [g.is_connected for g in graphs] == spans
+        assert list(all_graphs(labels, connected=True)) == [
+            g for g, ok in zip(graphs, spans) if ok
+        ]
+    assert [len(list(all_graphs(range(2, 2 + k), connected=True))) for k in range(6)] == [
+        1, 1, 1, 4, 38, 728,
+    ]
+
+
 def test_edge_set_ops(k4):
     a = k4.edge_set([(2, 3), (4, 5)])
     b = k4.edge_set([(2, 3)])
