@@ -33,15 +33,8 @@ from tropfan import (
     radial_alignments,
 )
 
+from test_cone_masks import cycle_on, path_on
 from test_flat_lattice import seven_end_stability_graphs
-
-
-def path_on(labels):
-    return Graph.from_edges(list(zip(labels, labels[1:])), labels)
-
-
-def cycle_on(labels):
-    return Graph.from_edges(list(zip(labels, labels[1:])) + [(labels[0], labels[-1])], labels)
 
 
 def fresh_chains(g: Graph):
