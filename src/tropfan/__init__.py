@@ -38,7 +38,6 @@ from .matroid import (
     closure,
     closure_table,
     enumerate_flats,
-    flats_lattice,
     independent_sets,
     rank_table,
     verify_matroid_axioms,

@@ -230,11 +230,11 @@ class Fan:
     is always present.  Cones are ordered by dimension and then by their
     rays' canonical coordinates, so repeated construction is byte-stable.
     ``Cone`` objects are made from the rows only when the API hands one out
-    (``cones``, ``cones_of_dim``, ``maximal_cones``, ``cone_with_rayset``
-    and ``failing_face``), at most once per cone and fan.  The cones must be
-    closed under faces: ``maximal_cones`` (and so ``is_pure``,
-    ``is_balanced``, ``fans_equal`` and ``with_weights``) refuses a fan
-    that is not with ValueError.
+    (``cones``, ``cones_of_dim``, ``cone_with_rayset`` and
+    ``failing_face``), at most once per cone and fan.  The cones must be
+    closed under faces, which is checked when the maximal rows are first
+    read: ``is_pure``, ``is_balanced``, ``fans_equal`` and ``with_weights``
+    refuse a fan that is not with ValueError.
     """
 
     def __init__(self, ambient: Sequence[Edge], cones: Iterable[Cone]):
@@ -344,10 +344,6 @@ class Fan:
             raise ValueError("the fan is not closed under faces")
         return tuple(i for i, masks in enumerate(self._masks) if masks not in facets)
 
-    @cached_property
-    def maximal_cones(self) -> tuple[Cone, ...]:
-        return tuple(map(self._cone, self._maximal))
-
     @property
     def is_pure(self) -> bool:
         return all(len(self._masks[i]) == self.max_dim for i in self._maximal)
@@ -382,8 +378,7 @@ class Fan:
             weights[i] = w
         fan = copy(self)
         fan._weights, fan._made = tuple(weights), {}
-        for name in ("cones", "maximal_cones"):  # cached Cones carry the old weights
-            fan.__dict__.pop(name, None)
+        fan.__dict__.pop("cones", None)  # cached Cones carry the old weights
         return fan
 
     def census(self) -> tuple[int, ...]:

@@ -30,7 +30,6 @@ from .matroid import (
     FlatLattice,
     SetSystem,
     enumerate_flats,
-    flats_lattice,
     verify_matroid_axioms,
 )
 from .tropmoduli import moduli_fan_rad, qn_relations_check, verify_injectivity
@@ -139,7 +138,10 @@ def cmd_lattice(args) -> int:
         _emit("flats: " + ",".join(map(str, _flat_counts(enumerate_flats(g)))), args.output)
         return 0
     _check_size(g, "lattice --format json|dot", MAX_LATTICE_LABELS)
-    flats, covers = flats_lattice(g)
+    lattice = FlatLattice(g)
+    flats = lattice.flats
+    # the covering pairs (child, parent) as positions, by child and then parent
+    covers = [(c, p) for c, above in enumerate(lattice.covers) for p in above]
     if args.format == "json":
         doc = {
             "schema": SCHEMA,

@@ -66,21 +66,23 @@ class Graph:
     def edge_index(self) -> dict[Edge, int]:
         return {e: i for i, e in enumerate(self.edges)}
 
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """Each vertex's neighbours as a bitmask, both indexed by label
+        position: bit j of entry i says that labels i and j are adjacent."""
+        index = {v: i for i, v in enumerate(self.labels)}
+        adj = [0] * len(self.labels)
+        for a, b in self.edges:
+            adj[index[a]] |= 1 << index[b]
+            adj[index[b]] |= 1 << index[a]
+        return tuple(adj)
+
     @property
     def num_vertices(self) -> int:
         return len(self.labels)
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return _norm_edge(a, b) in self.edge_index
-
     def full_edge_set(self) -> "EdgeSet":
         return EdgeSet(self, (1 << len(self.edges)) - 1)
-
-    def empty_edge_set(self) -> "EdgeSet":
-        return EdgeSet(self, 0)
-
-    def edge_set(self, edges: Iterable[Edge]) -> "EdgeSet":
-        return EdgeSet.from_edges(self, edges)
 
     @cached_property
     def is_connected(self) -> bool:
@@ -89,7 +91,7 @@ class Graph:
         every stability check asks it of the same graph."""
         if not self.labels:
             return True
-        return _connected_on(_adjacency(self), (1 << len(self.labels)) - 1)
+        return _connected_on(self.adjacency, (1 << len(self.labels)) - 1)
 
 
 @dataclass(frozen=True)
@@ -117,37 +119,6 @@ class EdgeSet:
     @property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(e for i, e in enumerate(self.graph.edges) if self.mask >> i & 1)
-
-    def __len__(self) -> int:
-        return bin(self.mask).count("1")
-
-    def __contains__(self, edge: Edge) -> bool:
-        e = _norm_edge(*edge)
-        i = self.graph.edge_index.get(e)
-        return i is not None and bool(self.mask >> i & 1)
-
-    def __le__(self, other: "EdgeSet") -> bool:
-        self._check_parent(other)
-        return self.mask & ~other.mask == 0
-
-    def __lt__(self, other: "EdgeSet") -> bool:
-        return self <= other and self.mask != other.mask
-
-    def __or__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_parent(other)
-        return EdgeSet(self.graph, self.mask | other.mask)
-
-    def __and__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_parent(other)
-        return EdgeSet(self.graph, self.mask & other.mask)
-
-    def __sub__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_parent(other)
-        return EdgeSet(self.graph, self.mask & ~other.mask)
-
-    def _check_parent(self, other: "EdgeSet"):
-        if self.graph != other.graph:
-            raise ValueError("edge sets have different parent graphs")
 
 
 _EDGE_LINE = re.compile(r"^\s*(\d+)\s*-\s*(\d+)\s*$")
@@ -249,17 +220,6 @@ def is_acyclic(g: Graph, s: EdgeSet) -> bool:
     return spanning_forest(g, s).mask == s.mask
 
 
-def _adjacency(g: Graph) -> list[int]:
-    """Each vertex's neighbours as a bitmask, both indexed by label
-    position: bit j of entry i says that labels i and j are adjacent."""
-    index = {v: i for i, v in enumerate(g.labels)}
-    adj = [0] * len(g.labels)
-    for a, b in g.edges:
-        adj[index[a]] |= 1 << index[b]
-        adj[index[b]] |= 1 << index[a]
-    return adj
-
-
 def _connected_on(adj: Sequence[int], vertices: int) -> bool:
     """Whether the vertex set ``vertices`` (a nonempty bitmask of label
     positions) induces a connected subgraph of the graph with adjacency
@@ -285,7 +245,7 @@ def is_complete_multipartite(g: Graph) -> tuple[bool, Optional[tuple[int, int, i
     first offending triple in label order.  Each pair is read off the
     adjacency bitmasks.
     """
-    adj = _adjacency(g)
+    adj = g.adjacency
     for i, j, k in combinations(range(len(g.labels)), 3):
         if (adj[i] >> j & 1) + (adj[i] >> k & 1) + (adj[j] >> k & 1) == 1:
             return False, (g.labels[i], g.labels[j], g.labels[k])
@@ -297,25 +257,13 @@ def all_graphs(labels: Iterable[int], connected: bool = False) -> Iterator[Graph
 
     Graph number ``bits`` has the edges whose positions in the lexicographic
     list of label pairs are the set bits of ``bits``; graphs come in that
-    order.  Connectivity is tested on the edge subset's adjacency bitmasks,
-    before a ``Graph`` is built, so a disconnected subset builds none.
+    order.  With ``connected``, a graph is kept when ``is_connected``, so
+    it carries that verdict and its adjacency bitmasks cached for later
+    readers.
     """
     labels = tuple(labels)
     pool = list(combinations(labels, 2))
-    # each label pair as the positions of its ends among the labels
-    ends = list(combinations(range(len(labels)), 2))
-    everyone = (1 << len(labels)) - 1
     for bits in range(1 << len(pool)):
-        if connected and labels:
-            adj = [0] * len(labels)
-            rest = bits
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                a, b = ends[low.bit_length() - 1]
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-            if not _connected_on(adj, everyone):
-                continue
-        yield Graph(labels, tuple(e for i, e in enumerate(pool) if bits >> i & 1))
-
+        g = Graph(labels, tuple(e for i, e in enumerate(pool) if bits >> i & 1))
+        if not connected or g.is_connected:
+            yield g

@@ -221,14 +221,6 @@ def _positions(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-def flats_lattice(g: Graph) -> tuple[list[Flat], list[tuple[int, int]]]:
-    """The flats in ``enumerate_flats`` order and the covering pairs (child,
-    parent) of their lattice as indices into that list, by child and then
-    by parent (``FlatLattice``)."""
-    lattice = FlatLattice(g)
-    return lattice.flats, [(c, p) for c, above in enumerate(lattice.covers) for p in above]
-
-
 def all_chains(g: Graph) -> Iterator[ChainOfFlats]:
     """Every strictly increasing chain of proper nonempty flats, the empty
     chain included, in canonical (lexicographic on flat order) order."""

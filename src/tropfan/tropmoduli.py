@@ -49,7 +49,6 @@ from .bergman import Fan, QuotientVector, _chain_fan, _check_rational, _num, _nu
 from .graphs import (
     EdgeSet,
     Graph,
-    _adjacency,
     _cluster_mask,
     _connected_on,
     graph_rank,
@@ -74,13 +73,14 @@ class TropicalType:
     Vertex 0 is the root (it carries end 1); vertex i >= 1 corresponds to
     ``splits[i-1]``, the set of ends strictly beyond the i-th bounded edge.
     The constructor checks the splits (ValueError), sorts them largest-first,
-    so every parent index is smaller than its child's, and derives the tree.
+    so every parent index is smaller than its child's, and derives the tree:
+    ``edges`` lists the bounded edges as (parent, child) vertex pairs,
+    sorted.  An end sits at the last split holding it, or at the root.
     """
 
     n: int
     splits: tuple[frozenset, ...]
     edges: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
-    ends_at: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.n
@@ -103,28 +103,17 @@ class TropicalType:
             raise ValueError(f"vertex 0 would be {max(n, 0)}-valent")
 
         # the supersets of a split form a chain and come before it, largest
-        # first, so its parent is its last strict superset and an end's host
-        # is the last split holding it
+        # first, so its parent is its last strict superset
         edges = []
-        ends_at = [0] * n
         for i, s in enumerate(splits):
             edges.append((next((j + 1 for j in range(i - 1, -1, -1) if s < splits[j]), 0), i + 1))
-            for e in s:
-                ends_at[e - 1] = i + 1
         edges.sort()
         object.__setattr__(self, "splits", splits)
         object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "ends_at", tuple(ends_at))
 
     @property
     def num_vertices(self) -> int:
         return len(self.splits) + 1
-
-    def contract_edge(self, edge: tuple[int, int]) -> "TropicalType":
-        if edge not in self.edges:
-            raise ValueError(f"{edge} is not a bounded edge of this type")
-        child_split = self.splits[edge[1] - 1]
-        return tropical_type(self.n, (s for s in self.splits if s != child_split))
 
 
 def tropical_type(n: int, splits: Iterable[frozenset]) -> TropicalType:
@@ -378,13 +367,6 @@ class QnVector:
     def __add__(self, other: "QnVector") -> "QnVector":
         self._check(other)
         return QnVector(self.n, tuple(_num(a + b) for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "QnVector") -> "QnVector":
-        self._check(other)
-        return QnVector(self.n, tuple(_num(a - b) for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, factor) -> "QnVector":
-        return QnVector(self.n, tuple(_num(factor * c) for c in self.coords))
 
     def _check(self, other: "QnVector"):
         if self.n != other.n:
@@ -671,7 +653,7 @@ def _flat_demands(n: int) -> tuple[tuple[Flat, int, tuple[int, ...], tuple[int, 
     block's ends and asks for an edge inside it, and a block has at least
     two ends, so its mask is never empty.  ``vertices`` holds the same
     blocks as vertex bitmasks, label v at bit v - 2 (its position among
-    2..n, as in ``graphs._adjacency``).  None of this depends on the graph,
+    2..n, as in ``Graph.adjacency``).  None of this depends on the graph,
     and n is at most 7 in every caller, so the cache stays small.  Read
     through ``_stable_flats`` by ``moduli_fan_rad`` (a chain is stable when
     all its flats are) and by ``verify_injectivity``.
@@ -729,7 +711,7 @@ def verify_injectivity(gamma: Graph) -> InjectivityReport:
     n = gamma.labels[-1]
     _check_stability_graph(n, gamma)
     gmask = EdgeSet.from_edges(_complete_on(n), gamma.edges).mask
-    adj = _adjacency(gamma)  # gamma is labeled 2..n, so label v is at position v - 2
+    adj = gamma.adjacency  # gamma is labeled 2..n, so label v is at position v - 2
     connected: dict[int, bool] = {}
     images = set()
     stable = 0

@@ -7,7 +7,8 @@ form of a fan's JSON document (beside the library writer's chunks joined
 into one text), a graph's complement, the canonical
 distance class by Fraction sums, psi by inverting its matrix on the basis
 of two-element splits, graphic stability by the vertex-local rule, radial
-faces by weakly monotone level maps, circuits as minimal dependent sets by
+faces by weakly monotone level maps, a type's end hosts and its edge
+contractions, circuits as minimal dependent sets by
 pairwise comparison, lattice covers by containment of every pair of flats,
 chains of flats by a successor scan over every pair of flats, the
 trichotomy's injectivity and rank verdicts in two full passes, and the
@@ -54,6 +55,25 @@ from tropfan.matroid import Flat
 from tropfan.tropmoduli import _stable_flats, pair_list
 
 
+def ends_at(t) -> tuple[int, ...]:
+    """The vertex of a type holding each end 1..n: the last split holding
+    it (splits come largest first), or the root, vertex 0."""
+    hosts = [0] * t.n
+    for i, s in enumerate(t.splits, start=1):
+        for e in s:
+            hosts[e - 1] = i
+    return tuple(hosts)
+
+
+def contract_edge(t, edge: tuple[int, int]):
+    """The type with the bounded edge ``(parent, child)`` contracted, which
+    drops the child's split."""
+    if edge not in t.edges:
+        raise ValueError(f"{edge} is not a bounded edge of this type")
+    child_split = t.splits[edge[1] - 1]
+    return tropical_type(t.n, (s for s in t.splits if s != child_split))
+
+
 def vertex_demand(t, v: int) -> Optional[tuple[int, ...]]:
     """The stability rule at one vertex of a type, with the graph left out.
 
@@ -64,7 +84,7 @@ def vertex_demand(t, v: int) -> Optional[tuple[int, ...]]:
     passes; with exactly two it passes iff it holds an end; a leaf needs two
     of its ends joined.
     """
-    ends = tuple(e for e, host in enumerate(t.ends_at, start=1) if host == v)
+    ends = tuple(e for e, host in enumerate(ends_at(t), start=1) if host == v)
     d = sum(1 for e in t.edges if v in e)
     if v == 0 or d > 2:
         return None
@@ -75,7 +95,7 @@ def vertex_demand(t, v: int) -> Optional[tuple[int, ...]]:
 
 def vertex_stable(t, gamma, v: int) -> bool:
     ends = vertex_demand(t, v)
-    return ends is None or any(gamma.has_edge(i, j) for i, j in combinations(ends, 2))
+    return ends is None or any(e in gamma.edge_index for e in combinations(ends, 2))
 
 
 def rational_rank(rows: Sequence[Sequence]) -> int:

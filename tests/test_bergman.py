@@ -297,13 +297,13 @@ def test_balancing_requires_pure_fan(k4, k4_flat_labels):
 
 
 def test_fan_missing_a_face_is_refused(k4):
-    """A 2-cone without its rays is not a fan: reading its maximal cones
+    """A 2-cone without its rays is not a fan: reading its maximal rows
     refuses it, where the origin used to count as maximal and balancing
     called the fan impure."""
     fan = bergman_fan(k4)
     broken = Fan(fan.ambient, [fan.cones_of_dim(2)[0]])
     for read in (
-        lambda: broken.maximal_cones,
+        lambda: broken._maximal,
         lambda: broken.is_pure,
         lambda: is_balanced(broken),
         lambda: fans_equal(broken, fan),
@@ -417,9 +417,11 @@ def test_reweighted_fan_equals_the_fan_built_from_its_cones():
     reweighted = fan.with_weights({maximal[3].rayset: 2, maximal[7].rayset: 3})
     rebuilt = Fan(fan.ambient, reweighted.cones[::-1])
     assert reweighted.cones == rebuilt.cones
-    assert reweighted.maximal_cones == rebuilt.maximal_cones
+    top = reweighted.cones_of_dim(fan.max_dim)
+    assert top == rebuilt.cones_of_dim(fan.max_dim)
+    assert reweighted._maximal == rebuilt._maximal
     assert reweighted.census() == rebuilt.census() == fan.census()
-    assert [c.weight for c in reweighted.maximal_cones].count(1) == len(maximal) - 2
+    assert [c.weight for c in top].count(1) == len(maximal) - 2
     assert reweighted.cone_with_rayset(maximal[7].rayset).weight == 3
     assert fan.cone_with_rayset(maximal[7].rayset).weight == 1
 

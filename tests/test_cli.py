@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 import tempfile
 import time
 from pathlib import Path
@@ -9,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropfan.bergman import edge_str
 from tropfan.cli import NAMED_GRAPHS, main, resolve_graph
-from tropfan import Graph, parse_graph
+from tropfan import Graph, all_graphs, enumerate_flats, parse_graph
+
+from oracles import lattice_by_pairs
 
 
 def run(capsys, *argv):
@@ -221,6 +225,30 @@ def test_lattice_covers_enumerate_the_flats_once(capsys, monkeypatch):
         status, _ = run(capsys, "lattice", "--graph", "complete:5", "--format", fmt)
         assert status == 0
         assert len(calls) == 1
+
+
+def graph_spec(g: Graph) -> str:
+    """Inline ``--graph`` text for g, isolated vertices included."""
+    return ",".join([f"vertices: {' '.join(map(str, g.labels))}"] + [f"{a}-{b}" for a, b in g.edges])
+
+
+def test_lattice_covers_match_the_pair_scan(capsys):
+    """``lattice`` writes as covers the containments that raise the rank by
+    one, as positions among the flats it lists and in the pair scan's
+    order, both in JSON and as DOT arrows: every graph on at most 4 labels,
+    and K5."""
+    graphs = [g for k in range(5) for g in all_graphs(range(2, 2 + k))]
+    for g in graphs + [Graph.complete(range(2, 7))]:
+        flats = enumerate_flats(g)
+        position = {f: i for i, f in enumerate(flats)}
+        pairs = [[position[a], position[b]] for a, b in lattice_by_pairs(g)]
+        status, out = run(capsys, "lattice", "--graph", graph_spec(g), "--format", "json")
+        doc = json.loads(out)
+        assert status == 0 and doc["covers"] == pairs, g
+        assert doc["flats"] == [[edge_str(e) for e in f.edges.edges] for f in flats], g
+        status, out = run(capsys, "lattice", "--graph", graph_spec(g), "--format", "dot")
+        arrows = re.findall(r"^  f(\d+) -> f(\d+);$", out, re.M)
+        assert status == 0 and [[int(a), int(b)] for a, b in arrows] == pairs, g
 
 
 def test_lattice_text_counts_flats_without_covers(capsys):

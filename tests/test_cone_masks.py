@@ -179,7 +179,7 @@ def test_reweighting_shares_every_column_but_the_weights(k4_fan):
     assert heavy._weights != k4_fan._weights
     assert heavy.cone_with_rayset(sigma.rayset).weight == 2
     assert k4_fan.cone_with_rayset(sigma.rayset) is sigma and sigma.weight == 1
-    assert [c.weight for c in heavy.maximal_cones].count(2) == 1
+    assert [c.weight for c in heavy.cones_of_dim(heavy.max_dim)].count(2) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def assert_matches(fan: Fan, cones: dict):
     assert fan.cones == built.cones
     assert set(fan.cones) == set(given)
     assert [c.provenance for c in fan.cones] == [c.provenance for c in built.cones]
-    assert fan.maximal_cones == built.maximal_cones
+    assert fan._maximal == built._maximal
     assert fan.rays == built.rays
     assert fan_json_text(fan) == json.dumps(fan_to_json(fan), indent=2)
 

@@ -31,7 +31,7 @@ from tropfan import (
     ray_of_flat,
     verify_injectivity,
 )
-from tropfan.graphs import EdgeSet, _adjacency, _connected_on
+from tropfan.graphs import EdgeSet, _connected_on
 from tropfan.matroid import set_partitions
 
 from oracles import (
@@ -439,7 +439,7 @@ def test_rank_survives_restriction_exactly_when_blocks_are_connected():
         n = gamma.labels[-1]
         ambient = Graph.complete(range(2, n + 1))
         gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
-        adj = _adjacency(gamma)
+        adj = gamma.adjacency
         for f, _, _, vertices in tm._flat_demands(n):
             connected = all(_connected_on(adj, b) for b in vertices)
             keeps_rank = graph_rank(ambient, EdgeSet(ambient, f.mask & gmask)) == f.rank

@@ -13,7 +13,7 @@ from tropfan import (
     tropical_type,
 )
 
-from oracles import vertex_stable
+from oracles import contract_edge, vertex_stable
 
 
 def k4_minus(*missing):
@@ -122,7 +122,7 @@ def test_flat_stability_matches_clique_criterion(k4, gamma_obstruction):
         for f in proper_flats(k4):
             by_type = flat_gamma_stable(f, gamma)
             by_cliques = all(
-                any(gamma.has_edge(a, b) for a, b in itertools.combinations(block, 2))
+                any(e in gamma.edge_index for e in itertools.combinations(block, 2))
                 for block in f.blocks
             )
             assert by_type == by_cliques
@@ -175,7 +175,7 @@ def all_reductions(t, gamma):
     for v in unstable:
         for e in t.edges:
             if v in e:
-                out |= all_reductions(t.contract_edge(e), gamma)
+                out |= all_reductions(contract_edge(t, e), gamma)
     return out
 
 

@@ -8,19 +8,24 @@ import pytest
 import tropfan.bergman as bergman
 import tropfan.tropmoduli as tropmoduli
 from tropfan import (
+    ChainOfFlats,
     EdgeSet,
     Fan,
+    Flat,
     Graph,
     MetricType,
     QnVector,
     QuotientVector,
     RadialType,
+    closure,
     enumerate_flats,
+    graph_rank,
     is_balanced,
     primitive_normal,
     psi_linear,
     ray_of_flat,
     rho_split,
+    spanning_forest,
     tropical_type,
 )
 
@@ -41,9 +46,15 @@ def test_edge_set_rejects_foreign_edges(k4):
 
 
 def test_mixed_parent_edge_sets(k4):
+    """Rank, forests and closure refuse another graph's edge set, and a
+    chain refuses flats of two graphs."""
     other = Graph.complete([2, 3, 4])
-    with pytest.raises(ValueError, match="parent"):
-        k4.empty_edge_set() | other.empty_edge_set()
+    foreign = EdgeSet.from_edges(other, [(2, 3)])
+    for read in (graph_rank, spanning_forest, closure):
+        with pytest.raises(ValueError, match="does not belong to this graph"):
+            read(k4, foreign)
+    with pytest.raises(ValueError, match="share a parent graph"):
+        ChainOfFlats((flat_of(k4, [(2, 3)]), Flat(foreign)))
 
 
 def test_quotient_vector_validation(k4):
