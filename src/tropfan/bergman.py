@@ -35,17 +35,18 @@ and the complements of those holding it), so their matrix is totally
 unimodular and the rays are a basis of the lattice points of their span.
 The primitive normal of a facet is therefore the ray of the set it lacks,
 and fans are equal when their chains and maximal weights are.  Balancing
-certifies each maximal cone once per masks column, by
-``intlinalg.saturation`` handing its rays back unchanged, so the
-reweighted copies of a fan, which share its masks, share its certificate
-too.  It indexes the maximal cones by their facets' masks, so each
-codimension-one face visits only its own star.  Its span test needs
-no linear algebra: a vector lies in the span of a chain's rays plus the
-all-ones line exactly when it is constant on each layer F_1, F_2 - F_1,
-..., E - F_k of the chain, so balancing adds the star's edge sets, weighted,
-on edge masks and compares the sums within each layer.  The certificate is
-its one integer elimination left; the benchmark's gate still counts the
-``saturation`` calls it makes.
+reads one index per masks column, which the reweighted copies of a fan
+share, as they share its masks: the maximal cones indexed by their
+facets' masks, built once, so each codimension-one face visits only its
+own star; each maximal cone certified once, by ``intlinalg.saturation``
+handing its rays back unchanged; and each face's verdict, kept per tuple
+of its star's weights, so each (face, star weights) test runs once.  Its
+span test needs no linear algebra: a vector lies in the span of a chain's
+rays plus the all-ones line exactly when it is constant on each layer F_1,
+F_2 - F_1, ..., E - F_k of the chain, so balancing adds the star's edge
+sets, weighted, on edge masks and compares the sums within each layer.
+The certificate is its one integer elimination left; the benchmark's gate
+still counts the ``saturation`` calls it makes.
 
 A Bergman fan has weight one, and the star of a codimension-one face with
 the rank-2 gap [A, B] is the set of atoms of that interval of the lattice
@@ -64,6 +65,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import intlinalg as ila
@@ -234,7 +236,10 @@ class Fan:
     ``failing_face``), at most once per cone and fan.  The cones must be
     closed under faces, which is checked when the maximal rows are first
     read: ``is_pure``, ``is_balanced``, ``fans_equal`` and ``with_weights``
-    refuse a fan that is not with ValueError.
+    refuse a fan that is not with ValueError.  Each built fan gets its own
+    empty balancing index, which ``is_balanced`` fills and the fan's
+    reweighted copies share; a fan built again from the same cones starts
+    a new one.
     """
 
     def __init__(self, ambient: Sequence[Edge], cones: Iterable[Cone]):
@@ -301,9 +306,8 @@ class Fan:
         starts = list(accumulate(counts))
         self._by_dim = [range(a, b) for a, b in zip(starts, starts[1:])]
         self._made: dict[int, Cone] = {}
-        # the maximal rows whose rays ``is_balanced`` has certified; they
-        # depend on the masks only, so reweighted copies share the set
-        self._certified: set[int] = set()
+        # what balancing reads off the masks column; reweighted copies share it
+        self._balancing = _BalancingIndex()
 
     def _cone(self, i: int) -> Cone:
         """Row i as a ``Cone``, made on the first request, with each chain
@@ -365,8 +369,10 @@ class Fan:
 
         The chains are this fan's, so the new fan shares its masks,
         provenance and ray ids columns, its ray coordinates, its index of
-        rows and maximal rows, and the set of maximal rows that balancing
-        has certified; only the weights column is new."""
+        rows and maximal rows, and its balancing index (the stars, the
+        certified maximal rows and the verdicts by face and star weights),
+        with this fan and every other copy of it; only the weights column
+        is new."""
         rows = {self._row_of(rays): w for rays, w in overrides.items()}
         if None in rows:
             raise ValueError("with_weights names a ray set that is not a cone of this fan")
@@ -443,48 +449,105 @@ def is_balanced(fan: Fan) -> BalanceReport:
 
     For each face tau of dimension max_dim - 1, the weighted sum of primitive
     normals of the maximal cones containing tau must lie in tau's rational
-    span.  One pass over the maximal cones indexes them by facet, keyed by
-    edge masks, so each face sums over its own star only.  The normal of
-    sigma over tau is the ray of the edge set G that tau lacks, since
-    sigma's rays are a basis of its lattice; each maximal cone is certified
-    so by ``_is_unimodular`` when a face first reaches it, and a cone that
-    fails raises RuntimeError.  A certified row is recorded in
-    ``fan._certified``, which the fan's reweighted copies share, as they
-    share its masks column, so each masks column certifies each maximal
-    cone once; a failed certificate is never recorded.  The span test is a
-    layer test: tau's span holds the sum exactly when the sum of weight
-    times indicator of G over tau's star is constant on each layer of tau's
-    chain (``_constant_on_layers``).  Faces are visited in the fan's cone
-    order, so the first failing face is reported.  Exact arithmetic
-    throughout.
+    span.  The normal of sigma over tau is the ray of the edge set G that
+    tau lacks, since sigma's rays are a basis of its lattice; each maximal
+    cone is certified so by ``_is_unimodular`` when a face first reaches it,
+    and a cone that fails raises RuntimeError.  The span test is a layer
+    test: tau's span holds the sum exactly when the sum of weight times
+    indicator of G over tau's star is constant on each layer of tau's chain
+    (``_constant_on_layers``).  Faces are visited in the fan's cone order,
+    so the first failing face is reported.  Exact arithmetic throughout.
+
+    Everything but the weights is read off the fan's ``_BalancingIndex``,
+    which the fan's reweighted copies share, as they share its masks
+    column: the purity verdict, each face's star (the maximal rows over it
+    and the masks they add, indexed in one pass over the maximal cones on
+    the column's first call), the certified maximal rows, and a verdict per
+    face and tuple of star weights, as the layer test depends on nothing
+    else.  So each masks column builds its stars once, certifies each
+    maximal cone once and runs each (face, star weights) layer test once.
+    A face certifies its star before its verdict is looked up, so a failed
+    certificate raises on every call and is never recorded.
     """
-    if not fan.is_pure:
+    index = fan._balancing
+    if index.pure is None:
+        index.pure = fan.is_pure
+    if not index.pure:
         raise ValueError("balancing is only defined for pure fans")
     if fan.max_dim == 0:
         return BalanceReport(True)
+    if index.stars is None:
+        index.stars = _stars(fan)
     chains, weights, coords = fan._masks, fan._weights, fan._coords
-    # each facet's star: the rows of the maximal cones over it and the
-    # masks they add to it
+    full = (1 << len(fan.ambient)) - 1
+    certified, verdicts = index.certified, index.verdicts
+    every = len(certified) == len(fan._maximal)  # then no face certifies
+    for t, rows, pick, added in index.stars:
+        if not every and not certified.issuperset(rows):
+            for s in rows:
+                if s not in certified:
+                    # the rays' canonical coordinates in their order; each
+                    # ends in 0, which the lattice test leaves out
+                    rays = sorted(coords[x] for x in chains[s])
+                    if not _is_unimodular([list(r[:-1]) for r in rays]):
+                        raise RuntimeError("a maximal cone's rays are not a basis of its lattice")
+                    certified.add(s)
+        key = (t, pick(weights))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = _constant_on_layers(chains[t], tuple(zip(added, key[1])), full)
+        if not verdict:
+            return BalanceReport(False, fan._cone(t))
+    return BalanceReport(True)
+
+
+class _BalancingIndex:
+    """What ``is_balanced`` reads off one masks column, made empty by the
+    row builder and shared by reference with the reweighted copies of the
+    fan, whose masks are the same: the purity verdict (None until the
+    first call), the stars (None until the first call on a pure fan with
+    faces; see ``_stars``), the certified maximal rows, and the layer
+    test's verdict by (face row, star weights).  None of it depends on the
+    weights but through that key, and nothing is evicted: the index lives
+    as long as the column."""
+
+    __slots__ = ("pure", "stars", "certified", "verdicts")
+
+    def __init__(self):
+        self.pure: Optional[bool] = None
+        self.stars: Optional[tuple[tuple, ...]] = None
+        self.certified: set[int] = set()
+        self.verdicts: dict[tuple[int, tuple[int, ...]], bool] = {}
+
+
+def _stars(fan: Fan) -> tuple[tuple, ...]:
+    """Each codimension-one row t of the pure fan, in cone order, as (t,
+    rows, pick, added): the rows of the maximal cones over it, a function
+    from a weights column to the tuple of their weights, and the masks
+    they add to t, in the same order.  One pass over the maximal cones
+    indexes them by facet, keyed by edge masks; in a pure fan closed under
+    faces every face of codimension one is a facet of some maximal cone."""
+    chains = fan._masks
     star: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for s in fan._by_dim[fan.max_dim]:
         masks = chains[s]
         for i, mask in enumerate(masks):
             star.setdefault(masks[:i] + masks[i + 1 :], []).append((s, mask))
-    full = (1 << len(fan.ambient)) - 1
-    certified = fan._certified  # rows of the maximal cones, shared by reweighting
+    faces = []
     for t in fan._by_dim[fan.max_dim - 1]:
-        members = star.get(chains[t], ())
-        for s, _ in members:
-            if s not in certified:
-                # the rays' canonical coordinates in their order; each ends
-                # in 0, which the lattice test leaves out
-                rays = sorted(coords[x] for x in chains[s])
-                if not _is_unimodular([list(r[:-1]) for r in rays]):
-                    raise RuntimeError("a maximal cone's rays are not a basis of its lattice")
-                certified.add(s)
-        if not _constant_on_layers(chains[t], [(g, weights[s]) for s, g in members], full):
-            return BalanceReport(False, fan._cone(t))
-    return BalanceReport(True)
+        rows, added = zip(*star[chains[t]])
+        faces.append((t, rows, _picker(rows), added))
+    return tuple(faces)
+
+
+def _picker(rows: tuple[int, ...]):
+    """A function from a column to the tuple of its entries at ``rows``.
+    ``itemgetter`` makes that tuple in C, but for a single row it returns
+    the bare entry, so one row gets a function of its own."""
+    if len(rows) > 1:
+        return itemgetter(*rows)
+    (s,) = rows
+    return lambda column: (column[s],)
 
 
 def lattice_balanced(lattice: FlatLattice) -> bool:

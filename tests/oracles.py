@@ -12,7 +12,8 @@ contractions, circuits as minimal dependent sets by
 pairwise comparison, lattice covers by containment of every pair of flats,
 chains of flats by a successor scan over every pair of flats, the
 trichotomy's injectivity and rank verdicts in two full passes, and the
-caterpillar chain grown as a vertex set, and the vector route to a fan: cones
+caterpillar chain grown as a vertex set, balancing with its star index
+and layer tests made afresh on every call, and the vector route to a fan: cones
 built from their rays as vectors and keyed by ray sets, with projection by
 coordinates, and the vector arithmetic (zero, scaling, negation and
 difference) that builds test vectors.  None of these is on a library path.
@@ -42,7 +43,7 @@ from tropfan import (
     rho_split,
     tropical_type,
 )
-from tropfan.bergman import SCHEMA, _num, edge_str
+from tropfan.bergman import SCHEMA, _constant_on_layers, _num, edge_str
 from tropfan.graphs import _cluster_mask, is_acyclic, spanning_forest
 from tropfan.intlinalg import (
     _eliminate,
@@ -434,6 +435,30 @@ def caterpillar_by_growth(gamma) -> ChainOfFlats:
     if len(gamma.labels) > 2:
         flats.append(clique(grown))
     return ChainOfFlats(tuple(flats))
+
+
+def balance_per_call(fan) -> tuple[bool, Optional[Cone]]:
+    """``is_balanced``'s verdict and first failing face, by the per-call
+    body it replaced: one pass over the maximal cones indexes them by facet,
+    and every codimension-one face runs its layer test, in cone order.
+    Nothing is kept between calls, and the unimodularity certificate is
+    left out: it never changes a verdict, and its own tests count it."""
+    if not fan.is_pure:
+        raise ValueError("balancing is only defined for pure fans")
+    if fan.max_dim == 0:
+        return True, None
+    chains, weights = fan._masks, fan._weights
+    star: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for s in fan._by_dim[fan.max_dim]:
+        masks = chains[s]
+        for i, mask in enumerate(masks):
+            star.setdefault(masks[:i] + masks[i + 1 :], []).append((s, mask))
+    full = (1 << len(fan.ambient)) - 1
+    for t in fan._by_dim[fan.max_dim - 1]:
+        members = star.get(chains[t], ())
+        if not _constant_on_layers(chains[t], [(g, weights[s]) for s, g in members], full):
+            return False, fan._cone(t)
+    return True, None
 
 
 def fan_json_text(fan, depth: int = 0, **fields) -> str:

@@ -25,6 +25,7 @@ from tropfan.intlinalg import orthogonal_complement
 
 from conftest import closed_fan, flat_of
 from oracles import (
+    balance_per_call,
     cone_of_rays,
     echelon_in_span,
     edge_mask,
@@ -394,7 +395,8 @@ def oracle_fan(name):
 def test_random_weights_match_quadratic_scan(name, data):
     """Weights 1..3 on every maximal cone, or one weight on all of them: the
     layer test reports the verdict and the first failing face of the
-    generic scan."""
+    generic scan and of the per-call body, with the memo of every earlier
+    example's copy of the same fan."""
     fan = oracle_fan(name)
     maximal = fan.cones_of_dim(fan.max_dim)
     if data.draw(st.booleans()):
@@ -405,7 +407,7 @@ def test_random_weights_match_quadratic_scan(name, data):
     reweighted = fan.with_weights({c.rayset: w for c, w in zip(maximal, weights)})
     report = is_balanced(reweighted)
     expected = quadratic_scan(reweighted, QUADRATIC_NORMALS.setdefault(name, {}))
-    assert (report.balanced, report.failing_face) == expected
+    assert (report.balanced, report.failing_face) == expected == balance_per_call(reweighted)
 
 
 def test_reweighted_fan_equals_the_fan_built_from_its_cones():

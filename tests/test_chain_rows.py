@@ -7,9 +7,10 @@ the API's edge.  The provenance tests rebuild every chain from its masks
 through fresh ``Flat``s and the validating constructor, for Bergman fans,
 moduli fans and their projections, fibers included; a walk that yields a
 chain that is not nested must be refused.  ``is_balanced`` records the
-maximal rows it certifies in a set that reweighted copies share, so the
-certificate tests count ``saturation`` calls across reweightings and check
-that a failed certificate raises every time and records nothing."""
+maximal rows it certifies in the balancing index that reweighted copies
+share, so the certificate tests count ``saturation`` calls across
+reweightings and check that a failed certificate raises every time and
+records nothing."""
 
 from collections import Counter
 
@@ -203,7 +204,7 @@ def test_reweighted_fans_certify_each_maximal_cone_once(saturation_calls):
     assert certified == len(k5.cones_of_dim(k5.max_dim)) == 180
     for fan in reweightings(k5):
         assert not is_balanced(fan).balanced
-        assert fan._certified is k5._certified
+        assert fan._balancing.certified is k5._balancing.certified
     assert len(saturation_calls) == certified
     # reweightings first, then the fan: still each cone once in all
     saturation_calls.clear()
@@ -214,7 +215,7 @@ def test_reweighted_fans_certify_each_maximal_cone_once(saturation_calls):
     assert is_balanced(k5).balanced
     counts = Counter(saturation_calls)
     assert len(counts) == len(saturation_calls) == 180
-    assert k5._certified == set(k5._maximal)
+    assert k5._balancing.certified == set(k5._maximal)
 
 
 def test_a_failed_certificate_raises_every_time_and_records_nothing(monkeypatch):
@@ -225,7 +226,8 @@ def test_a_failed_certificate_raises_every_time_and_records_nothing(monkeypatch)
     for fan in (k5, heavy, k5, heavy):
         with pytest.raises(RuntimeError, match="basis"):
             is_balanced(fan)
-        assert not k5._certified and heavy._certified is k5._certified
+        assert not k5._balancing.certified
+        assert heavy._balancing.certified is k5._balancing.certified
     monkeypatch.undo()
     assert not is_balanced(heavy).balanced
     assert is_balanced(k5).balanced

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropfan.bergman import edge_str
+from tropfan import cli
+from tropfan.bergman import BalanceReport, edge_str
 from tropfan.cli import NAMED_GRAPHS, main, resolve_graph
-from tropfan import Graph, all_graphs, enumerate_flats, parse_graph
+from tropfan import Graph, all_graphs, bergman_fan, enumerate_flats, parse_graph
 
 from oracles import lattice_by_pairs
 
@@ -133,6 +134,32 @@ def test_verify_suites_pass(capsys):
         status, out = run(capsys, "verify", suite)
         assert status == 0, (suite, out)
         assert "ok:" in out
+
+
+def test_verify_balancing_names_the_doubled_cone_and_the_face(capsys, monkeypatch):
+    """``verify balancing`` doubles every maximal cone of K3, K4 and K5
+    (201 copies); a copy that reports no failing face, or one that is no
+    facet of the doubled cone, gets a FAIL line naming both masks."""
+    monkeypatch.setattr(cli, "is_balanced", lambda fan: BalanceReport(True))
+    status, out = run(capsys, "verify", "balancing")
+    assert status == 1 and len(out.splitlines()) == 201
+    assert out.splitlines()[0] == (
+        "FAIL doubling the cone on the masks [1] of the complete graph on 3 vertices "
+        "gives no failing face"
+    )
+    origin = bergman_fan(Graph.complete([2, 3, 4])).cones[0]
+
+    def at_the_origin(fan):
+        return BalanceReport(True) if set(fan._weights) == {1} else BalanceReport(False, origin)
+
+    monkeypatch.setattr(cli, "is_balanced", at_the_origin)
+    status, out = run(capsys, "verify", "balancing")
+    lines = out.splitlines()
+    # the origin is a facet of K3's rays only
+    assert status == 1 and len(lines) == 18 + 180
+    assert all(line.endswith("gives the failing face []") for line in lines)
+    assert lines[-1].startswith("FAIL doubling the cone on the masks [")
+    assert "of the complete graph on 5 vertices" in lines[-1]
 
 
 def test_verify_theorem_refuses_out_of_range_sizes(capsys):

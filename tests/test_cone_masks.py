@@ -170,11 +170,12 @@ def test_row_builder_refuses_a_chain_given_twice(k4):
 
 def test_reweighting_shares_every_column_but_the_weights(k4_fan):
     """``with_weights`` makes a new weights column and shares the masks,
-    provenance and ray ids columns, the ray coordinates and both indexes;
-    each fan makes its own ``Cone`` objects, with its own weights."""
+    provenance and ray ids columns, the ray coordinates, both indexes and
+    the balancing index; each fan makes its own ``Cone`` objects, with its
+    own weights."""
     sigma = k4_fan.cones_of_dim(2)[3]
     heavy = k4_fan.with_weights({sigma.rayset: 2})
-    for column in ("_masks", "_provenance", "_ray_ids", "_coords", "_index", "_mask_of"):
+    for column in ("_masks", "_provenance", "_ray_ids", "_coords", "_index", "_mask_of", "_balancing"):
         assert getattr(heavy, column) is getattr(k4_fan, column), column
     assert heavy._weights != k4_fan._weights
     assert heavy.cone_with_rayset(sigma.rayset).weight == 2
