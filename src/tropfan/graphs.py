@@ -257,13 +257,36 @@ def all_graphs(labels: Iterable[int], connected: bool = False) -> Iterator[Graph
 
     Graph number ``bits`` has the edges whose positions in the lexicographic
     list of label pairs are the set bits of ``bits``; graphs come in that
-    order.  With ``connected``, a graph is kept when ``is_connected``, so
-    it carries that verdict and its adjacency bitmasks cached for later
-    readers.
+    order.  Each edge subset's edges and adjacency bitmasks extend those of
+    the subset without its lowest edge, so with ``connected`` a subset is
+    tested on its masks, and a ``Graph`` is built, with its checks, only
+    for a connected one.  Every graph is handed its adjacency masks, and
+    with ``connected`` its connectivity verdict, as cached values.  In this
+    order, the subsets after R, ``bits`` without its lowest edge, and
+    before ``bits`` all have a lower lowest edge than R.  So slot t of
+    ``last`` holds the last subset seen whose lowest edge is t (the last
+    slot the empty one), and R is in the slot of its lowest edge.
     """
     labels = tuple(labels)
     pool = list(combinations(labels, 2))
+    ends = list(combinations(range(len(labels)), 2))
+    full = (1 << len(labels)) - 1
+    last = [((), (0,) * len(labels))] * (len(pool) + 1)
     for bits in range(1 << len(pool)):
-        g = Graph(labels, tuple(e for i, e in enumerate(pool) if bits >> i & 1))
-        if not connected or g.is_connected:
-            yield g
+        low = bits & -bits
+        rest = bits ^ low
+        edges, adj = last[(rest & -rest).bit_length() - 1]
+        if low:
+            t = low.bit_length() - 1
+            a, b = ends[t]
+            grown = list(adj)
+            grown[a] |= 1 << b
+            grown[b] |= 1 << a
+            edges, adj = last[t] = (pool[t],) + edges, tuple(grown)
+        if connected and not _connected_on(adj, full):
+            continue
+        g = Graph(labels, edges)
+        vars(g)["adjacency"] = adj  # the value the cached property would compute
+        if connected:
+            vars(g)["is_connected"] = True
+        yield g

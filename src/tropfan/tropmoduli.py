@@ -19,19 +19,24 @@ two or more bounded edges also holds an end or a further child.  A leaf holds
 exactly the ends of its split and needs an edge of the graph inside it.  This
 leaf-split rule drives ``is_gamma_stable``; ``reduce`` keeps the splits that
 contain an edge of the graph, since contracting unstable leaves removes
-exactly the others; and ``_flat_demands`` reads the rule off flats.  The
-tests check it against the vertex-local rule in ``tests/oracles.py``.
+exactly the others; and ``_flat_table`` lets the rule be read off blocks.
+The tests check it against the vertex-local rule in ``tests/oracles.py``.
 
 The moduli fan is built straight from chains of flats.  The leaves of a
 radial type are the minimal nontrivial blocks of its chain, and every
 nontrivial block contains a minimal one, so a chain's type is stable exactly
 when each of its one-flat types is.  A one-flat type hangs one leaf per
-nontrivial block of its flat off the root, so ``_flat_demands`` lists those
-blocks as edge masks, once per n, and ``moduli_fan_rad`` and
-``verify_injectivity`` test them against the graph's mask.  The trichotomy
-reads its injectivity and rank verdicts off one pass over that table: the
-rank of a flat survives restriction exactly when each of its blocks is
-connected in the graph.  The route through types, alignments,
+nontrivial block of its flat off the root, so a flat is stable exactly when
+the graph has an edge inside each of its blocks.  ``_flat_table`` lists the
+proper flats' edge masks and their distinct blocks once per n, each block
+with its clique's edge mask and the bitset of the flats that hold it, built
+from vertex partitions alone; a block with no edge of the graph makes all
+its holders unstable, and ``moduli_fan_rad`` and ``verify_injectivity``
+read the stable flats off that.  The trichotomy reads its injectivity and
+rank verdicts off one pass over the blocks: the rank of a flat survives
+restriction exactly when each of its blocks is connected in the graph, and
+the first stable flat to lose rank is a one-block flat (the lemma is in
+``verify_injectivity``).  The route through types, alignments,
 ``psi_radial_to_cof`` and ``flat_gamma_stable`` stays public and is the
 test oracle.
 """
@@ -42,8 +47,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
-from typing import Iterable, Optional, Sequence, Union
+from itertools import combinations, compress, product
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .bergman import Fan, QuotientVector, _chain_fan, _check_rational, _num, _numerators
 from .graphs import (
@@ -55,7 +60,7 @@ from .graphs import (
     is_complete_multipartite,
     spanning_forest,
 )
-from .matroid import ChainOfFlats, Flat, FlatLattice
+from .matroid import ChainOfFlats, Flat, FlatLattice, _positions, set_partitions
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +569,11 @@ def moduli_fan_rad(n: int, gamma: Union[Graph, str] = "complete") -> Fan:
     """The fan of radially aligned stable types in complete-graph edge space.
 
     Walks the chains of flats of the complete graph on 2..n whose flats are
-    all stable for gamma (``_stable_flats``), on the up-sets of that graph's
-    lattice of flats, built once per n, never building the other chains; by
-    the leaf-block argument in the module docstring, these are exactly the
-    chains of the gamma-stable radial types.  Each chain's cone is spanned
-    by the rays of its flats (``bergman._chain_fan``).
+    all stable for gamma (read off ``_flat_table``), on the up-sets of that
+    graph's lattice of flats, built once per n, never building the other
+    chains; by the leaf-block argument in the module docstring, these are
+    exactly the chains of the gamma-stable radial types.  Each chain's cone
+    is spanned by the rays of its flats (``bergman._chain_fan``).
     Projecting the result onto the stability graph's edges gives the image fan.
     """
     if not 4 <= n <= 7:
@@ -580,10 +585,12 @@ def moduli_fan_rad(n: int, gamma: Union[Graph, str] = "complete") -> Fan:
     _check_stability_graph(n, gamma)
     lattice = _complete_lattice(n)
     gmask = EdgeSet.from_edges(lattice.graph, gamma.edges).mask
-    stable = 0
-    for f in _stable_flats(n, gmask):
-        stable |= 1 << lattice.index[f.mask]
-    return _chain_fan(lattice, stable)
+    unstable = 0
+    for _, clique, holders in _flat_table(n).blocks:
+        if not clique & gmask:
+            unstable |= holders
+    # the table's flat i is the lattice's flat i + 1, after the empty flat
+    return _chain_fan(lattice, lattice.proper & ~(unstable << 1))
 
 
 def caterpillar_cof(gamma: Graph) -> ChainOfFlats:
@@ -632,57 +639,61 @@ class InjectivityReport:
 
 @cache
 def _complete_lattice(n: int) -> FlatLattice:
-    """The lattice of flats of the complete graph on 2..n, built once per n:
-    ``moduli_fan_rad`` walks its chains and ``_flat_demands`` reads its
-    proper flats."""
+    """The lattice of flats of the complete graph on 2..n, built once per n
+    for ``moduli_fan_rad`` to walk its chains."""
     return FlatLattice(_complete_on(n))
 
 
-@cache
-def _flat_demands(n: int) -> tuple[tuple[Flat, int, tuple[int, ...], tuple[int, ...]], ...]:
-    """The proper flats of the complete graph on 2..n, each with its edge
-    mask, what a stability graph must meet for the one-flat chain's type to
-    be stable, and the flat's blocks as vertex sets.
+class _FlatTable(NamedTuple):
+    """The proper flats of the complete graph on 2..n and their blocks.
 
-    Each row, in ``enumerate_flats`` order, is ``(flat, mask, demands,
-    vertices)``, ``mask`` being ``flat.mask``, kept so that the callers'
-    loops read no property.  ``demands`` holds the edge mask (in the
-    complete graph's edge order) of each of the flat's blocks, every one of
-    which a stable graph's edge mask must intersect.  The one-flat type's
-    leaves are exactly these blocks: each hangs off the root holding the
-    block's ends and asks for an edge inside it, and a block has at least
-    two ends, so its mask is never empty.  ``vertices`` holds the same
-    blocks as vertex bitmasks, label v at bit v - 2 (its position among
-    2..n, as in ``Graph.adjacency``).  None of this depends on the graph,
-    and n is at most 7 in every caller, so the cache stays small.  Read
-    through ``_stable_flats`` by ``moduli_fan_rad`` (a chain is stable when
-    all its flats are) and by ``verify_injectivity``.
+    ``masks`` holds the flats' edge masks, in ``enumerate_flats`` order.
+    ``blocks`` holds each distinct block of those flats once, as ``(vertex
+    mask, clique mask, holders)``: its labels as a bitmask (label v at bit
+    v - 2, as in ``Graph.adjacency``), the edge mask of the clique on it,
+    and the bitset of the positions in ``masks`` of the flats holding it.
+    The clique on a block B is itself a proper flat, B's one-block flat,
+    and every other flat holding B holds a second block and has higher
+    rank, so the one-block flat is B's first holder; the blocks come in
+    the order of their one-block flats.
     """
-    lattice = _complete_lattice(n)
-    ambient = lattice.graph
-    return tuple(
-        (
-            f,
-            f.mask,
-            tuple(_cluster_mask(ambient, [block]) for block in f.blocks),
-            tuple(sum(1 << (v - 2) for v in block) for block in f.blocks),
-        )
-        for f in lattice.flats[1:-1]  # the empty flat is first and the full one last
-    )
+
+    masks: tuple[int, ...]
+    blocks: tuple[tuple[int, int, int], ...]
 
 
-def _stable_flats(n: int, gmask: int) -> list[Flat]:
-    """The proper flats of the complete graph on 2..n, in ``enumerate_flats``
-    order, whose one-flat type is stable for the graph with edge mask
-    ``gmask`` (in the complete graph's edge order)."""
-    stable = []
-    for f, _, demands, _ in _flat_demands(n):
-        for m in demands:  # a plain loop: all() pays for a generator per flat
-            if not m & gmask:
-                break
-        else:
-            stable.append(f)
-    return stable
+@cache
+def _flat_table(n: int) -> _FlatTable:
+    """Built once per n from the set partitions of 2..n, with no graph: a
+    partition into two or more blocks, one of them of two or more labels,
+    is a proper flat, the OR of its blocks' clique masks."""
+    m = n - 1
+    edge_bit = {e: 1 << i for i, e in enumerate(combinations(range(m), 2))}
+    clique: dict[int, int] = {}  # vertex mask -> clique edge mask
+    rows = []
+    for part in set_partitions(range(m)):
+        if not 1 < len(part) < m:  # the full flat, or the empty one
+            continue
+        mask, vertices = 0, []
+        for block in part:
+            if len(block) > 1:
+                b = sum(1 << v for v in block)
+                if b not in clique:
+                    clique[b] = sum(edge_bit[e] for e in combinations(block, 2))
+                mask |= clique[b]
+                vertices.append(b)
+        rows.append((m - len(part), tuple(_positions(mask)), mask, vertices))
+    rows.sort()  # by rank, then by edge positions: enumerate_flats order
+    holders = dict.fromkeys(clique, 0)
+    for i, (_, _, _, vertices) in enumerate(rows):
+        for b in vertices:
+            holders[b] |= 1 << i
+    blocks = sorted(((b, c, holders[b]) for b, c in clique.items()), key=lambda x: x[2] & -x[2])
+    return _FlatTable(tuple(row[2] for row in rows), tuple(blocks))
+
+
+# one byte per flat: 1 for a 0 bit of the unstable set, 0 for a 1 bit
+_STABLE_BYTE = bytes.maketrans(b"01", b"\x01\x00")
 
 
 def verify_injectivity(gamma: Graph) -> InjectivityReport:
@@ -694,17 +705,26 @@ def verify_injectivity(gamma: Graph) -> InjectivityReport:
     and returned; ``report.agree`` says whether they agree, and the caller
     decides what a split means.
 
-    One pass over ``_flat_demands`` decides (a) and (b).  A flat is stable
-    when gamma's edge mask meets each of its blocks' edge masks; (a) holds
-    when the stable flats' restrictions ``mask & gmask`` are distinct.  For
-    (b), a proper flat F of the complete graph is the disjoint union of the
-    cliques on its blocks B, so F restricted to gamma is the disjoint union
-    of the induced subgraphs gamma[B], and its rank is the sum over B of
-    |B| minus the number of components of gamma[B].  That equals the rank
-    of F, the sum of |B| - 1, exactly when every gamma[B] is connected.  So
-    (b) tests each block's vertex set for connectivity in gamma, once per
-    distinct block, and its witness is the first stable flat with a
-    disconnected block; no block is tested after it.
+    One pass over the blocks of ``_flat_table`` decides (a) and (b).  A
+    flat is stable when gamma's edge mask meets the clique mask of each of
+    its blocks, so a block with no edge of gamma makes all its holders
+    unstable, and the other flats are stable; (a) holds when the stable
+    flats' restrictions ``mask & gmask`` are distinct.  For (b), a proper
+    flat F of the complete graph is the disjoint union of the cliques on
+    its blocks B, so F restricted to gamma is the disjoint union of the
+    induced subgraphs gamma[B], and its rank is the sum over B of |B|
+    minus the number of components of gamma[B].  That equals the rank of
+    F, the sum of |B| - 1, exactly when every gamma[B] is connected.
+
+    The witness of (b) is the first stable flat, in ``enumerate_flats``
+    order, that loses rank, and it is a one-block flat.  Proof: let F be
+    such a flat and B a block of F that gamma[B] leaves disconnected.  As
+    F is stable, B holds an edge of gamma, so the clique on B is a stable
+    flat; it loses rank, as B is disconnected; and unless it is F, it has
+    smaller rank than F, which holds a second block, so it comes before F.
+    So the blocks that hold an edge of gamma are tested for connectivity
+    in the order of their one-block flats, and the first disconnected one
+    names the witness; no block is tested after it.
     """
     if not 1 <= len(gamma.labels) <= 6:
         raise ValueError("verify_injectivity supports 1 to 6 vertices")
@@ -712,24 +732,16 @@ def verify_injectivity(gamma: Graph) -> InjectivityReport:
     _check_stability_graph(n, gamma)
     gmask = EdgeSet.from_edges(_complete_on(n), gamma.edges).mask
     adj = gamma.adjacency  # gamma is labeled 2..n, so label v is at position v - 2
-    connected: dict[int, bool] = {}
-    images = set()
-    stable = 0
+    masks, blocks = _flat_table(n)
+    unstable = 0
     witness = None
-    for f, mask, demands, vertices in _flat_demands(n):
-        for m in demands:  # _stable_flats' test, inline to keep one pass
-            if not m & gmask:
-                break
-        else:
-            stable += 1
-            images.add(mask & gmask)
-            if witness is None:
-                for b in vertices:
-                    ok = connected.get(b)
-                    if ok is None:
-                        ok = connected[b] = _connected_on(adj, b)
-                    if not ok:
-                        witness = f
-                        break
+    for vertices, clique, holders in blocks:
+        if not clique & gmask:
+            unstable |= holders
+        elif witness is None and not _connected_on(adj, vertices):
+            witness = _complete_flat(n, clique)
+    stable = f"{unstable:0{len(masks)}b}"[::-1].encode().translate(_STABLE_BYTE)
+    images = set(map(gmask.__and__, compress(masks, stable)))
+    injective = len(images) == len(masks) - unstable.bit_count()
     multipartite, triple = is_complete_multipartite(gamma)
-    return InjectivityReport(len(images) == stable, witness is None, multipartite, witness, triple)
+    return InjectivityReport(injective, witness is None, multipartite, witness, triple)

@@ -10,7 +10,8 @@ of two-element splits, graphic stability by the vertex-local rule, radial
 faces by weakly monotone level maps, a type's end hosts and its edge
 contractions, circuits as minimal dependent sets by
 pairwise comparison, lattice covers by containment of every pair of flats,
-chains of flats by a successor scan over every pair of flats, the
+chains of flats by a successor scan over every pair of flats, the stable
+flats flat by flat, the connected graphs by filtering every edge subset, the
 trichotomy's injectivity and rank verdicts in two full passes, and the
 caterpillar chain grown as a vertex set, balancing with its star index
 and layer tests made afresh on every call, and the vector route to a fan: cones
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from typing import Optional, Sequence
 
@@ -53,7 +55,7 @@ from tropfan.intlinalg import (
     saturation,
 )
 from tropfan.matroid import Flat
-from tropfan.tropmoduli import _stable_flats, pair_list
+from tropfan.tropmoduli import pair_list
 
 
 def ends_at(t) -> tuple[int, ...]:
@@ -382,6 +384,43 @@ def lattice_by_pairs(g) -> list[tuple]:
     ]
 
 
+@cache
+def flat_demand_rows(n: int) -> tuple[tuple[Flat, tuple[int, ...]], ...]:
+    """Each proper flat of the complete graph on 2..n, in ``enumerate_flats``
+    order, with the edge masks of the cliques on its blocks, read off the
+    ``Flat`` objects: what a stability graph must meet for the one-flat
+    chain's type to be stable.  Cached per n, as the callers ask it for
+    thousands of graphs."""
+    ambient = Graph.complete(range(2, n + 1))
+    flats = enumerate_flats(ambient)[1:-1]  # the empty flat is first, the full one last
+    return tuple((f, tuple(_cluster_mask(ambient, [b]) for b in f.blocks)) for f in flats)
+
+
+def stable_flats(n: int, gmask: int) -> list[Flat]:
+    """The proper flats of the complete graph on 2..n, in ``enumerate_flats``
+    order, whose one-flat type is stable for the graph with edge mask
+    ``gmask``, flat by flat: each of the flat's blocks must hold an edge of
+    the graph."""
+    return [f for f, demands in flat_demand_rows(n) if all(m & gmask for m in demands)]
+
+
+def connected_graphs_by_filter(labels) -> list[Graph]:
+    """The connected graphs on ``labels`` in ``all_graphs`` order, by
+    building every edge subset's graph and keeping those that a union-find
+    spans: rank one less than the label count."""
+    labels = tuple(labels)
+    pool = list(combinations(labels, 2))
+    graphs = (
+        Graph(labels, tuple(e for i, e in enumerate(pool) if bits >> i & 1))
+        for bits in range(1 << len(pool))
+    )
+    return [
+        g
+        for g in graphs
+        if len(labels) < 2 or graph_rank(g, g.full_edge_set()) == len(labels) - 1
+    ]
+
+
 def injectivity_two_pass(gamma) -> tuple:
     """The trichotomy's verdicts in two full passes over the stable flats:
     (injective, rank criterion, multipartite, witness flat, witness triple),
@@ -390,7 +429,7 @@ def injectivity_two_pass(gamma) -> tuple:
     n = gamma.labels[-1]
     ambient = Graph.complete(range(2, n + 1))
     gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
-    stable = _stable_flats(n, gmask)
+    stable = stable_flats(n, gmask)
     images = set()
     injective = True
     for f in stable:
@@ -473,16 +512,19 @@ def fan_to_json(fan) -> dict:
     ``json.dumps(fan_to_json(fan), indent=2)`` is the document whose chunks
     ``fan_json_chunks`` writes.
 
-    Each ray is made once per mask, as the one ray of the cone on that
-    mask over the fan's ambient, which all its cones share, and every cone
+    The cones are read off the fan's rows (masks, weight and provenance
+    flat tuples, in cone order), so no ``Cone`` or ``ChainOfFlats`` is
+    made for them; the API edge that makes those has its own tests.  Each
+    ray is made once per mask, as the one ray of the cone on that mask
+    over the fan's ambient, which all its cones share, and every cone
     names its rays by their masks; the fan's own ray coordinates and ray
     ids are not read.  Each flat's edge strings are made once, memoised by
     the flat's ``id``: the fan holds every flat while this runs, and
     hashing a flat's dataclass fields on every lookup would cost more than
     the rest of the walk."""
     ray: dict[int, QuotientVector] = {}
-    for c in fan.cones:
-        for x in c.masks:
+    for masks in fan._masks:
+        for x in masks:
             if x not in ray:
                 ray[x] = Cone(fan.ambient, (x,)).rays[0]
     rays = sorted(ray.items(), key=lambda item: item[1].coords)
@@ -499,12 +541,12 @@ def fan_to_json(fan) -> dict:
         return out
 
     cones = []
-    for c in fan.cones:
+    for masks, weight, provenance in zip(fan._masks, fan._weights, fan._provenance):
         cones.append(
             {
-                "rays": sorted(index[x] for x in c.masks),
-                "weight": c.weight,
-                "provenance": [chain_json(ch) for ch in c.provenance],
+                "rays": sorted(index[x] for x in masks),
+                "weight": weight,
+                "provenance": [chain_json(ch) for ch in provenance],
             }
         )
     return {

@@ -174,7 +174,7 @@ def test_verify_theorem_refuses_out_of_range_sizes(capsys):
 def test_verify_theorem_full_sweep_to_six_vertices(capsys, tmp_path):
     """All 27,470 connected graphs on 4 to 6 labels, in process, written with
     -o: the three tallies and the file's digest are the seed's (budget
-    60 s, about 4 s on a 2-core host)."""
+    60 s, about 1.2 s on a 2-core host)."""
     path = tmp_path / "theorem.txt"
     start = time.perf_counter()
     status, out = run(capsys, "verify", "theorem", "--max-vertices", "6", "-o", str(path))

@@ -28,7 +28,6 @@ from tropfan import (
     primitive_normal,
     project_fan,
 )
-from tropfan.tropmoduli import _stable_flats
 
 from oracles import (
     cone_of_rays,
@@ -36,6 +35,7 @@ from oracles import (
     fan_to_json,
     proper_flats,
     scale_vector,
+    stable_flats,
     vector_chain_fan,
     vector_cones,
     vector_project_fan,
@@ -242,7 +242,7 @@ def test_moduli_fans_match_the_vector_route(n, name):
     gamma = {"complete": ambient, "path": path_on(labels), "cycle": cycle_on(labels), "K33": K33}[name]
     fan = moduli_fan_rad(n, gamma)
     gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
-    cones = vector_chain_fan(ambient, _stable_flats(n, gmask))
+    cones = vector_chain_fan(ambient, stable_flats(n, gmask))
     assert_matches(fan, cones)
     assert_matches(project_fan(fan, gamma), vector_project_fan(cones, gamma))
 

@@ -23,7 +23,7 @@ from tropfan import (
 from tropfan.cli import resolve_graph
 from tropfan.matroid import _chain_walk
 
-from oracles import pairwise_chain_walk, proper_flats
+from oracles import pairwise_chain_walk, proper_flats, stable_flats
 
 
 def small_graphs():
@@ -85,7 +85,7 @@ def test_chain_walk_matches_pairwise_scan_on_stable_flats_of_seven_ends():
     lattice = tm._complete_lattice(7)
     for name, gamma in seven_end_stability_graphs().items():
         gmask = EdgeSet.from_edges(lattice.graph, gamma.edges).mask
-        stable = tm._stable_flats(7, gmask)
+        stable = stable_flats(7, gmask)
         allowed = bits(lattice.index[f.mask] for f in stable)
         assert allowed & ~lattice.proper == 0, name
         walk_checked(lattice, allowed, stable)
@@ -103,7 +103,7 @@ def test_census_of_stable_flats_matches_moduli_fans():
     lattice = tm._complete_lattice(7)
     for name, gamma in seven_end_stability_graphs().items():
         gmask = EdgeSet.from_edges(lattice.graph, gamma.edges).mask
-        allowed = bits(lattice.index[f.mask] for f in tm._stable_flats(7, gmask))
+        allowed = bits(lattice.index[f.mask] for f in stable_flats(7, gmask))
         assert lattice.chain_census(allowed) == moduli_fan_rad(7, gamma).census(), name
 
 

@@ -16,7 +16,7 @@ from tropfan import (
     spanning_forest,
 )
 
-from oracles import complement
+from oracles import complement, connected_graphs_by_filter
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +283,24 @@ def test_connectivity_on_bitmasks_matches_graph_rank():
     assert [len(list(all_graphs(range(2, 2 + k), connected=True))) for k in range(6)] == [
         1, 1, 1, 4, 38, 728,
     ]
+
+
+def test_connected_sweep_hands_each_graph_its_masks():
+    """Every connected graph on up to 6 labels comes with the adjacency
+    masks and connectivity verdict that a fresh ``Graph`` would compute,
+    and the sweep yields the graphs that filtering every edge subset
+    keeps, in its order (27,477 graphs).  Without ``connected``, every
+    graph on up to 5 labels comes with its fresh adjacency masks."""
+    for k in range(7):
+        labels = range(2, 2 + k)
+        graphs = list(all_graphs(labels, connected=True))
+        for g in graphs:
+            assert g.adjacency == Graph(g.labels, g.edges).adjacency, g.edges
+            assert g.is_connected, g.edges
+        assert [g.edges for g in graphs] == [g.edges for g in connected_graphs_by_filter(labels)]
+        if k < 6:
+            for g in all_graphs(labels):
+                assert g.adjacency == Graph(g.labels, g.edges).adjacency, g.edges
 
 
 def test_edge_set_ops(k4):

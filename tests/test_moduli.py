@@ -1,8 +1,12 @@
 import functools
 import itertools
 import operator
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +41,7 @@ from tropfan.matroid import set_partitions
 from oracles import (
     caterpillar_by_growth,
     fan_to_json,
+    flat_demand_rows,
     injectivity_two_pass,
     make_cone,
     proper_flats,
@@ -180,19 +185,30 @@ def moduli_fan_by_types(gamma, ambient, typed_cones):
     return Fan(ambient, cones)
 
 
-def assert_same_moduli_fan(n, gamma, typed):
+def assert_same_moduli_fan(n, gamma, typed, cones=True):
+    """The chain walk's fan and the type route's agree row by row: masks,
+    weights and provenance flat tuples, in cone order, and in their JSON
+    dict form.  With ``cones``, the ``Cone`` objects and their
+    ``ChainOfFlats`` provenance made at the API edge are compared too."""
     fan = moduli_fan_rad(n, gamma)
     oracle = moduli_fan_by_types(gamma, *typed)
-    assert fan.cones == oracle.cones, gamma.edges
-    assert [c.provenance for c in fan.cones] == [c.provenance for c in oracle.cones]
+    assert fan._masks == oracle._masks, gamma.edges
+    assert fan._weights == oracle._weights, gamma.edges
+    assert fan._provenance == oracle._provenance, gamma.edges
+    if cones:
+        assert fan.cones == oracle.cones, gamma.edges
+        assert [c.provenance for c in fan.cones] == [c.provenance for c in oracle.cones]
     assert fan_to_json(fan) == fan_to_json(oracle)
 
 
 def test_chain_walk_matches_type_route_up_to_six_ends():
+    """Every connected stability graph for 4 to 6 ends; the ``Cone``
+    objects are compared for the complete graph of each n."""
     for n in (4, 5, 6):
         typed = typed_radial_cones(n)
+        complete = Graph.complete(range(2, n + 1))
         for gamma in all_graphs(range(2, n + 1), connected=True):
-            assert_same_moduli_fan(n, gamma, typed)
+            assert_same_moduli_fan(n, gamma, typed, cones=gamma == complete)
 
 
 def test_chain_walk_matches_type_route_seven_ends():
@@ -329,39 +345,71 @@ def oracle_graphs():
     yield from sampled_six_vertex_graphs()
 
 
+def unstable_flats(n, gmask) -> int:
+    """The bitset of the table's flats that are unstable for the graph
+    with edge mask ``gmask``: the holders of the blocks it has no edge in."""
+    unstable = 0
+    for _, clique, holders in tm._flat_table(n).blocks:
+        if not clique & gmask:
+            unstable |= holders
+    return unstable
+
+
+@functools.cache
+def table_flats(n):
+    """Each of the table's flats as its edge mask and its blocks, read off
+    the blocks' holders: ``(vertex mask, clique mask)`` pairs in table
+    order."""
+    masks, blocks = tm._flat_table(n)
+    return tuple(
+        (mask, tuple((v, c) for v, c, holders in blocks if holders >> i & 1))
+        for i, mask in enumerate(masks)
+    )
+
+
 def test_flat_table_matches_flat_gamma_stable():
     for n in (5, 6, 7):
         ambient = Graph.complete(range(2, n + 1))
-        rows = tm._flat_demands(n)
-        assert [f for f, _, _, _ in rows] == proper_flats(ambient)
-        assert [mask for _, mask, _, _ in rows] == [f.mask for f in proper_flats(ambient)]
+        assert [mask for mask, _ in table_flats(n)] == [f.mask for f in proper_flats(ambient)]
     for gamma in oracle_graphs():
         n = gamma.labels[-1]
         ambient = Graph.complete(range(2, n + 1))
         gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
-        for f, _, demands, _ in tm._flat_demands(n):
-            stable = demands is not None and all(m & gmask for m in demands)
+        unstable = unstable_flats(n, gmask)
+        for i, (f, _) in enumerate(flat_demand_rows(n)):
+            stable = not unstable >> i & 1
             assert stable == flat_gamma_stable(f, gamma), (gamma.edges, f.edges.edges)
 
 
+def test_flat_table_masks_are_the_proper_flats_in_order():
+    """The table, built from vertex partitions, lists the proper flats of
+    the complete graph on 2..n in ``enumerate_flats`` order, for n = 4..9
+    (4,140 flats at n = 9)."""
+    for n in range(4, 10):
+        ambient = Graph.complete(range(2, n + 1))
+        assert tm._flat_table(n).masks == tuple(f.mask for f in proper_flats(ambient)), n
+
+
 def test_flat_demands_are_the_flat_blocks():
-    """Each flat's row holds the edge masks of its blocks, never None, and as
-    a set they are what the vertex-local rule (``oracles.vertex_demand``)
-    asks of the one-flat type's vertices.  The row's vertex masks are the
-    same blocks, each the OR of its labels' bits (label v at bit v - 2)."""
+    """The blocks holding each flat are the flat's blocks, each once, as
+    its labels' bits (label v at bit v - 2) with the edge mask of the
+    clique on them, and as a set the clique masks are what the vertex-local
+    rule (``oracles.vertex_demand``) asks of the one-flat type's vertices.
+    Each distinct block is listed once, with its one-block flat as its
+    first holder, in the order of those flats."""
     for n in (4, 5, 6, 7):
         ambient = Graph.complete(range(2, n + 1))
-        for f, _, demands, vertices in tm._flat_demands(n):
-            blocks = tuple(
+        masks, blocks = tm._flat_table(n)
+        flats = proper_flats(ambient)
+        for f, (mask, held) in zip(flats, table_flats(n)):
+            assert mask == f.mask
+            expected = {
+                functools.reduce(operator.or_, (1 << ambient.labels.index(v) for v in b)):
                 EdgeSet.from_edges(ambient, itertools.combinations(b, 2)).mask
                 for b in f.blocks
-            )
-            assert demands is not None and demands == blocks
-            bits = tuple(
-                functools.reduce(operator.or_, (1 << ambient.labels.index(v) for v in b))
-                for b in f.blocks
-            )
-            assert vertices == bits
+            }
+            assert dict(held) == expected and len(held) == len(f.blocks)
+            demands = [c for _, c in held]
             typ = psi_cof_to_radial(ChainOfFlats((f,))).type
             by_type = set()
             for v in range(typ.num_vertices):
@@ -371,7 +419,12 @@ def test_flat_demands_are_the_flat_blocks():
                         EdgeSet.from_edges(ambient, itertools.combinations(ends, 2)).mask
                     )
             assert set(demands) == by_type and len(demands) == len(by_type)
-
+        distinct = {v for f in flats for v in (sum(1 << (x - 2) for x in b) for b in f.blocks)}
+        assert sorted(v for v, _, _ in blocks) == sorted(distinct)
+        firsts = [(holders & -holders).bit_length() - 1 for _, _, holders in blocks]
+        assert firsts == sorted(firsts)
+        for (v, clique, _), first in zip(blocks, firsts):
+            assert masks[first] == clique and table_flats(n)[first][1] == ((v, clique),)
 
 def verify_injectivity_by_flat(gamma):
     """The per-flat computation the table replaced: every flat's radial type
@@ -404,28 +457,62 @@ def test_verify_injectivity_matches_per_flat_computation():
         assert verify_injectivity(gamma) == verify_injectivity_by_flat(gamma), gamma.edges
 
 
-def test_verify_injectivity_matches_two_pass_oracle():
-    """Every report field, the witness flat by its mask, equals the two-pass
-    computation on every connected graph with 3 to 5 labels and on every
-    7th connected graph with 6 labels (4,585 graphs; budget 60 s, about
-    7 s on a 2-core host)."""
-    start = time.perf_counter()
-    graphs = [g for k in (3, 4, 5) for g in all_graphs(range(2, 2 + k), connected=True)]
-    graphs += list(all_graphs(range(2, 8), connected=True))[::7]
-    for g in graphs:
-        r = verify_injectivity(g)
-        injective, rank_ok, multipartite, witness, triple = injectivity_two_pass(g)
-        got = (r.injective, r.rank_criterion, r.multipartite, r.witness_triple)
-        assert got == (injective, rank_ok, multipartite, triple), g.edges
-        mask = lambda f: None if f is None else f.mask
-        assert mask(r.witness_flat) == mask(witness), g.edges
-    assert time.perf_counter() - start < 60
-
-
 def block_rule_graphs():
     """Every connected graph on 3 to 5 labels and every 7th on 6 labels."""
     graphs = [g for k in (3, 4, 5) for g in all_graphs(range(2, 2 + k), connected=True)]
     return graphs + list(all_graphs(range(2, 8), connected=True))[::7]
+
+
+@functools.cache
+def block_rule_cases():
+    """Each of ``block_rule_graphs`` with its two-pass oracle verdicts,
+    computed once for the tests that read them."""
+    return tuple((g, injectivity_two_pass(g)) for g in block_rule_graphs())
+
+
+def witness_mask(f):
+    return None if f is None else f.mask
+
+
+def test_verify_injectivity_matches_two_pass_oracle():
+    """Every report field, the witness flat by its mask, equals the two-pass
+    computation on every connected graph with 3 to 5 labels and on every
+    7th connected graph with 6 labels (4,585 graphs; budget 60 s, about
+    5 s on a 2-core host, most of it the oracle's)."""
+    start = time.perf_counter()
+    for g, (injective, rank_ok, multipartite, witness, triple) in block_rule_cases():
+        r = verify_injectivity(g)
+        got = (r.injective, r.rank_criterion, r.multipartite, r.witness_triple)
+        assert got == (injective, rank_ok, multipartite, triple), g.edges
+        assert witness_mask(r.witness_flat) == witness_mask(witness), g.edges
+    assert time.perf_counter() - start < 60
+
+
+def test_first_stable_flat_to_lose_rank_is_a_one_block_flat():
+    """The lemma behind ``verify_injectivity``'s early exit: in the two-pass
+    oracle, which ranks every stable flat with ``graph_rank``, the first
+    stable flat whose restriction loses rank has one block."""
+    witnesses = [(g, case[3]) for g, case in block_rule_cases()]
+    assert any(w is not None for _, w in witnesses)
+    for g, witness in witnesses:
+        assert witness is None or len(witness.blocks) == 1, g.edges
+
+
+def test_witness_order_mutation_is_caught(monkeypatch):
+    """A table that lists its blocks in reverse order, so that they are no
+    longer tested in the order of their one-block flats, makes some
+    witness flat differ from the two-pass oracle's."""
+    table = tm._flat_table
+    monkeypatch.setattr(tm, "_flat_table", lambda n: table(n)._replace(blocks=table(n).blocks[::-1]))
+    split = next(
+        (
+            g
+            for g, case in block_rule_cases()
+            if witness_mask(verify_injectivity(g).witness_flat) != witness_mask(case[3])
+        ),
+        None,
+    )
+    assert split is not None
 
 
 def test_rank_survives_restriction_exactly_when_blocks_are_connected():
@@ -433,15 +520,17 @@ def test_rank_survives_restriction_exactly_when_blocks_are_connected():
     F of the complete graph keeps its rank on restriction to gamma exactly
     when every block of F induces a connected subgraph of gamma.  Checked
     for every proper flat of the complete graph on gamma's labels, flat
-    stable or not (budget 60 s, about 6 s on a 2-core host)."""
+    stable or not, its blocks read off the table (budget 60 s, about 6 s
+    on a 2-core host)."""
     start = time.perf_counter()
     for gamma in block_rule_graphs():
         n = gamma.labels[-1]
         ambient = Graph.complete(range(2, n + 1))
         gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
         adj = gamma.adjacency
-        for f, _, _, vertices in tm._flat_demands(n):
-            connected = all(_connected_on(adj, b) for b in vertices)
+        for (f, _), (mask, blocks) in zip(flat_demand_rows(n), table_flats(n)):
+            assert mask == f.mask
+            connected = all(_connected_on(adj, v) for v, _ in blocks)
             keeps_rank = graph_rank(ambient, EdgeSet(ambient, f.mask & gmask)) == f.rank
             assert connected == keeps_rank, (gamma.edges, f.edges.edges)
     assert time.perf_counter() - start < 60
@@ -455,12 +544,28 @@ def test_block_rule_mutation_is_caught(monkeypatch):
     split = next(
         (
             g
-            for g in block_rule_graphs()
-            if verify_injectivity(g).rank_criterion != injectivity_two_pass(g)[1]
+            for g, case in block_rule_cases()
+            if verify_injectivity(g).rank_criterion != case[1]
         ),
         None,
     )
     assert split is not None
+
+
+def test_importing_the_package_builds_no_flat_table():
+    """The flat table is built on first use, not at import, so importing
+    the package and its CLI (what a benchmark round's setup times) does
+    not pay for it."""
+    code = (
+        "import tropfan, tropfan.cli, tropfan.tropmoduli as tm; "
+        "print(tm._flat_table.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tm.__file__).resolve().parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
 
 
 # ---------------------------------------------------------------------------
