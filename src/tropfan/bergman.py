@@ -562,11 +562,11 @@ def lattice_balanced(lattice: FlatLattice) -> bool:
     edges outside A partition B - A (Ardila-Klivans; Feichtner-Sturmfels),
     so every edge there lies in exactly one atom.  ``is_balanced`` is the
     weighted checker on a built fan; this reads the covers only."""
-    flats = lattice.flats
+    masks = lattice.masks
     full = (1 << len(lattice.graph.edges)) - 1
     for a, b, atoms in lattice.rank2_intervals():
-        gap = tuple(m for m in (flats[a].mask, flats[b].mask) if 0 < m < full)
-        if not _constant_on_layers(gap, [(flats[c].mask, 1) for c in atoms], full):
+        gap = tuple(m for m in (masks[a], masks[b]) if 0 < m < full)
+        if not _constant_on_layers(gap, [(masks[c], 1) for c in atoms], full):
             return False
     return True
 

@@ -25,13 +25,8 @@ from .bergman import (
     lattice_balanced,
     project_fan,
 )
-from .graphs import Graph, all_graphs, parse_graph
-from .matroid import (
-    FlatLattice,
-    SetSystem,
-    enumerate_flats,
-    verify_matroid_axioms,
-)
+from .graphs import EdgeSet, Graph, all_graphs, parse_graph
+from .matroid import FlatLattice, SetSystem, verify_matroid_axioms
 from .tropmoduli import moduli_fan_rad, qn_relations_check, verify_injectivity
 
 
@@ -97,8 +92,9 @@ def _emit(doc: Union[str, Iterable[str]], output: Optional[str]):
         sys.stdout.write("\n")
 
 
-def _flat_json(f) -> list[str]:
-    return [edge_str(e) for e in f.edges.edges]
+def _flat_json(g: Graph, mask: int) -> list[str]:
+    """The edges of g's flat with edge mask ``mask``, as JSON strings."""
+    return [edge_str(e) for e in EdgeSet(g, mask).edges]
 
 
 def _check_size(g: Graph, command: str, limit: int):
@@ -110,16 +106,17 @@ def _check_size(g: Graph, command: str, limit: int):
 
 def cmd_flats(args) -> int:
     g = resolve_graph(args.graph)
-    flats = enumerate_flats(g)
+    lattice = FlatLattice(g)
+    flats = ((_flat_json(g, m), r) for m, r in zip(lattice.masks, lattice.ranks))
     if args.format == "json":
         doc = {
             "schema": SCHEMA,
             "graph": [edge_str(e) for e in g.edges],
-            "flats": [{"edges": _flat_json(f), "rank": f.rank} for f in flats],
+            "flats": [{"edges": edges, "rank": r} for edges, r in flats],
         }
         _emit(json.dumps(doc, indent=2), args.output)
     else:
-        lines = [f"rank {f.rank}: {' '.join(_flat_json(f)) or '{}'}" for f in flats]
+        lines = [f"rank {r}: {' '.join(edges) or '{}'}" for edges, r in flats]
         _emit("\n".join(lines), args.output)
     return 0
 
@@ -135,25 +132,24 @@ MAX_LATTICE_LABELS = 8
 def cmd_lattice(args) -> int:
     g = resolve_graph(args.graph)
     if args.format == "text":
-        _emit("flats: " + ",".join(map(str, _flat_counts(enumerate_flats(g)))), args.output)
+        _emit("flats: " + ",".join(map(str, _flat_counts(FlatLattice(g).ranks))), args.output)
         return 0
     _check_size(g, "lattice --format json|dot", MAX_LATTICE_LABELS)
     lattice = FlatLattice(g)
-    flats = lattice.flats
+    flats = [_flat_json(g, m) for m in lattice.masks]
     # the covering pairs (child, parent) as positions, by child and then parent
     covers = [(c, p) for c, above in enumerate(lattice.covers) for p in above]
     if args.format == "json":
         doc = {
             "schema": SCHEMA,
-            "flats": [_flat_json(f) for f in flats],
+            "flats": flats,
             "covers": covers,
         }
         _emit(json.dumps(doc, indent=2), args.output)
     else:
-        label = lambda f: " ".join(_flat_json(f)) or "{}"
         lines = ["digraph lattice {"]
-        for i, f in enumerate(flats):
-            lines.append(f'  f{i} [label="{label(f)}"];')
+        for i, edges in enumerate(flats):
+            lines.append(f'  f{i} [label="{" ".join(edges) or "{}"}"];')
         for a, b in covers:
             lines.append(f"  f{a} -> f{b};")
         lines.append("}")
@@ -161,9 +157,12 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def _flat_counts(flats) -> list[int]:
-    top = max(f.rank for f in flats)
-    return [sum(1 for f in flats if f.rank == r) for r in range(top + 1)]
+def _flat_counts(ranks) -> list[int]:
+    """The number of flats of each rank, from the ascending ranks column."""
+    counts = [0] * (ranks[-1] + 1)
+    for r in ranks:
+        counts[r] += 1
+    return counts
 
 
 # ``fan`` and ``project`` handle graphs on up to this many labels.  ``fan``
@@ -246,14 +245,10 @@ def cmd_counts(args) -> int:
         g = resolve_graph(f"complete:{args.complete}")  # with its size check
     else:
         g = resolve_graph(args.graph)
+    lattice = FlatLattice(g)
+    lines = ["flats: " + ",".join(map(str, _flat_counts(lattice.ranks)))]
     if g.num_vertices <= MAX_COUNTS_CONES_LABELS:
-        lattice = FlatLattice(g)
-        lines = [
-            "flats: " + ",".join(map(str, _flat_counts(lattice.flats))),
-            "cones: " + ",".join(map(str, lattice.chain_census(lattice.proper))),
-        ]
-    else:
-        lines = ["flats: " + ",".join(map(str, _flat_counts(enumerate_flats(g))))]
+        lines.append("cones: " + ",".join(map(str, lattice.chain_census(lattice.proper))))
     _emit("\n".join(lines), args.output)
     return 0
 

@@ -1,18 +1,19 @@
 """Cycle matroids: rank, closure, flats, chains of flats, and axiom verifiers.
 
-Flats of the cycle matroid of a complete graph are cluster graphs (disjoint
-unions of cliques), so flat enumeration walks set partitions of the label set
-and restricts to the graph at hand.  A ``Flat`` derives its blocks from its
-edge set and refuses a set that is not closed.  ``FlatLattice`` builds a
-graph's lattice of flats once: the flats, their covers read off block
-merges, and each flat's strict up-set as an int bitset.  Chains of flats
-are walked depth first on the up-sets, restricted to a bitset of allowed
-flats, and counted by length with a DP over the same up-sets, without
-building a chain; the rank-2 intervals, which the Bergman fan's balancing
-verdict reads, come off the covers.  The axiom verifiers exhaustively check
-a presented set system against one of the five axiom families
-(independence, bases, two rank systems, closure, circuits) and report the
-first counterexample in canonical order.
+A graph's flats are the edges inside the blocks of the vertex partitions
+whose blocks each induce a connected subgraph, one partition per flat, and
+``_flat_rows`` lists them in one walk over the set partitions.
+``FlatLattice`` holds those rows as columns and builds the rest on first
+use: the ``Flat`` objects (each derives its blocks from its edge set and
+refuses a set that is not closed), the covers read off merges of two
+blocks joined by an edge, and each flat's strict up-set as an int bitset.
+Chains of flats are walked depth first on the up-sets, restricted to a
+bitset of allowed flats, and counted by length with a DP over the same
+up-sets, without building a chain; the rank-2 intervals, which the Bergman
+fan's balancing verdict reads, come off the covers.  The axiom verifiers
+exhaustively check a presented set system against one of the five axiom
+families (independence, bases, two rank systems, closure, circuits) and
+report the first counterexample in canonical order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .graphs import EdgeSet, Graph, _cluster_mask, components, graph_rank, is_acyclic
+from .graphs import EdgeSet, Graph, _cluster_mask, _connected_on, components, graph_rank, is_acyclic
 
 
 # ---------------------------------------------------------------------------
@@ -50,15 +51,11 @@ class Flat:
 
     @cached_property
     def rank(self) -> int:
-        # sorting the flats and counting them by rank read it many times
         return sum(len(b) - 1 for b in self.blocks)
 
     @property
     def mask(self) -> int:
         return self.edges.mask
-
-    def sort_key(self) -> tuple:
-        return (self.rank, self.edges.edges)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,55 +123,97 @@ MAX_FLAT_VERTICES = 10
 
 
 def enumerate_flats(g: Graph) -> list[Flat]:
-    """All flats of the cycle matroid, sorted by (rank, edge order).
+    """All flats of the cycle matroid, sorted by (rank, edge order): the
+    ``Flat`` objects of the graph's ``FlatLattice``."""
+    return FlatLattice(g).flats
 
-    Each vertex partition induces a cluster graph on the ambient complete
-    graph; its restriction to ``g`` is a flat, and all flats arise this way.
-    """
+
+def _flat_rows(g: Graph) -> tuple[list[tuple], dict[int, int]]:
+    """The flats of g as rows ``(rank, edge positions, edge mask, blocks)``,
+    sorted, which is the one order of flats, and the induced-edge mask of
+    each block met, 0 for a disconnected one.  A set partition of the label
+    positions is kept when each block is connected in g (tested once per
+    block); its flat is the OR of its blocks' induced edges, and ``blocks``
+    holds those of two or more labels as label-position bitmasks."""
     if g.num_vertices > MAX_FLAT_VERTICES:
         raise ValueError(f"flat enumeration capped at {MAX_FLAT_VERTICES} vertices")
-    seen: dict[int, Flat] = {}
-    for part in set_partitions(g.labels):
-        mask = _cluster_mask(g, part)
-        if mask not in seen:
-            seen[mask] = Flat(EdgeSet(g, mask))
-    return sorted(seen.values(), key=Flat.sort_key)
+    m, adj, ends = g.num_vertices, g.adjacency, _end_bits(g)
+    induced: dict[int, int] = {}
+    rows = []
+    for part in set_partitions([1 << v for v in range(m)]):
+        mask, blocks = 0, []
+        for block in part:
+            if len(block) > 1:
+                b = sum(block)
+                edges = induced.get(b)
+                if edges is None:
+                    inside = (1 << i for i, (x, y) in enumerate(ends) if b & x and b & y)
+                    edges = induced[b] = sum(inside) if _connected_on(adj, b) else 0
+                if not edges:
+                    break
+                mask |= edges
+                blocks.append(b)
+        else:
+            rows.append((m - len(part), tuple(_positions(mask)), mask, tuple(blocks)))
+    rows.sort()
+    return rows, induced
+
+
+def _end_bits(g: Graph) -> list[tuple[int, int]]:
+    position = {v: i for i, v in enumerate(g.labels)}
+    return [(1 << position[a], 1 << position[b]) for a, b in g.edges]
 
 
 class FlatLattice:
     """The lattice of flats of a graph's cycle matroid, built once.
 
-    ``flats`` are in ``enumerate_flats`` order and ``index`` maps each
-    flat's edge mask to its position there.  ``covers[i]`` lists, ascending,
-    the positions of the flats that cover flat i: adding an edge outside a
-    flat and closing merges the two blocks (the components, or isolated
-    vertices) that it joins, and every cover arises so, as the flat plus
-    the clique on the merged block.  ``up[i]`` is flat i's strict up-set as
-    an int bitset over positions; a cover comes later in the order, so the
-    up-sets are ORed from the covers' in reverse order.  ``proper`` is the
-    bitset of the nonempty flats other than the full edge set.  Sets of
-    flats are passed around as such bitsets.
+    ``ranks``, ``masks`` and ``blocks`` are the columns of ``_flat_rows``,
+    and ``proper`` is the bitset of the nonempty flats other than the full
+    edge set; sets of flats are passed around as such bitsets.  The rest
+    is built on first use: ``flats``, ``index`` (edge mask to position),
+    ``covers[i]``, the positions of the flats covering flat i, ascending,
+    and ``up[i]``, its strict up-set as an int bitset.  Adding an edge
+    outside a flat and closing merges the two blocks (or lone vertices)
+    that it joins, and every cover arises so.  A cover comes later in the
+    order, so the up-sets are ORed from the covers' in reverse order.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
-        self.flats = flats = enumerate_flats(g)
-        self.index = index = {f.mask: i for i, f in enumerate(flats)}
-        self.covers: list[list[int]] = []
-        for child in flats:
-            block_of = {v: block for block in child.blocks for v in block}
+        rows, self._induced = _flat_rows(g)
+        self.ranks, _, self.masks, self.blocks = zip(*rows)
+        # positions 1 .. len - 2: the empty flat is first and the full one last
+        self.proper = ((1 << (len(rows) - 1)) - 1) & ~1
+
+    @cached_property
+    def flats(self) -> list[Flat]:
+        return [Flat(EdgeSet(self.graph, m)) for m in self.masks]
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {m: i for i, m in enumerate(self.masks)}
+
+    @cached_property
+    def covers(self) -> list[list[int]]:
+        index, induced, ends = self.index, self._induced, _end_bits(self.graph)
+        covers = []
+        for mask, blocks in zip(self.masks, self.blocks):
+            owner = {v: b for b in blocks for v in _bits(b)}
             merged = {
-                tuple(sorted(block_of.get(a, (a,)) + block_of.get(b, (b,))))
-                for i, (a, b) in enumerate(g.edges)
-                if not child.mask >> i & 1
+                owner.get(x, x) | owner.get(y, y)
+                for i, (x, y) in enumerate(ends)
+                if not mask >> i & 1
             }
-            self.covers.append(sorted(index[child.mask | _cluster_mask(g, [m])] for m in merged))
-        self.up = up = [0] * len(flats)
-        for i in reversed(range(len(flats))):
+            covers.append(sorted(index[mask | induced[b]] for b in merged))
+        return covers
+
+    @cached_property
+    def up(self) -> list[int]:
+        up = [0] * len(self.masks)
+        for i in reversed(range(len(up))):
             for p in self.covers[i]:
                 up[i] |= 1 << p | up[p]
-        # positions 1 .. len - 2: the empty flat is first and the full one last
-        self.proper = ((1 << (len(flats) - 1)) - 1) & ~1
+        return up
 
     def rank2_intervals(self) -> Iterator[tuple[int, int, list[int]]]:
         """Every interval [A, B] with rank B = rank A + 2, as ``(a, b,
@@ -196,7 +235,7 @@ class FlatLattice:
         census of their chain fan.  A DP over the up-sets, from the last
         position down: the chains that start at flat i are i alone and i
         followed by a chain that starts in ``up[i] & allowed``."""
-        size = self.flats[-1].rank + 2  # a chain holds at most one flat per rank
+        size = self.ranks[-1] + 2  # a chain holds at most one flat per rank
         starting: dict[int, list[int]] = {}  # position -> counts by length
         total = [1] + [0] * (size - 1)
         for i in reversed(list(_positions(allowed))):
@@ -241,8 +280,7 @@ def _chain_walk(
     whose flats all lie in the subset.  ``all_chains`` makes each a
     ``ChainOfFlats``, which checks it; a fan keeps the flat tuples as
     provenance, and its row builder checks their masks."""
-    flats, up = lattice.flats, lattice.up
-    masks = [f.mask for f in flats]
+    flats, up, masks = lattice.flats, lattice.up, lattice.masks
     yield (), ()
     # each entry is a chain, its masks, and the positions still to try after it
     stack = [((), (), _positions(allowed))]

@@ -19,7 +19,7 @@ two or more bounded edges also holds an end or a further child.  A leaf holds
 exactly the ends of its split and needs an edge of the graph inside it.  This
 leaf-split rule drives ``is_gamma_stable``; ``reduce`` keeps the splits that
 contain an edge of the graph, since contracting unstable leaves removes
-exactly the others; and ``_flat_table`` lets the rule be read off blocks.
+exactly the others; and ``_block_index`` lets the rule be read off blocks.
 The tests check it against the vertex-local rule in ``tests/oracles.py``.
 
 The moduli fan is built straight from chains of flats.  The leaves of a
@@ -27,12 +27,12 @@ radial type are the minimal nontrivial blocks of its chain, and every
 nontrivial block contains a minimal one, so a chain's type is stable exactly
 when each of its one-flat types is.  A one-flat type hangs one leaf per
 nontrivial block of its flat off the root, so a flat is stable exactly when
-the graph has an edge inside each of its blocks.  ``_flat_table`` lists the
-proper flats' edge masks and their distinct blocks once per n, each block
-with its clique's edge mask and the bitset of the flats that hold it, built
-from vertex partitions alone; a block with no edge of the graph makes all
-its holders unstable, and ``moduli_fan_rad`` and ``verify_injectivity``
-read the stable flats off that.  The trichotomy reads its injectivity and
+the graph has an edge inside each of its blocks.  ``_block_index`` lists
+the distinct blocks of the complete graph's proper flats once per n, each
+with its clique's edge mask and the bitset of its holders' lattice
+positions; a block with no edge of the graph makes all its holders
+unstable, and ``moduli_fan_rad`` and ``verify_injectivity`` read the stable
+flats off that.  The trichotomy reads its injectivity and
 rank verdicts off one pass over the blocks: the rank of a flat survives
 restriction exactly when each of its blocks is connected in the graph, and
 the first stable flat to lose rank is a one-block flat (the lemma is in
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, compress, product
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .bergman import Fan, QuotientVector, _chain_fan, _check_rational, _num, _numerators
 from .graphs import (
@@ -60,7 +60,7 @@ from .graphs import (
     is_complete_multipartite,
     spanning_forest,
 )
-from .matroid import ChainOfFlats, Flat, FlatLattice, _positions, set_partitions
+from .matroid import ChainOfFlats, Flat, FlatLattice, _positions
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +569,7 @@ def moduli_fan_rad(n: int, gamma: Union[Graph, str] = "complete") -> Fan:
     """The fan of radially aligned stable types in complete-graph edge space.
 
     Walks the chains of flats of the complete graph on 2..n whose flats are
-    all stable for gamma (read off ``_flat_table``), on the up-sets of that
+    all stable for gamma (read off ``_block_index``), on the up-sets of that
     graph's lattice of flats, built once per n, never building the other
     chains; by the leaf-block argument in the module docstring, these are
     exactly the chains of the gamma-stable radial types.  Each chain's cone
@@ -586,11 +586,10 @@ def moduli_fan_rad(n: int, gamma: Union[Graph, str] = "complete") -> Fan:
     lattice = _complete_lattice(n)
     gmask = EdgeSet.from_edges(lattice.graph, gamma.edges).mask
     unstable = 0
-    for _, clique, holders in _flat_table(n).blocks:
+    for _, clique, holders in _block_index(n):
         if not clique & gmask:
             unstable |= holders
-    # the table's flat i is the lattice's flat i + 1, after the empty flat
-    return _chain_fan(lattice, lattice.proper & ~(unstable << 1))
+    return _chain_fan(lattice, lattice.proper & ~unstable)
 
 
 def caterpillar_cof(gamma: Graph) -> ChainOfFlats:
@@ -639,61 +638,28 @@ class InjectivityReport:
 
 @cache
 def _complete_lattice(n: int) -> FlatLattice:
-    """The lattice of flats of the complete graph on 2..n, built once per n
-    for ``moduli_fan_rad`` to walk its chains."""
+    """The lattice of flats of the complete graph on 2..n, built once per n."""
     return FlatLattice(_complete_on(n))
 
 
-class _FlatTable(NamedTuple):
-    """The proper flats of the complete graph on 2..n and their blocks.
-
-    ``masks`` holds the flats' edge masks, in ``enumerate_flats`` order.
-    ``blocks`` holds each distinct block of those flats once, as ``(vertex
-    mask, clique mask, holders)``: its labels as a bitmask (label v at bit
-    v - 2, as in ``Graph.adjacency``), the edge mask of the clique on it,
-    and the bitset of the positions in ``masks`` of the flats holding it.
-    The clique on a block B is itself a proper flat, B's one-block flat,
-    and every other flat holding B holds a second block and has higher
-    rank, so the one-block flat is B's first holder; the blocks come in
-    the order of their one-block flats.
-    """
-
-    masks: tuple[int, ...]
-    blocks: tuple[tuple[int, int, int], ...]
-
-
 @cache
-def _flat_table(n: int) -> _FlatTable:
-    """Built once per n from the set partitions of 2..n, with no graph: a
-    partition into two or more blocks, one of them of two or more labels,
-    is a proper flat, the OR of its blocks' clique masks."""
-    m = n - 1
-    edge_bit = {e: 1 << i for i, e in enumerate(combinations(range(m), 2))}
-    clique: dict[int, int] = {}  # vertex mask -> clique edge mask
-    rows = []
-    for part in set_partitions(range(m)):
-        if not 1 < len(part) < m:  # the full flat, or the empty one
-            continue
-        mask, vertices = 0, []
-        for block in part:
-            if len(block) > 1:
-                b = sum(1 << v for v in block)
-                if b not in clique:
-                    clique[b] = sum(edge_bit[e] for e in combinations(block, 2))
-                mask |= clique[b]
-                vertices.append(b)
-        rows.append((m - len(part), tuple(_positions(mask)), mask, vertices))
-    rows.sort()  # by rank, then by edge positions: enumerate_flats order
-    holders = dict.fromkeys(clique, 0)
-    for i, (_, _, _, vertices) in enumerate(rows):
-        for b in vertices:
-            holders[b] |= 1 << i
-    blocks = sorted(((b, c, holders[b]) for b, c in clique.items()), key=lambda x: x[2] & -x[2])
-    return _FlatTable(tuple(row[2] for row in rows), tuple(blocks))
+def _block_index(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Each block of the proper flats of ``_complete_lattice(n)`` once, as
+    ``(vertex mask, clique mask, holders)``: label v at bit v - 2 (as in
+    ``Graph.adjacency``), the clique's edge mask, and the bitset of the
+    positions of the flats holding it.  The clique on B is a proper flat,
+    and any other flat holding B has a second block and higher rank, so it
+    is B's first holder: the blocks come in the order of those flats."""
+    lattice = _complete_lattice(n)
+    holders: dict[int, int] = {}
+    for i in _positions(lattice.proper):
+        for b in lattice.blocks[i]:
+            holders[b] = holders.get(b, 0) | 1 << i
+    return tuple((b, lattice.masks[(h & -h).bit_length() - 1], h) for b, h in holders.items())
 
 
-# one byte per flat: 1 for a 0 bit of the unstable set, 0 for a 1 bit
-_STABLE_BYTE = bytes.maketrans(b"01", b"\x01\x00")
+# one byte per flat: 1 for a 1 bit of the stable set, 0 for a 0 bit
+_STABLE_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def verify_injectivity(gamma: Graph) -> InjectivityReport:
@@ -705,19 +671,19 @@ def verify_injectivity(gamma: Graph) -> InjectivityReport:
     and returned; ``report.agree`` says whether they agree, and the caller
     decides what a split means.
 
-    One pass over the blocks of ``_flat_table`` decides (a) and (b).  A
+    One pass over the blocks of ``_block_index`` decides (a) and (b).  A
     flat is stable when gamma's edge mask meets the clique mask of each of
     its blocks, so a block with no edge of gamma makes all its holders
-    unstable, and the other flats are stable; (a) holds when the stable
-    flats' restrictions ``mask & gmask`` are distinct.  For (b), a proper
+    unstable, and the other proper flats are stable; (a) holds when the
+    stable flats' restrictions ``mask & gmask`` are distinct.  For (b), a proper
     flat F of the complete graph is the disjoint union of the cliques on
     its blocks B, so F restricted to gamma is the disjoint union of the
     induced subgraphs gamma[B], and its rank is the sum over B of |B|
     minus the number of components of gamma[B].  That equals the rank of
     F, the sum of |B| - 1, exactly when every gamma[B] is connected.
 
-    The witness of (b) is the first stable flat, in ``enumerate_flats``
-    order, that loses rank, and it is a one-block flat.  Proof: let F be
+    The witness of (b) is the first stable flat, in the order of flats,
+    that loses rank, and it is a one-block flat.  Proof: let F be
     such a flat and B a block of F that gamma[B] leaves disconnected.  As
     F is stable, B holds an edge of gamma, so the clique on B is a stable
     flat; it loses rank, as B is disconnected; and unless it is F, it has
@@ -732,16 +698,17 @@ def verify_injectivity(gamma: Graph) -> InjectivityReport:
     _check_stability_graph(n, gamma)
     gmask = EdgeSet.from_edges(_complete_on(n), gamma.edges).mask
     adj = gamma.adjacency  # gamma is labeled 2..n, so label v is at position v - 2
-    masks, blocks = _flat_table(n)
+    lattice = _complete_lattice(n)
     unstable = 0
     witness = None
-    for vertices, clique, holders in blocks:
+    for vertices, clique, holders in _block_index(n):
         if not clique & gmask:
             unstable |= holders
         elif witness is None and not _connected_on(adj, vertices):
             witness = _complete_flat(n, clique)
-    stable = f"{unstable:0{len(masks)}b}"[::-1].encode().translate(_STABLE_BYTE)
-    images = set(map(gmask.__and__, compress(masks, stable)))
-    injective = len(images) == len(masks) - unstable.bit_count()
+    stable = lattice.proper & ~unstable
+    picks = f"{stable:0{len(lattice.masks)}b}"[::-1].encode().translate(_STABLE_BYTE)
+    images = set(map(gmask.__and__, compress(lattice.masks, picks)))
+    injective = len(images) == stable.bit_count()
     multipartite, triple = is_complete_multipartite(gamma)
     return InjectivityReport(injective, witness is None, multipartite, witness, triple)

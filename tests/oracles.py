@@ -9,7 +9,9 @@ distance class by Fraction sums, psi by inverting its matrix on the basis
 of two-element splits, graphic stability by the vertex-local rule, radial
 faces by weakly monotone level maps, a type's end hosts and its edge
 contractions, circuits as minimal dependent sets by
-pairwise comparison, lattice covers by containment of every pair of flats,
+pairwise comparison, the flats by deduplicating the cluster graphs of all
+vertex partitions, lattice covers by containment of every pair of flats,
+the covers and up-sets by containment read off each edge's holders,
 chains of flats by a successor scan over every pair of flats, the stable
 flats flat by flat, the connected graphs by filtering every edge subset, the
 trichotomy's injectivity and rank verdicts in two full passes, and the
@@ -36,7 +38,6 @@ from tropfan import (
     QnVector,
     QuotientVector,
     RadialType,
-    enumerate_flats,
     fan_json_chunks,
     graph_rank,
     is_complete_multipartite,
@@ -372,10 +373,68 @@ def circuits_by_pairs(g) -> list[frozenset]:
     ]
 
 
+def vertex_partitions(labels: Sequence[int]) -> list[list[list[int]]]:
+    """Every partition of ``labels`` into blocks, each partition of all but
+    the last label extended by the last label alone or in one of its
+    blocks."""
+    if not labels:
+        return [[]]
+    *rest, last = labels
+    out = []
+    for part in vertex_partitions(rest):
+        out.append(part + [[last]])
+        out += [part[:i] + [block + [last]] + part[i + 1 :] for i, block in enumerate(part)]
+    return out
+
+
+def flats_by_dedupe(g: Graph) -> list[Flat]:
+    """All flats of g, sorted by (rank, edge order): the restriction to g
+    of the cluster graph of every vertex partition, each distinct edge set
+    made a ``Flat`` once."""
+    seen: dict[int, Flat] = {}
+    for part in vertex_partitions(list(g.labels)):
+        mask = _cluster_mask(g, part)
+        if mask not in seen:
+            seen[mask] = Flat(EdgeSet(g, mask))
+    return sorted(seen.values(), key=lambda f: (f.rank, f.edges.edges))
+
+
+def lattice_by_containment(g: Graph, masks: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """The covers and strict up-sets of the flats of g with edge masks
+    ``masks`` (in canonical order), as lists of positions and as int
+    bitsets over positions, by containment: the flats containing flat i
+    are those that hold each of its edges, the AND of the bitsets of the
+    flats holding each edge, and its covers are the ones among them of
+    rank one more."""
+    everything = (1 << len(masks)) - 1
+    holders = [
+        sum(1 << j for j, m in enumerate(masks) if m >> e & 1) for e in range(len(g.edges))
+    ]
+    ranks = [graph_rank(g, EdgeSet(g, m)) for m in masks]
+    of_rank: dict[int, int] = {}
+    for j, r in enumerate(ranks):
+        of_rank[r] = of_rank.get(r, 0) | 1 << j
+    up = []
+    for i, m in enumerate(masks):
+        above = everything
+        for e in range(len(g.edges)):
+            if m >> e & 1:
+                above &= holders[e]
+        up.append(above & ~(1 << i))
+    covers = []
+    for i, r in enumerate(ranks):
+        band, above = up[i] & of_rank.get(r + 1, 0), []
+        while band:
+            above.append((band & -band).bit_length() - 1)
+            band &= band - 1
+        covers.append(above)
+    return covers, up
+
+
 def lattice_by_pairs(g) -> list[tuple]:
     """Covering pairs (child, parent) of the lattice of flats, tested on
     every ordered pair: a containment that raises the rank by one."""
-    flats = enumerate_flats(g)
+    flats = flats_by_dedupe(g)
     return [
         (a, b)
         for a in flats
@@ -386,19 +445,19 @@ def lattice_by_pairs(g) -> list[tuple]:
 
 @cache
 def flat_demand_rows(n: int) -> tuple[tuple[Flat, tuple[int, ...]], ...]:
-    """Each proper flat of the complete graph on 2..n, in ``enumerate_flats``
-    order, with the edge masks of the cliques on its blocks, read off the
+    """Each proper flat of the complete graph on 2..n, in canonical order,
+    with the edge masks of the cliques on its blocks, read off the
     ``Flat`` objects: what a stability graph must meet for the one-flat
     chain's type to be stable.  Cached per n, as the callers ask it for
     thousands of graphs."""
     ambient = Graph.complete(range(2, n + 1))
-    flats = enumerate_flats(ambient)[1:-1]  # the empty flat is first, the full one last
+    flats = flats_by_dedupe(ambient)[1:-1]  # the empty flat is first, the full one last
     return tuple((f, tuple(_cluster_mask(ambient, [b]) for b in f.blocks)) for f in flats)
 
 
 def stable_flats(n: int, gmask: int) -> list[Flat]:
-    """The proper flats of the complete graph on 2..n, in ``enumerate_flats``
-    order, whose one-flat type is stable for the graph with edge mask
+    """The proper flats of the complete graph on 2..n, in canonical order,
+    whose one-flat type is stable for the graph with edge mask
     ``gmask``, flat by flat: each of the flat's blocks must hold an edge of
     the graph."""
     return [f for f, demands in flat_demand_rows(n) if all(m & gmask for m in demands)]
@@ -638,10 +697,10 @@ def vector_cones(cones: dict) -> list[tuple]:
 
 
 def proper_flats(g: Graph) -> list:
-    """The nonempty flats other than the full edge set, in
-    ``enumerate_flats`` order, filtered from all the flats."""
+    """The nonempty flats other than the full edge set, in canonical
+    order, filtered from ``flats_by_dedupe``."""
     full = g.full_edge_set().mask
-    return [f for f in enumerate_flats(g) if f.mask not in (0, full)]
+    return [f for f in flats_by_dedupe(g) if f.mask not in (0, full)]
 
 
 def pairwise_chain_walk(flats):

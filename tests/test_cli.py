@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from tropfan import cli
 from tropfan.bergman import BalanceReport, edge_str
 from tropfan.cli import NAMED_GRAPHS, main, resolve_graph
-from tropfan import Graph, all_graphs, bergman_fan, enumerate_flats, parse_graph
+from tropfan import Graph, all_graphs, bergman_fan, parse_graph
 
-from oracles import lattice_by_pairs
+from oracles import flats_by_dedupe, lattice_by_pairs
 
 
 def run(capsys, *argv):
@@ -86,25 +86,33 @@ def test_fan_text_of_k7_finishes_in_five_seconds(capsys):
     assert out == "cones by dimension: 1,875,16674,74165,114345,56700\nbalanced: true\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["fan", "--graph", "complete:5"], ["fan", "--graph", "k4", "--format", "json"],
-     ["counts", "--complete", "5"], ["counts", "--complete", "7"]],
-    ids=["fan-text", "fan-json", "counts", "counts-flats-only"],
-)
-def test_fan_and_counts_enumerate_the_flats_once(argv, capsys, monkeypatch):
-    import tropfan.cli
+def count_flat_walks(monkeypatch) -> list:
+    """Patch the one walk over the set partitions that lists a graph's
+    flats (``matroid._flat_rows``) to record each graph it is run on."""
     import tropfan.matroid
 
     calls = []
-    enumerate_flats = tropfan.matroid.enumerate_flats
+    flat_rows = tropfan.matroid._flat_rows
 
     def counted(g):
         calls.append(g)
-        return enumerate_flats(g)
+        return flat_rows(g)
 
-    monkeypatch.setattr(tropfan.matroid, "enumerate_flats", counted)
-    monkeypatch.setattr(tropfan.cli, "enumerate_flats", counted)
+    monkeypatch.setattr(tropfan.matroid, "_flat_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fan", "--graph", "complete:5"], ["fan", "--graph", "k4", "--format", "json"],
+     ["counts", "--complete", "5"], ["counts", "--complete", "7"],
+     ["lattice", "--graph", "complete:5"], ["lattice", "--graph", "k4", "--format", "json"],
+     ["flats", "--graph", "complete:5"]],
+    ids=["fan-text", "fan-json", "counts", "counts-flats-only", "lattice-text", "lattice-json",
+         "flats"],
+)
+def test_fan_and_counts_enumerate_the_flats_once(argv, capsys, monkeypatch):
+    calls = count_flat_walks(monkeypatch)
     status, _ = run(capsys, *argv)
     assert status == 0
     assert len(calls) == 1
@@ -235,18 +243,7 @@ def test_project_refuses_targets_beyond_seven_labels(capsys):
 
 
 def test_lattice_covers_enumerate_the_flats_once(capsys, monkeypatch):
-    import tropfan.cli
-    import tropfan.matroid
-
-    calls = []
-    enumerate_flats = tropfan.matroid.enumerate_flats
-
-    def counted(g):
-        calls.append(g)
-        return enumerate_flats(g)
-
-    monkeypatch.setattr(tropfan.matroid, "enumerate_flats", counted)
-    monkeypatch.setattr(tropfan.cli, "enumerate_flats", counted)
+    calls = count_flat_walks(monkeypatch)
     for fmt in ("json", "dot"):
         calls.clear()
         status, _ = run(capsys, "lattice", "--graph", "complete:5", "--format", fmt)
@@ -266,7 +263,7 @@ def test_lattice_covers_match_the_pair_scan(capsys):
     and K5."""
     graphs = [g for k in range(5) for g in all_graphs(range(2, 2 + k))]
     for g in graphs + [Graph.complete(range(2, 7))]:
-        flats = enumerate_flats(g)
+        flats = flats_by_dedupe(g)
         position = {f: i for i, f in enumerate(flats)}
         pairs = [[position[a], position[b]] for a, b in lattice_by_pairs(g)]
         status, out = run(capsys, "lattice", "--graph", graph_spec(g), "--format", "json")

@@ -1,7 +1,10 @@
-"""The lattice of flats as one object: its up-sets, the chain walk on them,
-the census by a DP over them, and the balancing verdict read off its
-rank-2 intervals, each against a route that shares none of its code."""
+"""The lattice of flats as one object: its columns from the walk over
+vertex partitions, its covers and up-sets, the chain walk on them, the
+census by a DP over them, and the balancing verdict read off its rank-2
+intervals, each against a route that shares none of its code."""
 
+import random
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -16,6 +19,7 @@ from tropfan import (
     all_chains,
     all_graphs,
     bergman_fan,
+    enumerate_flats,
     is_balanced,
     lattice_balanced,
     moduli_fan_rad,
@@ -23,7 +27,13 @@ from tropfan import (
 from tropfan.cli import resolve_graph
 from tropfan.matroid import _chain_walk
 
-from oracles import pairwise_chain_walk, proper_flats, stable_flats
+from oracles import (
+    flats_by_dedupe,
+    lattice_by_containment,
+    pairwise_chain_walk,
+    proper_flats,
+    stable_flats,
+)
 
 
 def small_graphs():
@@ -46,6 +56,43 @@ def seven_end_stability_graphs():
         "path": Graph.from_edges([(v, v + 1) for v in range(2, 7)], labels),
         "cycle": Graph.from_edges([(v, v + 1) for v in range(2, 7)] + [(2, 7)], labels),
     }
+
+
+def random_graphs(num_labels: int, count: int, seed: int) -> list[Graph]:
+    """``count`` graphs on labels 2.., each label pair an edge with
+    probability one half."""
+    rng = random.Random(seed)
+    labels = tuple(range(2, 2 + num_labels))
+    pairs = list(combinations(labels, 2))
+    return [Graph(labels, tuple(e for e in pairs if rng.random() < 0.5)) for _ in range(count)]
+
+
+def test_lattice_columns_covers_and_up_sets_match_the_dedupe_route():
+    """The walk over vertex partitions that keeps those with connected
+    blocks gives the masks, ranks and blocks of the flats that deduplicating
+    every partition's cluster graph gives, in its order; the covers read
+    off block merges and the up-sets ORed from them are the ones read off
+    containment.  Every graph on at most five labels, K6 to K8, and seeded
+    random graphs on 7 and 8 labels."""
+    graphs = [g for nv in range(6) for g in all_graphs(range(2, 2 + nv))]
+    graphs += [Graph.complete(range(2, m + 2)) for m in (6, 7, 8)]
+    graphs += random_graphs(7, 6, 7) + random_graphs(8, 4, 8)
+    for g in graphs:
+        lattice = FlatLattice(g)
+        flats = flats_by_dedupe(g)
+        assert list(lattice.masks) == [f.mask for f in flats], g
+        assert list(lattice.ranks) == [f.rank for f in flats], g
+        position = {v: i for i, v in enumerate(g.labels)}
+        blocks = [sorted(sum(1 << position[v] for v in b) for b in f.blocks) for f in flats]
+        assert [sorted(b) for b in lattice.blocks] == blocks, g
+        assert (lattice.covers, lattice.up) == lattice_by_containment(g, lattice.masks), g
+
+
+def test_petersen_flats_match_the_dedupe_route():
+    """The 8,581 flats of the Petersen graph, from the 115,975 partitions
+    of its ten labels."""
+    g = resolve_graph("petersen-check")
+    assert enumerate_flats(g) == flats_by_dedupe(g)
 
 
 def test_up_sets_are_the_strict_containments():

@@ -36,7 +36,7 @@ from tropfan import (
     verify_injectivity,
 )
 from tropfan.graphs import EdgeSet, _connected_on
-from tropfan.matroid import set_partitions
+from tropfan.matroid import _positions, set_partitions
 
 from oracles import (
     caterpillar_by_growth,
@@ -346,48 +346,58 @@ def oracle_graphs():
 
 
 def unstable_flats(n, gmask) -> int:
-    """The bitset of the table's flats that are unstable for the graph
-    with edge mask ``gmask``: the holders of the blocks it has no edge in."""
+    """The bitset of the lattice positions of the proper flats that are
+    unstable for the graph with edge mask ``gmask``: the holders of the
+    blocks it has no edge in."""
     unstable = 0
-    for _, clique, holders in tm._flat_table(n).blocks:
+    for _, clique, holders in tm._block_index(n):
         if not clique & gmask:
             unstable |= holders
     return unstable
 
 
 @functools.cache
-def table_flats(n):
-    """Each of the table's flats as its edge mask and its blocks, read off
-    the blocks' holders: ``(vertex mask, clique mask)`` pairs in table
-    order."""
-    masks, blocks = tm._flat_table(n)
+def proper_positions(n) -> tuple[int, ...]:
+    """The positions of the proper flats in ``tm._complete_lattice(n)``."""
+    return tuple(_positions(tm._complete_lattice(n).proper))
+
+
+@functools.cache
+def indexed_flats(n):
+    """Each proper flat of the complete graph on 2..n as its edge mask,
+    from the lattice's masks column, and its blocks, read off the block
+    index's holders: ``(vertex mask, clique mask)`` pairs in index order."""
+    masks, index = tm._complete_lattice(n).masks, tm._block_index(n)
     return tuple(
-        (mask, tuple((v, c) for v, c, holders in blocks if holders >> i & 1))
-        for i, mask in enumerate(masks)
+        (masks[i], tuple((v, c) for v, c, holders in index if holders >> i & 1))
+        for i in proper_positions(n)
     )
 
 
-def test_flat_table_matches_flat_gamma_stable():
+def test_block_index_matches_flat_gamma_stable():
     for n in (5, 6, 7):
         ambient = Graph.complete(range(2, n + 1))
-        assert [mask for mask, _ in table_flats(n)] == [f.mask for f in proper_flats(ambient)]
+        assert [mask for mask, _ in indexed_flats(n)] == [f.mask for f in proper_flats(ambient)]
     for gamma in oracle_graphs():
         n = gamma.labels[-1]
         ambient = Graph.complete(range(2, n + 1))
         gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
         unstable = unstable_flats(n, gmask)
-        for i, (f, _) in enumerate(flat_demand_rows(n)):
+        for i, (f, _) in zip(proper_positions(n), flat_demand_rows(n)):
             stable = not unstable >> i & 1
             assert stable == flat_gamma_stable(f, gamma), (gamma.edges, f.edges.edges)
 
 
-def test_flat_table_masks_are_the_proper_flats_in_order():
-    """The table, built from vertex partitions, lists the proper flats of
-    the complete graph on 2..n in ``enumerate_flats`` order, for n = 4..9
-    (4,140 flats at n = 9)."""
+def test_lattice_masks_are_the_proper_flats_in_order():
+    """The masks column of the complete graph's lattice, built from vertex
+    partitions, lists at its proper positions the proper flats of the
+    complete graph on 2..n in canonical order, for n = 4..9 (4,140 flats
+    at n = 9)."""
     for n in range(4, 10):
         ambient = Graph.complete(range(2, n + 1))
-        assert tm._flat_table(n).masks == tuple(f.mask for f in proper_flats(ambient)), n
+        masks = tm._complete_lattice(n).masks
+        got = tuple(masks[i] for i in proper_positions(n))
+        assert got == tuple(f.mask for f in proper_flats(ambient)), n
 
 
 def test_flat_demands_are_the_flat_blocks():
@@ -399,9 +409,9 @@ def test_flat_demands_are_the_flat_blocks():
     first holder, in the order of those flats."""
     for n in (4, 5, 6, 7):
         ambient = Graph.complete(range(2, n + 1))
-        masks, blocks = tm._flat_table(n)
+        masks, blocks = tm._complete_lattice(n).masks, tm._block_index(n)
         flats = proper_flats(ambient)
-        for f, (mask, held) in zip(flats, table_flats(n)):
+        for f, (mask, held) in zip(flats, indexed_flats(n)):
             assert mask == f.mask
             expected = {
                 functools.reduce(operator.or_, (1 << ambient.labels.index(v) for v in b)):
@@ -424,13 +434,21 @@ def test_flat_demands_are_the_flat_blocks():
         firsts = [(holders & -holders).bit_length() - 1 for _, _, holders in blocks]
         assert firsts == sorted(firsts)
         for (v, clique, _), first in zip(blocks, firsts):
-            assert masks[first] == clique and table_flats(n)[first][1] == ((v, clique),)
+            held = indexed_flats(n)[proper_positions(n).index(first)][1]
+            assert masks[first] == clique and held == ((v, clique),)
+
+
+@functools.cache
+def complete_proper_flats(labels) -> list:
+    """The proper flats of the complete graph on ``labels``, enumerated
+    once per label set."""
+    return proper_flats(Graph.complete(labels))
+
 
 def verify_injectivity_by_flat(gamma):
-    """The per-flat computation the table replaced: every flat's radial type
-    is rebuilt and checked for stability against gamma."""
-    ambient = Graph.complete(gamma.labels)
-    stable = [f for f in proper_flats(ambient) if flat_gamma_stable(f, gamma)]
+    """The per-flat computation the block index replaced: every flat's
+    radial type is rebuilt and checked for stability against gamma."""
+    stable = [f for f in complete_proper_flats(gamma.labels) if flat_gamma_stable(f, gamma)]
     images = {}
     injective = True
     for f in stable:
@@ -499,11 +517,11 @@ def test_first_stable_flat_to_lose_rank_is_a_one_block_flat():
 
 
 def test_witness_order_mutation_is_caught(monkeypatch):
-    """A table that lists its blocks in reverse order, so that they are no
-    longer tested in the order of their one-block flats, makes some
+    """A block index that lists its blocks in reverse order, so that they
+    are no longer tested in the order of their one-block flats, makes some
     witness flat differ from the two-pass oracle's."""
-    table = tm._flat_table
-    monkeypatch.setattr(tm, "_flat_table", lambda n: table(n)._replace(blocks=table(n).blocks[::-1]))
+    index = tm._block_index
+    monkeypatch.setattr(tm, "_block_index", lambda n: index(n)[::-1])
     split = next(
         (
             g
@@ -520,15 +538,15 @@ def test_rank_survives_restriction_exactly_when_blocks_are_connected():
     F of the complete graph keeps its rank on restriction to gamma exactly
     when every block of F induces a connected subgraph of gamma.  Checked
     for every proper flat of the complete graph on gamma's labels, flat
-    stable or not, its blocks read off the table (budget 60 s, about 6 s
-    on a 2-core host)."""
+    stable or not, its blocks read off the block index (budget 60 s,
+    about 6 s on a 2-core host)."""
     start = time.perf_counter()
     for gamma in block_rule_graphs():
         n = gamma.labels[-1]
         ambient = Graph.complete(range(2, n + 1))
         gmask = EdgeSet.from_edges(ambient, gamma.edges).mask
         adj = gamma.adjacency
-        for (f, _), (mask, blocks) in zip(flat_demand_rows(n), table_flats(n)):
+        for (f, _), (mask, blocks) in zip(flat_demand_rows(n), indexed_flats(n)):
             assert mask == f.mask
             connected = all(_connected_on(adj, v) for v, _ in blocks)
             keeps_rank = graph_rank(ambient, EdgeSet(ambient, f.mask & gmask)) == f.rank
@@ -552,20 +570,21 @@ def test_block_rule_mutation_is_caught(monkeypatch):
     assert split is not None
 
 
-def test_importing_the_package_builds_no_flat_table():
-    """The flat table is built on first use, not at import, so importing
-    the package and its CLI (what a benchmark round's setup times) does
-    not pay for it."""
+def test_importing_the_package_builds_no_lattice_or_block_index():
+    """The complete graphs' lattices and block indexes are built on first
+    use, not at import, so importing the package and its CLI (what a
+    benchmark round's setup times) does not pay for them."""
     code = (
         "import tropfan, tropfan.cli, tropfan.tropmoduli as tm; "
-        "print(tm._flat_table.cache_info().currsize)"
+        "print(tm._complete_lattice.cache_info().currsize, "
+        "tm._block_index.cache_info().currsize)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(tm.__file__).resolve().parent.parent)}
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0\n"
+    assert done.stdout == "0 0\n"
 
 
 # ---------------------------------------------------------------------------
