@@ -18,16 +18,29 @@ with int or Fraction coordinates, as psi of a metric curve is rational)
 appear only at the API's edge: ``Cone.rays``, ``Fan.rays`` and
 ``primitive_normal`` make them on each call, and ``cone_with_rayset`` and
 ``with_weights`` read ray sets back to masks.  A fan makes each distinct
-ray's coordinates once, to order its cones, for the rows of the saturation
+ray's coordinates once, in their order, for the rows of the saturation
 certificate and for the JSON writer.  It keeps each cone as a row: its
 masks, weight, provenance and ray ids (its rays' positions in that order),
 which order the cones and which ``fan_json_chunks`` prints.  A row's
-provenance holds each source chain as the plain tuple of its ``Flat``s, as
-the lattice walk yields it: the walk only follows up-sets, so a walked
-chain is nested by construction, and the row check on its masks is its one
-check.  Balancing, projection, equality, the census and the writer read the
-rows; ``Cone`` objects, and the validating ``ChainOfFlats`` of their
-provenance, are made only at the API's edge, once per cone and fan.
+provenance holds each source chain as its ascending edge masks over the
+source graph that the fan records; a chain fan's row holds its own masks
+tuple.  The walk only joins comparable flats, so the row check on a
+walked chain's masks is its one check.  Balancing, projection, equality,
+the census and the writer read the rows; ``Cone`` objects, and the
+validating ``ChainOfFlats`` of their provenance, are made only at the
+API's edge, once per cone and fan, from one ``Flat`` per mask and fan.
+
+Ray order, the order of the rays' canonical coordinates, puts the sets
+that miss the last edge first and, within each group, a superset before
+its subsets.  Proof: where the coordinates first differ, a ray of the
+first group reads -1 or 0 and one of the second 0 or 1, not both 0; within
+a group, they first differ at the lowest edge in exactly one of the two
+sets, where the ray of the set holding it reads -1 against 0, or 0 against
+1, and that set is the larger of two nested ones.  So a chain fan's
+columns come in cone order, with no sort, from a depth-first walk over
+the flats in ray order (``matroid._chains_in_cone_order``), and the row
+builder sorts only rows in no known order: projection images and the
+cones handed to ``Fan``.
 
 The subdivision is unimodular: the canonical rays of a chain are signed
 indicators of a laminar family of edge sets (the sets missing the last edge
@@ -69,8 +82,8 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import intlinalg as ila
-from .graphs import Edge, Graph
-from .matroid import ChainOfFlats, Flat, FlatLattice, _chain_walk, graph_rank
+from .graphs import Edge, EdgeSet, Graph
+from .matroid import ChainOfFlats, Flat, FlatLattice, _chains_in_cone_order, _positions, graph_rank
 
 
 def _num(x):
@@ -187,6 +200,14 @@ def _check_row(masks: tuple[int, ...], weight, full: int):
         below = mask
 
 
+def _check_rows(chains: Sequence[tuple[int, ...]], weights: Sequence, full: int):
+    """``_check_row`` on every row, and refuse a chain given twice."""
+    for masks, weight in zip(chains, weights):
+        _check_row(masks, weight, full)
+    if len(set(chains)) < len(chains):
+        raise ValueError("conflicting cones: a ray set is given twice")
+
+
 @dataclass(frozen=True, slots=True)
 class Cone:
     """A cone spanned by the rays of a chain of edge sets, with weight and
@@ -222,15 +243,18 @@ class Fan:
 
     The fan stores each cone as a row, in cone order: its ascending masks,
     its weight, its provenance and its ray ids, one column each.  A row's
-    provenance is a tuple of source chains, each the tuple of its flats
-    (``Fan(ambient, cones)`` stores each given chain's ``flats``); the
-    ``Cone`` made from the row gets them back as ``ChainOfFlats``.  Every
-    cone lies over the fan's ambient edge list (a cone over another is
-    refused with ValueError), each chain is given at most once (a second
-    cone on it is refused, as no chain of flats yields one; ``project_fan``
-    merges its fibers before building the image), and the cone with no rays
-    is always present.  Cones are ordered by dimension and then by their
-    rays' canonical coordinates, so repeated construction is byte-stable.
+    provenance is a tuple of source chains, each the ascending masks of
+    its flats over the fan's source graph (``Fan(ambient, cones)`` stores
+    each given chain's masks, and refuses chains of two graphs with
+    ValueError); the row's ``Cone`` gets them back as ``ChainOfFlats``,
+    each distinct flat made once per fan.  Every cone lies over the fan's
+    ambient edge list (a cone over another is refused with ValueError),
+    each chain is given at most once (a second cone on it is refused, as
+    no chain of flats yields one; ``project_fan`` merges its fibers before
+    building the image), and the cone with no rays is always present.
+    Cones are ordered by dimension and then by ray ids, their rays'
+    positions in the order of the rays' canonical coordinates, so repeated
+    construction is byte-stable.
     ``Cone`` objects are made from the rows only when the API hands one out
     (``cones``, ``cones_of_dim``, ``cone_with_rayset`` and
     ``failing_face``), at most once per cone and fan.  The cones must be
@@ -244,79 +268,87 @@ class Fan:
 
     def __init__(self, ambient: Sequence[Edge], cones: Iterable[Cone]):
         ambient = tuple(ambient)
-        rows = []
+        rows, source = [], None
         for cone in cones:
             # every library fan shares its cones' ambient tuple; masks name
             # rays only over this one edge list
             if cone.ambient is not ambient and cone.ambient != ambient:
                 raise ValueError("a cone lies over another ambient edge list")
-            rows.append((cone.masks, cone.weight, tuple(c.flats for c in cone.provenance)))
-        self._build(ambient, rows)
+            for c in cone.provenance:
+                if c.flats:
+                    if source is not None and c.graph != source:
+                        raise ValueError("provenance chains of flats of two graphs")
+                    source = c.graph
+            chains = tuple(tuple(f.mask for f in c.flats) for c in cone.provenance)
+            rows.append((cone.masks, cone.weight, chains))
+        self._build(ambient, rows, source)
 
     @classmethod
-    def _from_rows(cls, ambient: tuple[Edge, ...], rows: Iterable[tuple]) -> "Fan":
+    def _from_rows(cls, ambient: tuple[Edge, ...], rows: Iterable[tuple], source) -> "Fan":
         """The fan of (masks, weight, provenance) rows over ``ambient``, the
-        provenance a tuple of chains, each a tuple of flats."""
+        provenance a tuple of chains, each of masks over ``source``."""
         fan = cls.__new__(cls)
-        fan._build(ambient, rows)
+        fan._build(ambient, rows, source)
         return fan
 
-    def _build(self, ambient: tuple[Edge, ...], rows: Iterable[tuple]):
-        """The row builder: check every (masks, weight, provenance) row
-        once, add the cone with no rays if it is missing, and lay the rows
-        out as columns in cone order."""
-        self.ambient = ambient
-        m, full = len(ambient), (1 << len(ambient)) - 1
+    def _build(self, ambient: tuple[Edge, ...], rows: Iterable[tuple], source):
+        """The row builder for rows in no known order: add the cone with no
+        rays if it is missing, and sort the rays, each cone's ray ids and
+        the rows into cone order, through their positions, so the sort makes
+        no tuple per row, which would stay tracked by the garbage collector."""
         chains, weights, provenance = [], [], []
         for masks, weight, origin in rows:
-            _check_row(masks, weight, full)
             chains.append(masks)
             weights.append(weight)
             provenance.append(origin)
-        distinct = set(chains)
-        if len(distinct) < len(chains):
-            raise ValueError("conflicting cones: a ray set is given twice")
-        if () not in distinct:
+        _check_rows(chains, weights, (1 << len(ambient)) - 1)
+        if () not in chains:
             chains.append(())
             weights.append(1)
             provenance.append(())
-        # each ray's canonical coordinates, made once and kept in their order
-        rays = sorted((_ray_coords(x, m), x) for x in {x for k in distinct for x in k})
-        del distinct  # freed before the sort, to keep a large fan's peak down
-        self._coords = {x: coords for coords, x in rays}
-        self._mask_of = {coords: x for coords, x in rays}  # read by ray-set lookups
-        rank = {x: i for i, (_, x) in enumerate(rays)}.__getitem__
-        # each cone's ray ids (positions among the rays), ascending, made
-        # once: they order the cones and the writer prints them.  The rows
-        # are ordered by dimension and then by ray ids through their
-        # positions, so the sort makes no tuple per row: such tuples would
-        # hold the provenance and stay tracked by the garbage collector.
+        m = len(ambient)
+        rays = sorted({x for k in chains for x in k}, key=lambda x: _ray_coords(x, m))
+        rank = {x: i for i, x in enumerate(rays)}.__getitem__
         ids = [tuple(sorted(map(rank, k))) for k in chains]
         order = sorted(range(len(ids)), key=ids.__getitem__)
         order.sort(key=list(map(len, ids)).__getitem__)  # stable
-        self._ray_ids = tuple(map(ids.__getitem__, order))
-        self._masks = tuple(map(chains.__getitem__, order))
-        self._weights = tuple(map(weights.__getitem__, order))
-        self._provenance = tuple(map(provenance.__getitem__, order))
-        self.max_dim = len(self._masks[-1])
+        columns = [tuple(map(c.__getitem__, order)) for c in (ids, chains, weights, provenance)]
+        self._lay_out(ambient, source, rays, *columns)
+
+    def _lay_out(self, ambient, source, rays, ray_ids, masks, weights, provenance):
+        """Keep the checked rows' columns, tuples in cone order, and each
+        ray's canonical coordinates, made once, in the order of ``rays``."""
+        self.ambient, self._source = ambient, source
+        self._coords = {x: _ray_coords(x, len(ambient)) for x in rays}
+        self._mask_of = {coords: x for x, coords in self._coords.items()}  # read by ray-set lookups
+        self._ray_ids, self._masks = ray_ids, masks
+        self._weights, self._provenance = weights, provenance
+        self.max_dim = len(masks[-1])
         # the cones of dimension d are the rows in by_dim[d]
         counts = [0] * (self.max_dim + 2)
-        for masks in self._masks:
-            counts[len(masks) + 1] += 1
+        for chain in masks:
+            counts[len(chain) + 1] += 1
         starts = list(accumulate(counts))
         self._by_dim = [range(a, b) for a, b in zip(starts, starts[1:])]
         self._made: dict[int, Cone] = {}
+        self._flats: dict[int, Flat] = {}  # the provenance's flats, by mask, made on request
         # what balancing reads off the masks column; reweighted copies share it
         self._balancing = _BalancingIndex()
 
     def _cone(self, i: int) -> Cone:
         """Row i as a ``Cone``, made on the first request, with each chain
-        of its provenance made a ``ChainOfFlats``."""
+        of its provenance made a ``ChainOfFlats`` of flats of the source
+        graph, each distinct flat made once per fan."""
         cone = self._made.get(i)
         if cone is None:
-            chains = tuple(map(ChainOfFlats, self._provenance[i]))
+            chains = tuple(ChainOfFlats(tuple(map(self._flat, k))) for k in self._provenance[i])
             cone = self._made[i] = Cone(self.ambient, self._masks[i], self._weights[i], chains)
         return cone
+
+    def _flat(self, mask: int) -> Flat:
+        if mask not in self._flats:
+            self._flats[mask] = Flat(EdgeSet(self._source, mask))
+        return self._flats[mask]
 
     @cached_property
     def cones(self) -> tuple[Cone, ...]:
@@ -411,11 +443,14 @@ def bergman_fan(g: Graph, lattice: Optional[FlatLattice] = None) -> Fan:
 
 def _chain_fan(lattice: FlatLattice, allowed: int) -> Fan:
     """One weight-one row per chain of the flats in the bitset ``allowed``
-    (proper flats of the lattice), on the chain's edge masks, with the
-    walk's tuple of flats as provenance.  The row builder's check of the
-    masks is the walked chain's one check."""
-    chains = _chain_walk(lattice, allowed)
-    return Fan._from_rows(lattice.graph.edges, ((masks, 1, (c,)) for c, masks in chains))
+    (proper flats of the lattice), on its masks, with them as provenance
+    over the lattice's graph, laid out as the walk yields them, in cone
+    order; the row check of the masks is the walked chain's one check."""
+    rays, ids, masks = _chains_in_cone_order(lattice, allowed)
+    fan, g, weights = Fan.__new__(Fan), lattice.graph, (1,) * len(masks)
+    _check_rows(masks, weights, (1 << len(g.edges)) - 1)  # before the provenance, for the peak
+    fan._lay_out(g.edges, g, rays, ids, masks, weights, tuple((k,) for k in masks))
+    return fan
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +691,7 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
             if t is not None and (not image or image[-1] != t):
                 image.append(t)
         merged.setdefault(tuple(image), []).extend(provenance)
-    return Fan._from_rows(gamma.edges, ((k, 1, tuple(f)) for k, f in merged.items()))
+    return Fan._from_rows(gamma.edges, ((k, 1, tuple(f)) for k, f in merged.items()), fan._source)
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:
@@ -733,18 +768,15 @@ def fan_json_chunks(fan: Fan, depth: int = 0, **fields) -> Iterator[str]:
         """json_array(items, depth + k) from the precomputed separators."""
         return "[" + nl[k + 1] + sep[k + 1].join(items) + nl[k] + "]" if items else "[]"
 
-    # Flats are looked up by id, which hashes far faster than their dataclass
-    # fields; the fan holds every flat while the chunks are made, and equal
-    # but distinct flats only cost a second, identical encoding.
-    flat_text: dict[int, str] = {}
+    source = [] if fan._source is None else [json_scalar(edge_str(e)) for e in fan._source.edges]
+    flat_text: dict[int, str] = {}  # each flat's block of source edge strings, by mask
 
-    def chain_block(chain: tuple[Flat, ...]) -> str:
+    def chain_block(chain: tuple[int, ...]) -> str:
         blocks = []
-        for f in chain:
-            text = flat_text.get(id(f))
+        for x in chain:
+            text = flat_text.get(x)
             if text is None:
-                edges = [json_scalar(edge_str(e)) for e in f.edges.edges]
-                text = flat_text[id(f)] = block(edges, 5)
+                text = flat_text[x] = block(list(map(source.__getitem__, _positions(x))), 5)
             blocks.append(text)
         return block(blocks, 4)
 

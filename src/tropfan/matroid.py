@@ -7,10 +7,12 @@ whose blocks each induce a connected subgraph, one partition per flat, and
 use: the ``Flat`` objects (each derives its blocks from its edge set and
 refuses a set that is not closed), the covers read off merges of two
 blocks joined by an edge, and each flat's strict up-set as an int bitset.
-Chains of flats are walked depth first on the up-sets, restricted to a
-bitset of allowed flats, and counted by length with a DP over the same
-up-sets, without building a chain; the rank-2 intervals, which the Bergman
-fan's balancing verdict reads, come off the covers.  The axiom verifiers
+The chains of a bitset of allowed flats are walked depth first in the
+order of their rays, on comparability bitsets read off the up-sets, and
+come out as edge masks in the order of their fan's cones, with no
+``Flat``; a DP over the same up-sets counts them by length without
+building a chain.  The rank-2 intervals, which the Bergman fan's
+balancing verdict reads, come off the covers.  The axiom verifiers
 exhaustively check a presented set system against one of the five axiom
 families (independence, bases, two rank systems, closure, circuits) and
 report the first counterexample in canonical order.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .graphs import EdgeSet, Graph, _cluster_mask, _connected_on, components, graph_rank, is_acyclic
@@ -262,37 +265,58 @@ def _positions(bits: int) -> Iterator[int]:
 
 def all_chains(g: Graph) -> Iterator[ChainOfFlats]:
     """Every strictly increasing chain of proper nonempty flats, the empty
-    chain included, in canonical (lexicographic on flat order) order."""
+    chain included, in cone order, the order of g's Bergman fan's cones: by
+    length, then by the flats' ray ids (``_chains_in_cone_order``)."""
     lattice = FlatLattice(g)
-    for flats, _ in _chain_walk(lattice, lattice.proper):
-        yield ChainOfFlats(flats)
+    flats, index = lattice.flats, lattice.index
+    for masks in _chains_in_cone_order(lattice, lattice.proper)[2]:
+        yield ChainOfFlats(tuple(flats[index[x]] for x in masks))
 
 
-def _chain_walk(
-    lattice: FlatLattice, allowed: int
-) -> Iterator[tuple[tuple[Flat, ...], tuple[int, ...]]]:
-    """Every strictly increasing chain of the flats in the bitset
-    ``allowed`` (proper flats of the lattice), as its flats and their edge
-    masks, the empty chain first, lexicographic on the flat order: a
-    depth-first walk that follows each chain ending at flat i by its
-    extensions through the flats of ``up[i] & allowed``, ascending.  On a
-    subset of the proper flats this is the subsequence of ``all_chains``
-    whose flats all lie in the subset.  ``all_chains`` makes each a
-    ``ChainOfFlats``, which checks it; a fan keeps the flat tuples as
-    provenance, and its row builder checks their masks."""
-    flats, up, masks = lattice.flats, lattice.up, lattice.masks
-    yield (), ()
-    # each entry is a chain, its masks, and the positions still to try after it
-    stack = [((), (), _positions(allowed))]
-    while stack:
-        chain, chain_masks, rest = stack[-1]
-        i = next(rest, None)
-        if i is None:
-            stack.pop()
-            continue
-        longer = (chain + (flats[i],), chain_masks + (masks[i],))
-        yield longer
-        stack.append((*longer, _positions(up[i] & allowed)))
+def _chains_in_cone_order(lattice: FlatLattice, allowed: int) -> tuple[list[int], tuple, tuple]:
+    """The strictly increasing chains of the flats in the bitset
+    ``allowed`` (proper flats of the lattice) in cone order, as ``(rays,
+    ids, masks)``: the allowed flats' masks in ray order (see ``bergman``),
+    and per chain, the empty one first, its ray ids (positions in
+    ``rays``) and its masks, each ascending.  A depth-first walk in ray
+    order extends a chain only by later flats comparable to every member
+    (bitsets read off the up-sets), so its preorder is lexicographic on ray
+    ids, and bucketing by length gives cone order.  Ray order lists the
+    flats that miss the last edge, which lie inside those that hold it,
+    then those, each group from the largest down: so each new flat is
+    prepended to its group's masks."""
+    masks, up = lattice.masks, lattice.up
+    m = len(lattice.graph.edges)
+    top = 1 << m >> 1  # the last edge; no edge at all gives 0
+    rays = sorted(  # by the last edge, then by the bit-reversed mask, descending
+        map(masks.__getitem__, _positions(allowed)),
+        key=lambda x: (x & top, -int(f"{x:0{m}b}"[::-1], 2)),
+    )
+    ray_id = {lattice.index[x]: a for a, x in enumerate(rays)}
+    later = [0] * len(rays)  # the later flats comparable to each
+    for p, a in ray_id.items():
+        for b in map(ray_id.__getitem__, _positions(up[p] & allowed)):
+            later[min(a, b)] |= 1 << max(a, b)
+    # a chain holds at most one flat of each rank
+    ids_by_length = [[()]] + [[] for _ in range(lattice.ranks[-1] + 1)]
+    masks_by_length = [[()]] + [[] for _ in range(lattice.ranks[-1] + 1)]
+
+    def extend(ids: tuple, low: tuple, high: tuple, candidates: int):
+        ids_out, masks_out = ids_by_length[len(ids) + 1], masks_by_length[len(ids) + 1]
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            b = bit.bit_length() - 1
+            x, longer = rays[b], ids + (b,)
+            lower, higher = (low, (x,) + high) if x & top else ((x,) + low, high)
+            ids_out.append(longer)
+            masks_out.append(lower + higher)
+            after = candidates & later[b]
+            if after:
+                extend(longer, lower, higher, after)
+
+    extend((), (), (), (1 << len(rays)) - 1)
+    return rays, *(tuple(chain.from_iterable(c)) for c in (ids_by_length, masks_by_length))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, compress, product
+from itertools import combinations, compress
 from typing import Iterable, Optional, Sequence, Union
 
 from .bergman import Fan, QuotientVector, _chain_fan, _check_rational, _num, _numerators
@@ -214,21 +214,25 @@ class RadialType:
 def radial_alignments(c: TropicalType) -> list[RadialType]:
     """All ordered partitions of the non-root vertices consistent with levels
     strictly increasing along bounded edges, by number of levels and then in
-    ``product`` order of the vertices' levels."""
-    vertices = list(range(1, c.num_vertices))
+    ``product`` order of the vertices' levels: for k levels, each vertex in
+    index order takes a level above its parent's (whose index is smaller),
+    and a branch stops when the vertices left cannot fill the empty levels."""
+    count, parent = c.num_vertices - 1, {v: u for u, v in c.edges}
+    level = [0] * c.num_vertices  # the root is at level 0
     out = []
-    for k in range(len(vertices) + 1):
-        needed = set(range(1, k + 1))
-        for values in product(range(1, k + 1), repeat=len(vertices)):
-            if needed - set(values):
-                continue
-            w = dict(zip(vertices, values))
-            w[0] = 0
-            if all(w[u] < w[v] for u, v in c.edges):
-                levels = tuple(
-                    frozenset(v for v in vertices if w[v] == lvl) for lvl in range(1, k + 1)
-                )
-                out.append(RadialType(c, levels))
+
+    def assign(v: int, k: int, used: int):
+        if v > count:
+            levels = [frozenset(u for u in range(1, v) if level[u] == i) for i in range(1, k + 1)]
+            out.append(RadialType(c, tuple(levels)))
+            return
+        for i in range(level[parent[v]] + 1, k + 1):
+            if k - (used | 1 << i).bit_count() <= count - v:
+                level[v] = i
+                assign(v + 1, k, used | 1 << i)
+
+    for k in range(count + 1):
+        assign(1, k, 0)
     return out
 
 

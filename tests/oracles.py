@@ -334,6 +334,28 @@ def psi_by_inverse(v: QnVector) -> QuotientVector:
     return QuotientVector.from_raw(edges, [-c for c in coeffs] + [0])
 
 
+def radial_alignments_by_product(c) -> list:
+    """The radial alignments of a type by filtering every level map: for
+    each number k of levels, each map from the non-root vertices to 1..k in
+    ``product`` order is kept when it uses every level and levels strictly
+    increase along the bounded edges."""
+    vertices = list(range(1, c.num_vertices))
+    out = []
+    for k in range(len(vertices) + 1):
+        needed = set(range(1, k + 1))
+        for values in product(range(1, k + 1), repeat=len(vertices)):
+            if needed - set(values):
+                continue
+            w = dict(zip(vertices, values))
+            w[0] = 0
+            if all(w[u] < w[v] for u, v in c.edges):
+                levels = tuple(
+                    frozenset(v for v in vertices if w[v] == lvl) for lvl in range(1, k + 1)
+                )
+                out.append(RadialType(c, levels))
+    return out
+
+
 def radial_faces_by_level_maps(c) -> list:
     """Faces of the radially subdivided cone of a type, one per weakly
     monotone level map: each non-root vertex gets a level 0..k, every level
@@ -572,15 +594,14 @@ def fan_to_json(fan) -> dict:
     ``fan_json_chunks`` writes.
 
     The cones are read off the fan's rows (masks, weight and provenance
-    flat tuples, in cone order), so no ``Cone`` or ``ChainOfFlats`` is
-    made for them; the API edge that makes those has its own tests.  Each
-    ray is made once per mask, as the one ray of the cone on that mask
-    over the fan's ambient, which all its cones share, and every cone
-    names its rays by their masks; the fan's own ray coordinates and ray
-    ids are not read.  Each flat's edge strings are made once, memoised by
-    the flat's ``id``: the fan holds every flat while this runs, and
-    hashing a flat's dataclass fields on every lookup would cost more than
-    the rest of the walk."""
+    chains, each the ascending edge masks of its flats over the fan's
+    source graph, in cone order), so no ``Cone``, ``ChainOfFlats`` or
+    ``Flat`` is made for them; the API edge that makes those has its own
+    tests.  Each ray is made once per mask, as the one ray of the cone on
+    that mask over the fan's ambient, which all its cones share, and every
+    cone names its rays by their masks; the fan's own ray coordinates and
+    ray ids are not read.  Each flat's edge strings are made once per
+    mask, from the source graph's edge list."""
     ray: dict[int, QuotientVector] = {}
     for masks in fan._masks:
         for x in masks:
@@ -588,14 +609,15 @@ def fan_to_json(fan) -> dict:
                 ray[x] = Cone(fan.ambient, (x,)).rays[0]
     rays = sorted(ray.items(), key=lambda item: item[1].coords)
     index = {x: i for i, (x, _) in enumerate(rays)}
-    flat_json: dict[int, list[str]] = {}  # each flat's edge strings, by id
+    source = fan._source.edges if fan._source is not None else ()
+    flat_json: dict[int, list[str]] = {}  # each flat's edge strings, by mask
 
     def chain_json(chain) -> list:
         out = []
-        for f in chain:
-            edges = flat_json.get(id(f))
+        for x in chain:
+            edges = flat_json.get(x)
             if edges is None:
-                edges = flat_json[id(f)] = [edge_str(e) for e in f.edges.edges]
+                edges = flat_json[x] = [edge_str(e) for i, e in enumerate(source) if x >> i & 1]
             out.append(edges)
         return out
 
@@ -722,6 +744,20 @@ def pairwise_chain_walk(flats):
     yield ChainOfFlats(())
     for idxs in extend([], range(len(flats))):
         yield ChainOfFlats(tuple(flats[i] for i in idxs))
+
+
+def ray_order(g: Graph, flats) -> list:
+    """``flats`` (nonempty proper flats of g) sorted by the coordinates of
+    their rays, ``ray_of_flat`` over g's edges."""
+    return sorted(flats, key=lambda f: ray_of_flat(f, g.edges).coords)
+
+
+def chains_in_cone_order(g: Graph, chains) -> list:
+    """``chains`` (of flats of g) sorted into cone order: by length, and
+    then by the ascending tuple of their flats' positions in ray order."""
+    chains = list(chains)
+    position = {f.mask: i for i, f in enumerate(ray_order(g, {f for c in chains for f in c}))}
+    return sorted(chains, key=lambda c: (len(c), sorted(position[f.mask] for f in c)))
 
 
 def vector_chain_fan(g: Graph, flats) -> dict:

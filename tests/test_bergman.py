@@ -730,6 +730,11 @@ def test_fan_json_shape(k4):
     maximal = [c for c in doc["cones"] if len(c["rays"]) == 2]
     assert all(c["weight"] == 1 for c in maximal)
     assert all(len(c["provenance"]) == 1 for c in doc["cones"])
+    # each cone's chain, read off its masks over K4, lists its flats' edges
+    for c in doc["cones"]:
+        (chain,) = c["provenance"]
+        assert len(chain) == len(c["rays"]) and all(chain)
+        assert all(set(a) < set(b) for a, b in zip(chain, chain[1:] + [doc["ambient"]]))
     import json
 
     assert json.dumps(doc) == json.dumps(fan_to_json(bergman_fan(k4)))

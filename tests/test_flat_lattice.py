@@ -25,13 +25,15 @@ from tropfan import (
     moduli_fan_rad,
 )
 from tropfan.cli import resolve_graph
-from tropfan.matroid import _chain_walk
+from tropfan.matroid import _chains_in_cone_order
 
 from oracles import (
+    chains_in_cone_order,
     flats_by_dedupe,
     lattice_by_containment,
     pairwise_chain_walk,
     proper_flats,
+    ray_order,
     stable_flats,
 )
 
@@ -109,16 +111,21 @@ def test_up_sets_are_the_strict_containments():
 
 
 def walk_checked(lattice: FlatLattice, allowed: int, flats) -> list[ChainOfFlats]:
-    """The walk's chains, after checking that the walk on the up-sets
-    yields the oracle's chains in its order, each one equal to a validated
-    chain of freshly built flats with the walk's masks."""
+    """The walk's chains, after checking that the walk in ray order yields
+    the oracle's chains sorted into cone order, as an exact sequence: its
+    rays are the allowed flats' masks in the order of their rays'
+    coordinates, each chain's masks are its flats' masks, ascending, and
+    its ray ids their positions among the rays, ascending; each chain
+    equals a validated chain of freshly built flats with the walk's masks."""
     g = lattice.graph
-    walked = list(_chain_walk(lattice, allowed))
-    chains = [ChainOfFlats(c) for c, _ in walked]
-    assert chains == list(pairwise_chain_walk(flats))
-    for chain, (_, masks) in zip(chains, walked):
-        assert masks == tuple(f.mask for f in chain)
-        assert ChainOfFlats(tuple(Flat(EdgeSet(g, m)) for m in masks)) == chain
+    rays, ids, masks = _chains_in_cone_order(lattice, allowed)
+    expected = chains_in_cone_order(g, pairwise_chain_walk(flats))
+    assert rays == [f.mask for f in ray_order(g, flats)]
+    assert masks == tuple(tuple(f.mask for f in chain) for chain in expected)
+    position = {x: i for i, x in enumerate(rays)}
+    assert ids == tuple(tuple(sorted(position[x] for x in chain)) for chain in masks)
+    chains = [ChainOfFlats(tuple(Flat(EdgeSet(g, m)) for m in chain)) for chain in masks]
+    assert chains == expected
     return chains
 
 

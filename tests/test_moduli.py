@@ -187,14 +187,16 @@ def moduli_fan_by_types(gamma, ambient, typed_cones):
 
 def assert_same_moduli_fan(n, gamma, typed, cones=True):
     """The chain walk's fan and the type route's agree row by row: masks,
-    weights and provenance flat tuples, in cone order, and in their JSON
-    dict form.  With ``cones``, the ``Cone`` objects and their
-    ``ChainOfFlats`` provenance made at the API edge are compared too."""
+    weights and provenance mask chains over one source graph, in cone
+    order, and in their JSON dict form.  With ``cones``, the ``Cone``
+    objects and their ``ChainOfFlats`` provenance made at the API edge are
+    compared too."""
     fan = moduli_fan_rad(n, gamma)
     oracle = moduli_fan_by_types(gamma, *typed)
     assert fan._masks == oracle._masks, gamma.edges
     assert fan._weights == oracle._weights, gamma.edges
     assert fan._provenance == oracle._provenance, gamma.edges
+    assert fan._source == oracle._source, gamma.edges
     if cones:
         assert fan.cones == oracle.cones, gamma.edges
         assert [c.provenance for c in fan.cones] == [c.provenance for c in oracle.cones]

@@ -16,7 +16,7 @@ from tropfan import (
     tropical_type,
 )
 
-from oracles import contract_edge, ends_at, radial_faces_by_level_maps
+from oracles import contract_edge, ends_at, radial_alignments_by_product, radial_faces_by_level_maps
 
 
 def double_factorial(k: int) -> int:
@@ -209,6 +209,20 @@ def test_end_one_always_at_root():
 
 # ---------------------------------------------------------------------------
 # Radial alignments and the face census
+
+
+def test_alignments_match_the_product_filter():
+    """The level maps enumerated directly, vertex by vertex, are the ones
+    the filter over every map keeps, in its order, for every type with 4 to
+    7 ends."""
+    count = 0
+    for n in range(4, 8):
+        for ts in enumerate_types(n).values():
+            for t in ts:
+                got = radial_alignments(t)
+                assert got == radial_alignments_by_product(t), t
+                count += len(got)
+    assert count == 9484
 
 
 def test_single_edge_type_has_one_alignment():
