@@ -51,15 +51,18 @@ and fans are equal when their chains and maximal weights are.  Balancing
 reads one index per masks column, which the reweighted copies of a fan
 share, as they share its masks: the maximal cones indexed by their
 facets' masks, built once, so each codimension-one face visits only its
-own star; each maximal cone certified once, by ``intlinalg.saturation``
-handing its rays back unchanged; and each face's verdict, kept per tuple
-of its star's weights, so each (face, star weights) test runs once.  Its
+own star; a flag that every maximal cone is certified, set by one loop
+on the column's first call, in which ``intlinalg.saturation`` hands each
+cone's rays back unchanged; and each face's verdict, kept per tuple of
+its star's weights, so each (face, star weights) test runs once.  Its
 span test needs no linear algebra: a vector lies in the span of a chain's
 rays plus the all-ones line exactly when it is constant on each layer F_1,
 F_2 - F_1, ..., E - F_k of the chain, so balancing adds the star's edge
 sets, weighted, on edge masks and compares the sums within each layer.
-The certificate is its one integer elimination left; the benchmark's gate
-still counts the ``saturation`` calls it makes.
+The certificate is the library's one integer elimination: exact row
+subtraction at unit pivots, which the chain's totally unimodular rays
+always offer.  It can never fail on a ``Cone``'s rays, and stays because
+the benchmark's gate counts the ``saturation`` calls it makes.
 
 A Bergman fan has weight one, and the star of a codimension-one face with
 the rank-2 gap [A, B] is the set of atoms of that interval of the lattice
@@ -402,7 +405,7 @@ class Fan:
         The chains are this fan's, so the new fan shares its masks,
         provenance and ray ids columns, its ray coordinates, its index of
         rows and maximal rows, and its balancing index (the stars, the
-        certified maximal rows and the verdicts by face and star weights),
+        certified flag and the verdicts by face and star weights),
         with this fan and every other copy of it; only the weights column
         is new."""
         rows = {self._row_of(rays): w for rays, w in overrides.items()}
@@ -485,8 +488,8 @@ def is_balanced(fan: Fan) -> BalanceReport:
     For each face tau of dimension max_dim - 1, the weighted sum of primitive
     normals of the maximal cones containing tau must lie in tau's rational
     span.  The normal of sigma over tau is the ray of the edge set G that
-    tau lacks, since sigma's rays are a basis of its lattice; each maximal
-    cone is certified so by ``_is_unimodular`` when a face first reaches it,
+    tau lacks, since sigma's rays are a basis of its lattice; every maximal
+    cone is certified so by ``_is_unimodular`` before any face is tested,
     and a cone that fails raises RuntimeError.  The span test is a layer
     test: tau's span holds the sum exactly when the sum of weight times
     indicator of G over tau's star is constant on each layer of tau's chain
@@ -495,14 +498,16 @@ def is_balanced(fan: Fan) -> BalanceReport:
 
     Everything but the weights is read off the fan's ``_BalancingIndex``,
     which the fan's reweighted copies share, as they share its masks
-    column: the purity verdict, each face's star (the maximal rows over it
-    and the masks they add, indexed in one pass over the maximal cones on
-    the column's first call), the certified maximal rows, and a verdict per
-    face and tuple of star weights, as the layer test depends on nothing
-    else.  So each masks column builds its stars once, certifies each
-    maximal cone once and runs each (face, star weights) layer test once.
-    A face certifies its star before its verdict is looked up, so a failed
-    certificate raises on every call and is never recorded.
+    column: the purity verdict, each face's star (how to pick the weights
+    of the maximal rows over it, and the masks they add, indexed in one
+    pass over the maximal cones on the column's first call), whether its
+    maximal cones are certified, and a verdict per face and tuple of star
+    weights, as the layer test depends on nothing else.  So each masks
+    column builds its stars once, certifies its maximal cones in one loop
+    on its first call and runs each (face, star weights) layer test once.
+    The certified flag is set only after every maximal cone has passed,
+    and before any verdict is looked up, so a failed certificate raises on
+    every call and is never recorded.
     """
     index = fan._balancing
     if index.pure is None:
@@ -513,20 +518,18 @@ def is_balanced(fan: Fan) -> BalanceReport:
         return BalanceReport(True)
     if index.stars is None:
         index.stars = _stars(fan)
-    chains, weights, coords = fan._masks, fan._weights, fan._coords
+    chains, weights, verdicts = fan._masks, fan._weights, index.verdicts
+    if not index.certified:
+        coords = fan._coords
+        for s in fan._by_dim[fan.max_dim]:
+            # the rays' canonical coordinates in their order; each ends in
+            # 0, which the lattice test leaves out
+            rays = sorted(coords[x] for x in chains[s])
+            if not _is_unimodular([list(r[:-1]) for r in rays]):
+                raise RuntimeError("a maximal cone's rays are not a basis of its lattice")
+        index.certified = True
     full = (1 << len(fan.ambient)) - 1
-    certified, verdicts = index.certified, index.verdicts
-    every = len(certified) == len(fan._maximal)  # then no face certifies
-    for t, rows, pick, added in index.stars:
-        if not every and not certified.issuperset(rows):
-            for s in rows:
-                if s not in certified:
-                    # the rays' canonical coordinates in their order; each
-                    # ends in 0, which the lattice test leaves out
-                    rays = sorted(coords[x] for x in chains[s])
-                    if not _is_unimodular([list(r[:-1]) for r in rays]):
-                        raise RuntimeError("a maximal cone's rays are not a basis of its lattice")
-                    certified.add(s)
+    for t, pick, added in index.stars:
         key = (t, pick(weights))
         verdict = verdicts.get(key)
         if verdict is None:
@@ -541,25 +544,26 @@ class _BalancingIndex:
     row builder and shared by reference with the reweighted copies of the
     fan, whose masks are the same: the purity verdict (None until the
     first call), the stars (None until the first call on a pure fan with
-    faces; see ``_stars``), the certified maximal rows, and the layer
-    test's verdict by (face row, star weights).  None of it depends on the
-    weights but through that key, and nothing is evicted: the index lives
-    as long as the column."""
+    faces; see ``_stars``), whether every maximal cone is certified (False
+    until a call certifies them all), and the layer test's verdict by
+    (face row, star weights).  None of it depends on the weights but
+    through that key, and nothing is evicted: the index lives as long as
+    the column."""
 
     __slots__ = ("pure", "stars", "certified", "verdicts")
 
     def __init__(self):
         self.pure: Optional[bool] = None
         self.stars: Optional[tuple[tuple, ...]] = None
-        self.certified: set[int] = set()
+        self.certified = False
         self.verdicts: dict[tuple[int, tuple[int, ...]], bool] = {}
 
 
 def _stars(fan: Fan) -> tuple[tuple, ...]:
     """Each codimension-one row t of the pure fan, in cone order, as (t,
-    rows, pick, added): the rows of the maximal cones over it, a function
-    from a weights column to the tuple of their weights, and the masks
-    they add to t, in the same order.  One pass over the maximal cones
+    pick, added): a function from a weights column to the tuple of the
+    weights of the maximal cones over it, and the masks they add to t, in
+    the same order.  One pass over the maximal cones
     indexes them by facet, keyed by edge masks; in a pure fan closed under
     faces every face of codimension one is a facet of some maximal cone."""
     chains = fan._masks
@@ -571,7 +575,7 @@ def _stars(fan: Fan) -> tuple[tuple, ...]:
     faces = []
     for t in fan._by_dim[fan.max_dim - 1]:
         rows, added = zip(*star[chains[t]])
-        faces.append((t, rows, _picker(rows), added))
+        faces.append((t, _picker(rows), added))
     return tuple(faces)
 
 
@@ -643,9 +647,14 @@ def _constant_on_layers(
 
 def _is_unimodular(rows: list[list[int]]) -> bool:
     """Whether ``saturation`` hands the (nonempty, independent) integer rows
-    back unchanged, as it does when the echelon kernel pivots on units only:
-    they are then a basis of the integer points of their span."""
-    return ila.saturation(rows, len(rows[0])) == rows
+    back unchanged: they are then a basis of the integer points of their
+    span.  Rows on which its unit pivots run out are refused, so the answer
+    is sound on all rows, and complete on rows that unit pivots reduce, as
+    every chain's rays are."""
+    try:
+        return ila.saturation(rows) == rows
+    except ValueError:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Slow, independent routes that the tests compare the library against.
 
-Rational Gauss-Jordan for ranks, span tests and inverses, span tests by
-integer echelon elimination, Hermite forms and lattice reduction, the
+Rational Gauss-Jordan for ranks, span tests and inverses, the integer
+elimination the library left behind (fraction-free echelon forms with
+non-unit pivots and span tests on them, Hermite forms with their
+transform, integer kernels, orthogonal complements and saturation as a
+double complement, which takes any rows), lattice reduction, the
 primitive normal of an arbitrary integer cone by its closed form, the dict
 form of a fan's JSON document (beside the library writer's chunks joined
 into one text), a graph's complement, the canonical
@@ -48,13 +51,6 @@ from tropfan import (
 )
 from tropfan.bergman import SCHEMA, _constant_on_layers, _num, edge_str
 from tropfan.graphs import _cluster_mask, is_acyclic, spanning_forest
-from tropfan.intlinalg import (
-    _eliminate,
-    echelon,
-    hnf_transform,
-    orthogonal_complement,
-    saturation,
-)
 from tropfan.matroid import Flat
 from tropfan.tropmoduli import pair_list
 
@@ -163,6 +159,82 @@ def in_rational_span(rows: Sequence[Sequence], target: Sequence) -> bool:
     return solve_in_span(rows, target) is not None
 
 
+# ---------------------------------------------------------------------------
+# Integer elimination: echelon forms, Hermite forms, kernels and saturations
+
+Mat = Sequence[Sequence[int]]
+
+
+def echelon(rows: Mat) -> tuple[list[list[int]], list[int], bool]:
+    """Row echelon form of integer rows, fraction-free.
+
+    Returns ``(E, pivots, unit)``: the nonzero rows E of an echelon form, the
+    pivot column of each row, and whether every pivot is 1 or -1.  Zero rows
+    are dropped, so ``len(E)`` is the rank.  Each step pivots on a unit
+    entry of a remaining row when there is one, and eliminates by exact
+    integer row subtraction; with no unit entry left it pivots on a smallest
+    entry, cross-multiplies and divides each changed row by its gcd.  Row i
+    of E vanishes in the pivot columns of rows 0..i-1.
+
+    When ``unit`` holds and no row was dropped, every step was unimodular
+    and the pivot columns of E form a triangular minor of determinant 1 or
+    -1, so the input rows are a basis of the integer points of their span.
+    """
+    pending = [list(r) for r in rows if any(r)]
+    out: list[list[int]] = []
+    pivots: list[int] = []
+    unit = True
+    while pending:
+        pick = _unit_entry(pending)
+        if pick is None:
+            unit = False
+            pick = min(
+                ((i, j) for i, r in enumerate(pending) for j, x in enumerate(r) if x),
+                key=lambda ij: abs(pending[ij[0]][ij[1]]),
+            )
+        i, col = pick
+        row = pending.pop(i)
+        out.append(row)
+        pivots.append(col)
+        rest = []
+        for r in pending:
+            if r[col]:
+                r = _eliminate(r, row, col)
+                if not any(r):
+                    continue
+            rest.append(r)
+        pending = rest
+    return out, pivots, unit
+
+
+def _unit_entry(rows: list[list[int]]) -> Optional[tuple[int, int]]:
+    """(row, column) of the first 1 or -1 in the first row holding one."""
+    for i, r in enumerate(rows):
+        if 1 in r:
+            return i, r.index(1)
+        if -1 in r:
+            return i, r.index(-1)
+    return None
+
+
+def _eliminate(target: list[int], row: list[int], col: int) -> list[int]:
+    """``target`` with its ``col`` entry cleared by the pivot row ``row``:
+    plain subtraction for a unit pivot, else cross-multiplication and
+    division by the result's gcd.  Its span together with ``row`` is kept."""
+    c = target[col]
+    if not c:
+        return target
+    a = row[col]
+    if a == 1 or a == -1:
+        q = c * a
+        return [x - q * y for x, y in zip(target, row)]
+    g = math.gcd(a, c)
+    a, c = a // g, c // g
+    out = [a * x - c * y for x, y in zip(target, row)]
+    g = math.gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
 def echelon_in_span(rows: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
     """Whether ``target`` lies in the rational span of integer ``rows``, by
     eliminating it against their fraction-free ``echelon`` form: the
@@ -174,9 +246,94 @@ def echelon_in_span(rows: Sequence[Sequence[int]], target: Sequence[int]) -> boo
     return not any(v)
 
 
+def hnf_transform(rows: Mat) -> tuple[list[list[int]], list[list[int]]]:
+    """Row Hermite normal form with transform: returns (H, U) with U*M = H.
+
+    U is unimodular; H is in row echelon form with positive pivots and entries
+    above each pivot reduced into [0, pivot).  Zero rows of H sink to the
+    bottom.
+    """
+    h = [list(r) for r in rows]
+    nrows = len(h)
+    ncols = len(h[0]) if nrows else 0
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    pivot_row = 0
+    for col in range(ncols):
+        # clear the column below pivot_row by gcd steps
+        while True:
+            nonzero = [i for i in range(pivot_row, nrows) if h[i][col] != 0]
+            if not nonzero:
+                break
+            i0 = min(nonzero, key=lambda i: abs(h[i][col]))
+            if i0 != pivot_row:
+                h[i0], h[pivot_row] = h[pivot_row], h[i0]
+                u[i0], u[pivot_row] = u[pivot_row], u[i0]
+            a = h[pivot_row][col]
+            done = True
+            for i in range(pivot_row + 1, nrows):
+                q = h[i][col] // a
+                if q:
+                    _row_sub(h[i], h[pivot_row], q)
+                    _row_sub(u[i], u[pivot_row], q)
+                if h[i][col]:
+                    done = False
+            if done:
+                break
+        if pivot_row < nrows and h[pivot_row][col] != 0:
+            if h[pivot_row][col] < 0:
+                h[pivot_row] = [-x for x in h[pivot_row]]
+                u[pivot_row] = [-x for x in u[pivot_row]]
+            a = h[pivot_row][col]
+            for i in range(pivot_row):
+                q = h[i][col] // a
+                if q:
+                    _row_sub(h[i], h[pivot_row], q)
+                    _row_sub(u[i], u[pivot_row], q)
+            pivot_row += 1
+            if pivot_row == nrows:
+                break
+    return h, u
+
+
+def _row_sub(target: list[int], source: list[int], q: int):
+    for j, s in enumerate(source):
+        if s:
+            target[j] -= q * s
+
+
+def left_kernel(rows: Mat) -> list[list[int]]:
+    """Basis of {x integer : x * M = 0}, as rows."""
+    h, u = hnf_transform(rows)
+    return [u[i] for i in range(len(h)) if not any(h[i])]
+
+
+def transpose(rows: Mat) -> list[list[int]]:
+    return [list(col) for col in zip(*rows)] if rows else []
+
+
+def orthogonal_complement(rows: Mat, ncols: int) -> list[list[int]]:
+    """Basis of the lattice of integer vectors orthogonal to all given rows."""
+    if not rows:
+        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    return left_kernel(transpose(rows))
+
+
+def complement_saturation(rows: Mat, ncols: int) -> list[list[int]]:
+    """Basis of (rational row span of ``rows``) intersected with Z^ncols,
+    as the double orthogonal complement: integer kernels are always
+    saturated.  It takes any integer rows, unit pivots or not."""
+    return orthogonal_complement(orthogonal_complement(rows, ncols), ncols)
+
+
 def hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Nonzero rows of the row Hermite normal form H of ``hnf_transform``."""
     return [r for r in hnf_transform(rows)[0] if any(r)]
+
+
+def saturated_hnf(rows: Mat, m: int) -> list[list[int]]:
+    """Lattice oracle: the Hermite form of the saturation of ``rows`` in
+    Z^m, by double orthogonal complement."""
+    return hnf(complement_saturation(rows, m))
 
 
 def hnf_reduce(basis_hnf: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
@@ -263,7 +420,7 @@ def lattice_normal(tau_rows: Sequence[Sequence[int]], extra: Sequence[int], m: i
         raise ValueError("extra lies in the span of tau's rows")
     if _dot(f, extra) < 0:
         f = [-x for x in f]
-    basis_sigma = saturation(tau_rows + [list(extra)], m)
+    basis_sigma = complement_saturation(tau_rows + [list(extra)], m)
     values = [_dot(f, b) for b in basis_sigma]
     g = math.gcd(*values)
     coeffs = solve_coeffs_one([v // g for v in values])
@@ -271,7 +428,7 @@ def lattice_normal(tau_rows: Sequence[Sequence[int]], extra: Sequence[int], m: i
         raise RuntimeError("quotient lattice is not cyclic of index one")
     u = [sum(c * b[j] for c, b in zip(coeffs, basis_sigma)) for j in range(m)]
     if tau_rows:
-        u = hnf_reduce(hnf(saturation(tau_rows, m)), u)
+        u = hnf_reduce(saturated_hnf(tau_rows, m), u)
     return u
 
 

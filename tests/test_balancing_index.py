@@ -1,16 +1,16 @@
 """One balancing index per masks column.
 
 ``is_balanced`` reads a fan's purity verdict, the star of each
-codimension-one face and the certified maximal cones off an index that
-the fan's reweighted copies share, and keeps each face's layer-test
-verdict by the tuple of its star's weights.  These tests hold it to the
-per-call body it replaced (``oracles.balance_per_call``): the same verdict
-and first failing face on Bergman fans, on every single-cone doubling, on
-copies of copies and copies balanced before their base fan, and on moduli
-fans and their projections.  They check that the copies share one index
-and a fan built again gets its own, that the stars are built once and
-each (face, star weights) layer test runs once, and that a memoised
-verdict does not let a face skip its certificate."""
+codimension-one face and whether its maximal cones are certified off an
+index that the fan's reweighted copies share, and keeps each face's
+layer-test verdict by the tuple of its star's weights.  These tests hold
+it to the per-call body it replaced (``oracles.balance_per_call``): the
+same verdict and first failing face on Bergman fans, on every single-cone
+doubling, on copies of copies and copies balanced before their base fan,
+and on moduli fans and their projections.  They check that the copies
+share one index and a fan built again gets its own, that the stars are
+built once and each (face, star weights) layer test runs once, and that
+a memoised verdict does not let a call skip the certificate."""
 
 from collections import Counter
 
@@ -100,7 +100,9 @@ def test_copies_share_one_index_and_a_rebuilt_fan_gets_its_own():
     assert verdict(rebuilt) == (True, None)
 
     def stars(f):
-        return [(t, rows, added) for t, rows, _, added in f._balancing.stars]
+        # the rows over each face, picked from a column holding its own row numbers
+        rows = range(len(f._masks))
+        return [(t, pick(rows), added) for t, pick, added in f._balancing.stars]
 
     assert stars(rebuilt) == stars(fan)
 
@@ -163,8 +165,8 @@ def test_reweightings_index_stars_once_and_test_each_key_once(index_calls):
 
 
 def test_a_memoised_verdict_does_not_skip_the_certificate(monkeypatch):
-    """Each face certifies its star before its verdict is looked up: with
-    every verdict memoised and the certified rows forgotten, a failing
+    """The maximal cones are certified before any verdict is looked up:
+    with every verdict memoised and the certified flag cleared, a failing
     certificate still raises, on the fan and on a copy, and records
     nothing; the next sound call certifies every maximal cone again."""
     k5 = complete_fan(5)
@@ -172,12 +174,12 @@ def test_a_memoised_verdict_does_not_skip_the_certificate(monkeypatch):
     assert is_balanced(k5).balanced and not is_balanced(heavy).balanced
     index = k5._balancing
     verdicts = dict(index.verdicts)
-    index.certified.clear()
-    monkeypatch.setattr(ila, "saturation", lambda rows, ncols: [[-x for x in r] for r in rows])
+    index.certified = False
+    monkeypatch.setattr(ila, "saturation", lambda rows: [[-x for x in r] for r in rows])
     for fan in (k5, heavy):
         with pytest.raises(RuntimeError, match="basis"):
             is_balanced(fan)
         assert not index.certified and index.verdicts == verdicts
     monkeypatch.undo()
     assert is_balanced(k5).balanced
-    assert index.certified == set(k5._maximal)
+    assert index.certified is True

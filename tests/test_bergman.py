@@ -21,12 +21,12 @@ from tropfan import (
 )
 from tropfan import intlinalg as ila
 from tropfan.bergman import _constant_on_layers, _is_unimodular
-from tropfan.intlinalg import orthogonal_complement
 
 from conftest import closed_fan, flat_of
 from oracles import (
     balance_per_call,
     cone_of_rays,
+    echelon,
     echelon_in_span,
     edge_mask,
     fan_to_json,
@@ -39,16 +39,12 @@ from oracles import (
     neg_vector,
     primitive_vector,
     rational_rank,
+    saturated_hnf,
     scale_vector,
     solve_in_span,
     sub_vectors,
 )
-
-
-def saturated_hnf(rows, m):
-    """Lattice oracle: the Hermite form of the saturation of ``rows`` in
-    Z^m, by double orthogonal complement."""
-    return hnf(orthogonal_complement(orthogonal_complement(rows, m), m))
+from test_cone_masks import K33, cycle_on
 
 
 def lattice_rows(cone):
@@ -246,7 +242,7 @@ def test_generic_normal_matches_lattice_definition(data):
     rows = data.draw(
         st.lists(st.lists(entries, min_size=m, max_size=m), min_size=k, max_size=k)
     )
-    independent, _, unit = ila.echelon(rows)
+    independent, _, unit = echelon(rows)
     assume(len(independent) == k and not unit)
     drop = data.draw(st.integers(0, k - 1))
     extra, tau_rows = rows[drop], rows[:drop] + rows[drop + 1:]
@@ -454,8 +450,8 @@ LAYER_FANS = {
 def test_layer_test_matches_echelon_span_test(name):
     """On every codimension-one face, with weight one on its star and with
     weights 1, 2, 3, ... in star order, the layer test agrees with the span
-    test on the integer echelon kernel.  Stars are found by ray sets here,
-    not by the edge masks ``is_balanced`` keys them by."""
+    test on the oracles' integer echelon form.  Stars are found by ray sets
+    here, not by the edge masks ``is_balanced`` keys them by."""
     fan = LAYER_FANS[name]()
     star = {}
     for sigma in fan.cones_of_dim(fan.max_dim):
@@ -575,16 +571,19 @@ def hermite_unimodular(rows):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Records each orthogonal complement taken.  ``saturation`` takes two
-    for each input the echelon kernel cannot settle by unit pivots."""
+    """Records the rows of each ``saturation`` call that refuses them, as
+    it does when its unit pivots run out."""
     calls = []
-    original = ila.orthogonal_complement
+    original = ila.saturation
 
-    def counted(rows, ncols):
-        calls.append(rows)
-        return original(rows, ncols)
+    def counted(rows):
+        try:
+            return original(rows)
+        except ValueError:
+            calls.append(rows)
+            raise
 
-    monkeypatch.setattr(ila, "orthogonal_complement", counted)
+    monkeypatch.setattr(ila, "saturation", counted)
     return calls
 
 
@@ -600,20 +599,21 @@ def fallbacks(monkeypatch):
 )
 def test_is_unimodular_matches_hermite_route(rows):
     """The certificate is sound: rows it accepts are a basis of their
-    saturation by the Hermite route.  It is complete on rows the echelon
-    kernel settles by unit pivots, as every chain's rays are."""
+    saturation by the Hermite route.  It is complete on rows that unit
+    pivots reduce (the oracles' ``echelon`` then reports unit pivots
+    only), as every chain's rays are."""
     assume(rational_rank(rows) == len(rows))  # a cone's rays are independent
     if _is_unimodular(rows):
         assert hermite_unimodular(rows)
-    if ila.echelon(rows)[2]:
+    if echelon(rows)[2]:
         assert _is_unimodular(rows)
 
 
 @pytest.mark.parametrize(
     "rows, expected, fallback",
     [
-        ([[2, 3]], True, True),  # saturated, but no unit entry
-        ([[2, 3], [3, 5]], True, True),  # determinant 1, no unit entry
+        ([[2, 3]], True, True),  # saturated, but no unit entry: refused
+        ([[2, 3], [3, 5]], True, True),  # determinant 1, no unit entry: refused
         ([[2, 4]], False, True),  # index 2 in its saturation
         ([[1, 0], [1, 2]], False, True),  # index 2
         ([[1, 0], [1, 1]], True, False),
@@ -622,7 +622,9 @@ def test_is_unimodular_matches_hermite_route(rows):
 )
 def test_is_unimodular_examples(rows, expected, fallback, fallbacks):
     """``expected`` is the Hermite route's verdict; the certificate holds
-    only when it does, and always without a fallback."""
+    only when it does, and never on rows ``saturation`` refuses.  It is
+    sound on all rows and complete on rows that unit pivots reduce, so the
+    saturated rows with no unit entry are refused, not certified."""
     certified = _is_unimodular(rows)
     assert bool(fallbacks) is fallback
     assert hermite_unimodular(rows) is expected
@@ -655,21 +657,46 @@ UNIT_PIVOT_FANS = {
 @pytest.mark.parametrize("name", sorted(UNIT_PIVOT_FANS))
 def test_chains_of_flats_take_unit_pivots(name, fallbacks):
     """Every cone of these fans builds, so its rays are those of a chain of
-    edge sets, and is certified by the echelon kernel's unit pivots, with
-    no Hermite fallback."""
+    edge sets, and is certified by ``saturation``'s unit pivots, with no
+    refusal."""
     fan = UNIT_PIVOT_FANS[name]()
     cones = [c for c in fan.cones if c.dim]
     assert cones and all(_is_unimodular(lattice_rows(c)) for c in cones)
     assert fallbacks == []
 
 
+MODULI_SHAPES = {
+    "complete": "complete",
+    "K33": K33,
+    "path": path_on(7),
+    "cycle": cycle_on(range(2, 8)),
+}
+MODULI_MAXIMAL_CONES = {"complete": 2700, "K33": 1152, "path": 408, "cycle": 588}  # 4,848 in all
+
+
+@pytest.mark.parametrize("shape", sorted(MODULI_SHAPES))
+def test_moduli_cones_saturate_to_themselves(shape, fallbacks):
+    """Every maximal cone of the moduli fan on 7 ends, for the stability
+    graphs of the benchmark's four shapes (complete, K3,3, path and
+    6-cycle on 2..7), is certified with no refusal, and its rays are a
+    basis of their saturation by the Hermite route."""
+    fan = moduli_fan_rad(7, MODULI_SHAPES[shape])
+    cones = fan.cones_of_dim(fan.max_dim)
+    for cone in cones:
+        rows = lattice_rows(cone)
+        assert _is_unimodular(rows)
+        assert hnf(rows) == saturated_hnf(rows, len(rows[0]))
+    assert fallbacks == []
+    assert len(cones) == MODULI_MAXIMAL_CONES[shape]
+
+
 def test_fallback_cones_are_counted(fallbacks):
     """The index-two cone's rays and a doubled ray, which no cone holds any
-    more, have no unit pivot: the certificate fails on both, after two
-    complements each."""
+    more, run out of unit pivots: the certificate fails on both, by one
+    refusal each."""
     assert not _is_unimodular([[1, 0], [1, 2]])
     assert not _is_unimodular([[2, 0]])
-    assert len(fallbacks) == 2 * 2
+    assert len(fallbacks) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ and the CLI's fan documents build no ``Flat`` at all.  The provenance
 tests rebuild every chain from its masks through fresh ``Flat``s and the
 validating constructor, for Bergman fans, moduli fans and their
 projections, fibers included; a walk that yields a chain that is not
-nested must be refused.  ``is_balanced`` records the maximal rows it
-certifies in the balancing index that reweighted copies share, so the
-certificate tests count ``saturation`` calls across reweightings and check
-that a failed certificate raises every time and records nothing."""
+nested must be refused.  ``is_balanced`` certifies every maximal row in
+one loop on a masks column's first call and then sets a flag in the
+balancing index that reweighted copies share, so the certificate tests
+count ``saturation`` calls across reweightings and check that a failed
+certificate raises every time and records nothing."""
 
 import random
 from collections import Counter
@@ -277,9 +278,9 @@ def saturation_calls(monkeypatch):
     calls = []
     saturation = ila.saturation
 
-    def counted(rows, ncols):
+    def counted(rows):
         calls.append(tuple(map(tuple, rows)))
-        return saturation(rows, ncols)
+        return saturation(rows)
 
     monkeypatch.setattr(ila, "saturation", counted)
     return calls
@@ -300,7 +301,7 @@ def test_reweighted_fans_certify_each_maximal_cone_once(saturation_calls):
     assert certified == len(k5.cones_of_dim(k5.max_dim)) == 180
     for fan in reweightings(k5):
         assert not is_balanced(fan).balanced
-        assert fan._balancing.certified is k5._balancing.certified
+        assert fan._balancing is k5._balancing
     assert len(saturation_calls) == certified
     # reweightings first, then the fan: still each cone once in all
     saturation_calls.clear()
@@ -311,19 +312,19 @@ def test_reweighted_fans_certify_each_maximal_cone_once(saturation_calls):
     assert is_balanced(k5).balanced
     counts = Counter(saturation_calls)
     assert len(counts) == len(saturation_calls) == 180
-    assert k5._balancing.certified == set(k5._maximal)
+    assert k5._balancing.certified is True
 
 
 def test_a_failed_certificate_raises_every_time_and_records_nothing(monkeypatch):
     k5 = bergman_fan(Graph.complete(range(2, 7)))
     heavy = reweightings(k5, 1)[0]
     # a basis of the same lattice, but not the rays handed in
-    monkeypatch.setattr(ila, "saturation", lambda rows, ncols: [[-x for x in r] for r in rows])
+    monkeypatch.setattr(ila, "saturation", lambda rows: [[-x for x in r] for r in rows])
     for fan in (k5, heavy, k5, heavy):
         with pytest.raises(RuntimeError, match="basis"):
             is_balanced(fan)
         assert not k5._balancing.certified
-        assert heavy._balancing.certified is k5._balancing.certified
+        assert heavy._balancing is k5._balancing
     monkeypatch.undo()
     assert not is_balanced(heavy).balanced
     assert is_balanced(k5).balanced

@@ -1,23 +1,27 @@
+"""The library's integer linear algebra, ``saturation`` at unit pivots and
+``det_int``, against the oracles' routes; and the oracles' own integer
+elimination (echelon forms, Hermite forms, kernels and the double
+complement) against rational elimination and each other."""
+
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropfan.intlinalg import (
-    det_int,
-    echelon,
-    hnf_transform,
-    left_kernel,
-    orthogonal_complement,
-    saturation,
-)
+from tropfan.intlinalg import det_int, saturation
 
 from oracles import (
+    complement_saturation,
+    echelon,
     echelon_in_span,
     hnf,
+    hnf_transform,
     in_lattice,
     in_rational_span,
     invert_rational,
+    left_kernel,
+    orthogonal_complement,
     primitive_vector,
     rational_rank,
     solve_coeffs_one,
@@ -54,14 +58,20 @@ def test_left_kernel_annihilates(m):
 
 
 def test_saturation_of_scaled_row():
-    sat = saturation([[2, 4, 6]], 3)
+    """A row with no unit entry: the library refuses it, and the double
+    complement saturates it."""
+    with pytest.raises(ValueError, match="unit entry"):
+        saturation([[2, 4, 6]])
+    sat = complement_saturation([[2, 4, 6]], 3)
     assert len(sat) == 1
     assert primitive_vector(sat[0]) in ([1, 2, 3], [-1, -2, -3])
 
 
 def test_saturation_contains_lattice():
     rows = [[2, 0, 2], [0, 3, 3]]
-    sat_hnf = hnf(saturation(rows, 3))
+    with pytest.raises(ValueError, match="unit entry"):
+        saturation(rows)
+    sat_hnf = hnf(complement_saturation(rows, 3))
     for r in rows:
         assert in_lattice(sat_hnf, r)
     # index vectors: (1,1,2) = half the sum is in the saturation, not the lattice
@@ -191,21 +201,26 @@ def test_unit_echelon_means_saturated(m):
         assert hnf(m) == hnf(complement_saturation(m, len(m[0])))
 
 
-def complement_saturation(m, ncols):
-    return orthogonal_complement(orthogonal_complement(m, ncols), ncols)
-
-
 @settings(max_examples=300)
 @given(m=integer_matrices())
 def test_saturation_matches_double_complement(m):
-    """Same lattice as the double complement; rows certified by unit pivots
-    come back as given, and dependent ones as a shorter basis."""
+    """Whenever unit pivots reduce the rows (the oracles' ``echelon``, which
+    takes a unit pivot whenever there is one, reports only unit pivots),
+    ``saturation`` gives the lattice of the double complement, of the same
+    rank; rows certified so come back as given, and dependent ones as the
+    shorter basis of the rows the elimination took.  Otherwise it raises."""
     if not m:
         return
     ncols = len(m[0])
-    basis = saturation(m, ncols)
+    rows, _, unit = echelon(m)
+    if not unit:
+        with pytest.raises(ValueError, match="unit entry"):
+            saturation(m)
+        return
+    basis = saturation(m)
     assert len(basis) == rational_rank(m)
     assert hnf(basis) == hnf(complement_saturation(m, ncols))
-    rows, _, unit = echelon(m)
-    if unit and len(rows) == len(m):
+    if len(rows) == len(m):
         assert basis == m
+    else:
+        assert basis == rows  # the rows the elimination took, in its order

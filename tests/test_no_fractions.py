@@ -2,7 +2,11 @@
 from ``fractions``.  The rational span solver and the generic primitive
 normal's coefficient solver and lattice reduction live only in the test
 oracles, so no module under ``tropfan`` may define ``solve_in_span``,
-``solve_coeffs_one`` or ``hnf_reduce``: a cone's normal has one path."""
+``solve_coeffs_one`` or ``hnf_reduce``: a cone's normal has one path.  The
+same holds for the integer elimination that takes non-unit pivots (the
+fraction-free ``echelon``, ``hnf_transform``, ``left_kernel``,
+``transpose`` and ``orthogonal_complement``): the library has one
+elimination path, ``saturation``'s unit pivots."""
 
 import ast
 from pathlib import Path
@@ -10,7 +14,16 @@ from pathlib import Path
 import tropfan
 
 PACKAGE = Path(tropfan.__file__).parent
-ORACLE_ONLY = {"solve_in_span", "solve_coeffs_one", "hnf_reduce"}
+ORACLE_ONLY = {
+    "solve_in_span",
+    "solve_coeffs_one",
+    "hnf_reduce",
+    "echelon",
+    "hnf_transform",
+    "left_kernel",
+    "transpose",
+    "orthogonal_complement",
+}
 
 
 def parsed(path):

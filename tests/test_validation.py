@@ -227,7 +227,7 @@ def test_broken_invariants_raise(k4, monkeypatch):
     monkeypatch.undo()
     fan = bergman.bergman_fan(k4)
     # a basis of the same lattice, but not the rays handed in
-    monkeypatch.setattr(bergman.ila, "saturation", lambda rows, ncols: [[-x for x in r] for r in rows])
+    monkeypatch.setattr(bergman.ila, "saturation", lambda rows: [[-x for x in r] for r in rows])
     with pytest.raises(RuntimeError, match="basis"):
         is_balanced(fan)
 
