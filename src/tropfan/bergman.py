@@ -39,8 +39,8 @@ sets, where the ray of the set holding it reads -1 against 0, or 0 against
 1, and that set is the larger of two nested ones.  So a chain fan's
 columns come in cone order, with no sort, from a depth-first walk over
 the flats in ray order (``matroid._chains_in_cone_order``), and the row
-builder sorts only rows in no known order: projection images and the
-cones handed to ``Fan``.
+builder sorts only rows in no known order: the images of a projection
+onto a proper subgraph and the cones handed to ``Fan``.
 
 The subdivision is unimodular: the canonical rays of a chain are signed
 indicators of a laminar family of edge sets (the sets missing the last edge
@@ -264,9 +264,13 @@ class Fan:
     closed under faces, which is checked when the maximal rows are first
     read: ``is_pure``, ``is_balanced``, ``fans_equal`` and ``with_weights``
     refuse a fan that is not with ValueError.  Each built fan gets its own
-    empty balancing index, which ``is_balanced`` fills and the fan's
-    reweighted copies share; a fan built again from the same cones starts
-    a new one.
+    empty balancing index, which ``is_balanced`` fills; a fan built again
+    from the same cones starts a new one.  A fan's copies, its reweighted
+    ones (``with_weights``) and its image under a projection onto every
+    edge (``project_fan``), share its masks, ray ids, ray coordinates and
+    provenance columns, its source graph, the indexes of rows and maximal
+    rows it has built and its balancing index; each has its own weights
+    column and makes its own ``Cone`` objects.
     """
 
     def __init__(self, ambient: Sequence[Edge], cones: Iterable[Cone]):
@@ -674,13 +678,29 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
     its trace F & E(gamma), or to zero when the trace is empty or all of
     gamma's edges; each image cone is the chain of its rays' nonzero
     traces.  Coinciding images are merged: each image cone keeps every
-    source cone's provenance as its fiber and carries weight one.
+    source cone's provenance as its fiber, joined in source row order, and
+    carries weight one.
+
+    When gamma holds every edge, every trace is its own set, so the image
+    is the fan itself with weight one (on chains of flats, the identity of
+    Ardila-Klivans).  It shares the fan's masks, ray ids, ray coordinates
+    and provenance columns, its source graph and its balancing index, as
+    ``Fan.with_weights`` copies do, with a new all-ones weights column; no
+    row is traced, checked or sorted again.  Otherwise each fiber is held
+    as its source row numbers while the images merge, a single row's
+    provenance is shared, and the images go through the sorting row builder.
     """
     complete_edges = tuple(combinations(gamma.labels, 2))
     if fan.ambient != complete_edges:
         raise ValueError(
             "fan ambient must be the complete graph on the target graph's labels"
         )
+    if len(gamma.edges) == len(complete_edges):
+        same = copy(fan)
+        same._weights = (1,) * len(fan._masks)
+        same._made, same._flats = {}, {}
+        same.__dict__.pop("cones", None)  # cached Cones carry the old weights
+        return same
     # gamma's edges keep their order among the complete graph's; each ray's
     # trace is kept if it is not empty or full, that is if its image is not 0
     positions = [i for i, e in enumerate(fan.ambient) if e in gamma.edge_index]
@@ -692,15 +712,33 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
             trace[x] = t
     # the traces of nested sets are nested, so a cone's image is read off
     # its ascending masks in order, skipping absent traces and repeats
-    merged: dict[tuple[int, ...], list] = {}
-    for masks, provenance in zip(fan._masks, fan._provenance):
+    fibers: dict[tuple[int, ...], list[int]] = {}
+    for r, masks in enumerate(fan._masks):
         image = []
         for x in masks:
             t = trace.get(x)
             if t is not None and (not image or image[-1] != t):
                 image.append(t)
-        merged.setdefault(tuple(image), []).extend(provenance)
-    return Fan._from_rows(gamma.edges, ((k, 1, tuple(f)) for k, f in merged.items()), fan._source)
+        key = tuple(image)
+        fiber = fibers.get(key)
+        if fiber is None:
+            fibers[key] = [r]  # a list of one, where append would allocate four
+        else:
+            fiber.append(r)
+    rows = _fiber_rows(fibers, fan._provenance)
+    del fibers  # freed, row numbers and all, when the row builder has read them
+    return Fan._from_rows(gamma.edges, rows, fan._source)
+
+
+def _fiber_rows(fibers: dict[tuple[int, ...], list[int]], provenance: tuple) -> Iterator[tuple]:
+    """The image rows of ``fibers``, each image's source row numbers, with
+    weight one and the rows' provenance chains joined (a single row's
+    shared), in the order the images came."""
+    for masks, rows in fibers.items():
+        if len(rows) == 1:
+            yield masks, 1, provenance[rows[0]]
+        else:
+            yield masks, 1, tuple(chain for r in rows for chain in provenance[r])
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:

@@ -351,11 +351,22 @@ SUITES = {
     "axioms": lambda args, out: _verify_axioms(out),
     "psi": lambda args, out: _verify_psi(out),
     "balancing": lambda args, out: _verify_balancing(out),
-    "theorem": lambda args, out: _verify_theorem(out, args.max_vertices),
+    "theorem": lambda args, out: _verify_theorem(
+        out, 4 if args.max_vertices is None else args.max_vertices
+    ),
 }
+
+# the one size each fixed suite runs, as its --max-vertices: graphs on up to
+# 4 vertices, n up to 6 ends, and the complete graphs up to K5
+FIXED_SIZES = {"axioms": 4, "psi": 6, "balancing": 5}
 
 
 def cmd_verify(args) -> int:
+    size = FIXED_SIZES.get(args.suite)
+    if size is not None and args.max_vertices not in (None, size):
+        raise ValueError(
+            f"verify {args.suite} supports only --max-vertices {size}, got {args.max_vertices}"
+        )
     lines: list[str] = []
     passed = SUITES[args.suite](args, lines.append)
     _emit("\n".join(lines), args.output)
@@ -399,7 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--max-vertices", type=int, default=4, dest="max_vertices")
+    p.add_argument(
+        "--max-vertices", type=int, default=None, dest="max_vertices",
+        help="theorem: 4..6 (default 4); axioms runs only 4, psi only 6 (its n) and "
+        "balancing only 5, and each refuses any other value",
+    )
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_verify)
 

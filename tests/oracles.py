@@ -19,7 +19,8 @@ chains of flats by a successor scan over every pair of flats, the stable
 flats flat by flat, the connected graphs by filtering every edge subset, the
 trichotomy's injectivity and rank verdicts in two full passes, and the
 caterpillar chain grown as a vertex set, balancing with its star index
-and layer tests made afresh on every call, and the vector route to a fan: cones
+and layer tests made afresh on every call, projection by tracing every row
+and sorting the merged images, and the vector route to a fan: cones
 built from their rays as vectors and keyed by ray sets, with projection by
 coordinates, and the vector arithmetic (zero, scaling, negation and
 difference) that builds test vectors.  None of these is on a library path.
@@ -49,7 +50,7 @@ from tropfan import (
     rho_split,
     tropical_type,
 )
-from tropfan.bergman import SCHEMA, _constant_on_layers, _num, edge_str
+from tropfan.bergman import SCHEMA, Fan, _constant_on_layers, _num, edge_str
 from tropfan.graphs import _cluster_mask, is_acyclic, spanning_forest
 from tropfan.matroid import Flat
 from tropfan.tropmoduli import pair_list
@@ -936,3 +937,29 @@ def vector_project_fan(cones: dict, gamma: Graph) -> dict:
         image = frozenset(p for p in (project_vector(r, gamma) for r in rays) if not p.is_zero)
         merged.setdefault(image, (1, []))[1].extend(provenance)
     return merged
+
+
+def project_by_sorting(fan, gamma: Graph):
+    """``project_fan`` with no shortcut: every row's image traced, merged
+    with the images equal to it, each fiber's provenance chains joined in
+    source row order, and the images sorted into cone order by the row
+    builder, all of weight one, the identity image included."""
+    complete_edges = tuple(combinations(gamma.labels, 2))
+    if fan.ambient != complete_edges:
+        raise ValueError("fan ambient must be the complete graph on the target graph's labels")
+    positions = [i for i, e in enumerate(fan.ambient) if e in gamma.edge_index]
+    full = (1 << len(positions)) - 1
+    trace = {}
+    for x in fan._coords:
+        t = sum(1 << j for j, i in enumerate(positions) if x >> i & 1)
+        if 0 < t < full:
+            trace[x] = t
+    merged: dict[tuple[int, ...], list] = {}
+    for masks, provenance in zip(fan._masks, fan._provenance):
+        image = []
+        for x in masks:
+            t = trace.get(x)
+            if t is not None and (not image or image[-1] != t):
+                image.append(t)
+        merged.setdefault(tuple(image), []).extend(provenance)
+    return Fan._from_rows(gamma.edges, ((k, 1, tuple(f)) for k, f in merged.items()), fan._source)

@@ -179,6 +179,22 @@ def test_verify_theorem_refuses_out_of_range_sizes(capsys):
         assert "between 4 and 6" in captured.err
 
 
+@pytest.mark.parametrize("suite, size, other", [("axioms", 4, 5), ("psi", 6, 8), ("balancing", 5, 6)])
+def test_fixed_verify_suites_refuse_another_size_before_any_work(suite, size, other, capsys, monkeypatch):
+    """Each fixed suite runs only the size it declares: another
+    ``--max-vertices`` exits 2, naming that size, before the suite starts;
+    its own size and the default run it."""
+    ran = []
+    monkeypatch.setitem(cli.SUITES, suite, lambda args, out: ran.append(args.max_vertices) or True)
+    status = main(["verify", suite, "--max-vertices", str(other)])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == "" and ran == []
+    assert f"supports only --max-vertices {size}, got {other}" in captured.err
+    assert main(["verify", suite, "--max-vertices", str(size)]) == 0
+    assert main(["verify", suite]) == 0
+    assert ran == [size, None]
+
+
 def test_verify_theorem_full_sweep_to_six_vertices(capsys, tmp_path):
     """All 27,470 connected graphs on 4 to 6 labels, in process, written with
     -o: the three tallies and the file's digest are the seed's (budget
