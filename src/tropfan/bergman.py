@@ -787,6 +787,19 @@ def json_array(items: Sequence[str], depth: int = 0) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + _INDENT * depth + "]"
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``: a hit is a plain
+    dict lookup, with no Python frame."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def fan_json_chunks(fan: Fan, depth: int = 0, **fields) -> Iterator[str]:
     """A fan's JSON document as string chunks in document order, whose
     concatenation is ``json.dumps(doc, indent=2)`` of the document at
@@ -799,12 +812,20 @@ def fan_json_chunks(fan: Fan, depth: int = 0, **fields) -> Iterator[str]:
     The fields are encoded on the call, so whatever ``json.dumps`` refuses,
     such as a Fraction field value, raises TypeError before any chunk is
     made.  The chunks are read off the fan's rows.  Each cone's chunk is
-    one concatenation of pieces prepared beforehand: the opening and
-    closing text of its rays and provenance blocks, one string per ray id
-    (its ids are the fan's own, ``Fan._ray_ids``) and one per weight value.
-    Each flat's block of edge strings is encoded once per call: a projected
-    fan's provenance repeats a few hundred flats tens of thousands of
-    times.
+    one ``"".join`` of pieces prepared beforehand or made by C calls: the
+    lead (the item separator and the opening of the rays block), the ray
+    ids joined (one string per id of the fan's own ``Fan._ray_ids``), the
+    weight text (the rays block's closing, the weight and the provenance
+    key, one string per weight value) and the provenance text.  Each
+    flat's block of edge strings is encoded on its first read and kept for
+    the call in a dict that fills its misses, so ``map`` reads a chain's
+    flat texts with no Python frame: a projected fan's provenance repeats
+    a few hundred flats tens of thousands of times.  A provenance of one
+    nonempty chain, as every cone of a chain fan and every unmerged image
+    cone has, is that chain's flat texts joined between an opening and a
+    closing string prepared once, three pieces of the cone's one join; a
+    merged fiber, or a provenance with no chain or an empty one, is one
+    block of its chains' blocks.
     """
     # nl[k] starts a line at nesting depth + k; sep[k] ends an item before it
     nl = ["\n" + _INDENT * (depth + k) for k in range(7)]
@@ -816,16 +837,16 @@ def fan_json_chunks(fan: Fan, depth: int = 0, **fields) -> Iterator[str]:
         return "[" + nl[k + 1] + sep[k + 1].join(items) + nl[k] + "]" if items else "[]"
 
     source = [] if fan._source is None else [json_scalar(edge_str(e)) for e in fan._source.edges]
-    flat_text: dict[int, str] = {}  # each flat's block of source edge strings, by mask
+    # each flat's block of source edge strings, by mask, made on its first read
+    flat_text = _Memo(lambda x: block(list(map(source.__getitem__, _positions(x))), 5)).__getitem__
+    flat_sep, open_chain, close_chain = sep[5], "[" + nl[5], nl[4] + "]"
 
-    def chain_block(chain: tuple[int, ...]) -> str:
-        blocks = []
-        for x in chain:
-            text = flat_text.get(x)
-            if text is None:
-                text = flat_text[x] = block(list(map(source.__getitem__, _positions(x))), 5)
-            blocks.append(text)
-        return block(blocks, 4)
+    def chains_text(chains: tuple) -> str:
+        """The provenance block of any chains, and the cone's closing brace."""
+        return block(
+            [open_chain + flat_sep.join(map(flat_text, c)) + close_chain if c else "[]" for c in chains],
+            3,
+        ) + nl[2] + "}"
 
     def chunks() -> Iterator[str]:
         yield (
@@ -837,27 +858,30 @@ def fan_json_chunks(fan: Fan, depth: int = 0, **fields) -> Iterator[str]:
         )
         # a cone is {"rays": [ids], "weight": w, "provenance": [chains]};
         # ray ids and chains are both items at depth + 4
-        item = sep[4]
-        open_rays, close_rays = "{" + nl[3] + '"rays": [' + nl[4], nl[3] + "]"
-        no_rays = "{" + nl[3] + '"rays": []'
-        open_chains, close_chains = "[" + nl[4], nl[3] + "]" + nl[2] + "}"
-        no_chains = "[]" + nl[2] + "}"
         weight_text = {
-            w: sep[3] + '"weight": ' + json_scalar(w) + sep[3] + '"provenance": '
+            w: nl[3] + "]" + sep[3] + '"weight": ' + json_scalar(w) + sep[3] + '"provenance": '
             for w in set(fan._weights)
         }
         # the fan's rays are its ray coordinates' keys, in their order
         name = [str(i) for i in range(len(fan._coords))].__getitem__
-        lead = nl[2]  # a fan always holds the cone with no rays
-        for ids, weight, chains in zip(fan._ray_ids, fan._weights, fan._provenance):
-            yield (
-                lead
-                + (open_rays + item.join(map(name, ids)) + close_rays if ids else no_rays)
-                + weight_text[weight]
-                + (open_chains + item.join(map(chain_block, chains)) + close_chains
-                   if chains else no_chains)
-            )
-            lead = sep[2]
+        rows = zip(fan._ray_ids, fan._weights, fan._provenance)
+        # the first row is the cone with no rays, which a fan always holds
+        _, weight, chains = next(rows)
+        yield (
+            nl[2] + "{" + nl[3] + '"rays": []' + sep[3] + '"weight": ' + json_scalar(weight)
+            + sep[3] + '"provenance": ' + chains_text(chains)
+        )
+        lead, item = sep[2] + "{" + nl[3] + '"rays": [' + nl[4], sep[4]
+        open_one, close_one = "[" + nl[4] + open_chain, close_chain + nl[3] + "]" + nl[2] + "}"
+        join = "".join
+        for ids, weight, chains in rows:
+            if len(chains) == 1 and chains[0]:
+                yield join((
+                    lead, item.join(map(name, ids)), weight_text[weight],
+                    open_one, flat_sep.join(map(flat_text, chains[0])), close_one,
+                ))
+            else:
+                yield join((lead, item.join(map(name, ids)), weight_text[weight], chains_text(chains)))
         yield nl[1] + "]" + tail + nl[0] + "}"
 
     return chunks()

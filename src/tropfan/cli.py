@@ -1,15 +1,17 @@
 """Command-line frontend: flats, lattices, fans, moduli fans, projections,
 verification suites, and census tables, as JSON / DOT / text documents.
 
-Exit status: 0 on success, 1 when a verification suite finds a failure,
-2 on malformed input.
+Exit status: 0 on success, 1 when a verification suite finds a failure or
+the reader of stdout closes it before the output ends, 2 on malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
@@ -74,12 +76,30 @@ def resolve_graph(spec: str) -> Graph:
     return parse_graph(spec.replace(",", "\n").replace(";", "\n"))
 
 
+# chunks joined into one write; a fan document's cone chunks run to a few
+# hundred bytes, so a batch holds some hundred kilobytes
+EMIT_BATCH = 512
+
+
+def _batches(chunks: Iterable[str]) -> Iterator[str]:
+    """The chunks joined EMIT_BATCH at a time, in order.  A batch ends the
+    stream only when no chunk is left, not when its text is empty, and no
+    list of its chunks outlives the join."""
+    it = iter(chunks)
+    for first in it:
+        yield "".join((first, *islice(it, EMIT_BATCH - 1)))
+
+
 def _emit(doc: Union[str, Iterable[str]], output: Optional[str]):
     """Write a document, given whole or as string chunks in order, and the
-    final newline, to the file ``output`` or to stdout; each chunk is
-    written as it comes, so a streamed document is never held whole.  An
-    output path that cannot be written is malformed input (exit status 2)."""
-    chunks = (doc,) if isinstance(doc, str) else doc
+    final newline, to the file ``output`` or to stdout.  The chunks are
+    written in batches of EMIT_BATCH, each joined once, as they come, so a
+    streamed document is never held whole.  An output path that cannot be
+    written is malformed input (exit status 2).  When the reader of stdout
+    closes it early (``tropfan fan ... | head``), stdout is pointed at
+    os.devnull, so the flush at shutdown cannot fail again, and the
+    process exits with status 1, with no traceback."""
+    chunks = (doc,) if isinstance(doc, str) else _batches(doc)
     if output:
         try:
             with open(output, "w") as fh:
@@ -88,8 +108,13 @@ def _emit(doc: Union[str, Iterable[str]], output: Optional[str]):
         except OSError as exc:
             raise ValueError(f"cannot write {output}: {exc}") from exc
     else:
-        sys.stdout.writelines(chunks)
-        sys.stdout.write("\n")
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SystemExit(1)
 
 
 def _flat_json(g: Graph, mask: int) -> list[str]:

@@ -4,9 +4,13 @@ chunks."""
 
 import gc
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +25,8 @@ from tropfan import (
     moduli_fan_rad,
     project_fan,
 )
-from tropfan.cli import NAMED_GRAPHS, _emit, main, resolve_graph
+from tropfan import cli
+from tropfan.cli import EMIT_BATCH, NAMED_GRAPHS, _emit, main, resolve_graph
 
 from oracles import fan_json_text, fan_to_json, make_cone
 
@@ -140,13 +145,39 @@ def test_fraction_field_is_refused_before_the_first_chunk(k4):
 
 
 def test_emit_writes_the_same_bytes_to_a_file_and_to_stdout(k4, tmp_path, capsys):
+    """K4's document, whole and in chunks that fit one batch; K6's chunks,
+    which span several batches; and a stream with runs of empty chunks
+    longer than a batch, which must not end the stream."""
     fan = bergman_fan(k4)
+    k6 = bergman_fan(Graph.complete(range(2, 8)))
+    assert len(list(fan_json_chunks(fan))) < EMIT_BATCH < 3 * EMIT_BATCH < sum(k6.census())
+    gaps = ["a", *[""] * (2 * EMIT_BATCH), "b", *[""] * EMIT_BATCH, "c", ""]
+    inputs = [
+        (lambda: fan_json_chunks(fan, balanced=True), oracle(fan, balanced=True)),
+        (lambda: oracle(fan, balanced=True), oracle(fan, balanced=True)),
+        (lambda: fan_json_chunks(k6, balanced=True), fan_json_text(k6, balanced=True)),
+        (lambda: iter(gaps), "abc"),
+    ]
     target = tmp_path / "fan.json"
-    expected = (oracle(fan, balanced=True) + "\n").encode()
-    for make in (lambda: fan_json_chunks(fan, balanced=True), lambda: oracle(fan, balanced=True)):
+    for make, text in inputs:
+        expected = (text + "\n").encode()
         _emit(make(), str(target))
         _emit(make(), None)
         assert target.read_bytes() == capsys.readouterr().out.encode() == expected
+
+
+def test_closed_stdout_exits_1_with_no_traceback():
+    """``tropfan fan ... | head -c 100``: the reader closes the pipe while
+    K6's document (about 4 MB, far beyond a pipe's buffer) is still being
+    written, and the CLI exits with status 1 and writes nothing to stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    argv = [sys.executable, "-m", "tropfan.cli", "fan", "--graph", "complete:6", "--format", "json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(100).startswith(b'{\n  "schema": 1,')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_streamed_k6_document_is_never_held_whole(tmp_path):
