@@ -85,8 +85,8 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import intlinalg as ila
-from .graphs import Edge, EdgeSet, Graph
-from .matroid import ChainOfFlats, Flat, FlatLattice, _chains_in_cone_order, _positions, graph_rank
+from .graphs import Edge, EdgeSet, Graph, graph_rank
+from .matroid import ChainOfFlats, Flat, FlatLattice, _chains_in_cone_order, _positions
 
 
 def _num(x):

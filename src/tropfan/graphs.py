@@ -3,14 +3,17 @@
 Vertices carry integer labels (the stability graphs used elsewhere live on
 labels 2..n).  All orderings are canonical: labels ascending, edges sorted
 lexicographically with the smaller endpoint first.  Every value here is
-immutable and hashable.
+immutable and hashable.  Connectivity runs on bitmasks of label positions:
+``_fold``, the one component routine, joins an edge set's edges in
+canonical order (``_join``) into component vertex masks and the greedy
+spanning forest.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -76,6 +79,11 @@ class Graph:
             adj[index[a]] |= 1 << index[b]
             adj[index[b]] |= 1 << index[a]
         return tuple(adj)
+
+    @cached_property
+    def end_bits(self) -> tuple[tuple[int, int], ...]:
+        """Each edge's two ends as label-position bits, in edge order."""
+        return tuple((1 << self.labels.index(a), 1 << self.labels.index(b)) for a, b in self.edges)
 
     @property
     def num_vertices(self) -> int:
@@ -153,71 +161,63 @@ def parse_graph(text: str) -> Graph:
     return Graph.from_edges(edges, labels)
 
 
-def _union_find(g: Graph, s: EdgeSet) -> tuple[dict[int, int], int]:
-    """One union-find pass over ``s`` in canonical edge order: the root of
-    each non-isolated vertex, and the mask of the greedy spanning forest."""
-    parent: dict[int, int] = {}
+def _join(blocks: tuple[int, ...], ends: tuple[int, int]) -> tuple[tuple[int, ...], bool]:
+    """The components ``blocks`` (vertex bitmasks of two or more vertices)
+    joined by an edge with end bits ``ends``, and whether the edge raised
+    the rank: it does unless one block holds both ends."""
+    x, y = bx, by = ends
+    for b in blocks:
+        if b & x:
+            bx = b
+        if b & y:
+            by = b
+    if bx == by:
+        return blocks, False
+    return tuple([b for b in blocks if b != bx and b != by]) + (bx | by,), True
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
 
-    forest = 0
-    mask = s.mask
+def _fold(g: Graph, s: EdgeSet) -> tuple[tuple[int, ...], int]:
+    """The one component routine: ``s``'s edges joined in canonical edge
+    order, giving the vertex bitmasks of its components with an edge and
+    the mask of the greedy spanning forest, the edges that raised the rank."""
+    if s.graph != g:
+        raise ValueError("edge set does not belong to this graph")
+    blocks, forest, mask, ends = (), 0, s.mask, g.end_bits
     while mask:
         low = mask & -mask
         mask ^= low
-        a, b = g.edges[low.bit_length() - 1]
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+        blocks, grew = _join(blocks, ends[low.bit_length() - 1])
+        if grew:
             forest |= low
-    return {v: find(v) for v in parent}, forest
+    return blocks, forest
+
+
+def _labelled(g: Graph, blocks: Iterable[int]) -> list[tuple[int, ...]]:
+    """Vertex bitmasks as label tuples, sorted by smallest member."""
+    return sorted(tuple(v for i, v in enumerate(g.labels) if b >> i & 1) for b in blocks)
+
+
+@lru_cache(maxsize=4096)
+def _induced(g: Graph, vertices: int) -> int:
+    """Mask of g's edges with both ends in the vertex bitmask ``vertices``,
+    memoised."""
+    return sum(1 << i for i, (x, y) in enumerate(g.end_bits) if vertices & x and vertices & y)
 
 
 def components(g: Graph, s: EdgeSet) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components of ``s``, non-isolated vertices only,
     sorted by smallest member."""
-    roots, _ = _union_find(g, s)
-    blocks: dict[int, list[int]] = {}
-    for v, r in roots.items():
-        blocks.setdefault(r, []).append(v)
-    return sorted(tuple(sorted(b)) for b in blocks.values())
+    return _labelled(g, _fold(g, s)[0])
 
 
 def graph_rank(g: Graph, s: EdgeSet) -> int:
-    """Size of the spanning forest of ``s`` that ``_union_find`` builds."""
-    if s.graph != g:
-        raise ValueError("edge set does not belong to this graph")
-    return _union_find(g, s)[1].bit_count()
+    """Size of the spanning forest of ``s`` that ``_fold`` builds."""
+    return _fold(g, s)[1].bit_count()
 
 
 def spanning_forest(g: Graph, s: EdgeSet) -> EdgeSet:
     """Greedy maximal acyclic subset of ``s`` in canonical edge order."""
-    if s.graph != g:
-        raise ValueError("edge set does not belong to this graph")
-    return EdgeSet(g, _union_find(g, s)[1])
-
-
-def _cluster_mask(g: Graph, blocks: Iterable[Sequence[int]]) -> int:
-    """Mask of g's edges with both ends in one of the blocks, each block an
-    ascending sequence of labels."""
-    idx = g.edge_index
-    mask = 0
-    for block in blocks:
-        for e in combinations(block, 2):
-            i = idx.get(e)
-            if i is not None:
-                mask |= 1 << i
-    return mask
-
-
-def is_acyclic(g: Graph, s: EdgeSet) -> bool:
-    return spanning_forest(g, s).mask == s.mask
+    return EdgeSet(g, _fold(g, s)[1])
 
 
 def _connected_on(adj: Sequence[int], vertices: int) -> bool:

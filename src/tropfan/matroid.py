@@ -12,7 +12,8 @@ order of their rays, on comparability bitsets read off the up-sets, and
 come out as edge masks in the order of their fan's cones, with no
 ``Flat``; a DP over the same up-sets counts them by length without
 building a chain.  The rank-2 intervals, which the Bergman fan's
-balancing verdict reads, come off the covers.  The axiom verifiers
+balancing verdict reads, come off the covers.  The five presentations of
+the cycle matroid read one subset table per graph.  The axiom verifiers
 exhaustively check a presented set system against one of the five axiom
 families (independence, bases, two rank systems, closure, circuits) and
 report the first counterexample in canonical order.
@@ -21,11 +22,11 @@ report the first counterexample in canonical order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .graphs import EdgeSet, Graph, _cluster_mask, _connected_on, components, graph_rank, is_acyclic
+from .graphs import EdgeSet, Graph, _connected_on, _fold, _induced, _join, _labelled
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +44,10 @@ class Flat:
 
     def __post_init__(self):
         g = self.edges.graph
-        blocks = tuple(components(g, self.edges))
-        if _cluster_mask(g, blocks) != self.edges.mask:
+        blocks, _ = _fold(g, self.edges)
+        if sum(_induced(g, b) for b in blocks) != self.edges.mask:
             raise ValueError("a flat must be a closed edge set")
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(_labelled(g, blocks)))
 
     @property
     def graph(self) -> Graph:
@@ -104,9 +105,7 @@ class ChainOfFlats:
 
 def closure(g: Graph, s: EdgeSet) -> Flat:
     """Complete each connected component, then restrict to the graph's edges."""
-    if s.graph != g:
-        raise ValueError("edge set does not belong to this graph")
-    return Flat(EdgeSet(g, _cluster_mask(g, components(g, s))))
+    return Flat(EdgeSet(g, sum(_induced(g, b) for b in _fold(g, s)[0])))
 
 
 def set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -140,7 +139,7 @@ def _flat_rows(g: Graph) -> tuple[list[tuple], dict[int, int]]:
     holds those of two or more labels as label-position bitmasks."""
     if g.num_vertices > MAX_FLAT_VERTICES:
         raise ValueError(f"flat enumeration capped at {MAX_FLAT_VERTICES} vertices")
-    m, adj, ends = g.num_vertices, g.adjacency, _end_bits(g)
+    m, adj = g.num_vertices, g.adjacency
     induced: dict[int, int] = {}
     rows = []
     for part in set_partitions([1 << v for v in range(m)]):
@@ -150,8 +149,7 @@ def _flat_rows(g: Graph) -> tuple[list[tuple], dict[int, int]]:
                 b = sum(block)
                 edges = induced.get(b)
                 if edges is None:
-                    inside = (1 << i for i, (x, y) in enumerate(ends) if b & x and b & y)
-                    edges = induced[b] = sum(inside) if _connected_on(adj, b) else 0
+                    edges = induced[b] = _induced(g, b) if _connected_on(adj, b) else 0
                 if not edges:
                     break
                 mask |= edges
@@ -160,11 +158,6 @@ def _flat_rows(g: Graph) -> tuple[list[tuple], dict[int, int]]:
             rows.append((m - len(part), tuple(_positions(mask)), mask, tuple(blocks)))
     rows.sort()
     return rows, induced
-
-
-def _end_bits(g: Graph) -> list[tuple[int, int]]:
-    position = {v: i for i, v in enumerate(g.labels)}
-    return [(1 << position[a], 1 << position[b]) for a, b in g.edges]
 
 
 class FlatLattice:
@@ -198,7 +191,7 @@ class FlatLattice:
 
     @cached_property
     def covers(self) -> list[list[int]]:
-        index, induced, ends = self.index, self._induced, _end_bits(self.graph)
+        index, induced, ends = self.index, self._induced, self.graph.end_bits
         covers = []
         for mask, blocks in zip(self.masks, self.blocks):
             owner = {v: b for b in blocks for v in _bits(b)}
@@ -323,42 +316,48 @@ def _chains_in_cone_order(lattice: FlatLattice, allowed: int) -> tuple[list[int]
 # Cycle-matroid presentations, for feeding the axiom verifiers
 
 
+@lru_cache(maxsize=1)
+def _subset_table(g: Graph) -> tuple[list[frozenset], list[int], list[int]]:
+    """Each edge mask's edges, rank and closure mask, by mask, in one pass
+    in increasing order: a mask's components are those of the mask without
+    its lowest edge joined by that edge, and a join that raises the rank
+    makes a block whose induced edges hold the merged blocks'.  Kept for
+    the last graph, which the presentations read in turn."""
+    sets, ranks, closures, blocks = [frozenset()], [0], [0], [()]
+    for mask in range(1, 1 << len(g.edges)):
+        i, rest = (mask & -mask).bit_length() - 1, mask & (mask - 1)
+        joined, grew = _join(blocks[rest], g.end_bits[i])
+        blocks.append(joined)
+        ranks.append(ranks[rest] + grew)
+        sets.append(sets[rest] | {g.edges[i]})
+        closures.append(closures[rest] | _induced(g, joined[-1]) if grew else closures[rest])
+    return sets, ranks, closures
+
+
 def independent_sets(g: Graph) -> list[frozenset]:
-    return [
-        frozenset(EdgeSet(g, m).edges)
-        for m in range(1 << len(g.edges))
-        if is_acyclic(g, EdgeSet(g, m))
-    ]
+    return [s for s, r in zip(*_subset_table(g)[:2]) if len(s) == r]
 
 
 def bases(g: Graph) -> list[frozenset]:
-    r = graph_rank(g, g.full_edge_set())
-    return [s for s in independent_sets(g) if len(s) == r]
+    rank = _subset_table(g)[1][-1]
+    return [s for s in independent_sets(g) if len(s) == rank]
 
 
 def circuits(g: Graph) -> list[frozenset]:
     """Minimal dependent sets, in edge-mask order: the dependent sets all of
     whose one-edge deletions are forests."""
-    acyclic = [is_acyclic(g, EdgeSet(g, m)) for m in range(1 << len(g.edges))]
-    return [
-        frozenset(EdgeSet(g, m).edges)
-        for m, forest in enumerate(acyclic)
-        if not forest and all(acyclic[m & ~b] for b in _bits(m))
-    ]
+    sets, ranks, _ = _subset_table(g)
+    forest = [len(s) == r for s, r in zip(sets, ranks)]
+    return [s for m, s in enumerate(sets) if not forest[m] and all(forest[m & ~b] for b in _bits(m))]
 
 
 def rank_table(g: Graph) -> dict[frozenset, int]:
-    return {
-        frozenset(EdgeSet(g, m).edges): graph_rank(g, EdgeSet(g, m))
-        for m in range(1 << len(g.edges))
-    }
+    return dict(zip(*_subset_table(g)[:2]))
 
 
 def closure_table(g: Graph) -> dict[frozenset, frozenset]:
-    return {
-        frozenset(EdgeSet(g, m).edges): frozenset(closure(g, EdgeSet(g, m)).edges.edges)
-        for m in range(1 << len(g.edges))
-    }
+    sets, _, closures = _subset_table(g)
+    return {s: sets[c] for s, c in zip(sets, closures)}
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,8 @@ from .bergman import Fan, QuotientVector, _chain_fan, _check_rational, _num, _nu
 from .graphs import (
     EdgeSet,
     Graph,
-    _cluster_mask,
     _connected_on,
+    _induced,
     graph_rank,
     is_complete_multipartite,
     spanning_forest,
@@ -541,11 +541,10 @@ def psi_radial_to_cof(c: RadialType) -> ChainOfFlats:
     """
     n = c.type.n
     ambient = _complete_on(n)
-    level_of = c.level_of
-    splits = [(level_of[v], sorted(s)) for v, s in enumerate(c.type.splits, start=1)]
-    flats = []
-    for i in range(c.num_levels, 0, -1):
-        mask = _cluster_mask(ambient, [s for lvl, s in splits if lvl >= i])
+    flats, mask = [], 0
+    for level in reversed(c.levels):  # each flat holds the deeper levels' cliques
+        for v in level:  # end e at bit e - 2, as in ``Graph.adjacency``
+            mask |= _induced(ambient, sum(1 << (e - 2) for e in c.type.splits[v - 1]))
         flats.append(_complete_flat(n, mask))
     return ChainOfFlats(tuple(flats))
 
@@ -616,7 +615,8 @@ def caterpillar_cof(gamma: Graph) -> ChainOfFlats:
     while len(order) < len(gamma.labels) - 1:
         rim = [b if a in order else a for a, b in tree_edges if (a in order) != (b in order)]
         order.append(min(rim))
-    masks = [_cluster_mask(ambient, [sorted(order[:k])]) for k in range(2, len(gamma.labels))]
+    grown = [1 << ambient.labels.index(v) for v in order]
+    masks = [_induced(ambient, sum(grown[:k])) for k in range(2, len(gamma.labels))]
     chain = ChainOfFlats(tuple(Flat(EdgeSet(ambient, m)) for m in masks))
     for k, flat in enumerate(chain, start=1):
         restricted = EdgeSet.from_edges(

@@ -1,6 +1,9 @@
 """Slow, independent routes that the tests compare the library against.
 
-Rational Gauss-Jordan for ranks, span tests and inverses, the integer
+Components by a union-find over label dicts (with ranks, spanning
+forests, acyclicity, the closure read off the components' cluster masks,
+and the five cycle-matroid presentations built one union-find per edge
+subset), rational Gauss-Jordan for ranks, span tests and inverses, the integer
 elimination the library left behind (fraction-free echelon forms with
 non-unit pivots and span tests on them, Hermite forms with their
 transform, integer kernels, orthogonal complements and saturation as a
@@ -31,8 +34,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
-from typing import Optional, Sequence
+from itertools import combinations, compress, product
+from typing import Iterable, Optional, Sequence
 
 from tropfan import (
     ChainOfFlats,
@@ -43,7 +46,6 @@ from tropfan import (
     QuotientVector,
     RadialType,
     fan_json_chunks,
-    graph_rank,
     is_complete_multipartite,
     project_vector,
     ray_of_flat,
@@ -51,9 +53,93 @@ from tropfan import (
     tropical_type,
 )
 from tropfan.bergman import SCHEMA, Fan, _constant_on_layers, _num, edge_str
-from tropfan.graphs import _cluster_mask, is_acyclic, spanning_forest
 from tropfan.matroid import Flat
 from tropfan.tropmoduli import pair_list
+
+
+def _union_find(g: Graph, s: EdgeSet) -> tuple[dict[int, int], int]:
+    """One union-find pass over ``s`` in canonical edge order: the root of
+    each non-isolated vertex, and the mask of the greedy spanning forest."""
+    parent: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    forest = 0
+    mask = s.mask
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        a, b = g.edges[low.bit_length() - 1]
+        parent.setdefault(a, a)
+        parent.setdefault(b, b)
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            forest |= low
+    return {v: find(v) for v in parent}, forest
+
+
+def _cluster_mask(g: Graph, blocks: Iterable[Sequence[int]]) -> int:
+    """Mask of g's edges with both ends in one of the blocks, each block an
+    ascending sequence of labels."""
+    idx = g.edge_index
+    mask = 0
+    for block in blocks:
+        for e in combinations(block, 2):
+            i = idx.get(e)
+            if i is not None:
+                mask |= 1 << i
+    return mask
+
+
+def is_acyclic(g: Graph, s: EdgeSet) -> bool:
+    return _union_find(g, s)[1] == s.mask
+
+
+def rank_by_union_find(g: Graph, s: EdgeSet) -> int:
+    return _union_find(g, s)[1].bit_count()
+
+
+def components_by_union_find(g: Graph, s: EdgeSet) -> list[tuple[int, ...]]:
+    """Vertex sets of the components of ``s`` with an edge, sorted by
+    smallest member: the vertices grouped by their union-find root."""
+    roots, _ = _union_find(g, s)
+    blocks: dict[int, list[int]] = {}
+    for v, r in roots.items():
+        blocks.setdefault(r, []).append(v)
+    return sorted(tuple(sorted(b)) for b in blocks.values())
+
+
+def closure_by_union_find(g: Graph, s: EdgeSet) -> int:
+    """The closure's edge mask: the cluster mask of the components."""
+    return _cluster_mask(g, components_by_union_find(g, s))
+
+
+def presentations_by_union_find(g: Graph) -> tuple:
+    """The five cycle-matroid presentations, one union-find and one
+    ``EdgeSet`` per edge subset: (independent sets, bases, circuits, rank
+    table, closure table), lists in edge-mask order and tables keyed by
+    each subset's edges.  A circuit is a dependent set whose one-edge
+    deletions are all forests."""
+    subsets = [EdgeSet(g, m) for m in range(1 << len(g.edges))]
+    sets = [frozenset(s.edges) for s in subsets]
+    ranks = [rank_by_union_find(g, s) for s in subsets]
+    acyclic = [len(x) == r for x, r in zip(sets, ranks)]
+    circuits = [
+        x
+        for m, x in enumerate(sets)
+        if not acyclic[m] and all(acyclic[m & ~(1 << i)] for i in range(len(g.edges)) if m >> i & 1)
+    ]
+    closures = {
+        x: frozenset(EdgeSet(g, closure_by_union_find(g, s)).edges) for x, s in zip(sets, subsets)
+    }
+    independent = list(compress(sets, acyclic))
+    bases = [x for x in independent if len(x) == ranks[-1]]
+    return independent, bases, circuits, dict(zip(sets, ranks)), closures
 
 
 def ends_at(t) -> tuple[int, ...]:
@@ -590,7 +676,7 @@ def lattice_by_containment(g: Graph, masks: Sequence[int]) -> tuple[list[list[in
     holders = [
         sum(1 << j for j, m in enumerate(masks) if m >> e & 1) for e in range(len(g.edges))
     ]
-    ranks = [graph_rank(g, EdgeSet(g, m)) for m in masks]
+    ranks = [rank_by_union_find(g, EdgeSet(g, m)) for m in masks]
     of_rank: dict[int, int] = {}
     for j, r in enumerate(ranks):
         of_rank[r] = of_rank.get(r, 0) | 1 << j
@@ -656,7 +742,7 @@ def connected_graphs_by_filter(labels) -> list[Graph]:
     return [
         g
         for g in graphs
-        if len(labels) < 2 or graph_rank(g, g.full_edge_set()) == len(labels) - 1
+        if len(labels) < 2 or rank_by_union_find(g, g.full_edge_set()) == len(labels) - 1
     ]
 
 
@@ -680,7 +766,7 @@ def injectivity_two_pass(gamma) -> tuple:
     witness = None
     for f in stable:
         restricted = EdgeSet(ambient, f.mask & gmask)
-        if graph_rank(ambient, restricted) != f.rank:
+        if rank_by_union_find(ambient, restricted) != f.rank:
             rank_ok = False
             if witness is None:
                 witness = f
@@ -692,7 +778,7 @@ def caterpillar_by_growth(gamma) -> ChainOfFlats:
     """The caterpillar chain grown as a vertex set: start at the first
     spanning-tree edge, take the clique on the grown set, and add the
     smallest vertex that a tree edge joins to it, until one vertex is left."""
-    tree_edges = spanning_forest(gamma, gamma.full_edge_set()).edges
+    tree_edges = EdgeSet(gamma, _union_find(gamma, gamma.full_edge_set())[1]).edges
     if not tree_edges:
         return ChainOfFlats(())
     ambient = Graph.complete(gamma.labels)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -13,14 +14,26 @@ from tropfan import (
     Graph,
     all_chains,
     all_graphs,
+    bases,
+    circuits,
     closure,
+    closure_table,
+    components,
     enumerate_flats,
     graph_rank,
+    independent_sets,
+    rank_table,
+    spanning_forest,
 )
-from tropfan.graphs import is_acyclic
-
 from conftest import flat_of
-from oracles import lattice_by_pairs
+from oracles import (
+    _cluster_mask,
+    _union_find,
+    components_by_union_find,
+    is_acyclic,
+    lattice_by_pairs,
+    presentations_by_union_find,
+)
 
 
 def bell_oracle(m: int) -> int:
@@ -86,6 +99,51 @@ def test_flat_rebuilt_from_its_edges_is_the_same_flat():
                 parts = nx.connected_components(nx.Graph(list(f.edges.edges)))
                 assert f.blocks == tuple(sorted(tuple(sorted(c)) for c in parts))
                 assert f.rank == graph_rank(g, f.edges)
+
+
+# ---------------------------------------------------------------------------
+# The bitmask component route against the union-find
+
+
+def assert_route_matches_union_find(g: Graph, s: EdgeSet):
+    """Components, rank, spanning forest and closure of ``s``, with the
+    closure's blocks, against the union-find oracle."""
+    blocks = components_by_union_find(g, s)
+    forest = _union_find(g, s)[1]
+    assert components(g, s) == blocks, (g.edges, s.mask)
+    assert graph_rank(g, s) == forest.bit_count(), (g.edges, s.mask)
+    assert spanning_forest(g, s) == EdgeSet(g, forest), (g.edges, s.mask)
+    closed = closure(g, s)
+    assert closed.mask == _cluster_mask(g, blocks), (g.edges, s.mask)
+    assert list(closed.blocks) == blocks, (g.edges, s.mask)
+
+
+def test_bitmask_route_matches_union_find_up_to_five_labels():
+    """Every edge mask of every graph on at most 5 labels, and the five
+    presentations of each graph, which read one subset table, against
+    one union-find per subset."""
+    for k in range(6):
+        for g in all_graphs(range(2, 2 + k)):
+            got = independent_sets(g), bases(g), circuits(g), rank_table(g), closure_table(g)
+            assert got == presentations_by_union_find(g), g.edges
+            for mask in range(1 << len(g.edges)):
+                assert_route_matches_union_find(g, EdgeSet(g, mask))
+
+
+@pytest.mark.parametrize("size", [8, 10])
+def test_bitmask_route_matches_union_find_on_random_graphs(size):
+    """Seeded random graphs on 8 and 10 labels, each edge present with a
+    density drawn per graph, on sampled edge masks (the full and empty
+    ones included)."""
+    rng = random.Random(size)
+    labels = tuple(range(2, 2 + size))
+    pool = list(itertools.combinations(labels, 2))
+    for _ in range(30):
+        density = rng.random()
+        g = Graph(labels, tuple(e for e in pool if rng.random() < density))
+        masks = [0, (1 << len(g.edges)) - 1] + [rng.getrandbits(len(g.edges)) for _ in range(40)]
+        for mask in masks:
+            assert_route_matches_union_find(g, EdgeSet(g, mask))
 
 
 # ---------------------------------------------------------------------------

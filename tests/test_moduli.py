@@ -510,7 +510,7 @@ def test_verify_injectivity_matches_two_pass_oracle():
 
 def test_first_stable_flat_to_lose_rank_is_a_one_block_flat():
     """The lemma behind ``verify_injectivity``'s early exit: in the two-pass
-    oracle, which ranks every stable flat with ``graph_rank``, the first
+    oracle, which ranks every stable flat by a union-find, the first
     stable flat whose restriction loses rank has one block."""
     witnesses = [(g, case[3]) for g, case in block_rule_cases()]
     assert any(w is not None for _, w in witnesses)
@@ -559,7 +559,7 @@ def test_rank_survives_restriction_exactly_when_blocks_are_connected():
 def test_block_rule_mutation_is_caught(monkeypatch):
     """A connectivity test that calls every block connected makes
     ``verify_injectivity`` disagree with the two-pass oracle, which ranks
-    each restriction with ``graph_rank``."""
+    each restriction by a union-find."""
     monkeypatch.setattr(tm, "_connected_on", lambda adj, vertices: True)
     split = next(
         (

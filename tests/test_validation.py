@@ -18,6 +18,7 @@ from tropfan import (
     QuotientVector,
     RadialType,
     closure,
+    components,
     enumerate_flats,
     graph_rank,
     is_balanced,
@@ -46,11 +47,11 @@ def test_edge_set_rejects_foreign_edges(k4):
 
 
 def test_mixed_parent_edge_sets(k4):
-    """Rank, forests and closure refuse another graph's edge set, and a
-    chain refuses flats of two graphs."""
+    """Components, rank, forests and closure refuse another graph's edge
+    set, and a chain refuses flats of two graphs."""
     other = Graph.complete([2, 3, 4])
     foreign = EdgeSet.from_edges(other, [(2, 3)])
-    for read in (graph_rank, spanning_forest, closure):
+    for read in (components, graph_rank, spanning_forest, closure):
         with pytest.raises(ValueError, match="does not belong to this graph"):
             read(k4, foreign)
     with pytest.raises(ValueError, match="share a parent graph"):
