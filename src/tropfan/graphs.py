@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -192,22 +192,15 @@ def _fold(g: Graph, s: EdgeSet) -> tuple[tuple[int, ...], int]:
     return blocks, forest
 
 
-def _labelled(g: Graph, blocks: Iterable[int]) -> list[tuple[int, ...]]:
-    """Vertex bitmasks as label tuples, sorted by smallest member."""
-    return sorted(tuple(v for i, v in enumerate(g.labels) if b >> i & 1) for b in blocks)
-
-
-@lru_cache(maxsize=4096)
 def _induced(g: Graph, vertices: int) -> int:
-    """Mask of g's edges with both ends in the vertex bitmask ``vertices``,
-    memoised."""
+    """Mask of g's edges with both ends in the vertex bitmask ``vertices``."""
     return sum(1 << i for i, (x, y) in enumerate(g.end_bits) if vertices & x and vertices & y)
 
 
 def components(g: Graph, s: EdgeSet) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components of ``s``, non-isolated vertices only,
     sorted by smallest member."""
-    return _labelled(g, _fold(g, s)[0])
+    return sorted(tuple(v for i, v in enumerate(g.labels) if b >> i & 1) for b in _fold(g, s)[0])
 
 
 def graph_rank(g: Graph, s: EdgeSet) -> int:

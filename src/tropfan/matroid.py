@@ -13,7 +13,8 @@ come out as edge masks in the order of their fan's cones, with no
 ``Flat``; a DP over the same up-sets counts them by length without
 building a chain.  The rank-2 intervals, which the Bergman fan's
 balancing verdict reads, come off the covers.  The five presentations of
-the cycle matroid read one subset table per graph.  The axiom verifiers
+the cycle matroid read one subset table per graph, cached for the last
+graph asked about.  The axiom verifiers
 exhaustively check a presented set system against one of the five axiom
 families (independence, bases, two rank systems, closure, circuits) and
 report the first counterexample in canonical order.
@@ -23,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .graphs import EdgeSet, Graph, _connected_on, _fold, _induced, _join, _labelled
+from .graphs import EdgeSet, Graph, _connected_on, _fold, _induced, _join, components
 
 
 # ---------------------------------------------------------------------------
@@ -43,11 +44,12 @@ class Flat:
     blocks: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        g = self.edges.graph
-        blocks, _ = _fold(g, self.edges)
-        if sum(_induced(g, b) for b in blocks) != self.edges.mask:
+        s, index = self.edges, self.graph.edge_index
+        blocks = components(s.graph, s)
+        # s lies inside its blocks, so it is closed when it has every edge they span
+        if sum(e in index for b in blocks for e in combinations(b, 2)) != s.mask.bit_count():
             raise ValueError("a flat must be a closed edge set")
-        object.__setattr__(self, "blocks", tuple(_labelled(g, blocks)))
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
     def graph(self) -> Graph:
@@ -176,7 +178,7 @@ class FlatLattice:
 
     def __init__(self, g: Graph):
         self.graph = g
-        rows, self._induced = _flat_rows(g)
+        rows, self._block_edges = _flat_rows(g)
         self.ranks, _, self.masks, self.blocks = zip(*rows)
         # positions 1 .. len - 2: the empty flat is first and the full one last
         self.proper = ((1 << (len(rows) - 1)) - 1) & ~1
@@ -191,7 +193,7 @@ class FlatLattice:
 
     @cached_property
     def covers(self) -> list[list[int]]:
-        index, induced, ends = self.index, self._induced, self.graph.end_bits
+        index, induced, ends = self.index, self._block_edges, self.graph.end_bits
         covers = []
         for mask, blocks in zip(self.masks, self.blocks):
             owner = {v: b for b in blocks for v in _bits(b)}
@@ -321,8 +323,9 @@ def _subset_table(g: Graph) -> tuple[list[frozenset], list[int], list[int]]:
     """Each edge mask's edges, rank and closure mask, by mask, in one pass
     in increasing order: a mask's components are those of the mask without
     its lowest edge joined by that edge, and a join that raises the rank
-    makes a block whose induced edges hold the merged blocks'.  Kept for
-    the last graph, which the presentations read in turn."""
+    makes a block whose induced edges hold the merged blocks'.  The
+    presentations read it in turn, so the last graph's table (2^|E| rows)
+    stays alive until another graph is asked about."""
     sets, ranks, closures, blocks = [frozenset()], [0], [0], [()]
     for mask in range(1, 1 << len(g.edges)):
         i, rest = (mask & -mask).bit_length() - 1, mask & (mask - 1)
@@ -335,27 +338,31 @@ def _subset_table(g: Graph) -> tuple[list[frozenset], list[int], list[int]]:
 
 
 def independent_sets(g: Graph) -> list[frozenset]:
+    """The forests, in edge-mask order (g's 2^|E|-row table stays cached till the next graph)."""
     return [s for s, r in zip(*_subset_table(g)[:2]) if len(s) == r]
 
 
 def bases(g: Graph) -> list[frozenset]:
+    """Spanning forests, in edge-mask order (g's 2^|E|-row table stays cached till the next graph)."""
     rank = _subset_table(g)[1][-1]
     return [s for s in independent_sets(g) if len(s) == rank]
 
 
 def circuits(g: Graph) -> list[frozenset]:
     """Minimal dependent sets, in edge-mask order: the dependent sets all of
-    whose one-edge deletions are forests."""
+    whose one-edge deletions are forests (g's 2^|E|-row table stays cached till the next graph)."""
     sets, ranks, _ = _subset_table(g)
     forest = [len(s) == r for s, r in zip(sets, ranks)]
     return [s for m, s in enumerate(sets) if not forest[m] and all(forest[m & ~b] for b in _bits(m))]
 
 
 def rank_table(g: Graph) -> dict[frozenset, int]:
+    """Each edge set's rank (g's 2^|E|-row table stays cached till the next graph)."""
     return dict(zip(*_subset_table(g)[:2]))
 
 
 def closure_table(g: Graph) -> dict[frozenset, frozenset]:
+    """Each edge set's closure (g's 2^|E|-row table stays cached till the next graph)."""
     sets, _, closures = _subset_table(g)
     return {s: sets[c] for s, c in zip(sets, closures)}
 

@@ -107,7 +107,8 @@ def test_flat_rebuilt_from_its_edges_is_the_same_flat():
 
 def assert_route_matches_union_find(g: Graph, s: EdgeSet):
     """Components, rank, spanning forest and closure of ``s``, with the
-    closure's blocks, against the union-find oracle."""
+    closure's blocks, against the union-find oracle; ``Flat`` refuses
+    ``s`` exactly when the oracle's closure differs from it."""
     blocks = components_by_union_find(g, s)
     forest = _union_find(g, s)[1]
     assert components(g, s) == blocks, (g.edges, s.mask)
@@ -116,6 +117,9 @@ def assert_route_matches_union_find(g: Graph, s: EdgeSet):
     closed = closure(g, s)
     assert closed.mask == _cluster_mask(g, blocks), (g.edges, s.mask)
     assert list(closed.blocks) == blocks, (g.edges, s.mask)
+    if closed.mask != s.mask:
+        with pytest.raises(ValueError, match="closed"):
+            Flat(s)
 
 
 def test_bitmask_route_matches_union_find_up_to_five_labels():

@@ -30,8 +30,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # A mention in a docstring or comment is not a caller, so these need a reason.
 ALLOWED = {
-    "components": "the component vertex sets of an edge set, kept as public API; "
-    "Flat reads the same fold as masks",
     "caterpillar_cof": "the paper's construction of a full-dimensional cone, checked by the tests",
     "reduce": "the paper's reduction to a stable type, checked against contraction in every order",
 }
