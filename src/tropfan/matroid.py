@@ -311,6 +311,7 @@ def _chains_in_cone_order(lattice: FlatLattice, allowed: int) -> tuple[list[int]
                 extend(longer, lower, higher, after)
 
     extend((), (), (), (1 << len(rays)) - 1)
+    del extend  # empties the cell its own closure holds: that cycle kept both lists alive
     return rays, *(tuple(chain.from_iterable(c)) for c in (ids_by_length, masks_by_length))
 
 

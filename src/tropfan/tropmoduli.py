@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, compress
 from typing import Iterable, Optional, Sequence, Union
 
@@ -119,6 +119,18 @@ class TropicalType:
     @property
     def num_vertices(self) -> int:
         return len(self.splits) + 1
+
+    @cached_property
+    def _pair_positions(self) -> tuple[tuple[int, ...], ...]:
+        """For each bounded edge, in ``edges`` order, the positions among
+        the complete graph's edges on 2..n of the pairs of ends that the
+        edge's child split holds.  Cached, as ``dist_vector`` reads it for
+        every metric on the type."""
+        index = _complete_on(self.n).edge_index
+        return tuple(
+            tuple(index[p] for p in combinations(sorted(self.splits[v - 1]), 2))
+            for _, v in self.edges
+        )
 
 
 def tropical_type(n: int, splits: Iterable[frozenset]) -> TropicalType:
@@ -346,6 +358,8 @@ class QnVector:
 
     def __post_init__(self):
         _check_rational(self.coords)
+        if self.n < 3:
+            raise ValueError(f"a distance class needs at least 3 ends, got n={self.n}")
         if len(self.coords) != self.n * (self.n - 1) // 2:
             raise ValueError("coordinate length does not match the pair count")
 
@@ -418,17 +432,19 @@ def dist_vector(m: MetricType) -> QnVector:
     separates i from j.  Since no split holds end 1, d_ij - d_1i - d_1j is
     -2 h_ij, where h_ij sums the l_e of the splits holding both i and j (the
     depth, seen from end 1, of the vertex where i and j meet), and the
-    canonical coordinate (i, j) is 2 (h_23 - h_ij).  The sums run on integer
-    numerators over the lengths' least common denominator.
+    canonical coordinate (i, j) is 2 (h_23 - h_ij).  Each length is added
+    at the pairs its split holds, read off the type's cached table.  The
+    sums run on integer numerators over the lengths' least common
+    denominator.
     """
     c = m.type
     lengths, d = _numerators(m.lengths)
-    # the split of bounded edge (u, v) is the one of its child vertex v
-    weighted = [(c.splits[v - 1], length) for (_, v), length in zip(c.edges, lengths)]
-    h = [
-        sum(length for s, length in weighted if i in s and j in s)
-        for i, j in combinations(range(2, c.n + 1), 2)
-    ]
+    # h in the complete graph's edge order; each edge's length goes to the
+    # pairs its split holds
+    h = [0] * len(_complete_on(c.n).edges)
+    for positions, length in zip(c._pair_positions, lengths):
+        for k in positions:
+            h[k] += length
     return QnVector(c.n, (0,) * (c.n - 1) + _ratios([2 * (h[0] - x) for x in h], d))
 
 
@@ -481,8 +497,7 @@ def psi_linear(v: QnVector) -> QuotientVector:
     """
     y, d = _numerators(v.coords)
     g = _gromov_numerators(v.n, y)  # twice the image, before canonicalizing
-    edges = tuple(combinations(range(2, v.n + 1), 2))
-    return QuotientVector(edges, _ratios([x - g[-1] for x in g], 2 * d))
+    return QuotientVector(_complete_on(v.n).edges, _ratios([x - g[-1] for x in g], 2 * d))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +507,8 @@ def psi_linear(v: QnVector) -> QuotientVector:
 @cache
 def _complete_on(n: int) -> Graph:
     """The complete graph on 2..n, built once per n (with its edge index),
-    since ``verify_injectivity`` reads its edge order for every graph."""
+    since ``verify_injectivity`` reads its edge order for every graph, and
+    ``dist_vector`` and ``psi_linear`` for every metric."""
     return Graph.complete(range(2, n + 1))
 
 

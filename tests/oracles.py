@@ -11,7 +11,8 @@ double complement, which takes any rows), lattice reduction, the
 primitive normal of an arbitrary integer cone by its closed form, the dict
 form of a fan's JSON document (beside the library writer's chunks joined
 into one text), a graph's complement, the canonical
-distance class by Fraction sums, psi by inverting its matrix on the basis
+distance class by Fraction sums, the distance class of a metric type by
+testing each split's membership of every pair, psi by inverting its matrix on the basis
 of two-element splits, graphic stability by the vertex-local rule, radial
 faces by weakly monotone level maps, a type's end hosts and its edge
 contractions, circuits as minimal dependent sets by
@@ -52,9 +53,9 @@ from tropfan import (
     rho_split,
     tropical_type,
 )
-from tropfan.bergman import SCHEMA, Fan, _constant_on_layers, _num, edge_str
+from tropfan.bergman import SCHEMA, Fan, _constant_on_layers, _num, _numerators, edge_str
 from tropfan.matroid import Flat
-from tropfan.tropmoduli import pair_list
+from tropfan.tropmoduli import _ratios, pair_list
 
 
 def _union_find(g: Graph, s: EdgeSet) -> tuple[dict[int, int], int]:
@@ -554,6 +555,22 @@ def qn_canonical_oracle(n: int, coords: Sequence) -> QnVector:
         c = 0 if i == 1 else y[i, j] - y[1, i] - y[1, j] + shift
         canon.append(int(c) if c.denominator == 1 else c)
     return QnVector(n, tuple(canon))
+
+
+def dist_vector_by_membership(m) -> QnVector:
+    """``dist_vector`` by testing, for every pair of ends and every bounded
+    edge, whether the edge's split holds both ends: h_ij sums the integer
+    numerators of those lengths, and coordinate (i, j) is 2 (h_23 - h_ij)
+    over the lengths' least common denominator."""
+    c = m.type
+    lengths, d = _numerators(m.lengths)
+    # the split of bounded edge (u, v) is the one of its child vertex v
+    weighted = [(c.splits[v - 1], length) for (_, v), length in zip(c.edges, lengths)]
+    h = [
+        sum(length for s, length in weighted if i in s and j in s)
+        for i, j in combinations(range(2, c.n + 1), 2)
+    ]
+    return QnVector(c.n, (0,) * (c.n - 1) + _ratios([2 * (h[0] - x) for x in h], d))
 
 
 def psi_by_inverse(v: QnVector) -> QuotientVector:

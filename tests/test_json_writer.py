@@ -106,6 +106,65 @@ def test_moduli_documents_match_the_dict_composition(capsys):
     assert written == 7
 
 
+def separately_encoded(n: int, target: Graph, fan: Fan, projected: Fan) -> str:
+    """The moduli document with each fan encoded by its own writer call."""
+    skeleton = json.dumps(
+        {"schema": 1, "n": n, "graph": [f"{a}-{b}" for a, b in target.edges],
+         "radial_fan": "R", "projected_fan": "P"},
+        indent=2,
+    )
+    return skeleton.replace('"R"', fan_json_text(fan, 1)).replace('"P"', fan_json_text(projected, 1))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_complete_moduli_documents_encode_the_shared_body_once(n, tmp_path, monkeypatch):
+    """For complete gamma, named or given as ``complete:<m>``, the projected
+    fan is the radial fan's identity image: the document holds one encoding
+    of the body, written twice, and equals, byte for byte, the document
+    with both fans encoded separately.  A proper stability graph's image
+    is encoded on its own."""
+    calls = []
+
+    def counted(fan, *args, **kwargs):
+        calls.append(fan)
+        return fan_json_chunks(fan, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fan_json_chunks", counted)
+    target = Graph.complete(range(2, n + 1))
+    fan = moduli_fan_rad(n)
+    want = (separately_encoded(n, target, fan, project_fan(fan, target)) + "\n").encode()
+    for spec in ("complete", f"complete:{n - 1}"):
+        calls.clear()
+        out = tmp_path / f"{n}-{spec}.json"
+        assert main(["moduli", "--n", str(n), "--graph", spec, "--format", "json", "-o", str(out)]) == 0
+        assert out.read_bytes() == want
+        assert len(calls) == 1
+    path = Graph.from_edges(zip(range(2, n), range(3, n + 1)))
+    calls.clear()
+    fan = moduli_fan_rad(n, path)
+    projected = project_fan(fan, path)
+    assert "".join(cli._moduli_json_chunks(n, path, fan, projected)) == separately_encoded(
+        n, path, fan, projected
+    )
+    assert calls == [fan, projected]
+
+
+def test_identity_image_with_other_weights_is_encoded_on_its_own():
+    """An identity image shares every column of a reweighted radial fan but
+    carries weight one: its text is not the radial fan's, so the document
+    encodes it."""
+    target = Graph.complete(range(2, 6))
+    base = moduli_fan_rad(5)
+    heavy = base.with_weights({c.rayset: 2 for c in base.cones_of_dim(base.max_dim)[::3]})
+    projected = project_fan(heavy, target)
+    assert projected._masks is heavy._masks and projected._coords is heavy._coords
+    assert projected._weights != heavy._weights
+    assert not cli._same_body(heavy, projected)
+    doc = "".join(cli._moduli_json_chunks(5, target, heavy, projected))
+    assert doc == separately_encoded(5, target, heavy, projected)
+    assert doc.count('"weight": 2') == len(base.cones_of_dim(base.max_dim)[::3])
+
+
 @st.composite
 def small_graphs(draw):
     labels = sorted(draw(st.sets(st.integers(2, 6), min_size=1, max_size=5)))

@@ -29,7 +29,13 @@ from tropfan import (
 from tropfan.tropmoduli import enumerate_types, pair_list
 
 from conftest import chain_of, clique_flat
-from oracles import ends_at, psi_by_inverse, qn_canonical_oracle, solve_in_span
+from oracles import (
+    dist_vector_by_membership,
+    ends_at,
+    psi_by_inverse,
+    qn_canonical_oracle,
+    solve_in_span,
+)
 
 
 # some of these have denominator 1, so they test int-versus-Fraction output
@@ -184,6 +190,25 @@ def test_dist_vector_matches_networkx(data):
     )
     m = MetricType(t, lengths)
     assert_same(dist_vector(m), qn_canonical_oracle(t.n, nx_distance_oracle(m)))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_dist_vector_matches_membership_oracle_on_every_type(n):
+    """The pair table against testing each split's membership of every
+    pair, on every type (3,018 in all), with seeded random int lengths and
+    with lengths mixing ints, proper Fractions and integral Fractions; the
+    coordinates agree in value and in type."""
+    rng = random.Random(n)
+    types = [t for ts in enumerate_types(n).values() for t in ts]
+    for t in types:
+        ints = tuple(rng.randint(1, 30) for _ in t.edges)
+        mixed = tuple(
+            rng.choice([rng.randint(1, 9), Fraction(rng.randint(1, 30), rng.randint(1, 6))])
+            for _ in t.edges
+        )
+        for lengths in (ints, mixed):
+            m = MetricType(t, lengths)
+            assert_same(dist_vector(m), dist_vector_by_membership(m))
 
 
 @settings(max_examples=100, deadline=None)

@@ -309,6 +309,16 @@ def test_qn_vector_checks_its_shape(n, coords):
         QnVector(n, coords)
 
 
+@pytest.mark.parametrize("n, coords", [(-1, (0,)), (0, ()), (1, ()), (2, (0,))])
+def test_qn_vector_needs_three_ends(n, coords):
+    """A distance class needs at least three ends, as every metric type
+    has; fewer are refused with their n named, though the pair count fits."""
+    assert len(coords) == n * (n - 1) // 2
+    with pytest.raises(ValueError, match=f"at least 3 ends, got n={n}"):
+        QnVector(n, coords)
+    assert psi_linear(QnVector(3, (0, 0, 1))).coords == (0,)
+
+
 def test_qn_vector_keeps_non_canonical_representatives():
     raw = (1, 2, 3, Fraction(1, 2), 5, 6)
     assert QnVector(4, raw).coords == raw
