@@ -17,18 +17,21 @@ Arithmetic is exact, never floating point.  Vectors (``QuotientVector``,
 with int or Fraction coordinates, as psi of a metric curve is rational)
 appear only at the API's edge: ``Cone.rays``, ``Fan.rays`` and
 ``primitive_normal`` make them on each call, and ``cone_with_rayset`` and
-``with_weights`` read ray sets back to masks.  A fan makes each distinct
-ray's coordinates once, in their order, for the rows of the saturation
-certificate and for the JSON writer.  It keeps each cone as a row: its
-masks, weight, provenance and ray ids (its rays' positions in that order),
-which order the cones and which ``fan_json_chunks`` prints.  A row's
-provenance holds each source chain as its ascending edge masks over the
-source graph that the fan records; a chain fan's row holds its own masks
-tuple.  The walk only joins comparable flats, so the row check on a
-walked chain's masks is its one check.  Balancing, projection, equality,
-the census and the writer read the rows; ``Cone`` objects, and the
-validating ``ChainOfFlats`` of their provenance, are made only at the
-API's edge, once per cone and fan, from one ``Flat`` per mask and fan.
+``with_weights`` read ray sets back to masks.  A fan is its chains, held
+in one ``_Rows``, and a weights column.  The ``_Rows`` makes each
+distinct ray's coordinates once, in their order, for the rows of the
+saturation certificate and for the JSON writer.  It keeps each cone as a
+row: its masks, provenance and ray ids (its rays' positions in that
+order), which order the cones and which ``fan_json_chunks`` prints with
+the fan's weight.  A row's provenance holds each source chain as its
+ascending edge masks over the source graph that the ``_Rows`` records; a
+chain fan's row holds its own masks tuple.  The walk only joins
+comparable flats, so the row check on a walked chain's masks is its one
+check.  Balancing, projection, equality, the census and the writer read
+the rows; ``Cone`` objects, and the validating ``ChainOfFlats`` of their
+provenance, are made only at the API's edge, once per cone and fan, from
+one ``Flat`` per mask and ``_Rows``.  A reweighted copy and an identity
+image are fans on the same ``_Rows``, so nothing is copied or reset.
 
 Ray order, the order of the rays' canonical coordinates, puts the sets
 that miss the last edge first and, within each group, a superset before
@@ -48,13 +51,12 @@ and the complements of those holding it), so their matrix is totally
 unimodular and the rays are a basis of the lattice points of their span.
 The primitive normal of a facet is therefore the ray of the set it lacks,
 and fans are equal when their chains and maximal weights are.  Balancing
-reads one index per masks column, which the reweighted copies of a fan
-share, as they share its masks: the maximal cones indexed by their
-facets' masks, built once, so each codimension-one face visits only its
-own star; a flag that every maximal cone is certified, set by one loop
-on the column's first call, in which ``intlinalg.saturation`` hands each
-cone's rays back unchanged; and each face's verdict, kept per tuple of
-its star's weights, so each (face, star weights) test runs once.  Its
+reads the fan's ``_Rows``: the maximal cones indexed by their facets'
+masks, built once, so each codimension-one face visits only its own
+star; a certificate that every maximal cone passes, made by one loop on
+the first call, in which ``intlinalg.saturation`` hands each cone's rays
+back unchanged; and each face's verdict, kept per tuple of its star's
+weights, so each (face, star weights) test runs once.  Its
 span test needs no linear algebra: a vector lies in the span of a chain's
 rays plus the all-ones line exactly when it is constant on each layer F_1,
 F_2 - F_1, ..., E - F_k of the chain, so balancing adds the star's edge
@@ -75,7 +77,6 @@ stays the weighted checker for built fans, such as reweighted ones.
 from __future__ import annotations
 
 import math
-from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -241,8 +242,81 @@ class Cone:
         return frozenset(self.rays)
 
 
+class _Rows:
+    """Everything a fan's chains determine, which its reweighted copies
+    (``Fan.with_weights``) and its image under a projection onto every
+    edge (``project_fan``) share with it by reference: only the weights
+    column and the ``Cone`` objects made from it are a fan's own.
+
+    The ambient edge list and the source graph; each ray's canonical
+    coordinates, made once, in the order of ``rays``, and the mask of each
+    coordinate tuple; the checked rows' ray ids, masks and provenance
+    columns, tuples in cone order, and the rows of each dimension.  Made on
+    the first request and kept: the row of each masks tuple, the maximal
+    rows, the provenance's flats by mask, and what ``is_balanced`` reads:
+    the purity verdict, the stars, the certificate and the layer test's
+    verdict by (face row, star weights), the one key through which the
+    weights enter.  A ``cached_property`` that raises records nothing, so
+    a fan that is not closed under faces, or a failed certificate, raises
+    on every read."""
+
+    def __init__(self, ambient, source, rays, ray_ids, masks, provenance):
+        self.ambient, self.source = ambient, source
+        self.coords = {x: _ray_coords(x, len(ambient)) for x in rays}
+        self.mask_of = {coords: x for x, coords in self.coords.items()}  # read by ray-set lookups
+        self.ray_ids, self.masks, self.provenance = ray_ids, masks, provenance
+        self.max_dim = len(masks[-1])
+        # the cones of dimension d are the rows in by_dim[d]
+        counts = [0] * (self.max_dim + 2)
+        for chain in masks:
+            counts[len(chain) + 1] += 1
+        starts = list(accumulate(counts))
+        self.by_dim = [range(a, b) for a, b in zip(starts, starts[1:])]
+        self.flats = _Memo(lambda mask: Flat(EdgeSet(source, mask)))
+        self.verdicts: dict[tuple[int, tuple[int, ...]], bool] = {}
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Each cone's row, by its masks."""
+        return {masks: i for i, masks in enumerate(self.masks)}
+
+    @cached_property
+    def maximal(self) -> tuple[int, ...]:
+        """The rows of the maximal cones.  In a fan closed under taking ray
+        subsets, non-maximal cones are exactly the facets of some other
+        cone.  Closure is checked here, not when the fan is built, where it
+        would cost every fan."""
+        facets = set()
+        for masks in self.masks:
+            for i in range(len(masks)):
+                facets.add(masks[:i] + masks[i + 1 :])
+        if not facets <= self.index.keys():
+            raise ValueError("the fan is not closed under faces")
+        return tuple(i for i, masks in enumerate(self.masks) if masks not in facets)
+
+    @cached_property
+    def pure(self) -> bool:
+        return all(len(self.masks[i]) == self.max_dim for i in self.maximal)
+
+    @cached_property
+    def stars(self) -> tuple[tuple, ...]:
+        return _stars(self)
+
+    @cached_property
+    def certified(self) -> bool:
+        """True once every maximal cone's rays, their canonical coordinates
+        in their order, are a basis of its lattice; RuntimeError otherwise.
+        Each ray ends in 0, which the lattice test leaves out."""
+        for s in self.by_dim[self.max_dim]:
+            rays = sorted(self.coords[x] for x in self.masks[s])
+            if not _is_unimodular([list(r[:-1]) for r in rays]):
+                raise RuntimeError("a maximal cone's rays are not a basis of its lattice")
+        return True
+
+
 class Fan:
-    """A weighted polyhedral fan given by its (simplicial) cones.
+    """A weighted polyhedral fan given by its (simplicial) cones: its
+    chains, held in a ``_Rows``, and a weights column.
 
     The fan stores each cone as a row, in cone order: its ascending masks,
     its weight, its provenance and its ray ids, one column each.  A row's
@@ -250,27 +324,24 @@ class Fan:
     its flats over the fan's source graph (``Fan(ambient, cones)`` stores
     each given chain's masks, and refuses chains of two graphs with
     ValueError); the row's ``Cone`` gets them back as ``ChainOfFlats``,
-    each distinct flat made once per fan.  Every cone lies over the fan's
-    ambient edge list (a cone over another is refused with ValueError),
-    each chain is given at most once (a second cone on it is refused, as
-    no chain of flats yields one; ``project_fan`` merges its fibers before
-    building the image), and the cone with no rays is always present.
-    Cones are ordered by dimension and then by ray ids, their rays'
-    positions in the order of the rays' canonical coordinates, so repeated
-    construction is byte-stable.
+    each distinct flat made once per ``_Rows``.  Every cone lies over the
+    fan's ambient edge list (a cone over another is refused with
+    ValueError), each chain is given at most once (a second cone on it is
+    refused, as no chain of flats yields one; ``project_fan`` merges its
+    fibers before building the image), and the cone with no rays is always
+    present.  Cones are ordered by dimension and then by ray ids, their
+    rays' positions in the order of the rays' canonical coordinates, so
+    repeated construction is byte-stable.
     ``Cone`` objects are made from the rows only when the API hands one out
     (``cones``, ``cones_of_dim``, ``cone_with_rayset`` and
     ``failing_face``), at most once per cone and fan.  The cones must be
     closed under faces, which is checked when the maximal rows are first
     read: ``is_pure``, ``is_balanced``, ``fans_equal`` and ``with_weights``
-    refuse a fan that is not with ValueError.  Each built fan gets its own
-    empty balancing index, which ``is_balanced`` fills; a fan built again
-    from the same cones starts a new one.  A fan's copies, its reweighted
-    ones (``with_weights``) and its image under a projection onto every
-    edge (``project_fan``), share its masks, ray ids, ray coordinates and
-    provenance columns, its source graph, the indexes of rows and maximal
-    rows it has built and its balancing index; each has its own weights
-    column and makes its own ``Cone`` objects.
+    refuse a fan that is not with ValueError.  A built fan gets its own
+    ``_Rows``, and a fan built again from the same cones a new one.  Its
+    reweighted copies (``with_weights``) and its image under a projection
+    onto every edge (``project_fan``) are fans on the same ``_Rows`` with
+    their own weights column; each fan makes its own ``Cone`` objects.
     """
 
     def __init__(self, ambient: Sequence[Edge], cones: Iterable[Cone]):
@@ -288,114 +359,56 @@ class Fan:
                     source = c.graph
             chains = tuple(tuple(f.mask for f in c.flats) for c in cone.provenance)
             rows.append((cone.masks, cone.weight, chains))
-        self._build(ambient, rows, source)
+        self._hold(*_sort_rows(ambient, rows, source))
 
     @classmethod
-    def _from_rows(cls, ambient: tuple[Edge, ...], rows: Iterable[tuple], source) -> "Fan":
-        """The fan of (masks, weight, provenance) rows over ``ambient``, the
-        provenance a tuple of chains, each of masks over ``source``."""
+    def _of(cls, rows: _Rows, weights: tuple[int, ...]) -> "Fan":
+        """The fan on ``rows`` with the checked ``weights`` column."""
         fan = cls.__new__(cls)
-        fan._build(ambient, rows, source)
+        fan._hold(rows, weights)
         return fan
 
-    def _build(self, ambient: tuple[Edge, ...], rows: Iterable[tuple], source):
-        """The row builder for rows in no known order: add the cone with no
-        rays if it is missing, and sort the rays, each cone's ray ids and
-        the rows into cone order, through their positions, so the sort makes
-        no tuple per row, which would stay tracked by the garbage collector."""
-        chains, weights, provenance = [], [], []
-        for masks, weight, origin in rows:
-            chains.append(masks)
-            weights.append(weight)
-            provenance.append(origin)
-        _check_rows(chains, weights, (1 << len(ambient)) - 1)
-        if () not in chains:
-            chains.append(())
-            weights.append(1)
-            provenance.append(())
-        m = len(ambient)
-        rays = sorted({x for k in chains for x in k}, key=lambda x: _ray_coords(x, m))
-        rank = {x: i for i, x in enumerate(rays)}.__getitem__
-        ids = [tuple(sorted(map(rank, k))) for k in chains]
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        order.sort(key=list(map(len, ids)).__getitem__)  # stable
-        columns = [tuple(map(c.__getitem__, order)) for c in (ids, chains, weights, provenance)]
-        self._lay_out(ambient, source, rays, *columns)
-
-    def _lay_out(self, ambient, source, rays, ray_ids, masks, weights, provenance):
-        """Keep the checked rows' columns, tuples in cone order, and each
-        ray's canonical coordinates, made once, in the order of ``rays``."""
-        self.ambient, self._source = ambient, source
-        self._coords = {x: _ray_coords(x, len(ambient)) for x in rays}
-        self._mask_of = {coords: x for x, coords in self._coords.items()}  # read by ray-set lookups
-        self._ray_ids, self._masks = ray_ids, masks
-        self._weights, self._provenance = weights, provenance
-        self.max_dim = len(masks[-1])
-        # the cones of dimension d are the rows in by_dim[d]
-        counts = [0] * (self.max_dim + 2)
-        for chain in masks:
-            counts[len(chain) + 1] += 1
-        starts = list(accumulate(counts))
-        self._by_dim = [range(a, b) for a, b in zip(starts, starts[1:])]
+    def _hold(self, rows: _Rows, weights: tuple[int, ...]):
+        self.ambient, self.max_dim = rows.ambient, rows.max_dim
+        self._rows, self._weights = rows, weights
         self._made: dict[int, Cone] = {}
-        self._flats: dict[int, Flat] = {}  # the provenance's flats, by mask, made on request
-        # what balancing reads off the masks column; reweighted copies share it
-        self._balancing = _BalancingIndex()
 
     def _cone(self, i: int) -> Cone:
         """Row i as a ``Cone``, made on the first request, with each chain
         of its provenance made a ``ChainOfFlats`` of flats of the source
-        graph, each distinct flat made once per fan."""
+        graph, each distinct flat made once per ``_Rows``."""
         cone = self._made.get(i)
         if cone is None:
-            chains = tuple(ChainOfFlats(tuple(map(self._flat, k))) for k in self._provenance[i])
-            cone = self._made[i] = Cone(self.ambient, self._masks[i], self._weights[i], chains)
+            rows = self._rows
+            flat = rows.flats.__getitem__
+            chains = tuple(ChainOfFlats(tuple(map(flat, k))) for k in rows.provenance[i])
+            cone = self._made[i] = Cone(self.ambient, rows.masks[i], self._weights[i], chains)
         return cone
 
-    def _flat(self, mask: int) -> Flat:
-        if mask not in self._flats:
-            self._flats[mask] = Flat(EdgeSet(self._source, mask))
-        return self._flats[mask]
-
-    @cached_property
+    @property
     def cones(self) -> tuple[Cone, ...]:
-        return tuple(map(self._cone, range(len(self._masks))))
+        return tuple(map(self._cone, range(len(self._weights))))
 
     @property
     def rays(self) -> tuple[QuotientVector, ...]:
-        return tuple(QuotientVector(self.ambient, coords) for coords in self._coords.values())
+        return tuple(QuotientVector(self.ambient, coords) for coords in self._rows.coords.values())
 
     def cones_of_dim(self, d: int) -> tuple[Cone, ...]:
-        return tuple(map(self._cone, self._by_dim[d])) if 0 <= d <= self.max_dim else ()
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        """Each cone's row, by its masks."""
-        return {masks: i for i, masks in enumerate(self._masks)}
-
-    @cached_property
-    def _maximal(self) -> tuple[int, ...]:
-        """The rows of the maximal cones.  In a fan closed under taking ray
-        subsets, non-maximal cones are exactly the facets of some other
-        cone.  Closure is checked here, not when the fan is built, where it
-        would cost every fan."""
-        facets = set()
-        for masks in self._masks:
-            for i in range(len(masks)):
-                facets.add(masks[:i] + masks[i + 1 :])
-        if not facets <= self._index.keys():
-            raise ValueError("the fan is not closed under faces")
-        return tuple(i for i, masks in enumerate(self._masks) if masks not in facets)
+        return tuple(map(self._cone, self._rows.by_dim[d])) if 0 <= d <= self.max_dim else ()
 
     @property
     def is_pure(self) -> bool:
-        return all(len(self._masks[i]) == self.max_dim for i in self._maximal)
+        return self._rows.pure
 
-    def _row_of(self, rays: Iterable[QuotientVector]) -> Optional[int]:
-        """The row of the cone on ``rays``, or None if there is none."""
-        mask_of = self._mask_of
-        masks = [mask_of.get(r.coords) if r.ambient == self.ambient else None for r in rays]
-        return None if None in masks else self._index.get(tuple(sorted(masks)))
+    def _row_of(self, rays: Iterable) -> Optional[int]:
+        """The row of the cone on ``rays``, or None if there is none, as
+        when a member is not a ``QuotientVector`` over the fan's ambient."""
+        mask_of, ambient = self._rows.mask_of, self.ambient
+        masks = [
+            mask_of.get(r.coords) if isinstance(r, QuotientVector) and r.ambient == ambient else None
+            for r in rays
+        ]
+        return None if None in masks else self._rows.index.get(tuple(sorted(masks)))
 
     def cone_with_rayset(self, rayset: frozenset) -> Optional[Cone]:
         i = self._row_of(rayset)
@@ -404,31 +417,53 @@ class Fan:
     def with_weights(self, overrides: dict[frozenset, int]) -> "Fan":
         """The fan with some weights replaced, each named by its cone's ray
         set.  A ray set that is not a cone of this fan is refused with
-        ValueError, and so is a weight that is not a positive int.
-
-        The chains are this fan's, so the new fan shares its masks,
-        provenance and ray ids columns, its ray coordinates, its index of
-        rows and maximal rows, and its balancing index (the stars, the
-        certified flag and the verdicts by face and star weights),
-        with this fan and every other copy of it; only the weights column
-        is new."""
-        rows = {self._row_of(rays): w for rays, w in overrides.items()}
-        if None in rows:
+        ValueError, and so is a weight that is not a positive int.  The new
+        fan is on this fan's ``_Rows``; only the weights column is new."""
+        changed = {self._row_of(rays): w for rays, w in overrides.items()}
+        if None in changed:
             raise ValueError("with_weights names a ray set that is not a cone of this fan")
-        self._maximal  # refuses a fan that is not closed under faces
+        rows = self._rows
+        rows.maximal  # refuses a fan that is not closed under faces
         full = (1 << len(self.ambient)) - 1
         weights = list(self._weights)
-        for i, w in rows.items():
-            _check_row(self._masks[i], w, full)
+        for i, w in changed.items():
+            _check_row(rows.masks[i], w, full)
             weights[i] = w
-        fan = copy(self)
-        fan._weights, fan._made = tuple(weights), {}
-        fan.__dict__.pop("cones", None)  # cached Cones carry the old weights
-        return fan
+        return Fan._of(rows, tuple(weights))
 
     def census(self) -> tuple[int, ...]:
         """Cone counts by dimension 0..max_dim."""
-        return tuple(map(len, self._by_dim))
+        return tuple(map(len, self._rows.by_dim))
+
+
+def _sort_rows(ambient: tuple[Edge, ...], rows: Iterable[tuple], source) -> tuple[_Rows, tuple]:
+    """The row builder for (masks, weight, provenance) rows over
+    ``ambient`` in no known order, the provenance a tuple of chains, each
+    of masks over ``source``: check them, add the cone with no rays if it
+    is missing, and sort the rays, each cone's ray ids and the rows into
+    cone order, through their positions, so the sort makes no tuple per
+    row, which would stay tracked by the garbage collector.  Returns the
+    ``_Rows`` and the weights column."""
+    chains, weights, provenance = [], [], []
+    for masks, weight, origin in rows:
+        chains.append(masks)
+        weights.append(weight)
+        provenance.append(origin)
+    _check_rows(chains, weights, (1 << len(ambient)) - 1)
+    if () not in chains:
+        chains.append(())
+        weights.append(1)
+        provenance.append(())
+    m = len(ambient)
+    rays = sorted({x for k in chains for x in k}, key=lambda x: _ray_coords(x, m))
+    rank = {x: i for i, x in enumerate(rays)}.__getitem__
+    ids = [tuple(sorted(map(rank, k))) for k in chains]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    order.sort(key=list(map(len, ids)).__getitem__)  # stable
+    ids, chains, weights, provenance = (
+        tuple(map(c.__getitem__, order)) for c in (ids, chains, weights, provenance)
+    )
+    return _Rows(ambient, source, rays, ids, chains, provenance), weights
 
 
 def bergman_fan(g: Graph, lattice: Optional[FlatLattice] = None) -> Fan:
@@ -454,10 +489,9 @@ def _chain_fan(lattice: FlatLattice, allowed: int) -> Fan:
     over the lattice's graph, laid out as the walk yields them, in cone
     order; the row check of the masks is the walked chain's one check."""
     rays, ids, masks = _chains_in_cone_order(lattice, allowed)
-    fan, g, weights = Fan.__new__(Fan), lattice.graph, (1,) * len(masks)
+    g, weights = lattice.graph, (1,) * len(masks)
     _check_rows(masks, weights, (1 << len(g.edges)) - 1)  # before the provenance, for the peak
-    fan._lay_out(g.edges, g, rays, ids, masks, weights, tuple((k,) for k in masks))
-    return fan
+    return Fan._of(_Rows(g.edges, g, rays, ids, masks, tuple((k,) for k in masks)), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -500,40 +534,28 @@ def is_balanced(fan: Fan) -> BalanceReport:
     (``_constant_on_layers``).  Faces are visited in the fan's cone order,
     so the first failing face is reported.  Exact arithmetic throughout.
 
-    Everything but the weights is read off the fan's ``_BalancingIndex``,
-    which the fan's reweighted copies share, as they share its masks
-    column: the purity verdict, each face's star (how to pick the weights
-    of the maximal rows over it, and the masks they add, indexed in one
-    pass over the maximal cones on the column's first call), whether its
-    maximal cones are certified, and a verdict per face and tuple of star
-    weights, as the layer test depends on nothing else.  So each masks
-    column builds its stars once, certifies its maximal cones in one loop
-    on its first call and runs each (face, star weights) layer test once.
-    The certified flag is set only after every maximal cone has passed,
-    and before any verdict is looked up, so a failed certificate raises on
-    every call and is never recorded.
+    Everything but the weights is read off the fan's ``_Rows``, which its
+    reweighted copies and identity image share: the purity verdict, each
+    face's star (how to pick the weights of the maximal rows over it, and
+    the masks they add, indexed in one pass over the maximal cones on the
+    first call), the certificate, and a verdict per face and tuple of star
+    weights, as the layer test depends on nothing else.  So each ``_Rows``
+    builds its stars once, certifies its maximal cones in one loop on its
+    first call and runs each (face, star weights) layer test once.  The
+    certificate is read before any verdict is looked up, and is recorded
+    only when every maximal cone has passed, so a failed one raises on
+    every call.
     """
-    index = fan._balancing
-    if index.pure is None:
-        index.pure = fan.is_pure
-    if not index.pure:
+    if not fan.is_pure:
         raise ValueError("balancing is only defined for pure fans")
     if fan.max_dim == 0:
         return BalanceReport(True)
-    if index.stars is None:
-        index.stars = _stars(fan)
-    chains, weights, verdicts = fan._masks, fan._weights, index.verdicts
-    if not index.certified:
-        coords = fan._coords
-        for s in fan._by_dim[fan.max_dim]:
-            # the rays' canonical coordinates in their order; each ends in
-            # 0, which the lattice test leaves out
-            rays = sorted(coords[x] for x in chains[s])
-            if not _is_unimodular([list(r[:-1]) for r in rays]):
-                raise RuntimeError("a maximal cone's rays are not a basis of its lattice")
-        index.certified = True
+    rows = fan._rows
+    stars = rows.stars
+    rows.certified  # raises RuntimeError, and records nothing, unless every maximal cone passes
+    chains, weights, verdicts = rows.masks, fan._weights, rows.verdicts
     full = (1 << len(fan.ambient)) - 1
-    for t, pick, added in index.stars:
+    for t, pick, added in stars:
         key = (t, pick(weights))
         verdict = verdicts.get(key)
         if verdict is None:
@@ -543,41 +565,21 @@ def is_balanced(fan: Fan) -> BalanceReport:
     return BalanceReport(True)
 
 
-class _BalancingIndex:
-    """What ``is_balanced`` reads off one masks column, made empty by the
-    row builder and shared by reference with the reweighted copies of the
-    fan, whose masks are the same: the purity verdict (None until the
-    first call), the stars (None until the first call on a pure fan with
-    faces; see ``_stars``), whether every maximal cone is certified (False
-    until a call certifies them all), and the layer test's verdict by
-    (face row, star weights).  None of it depends on the weights but
-    through that key, and nothing is evicted: the index lives as long as
-    the column."""
-
-    __slots__ = ("pure", "stars", "certified", "verdicts")
-
-    def __init__(self):
-        self.pure: Optional[bool] = None
-        self.stars: Optional[tuple[tuple, ...]] = None
-        self.certified = False
-        self.verdicts: dict[tuple[int, tuple[int, ...]], bool] = {}
-
-
-def _stars(fan: Fan) -> tuple[tuple, ...]:
+def _stars(rows: _Rows) -> tuple[tuple, ...]:
     """Each codimension-one row t of the pure fan, in cone order, as (t,
     pick, added): a function from a weights column to the tuple of the
     weights of the maximal cones over it, and the masks they add to t, in
     the same order.  One pass over the maximal cones
     indexes them by facet, keyed by edge masks; in a pure fan closed under
     faces every face of codimension one is a facet of some maximal cone."""
-    chains = fan._masks
+    chains = rows.masks
     star: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for s in fan._by_dim[fan.max_dim]:
+    for s in rows.by_dim[rows.max_dim]:
         masks = chains[s]
         for i, mask in enumerate(masks):
             star.setdefault(masks[:i] + masks[i + 1 :], []).append((s, mask))
     faces = []
-    for t in fan._by_dim[fan.max_dim - 1]:
+    for t in rows.by_dim[rows.max_dim - 1]:
         rows, added = zip(*star[chains[t]])
         faces.append((t, _picker(rows), added))
     return tuple(faces)
@@ -683,9 +685,8 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
 
     When gamma holds every edge, every trace is its own set, so the image
     is the fan itself with weight one (on chains of flats, the identity of
-    Ardila-Klivans).  It shares the fan's masks, ray ids, ray coordinates
-    and provenance columns, its source graph and its balancing index, as
-    ``Fan.with_weights`` copies do, with a new all-ones weights column; no
+    Ardila-Klivans): a fan on the source's ``_Rows``, as
+    ``Fan.with_weights`` copies are, with a new all-ones weights column; no
     row is traced, checked or sorted again.  Otherwise each fiber is held
     as its source row numbers while the images merge, a single row's
     provenance is shared, and the images go through the sorting row builder.
@@ -696,24 +697,21 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
             "fan ambient must be the complete graph on the target graph's labels"
         )
     if len(gamma.edges) == len(complete_edges):
-        same = copy(fan)
-        same._weights = (1,) * len(fan._masks)
-        same._made, same._flats = {}, {}
-        same.__dict__.pop("cones", None)  # cached Cones carry the old weights
-        return same
+        return Fan._of(fan._rows, (1,) * len(fan._weights))
     # gamma's edges keep their order among the complete graph's; each ray's
     # trace is kept if it is not empty or full, that is if its image is not 0
     positions = [i for i, e in enumerate(fan.ambient) if e in gamma.edge_index]
     full = (1 << len(positions)) - 1
     trace = {}
-    for x in fan._coords:
+    fan_rows = fan._rows
+    for x in fan_rows.coords:
         t = sum(1 << j for j, i in enumerate(positions) if x >> i & 1)
         if 0 < t < full:
             trace[x] = t
     # the traces of nested sets are nested, so a cone's image is read off
     # its ascending masks in order, skipping absent traces and repeats
     fibers: dict[tuple[int, ...], list[int]] = {}
-    for r, masks in enumerate(fan._masks):
+    for r, masks in enumerate(fan_rows.masks):
         image = []
         for x in masks:
             t = trace.get(x)
@@ -725,9 +723,9 @@ def project_fan(fan: Fan, gamma: Graph) -> Fan:
             fibers[key] = [r]  # a list of one, where append would allocate four
         else:
             fiber.append(r)
-    rows = _fiber_rows(fibers, fan._provenance)
+    rows = _fiber_rows(fibers, fan_rows.provenance)
     del fibers  # freed, row numbers and all, when the row builder has read them
-    return Fan._from_rows(gamma.edges, rows, fan._source)
+    return Fan._of(*_sort_rows(gamma.edges, rows, fan_rows.source))
 
 
 def _fiber_rows(fibers: dict[tuple[int, ...], list[int]], provenance: tuple) -> Iterator[tuple]:
@@ -748,9 +746,9 @@ def fans_equal(a: Fan, b: Fan) -> bool:
     if a.ambient != b.ambient:
         return False
     # a set of chains has one cone order, so equal sets are equal columns
-    maximal = a._maximal
-    b._maximal  # refuses a fan that is not closed under faces, as a's does
-    return a._masks == b._masks and all(a._weights[i] == b._weights[i] for i in maximal)
+    maximal = a._rows.maximal
+    b._rows.maximal  # refuses a fan that is not closed under faces, as a's does
+    return a._rows.masks == b._rows.masks and all(a._weights[i] == b._weights[i] for i in maximal)
 
 
 # Serialization
@@ -814,7 +812,7 @@ def fan_json_chunks(fan: Fan, depth: int = 0, **fields) -> Iterator[str]:
     made.  The chunks are read off the fan's rows.  Each cone's chunk is
     one ``"".join`` of pieces prepared beforehand or made by C calls: the
     lead (the item separator and the opening of the rays block), the ray
-    ids joined (one string per id of the fan's own ``Fan._ray_ids``), the
+    ids joined (one string per ray of the fan), the
     weight text (the rays block's closing, the weight and the provenance
     key, one string per weight value) and the provenance text.  Each
     flat's block of edge strings is encoded on its first read and kept for
@@ -836,7 +834,8 @@ def fan_json_chunks(fan: Fan, depth: int = 0, **fields) -> Iterator[str]:
         """json_array(items, depth + k) from the precomputed separators."""
         return "[" + nl[k + 1] + sep[k + 1].join(items) + nl[k] + "]" if items else "[]"
 
-    source = [] if fan._source is None else [json_scalar(edge_str(e)) for e in fan._source.edges]
+    rows = fan._rows
+    source = [] if rows.source is None else [json_scalar(edge_str(e)) for e in rows.source.edges]
     # each flat's block of source edge strings, by mask, made on its first read
     flat_text = _Memo(lambda x: block(list(map(source.__getitem__, _positions(x))), 5)).__getitem__
     flat_sep, open_chain, close_chain = sep[5], "[" + nl[5], nl[4] + "]"
@@ -853,7 +852,7 @@ def fan_json_chunks(fan: Fan, depth: int = 0, **fields) -> Iterator[str]:
             "{" + nl[1] + '"schema": ' + json_scalar(SCHEMA)
             + sep[1] + '"ambient": ' + block([json_scalar(edge_str(e)) for e in fan.ambient], 1)
             + sep[1] + '"rays": '
-            + block([block(list(map(json_scalar, r)), 2) for r in fan._coords.values()], 1)
+            + block([block(list(map(json_scalar, r)), 2) for r in rows.coords.values()], 1)
             + sep[1] + '"cones": ['
         )
         # a cone is {"rays": [ids], "weight": w, "provenance": [chains]};
@@ -863,10 +862,10 @@ def fan_json_chunks(fan: Fan, depth: int = 0, **fields) -> Iterator[str]:
             for w in set(fan._weights)
         }
         # the fan's rays are its ray coordinates' keys, in their order
-        name = [str(i) for i in range(len(fan._coords))].__getitem__
-        rows = zip(fan._ray_ids, fan._weights, fan._provenance)
+        name = [str(i) for i in range(len(rows.coords))].__getitem__
+        cones = zip(rows.ray_ids, fan._weights, rows.provenance)
         # the first row is the cone with no rays, which a fan always holds
-        _, weight, chains = next(rows)
+        _, weight, chains = next(cones)
         yield (
             nl[2] + "{" + nl[3] + '"rays": []' + sep[3] + '"weight": ' + json_scalar(weight)
             + sep[3] + '"provenance": ' + chains_text(chains)
@@ -874,7 +873,7 @@ def fan_json_chunks(fan: Fan, depth: int = 0, **fields) -> Iterator[str]:
         lead, item = sep[2] + "{" + nl[3] + '"rays": [' + nl[4], sep[4]
         open_one, close_one = "[" + nl[4] + open_chain, close_chain + nl[3] + "]" + nl[2] + "}"
         join = "".join
-        for ids, weight, chains in rows:
+        for ids, weight, chains in cones:
             if len(chains) == 1 and chains[0]:
                 yield join((
                     lead, item.join(map(name, ids)), weight_text[weight],

@@ -570,9 +570,11 @@ def _check_rank_global(sys: SetSystem) -> AxiomReport:
                 return AxiomReport(
                     "R'", False, ("R2'", sys.from_mask(y), sys.from_mask(x))
                 )
+    # R3' is symmetric in x and y and holds for x = y, so its first
+    # failing pair in canonical order has x < y
     for x in range(1 << n):
         rx = rk[x]
-        for y in range(1 << n):
+        for y in range(x + 1, 1 << n):
             if rk[x | y] + rk[x & y] > rx + rk[y]:
                 return AxiomReport(
                     "R'", False, ("R3'", sys.from_mask(x), sys.from_mask(y))
@@ -619,10 +621,10 @@ def _check_circuits(sys: SetSystem) -> AxiomReport:
                 return AxiomReport(
                     "C", False, ("C1", sys.from_mask(c1), sys.from_mask(c2))
                 )
-    for c1 in members:
-        for c2 in members:
-            if c1 == c2:
-                continue
+    # C2 is symmetric in c1 and c2, so its first failing pair in canonical
+    # order has c1 before c2
+    for i, c1 in enumerate(members):
+        for c2 in members[i + 1 :]:
             for z in _bits(c1 & c2):
                 union = (c1 | c2) & ~z
                 if not any(c3 & ~union == 0 for c3 in members):

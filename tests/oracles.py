@@ -16,7 +16,8 @@ testing each split's membership of every pair, psi by inverting its matrix on th
 of two-element splits, graphic stability by the vertex-local rule, radial
 faces by weakly monotone level maps, a type's end hosts and its edge
 contractions, circuits as minimal dependent sets by
-pairwise comparison, the flats by deduplicating the cluster graphs of all
+pairwise comparison, the global rank axioms and the circuit axioms with
+R3' and C2 scanned over every ordered pair, the flats by deduplicating the cluster graphs of all
 vertex partitions, lattice covers by containment of every pair of flats,
 the covers and up-sets by containment read off each edge's holders,
 chains of flats by a successor scan over every pair of flats, the stable
@@ -53,8 +54,12 @@ from tropfan import (
     rho_split,
     tropical_type,
 )
-from tropfan.bergman import SCHEMA, Fan, _constant_on_layers, _num, _numerators, edge_str
-from tropfan.matroid import Flat
+from tropfan.bergman import (
+    SCHEMA, Fan, _constant_on_layers, _num, _numerators, _sort_rows, edge_str,
+)
+from tropfan.matroid import (
+    AxiomReport, Flat, SetSystem, _bits, _need_members, _rank_list, _submasks,
+)
 from tropfan.tropmoduli import _ratios, pair_list
 
 
@@ -656,6 +661,46 @@ def circuits_by_pairs(g) -> list[frozenset]:
     ]
 
 
+def rank_global_by_ordered_pairs(sys: SetSystem) -> AxiomReport:
+    """The global rank axioms R1'-R3', with R3' tested on every ordered
+    pair (x, y) of subsets, the first failing one reported."""
+    rk = _rank_list(sys)
+    n = len(sys.ground)
+    for x in range(1 << n):
+        if not 0 <= rk[x] <= bin(x).count("1"):
+            return AxiomReport("R'", False, ("R1'", sys.from_mask(x)))
+    for x in range(1 << n):
+        for y in _submasks(x):
+            if rk[y] > rk[x]:
+                return AxiomReport("R'", False, ("R2'", sys.from_mask(y), sys.from_mask(x)))
+    for x in range(1 << n):
+        for y in range(1 << n):
+            if rk[x | y] + rk[x & y] > rk[x] + rk[y]:
+                return AxiomReport("R'", False, ("R3'", sys.from_mask(x), sys.from_mask(y)))
+    return AxiomReport("R'", True)
+
+
+def circuits_by_ordered_pairs(sys: SetSystem) -> AxiomReport:
+    """The circuit axioms C1-C2, with C2 tested on every ordered pair of
+    distinct members, the first failing (c1, c2, z) reported."""
+    members = sorted(_need_members(sys))
+    for c1 in members:
+        for c2 in members:
+            if c1 != c2 and c1 & ~c2 == 0:
+                return AxiomReport("C", False, ("C1", sys.from_mask(c1), sys.from_mask(c2)))
+    for c1 in members:
+        for c2 in members:
+            if c1 == c2:
+                continue
+            for z in _bits(c1 & c2):
+                union = (c1 | c2) & ~z
+                if not any(c3 & ~union == 0 for c3 in members):
+                    return AxiomReport(
+                        "C", False, ("C2", sys.from_mask(c1), sys.from_mask(c2), sys.from_mask(z))
+                    )
+    return AxiomReport("C", True)
+
+
 def vertex_partitions(labels: Sequence[int]) -> list[list[list[int]]]:
     """Every partition of ``labels`` into blocks, each partition of all but
     the last label extended by the last label alone or in one of its
@@ -828,14 +873,14 @@ def balance_per_call(fan) -> tuple[bool, Optional[Cone]]:
         raise ValueError("balancing is only defined for pure fans")
     if fan.max_dim == 0:
         return True, None
-    chains, weights = fan._masks, fan._weights
+    chains, weights = fan._rows.masks, fan._weights
     star: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for s in fan._by_dim[fan.max_dim]:
+    for s in fan._rows.by_dim[fan.max_dim]:
         masks = chains[s]
         for i, mask in enumerate(masks):
             star.setdefault(masks[:i] + masks[i + 1 :], []).append((s, mask))
     full = (1 << len(fan.ambient)) - 1
-    for t in fan._by_dim[fan.max_dim - 1]:
+    for t in fan._rows.by_dim[fan.max_dim - 1]:
         members = star.get(chains[t], ())
         if not _constant_on_layers(chains[t], [(g, weights[s]) for s, g in members], full):
             return False, fan._cone(t)
@@ -864,13 +909,13 @@ def fan_to_json(fan) -> dict:
     ray ids are not read.  Each flat's edge strings are made once per
     mask, from the source graph's edge list."""
     ray: dict[int, QuotientVector] = {}
-    for masks in fan._masks:
+    for masks in fan._rows.masks:
         for x in masks:
             if x not in ray:
                 ray[x] = Cone(fan.ambient, (x,)).rays[0]
     rays = sorted(ray.items(), key=lambda item: item[1].coords)
     index = {x: i for i, (x, _) in enumerate(rays)}
-    source = fan._source.edges if fan._source is not None else ()
+    source = fan._rows.source.edges if fan._rows.source is not None else ()
     flat_json: dict[int, list[str]] = {}  # each flat's edge strings, by mask
 
     def chain_json(chain) -> list:
@@ -883,7 +928,7 @@ def fan_to_json(fan) -> dict:
         return out
 
     cones = []
-    for masks, weight, provenance in zip(fan._masks, fan._weights, fan._provenance):
+    for masks, weight, provenance in zip(fan._rows.masks, fan._weights, fan._rows.provenance):
         cones.append(
             {
                 "rays": sorted(index[x] for x in masks),
@@ -1053,16 +1098,17 @@ def project_by_sorting(fan, gamma: Graph):
     positions = [i for i, e in enumerate(fan.ambient) if e in gamma.edge_index]
     full = (1 << len(positions)) - 1
     trace = {}
-    for x in fan._coords:
+    for x in fan._rows.coords:
         t = sum(1 << j for j, i in enumerate(positions) if x >> i & 1)
         if 0 < t < full:
             trace[x] = t
     merged: dict[tuple[int, ...], list] = {}
-    for masks, provenance in zip(fan._masks, fan._provenance):
+    for masks, provenance in zip(fan._rows.masks, fan._rows.provenance):
         image = []
         for x in masks:
             t = trace.get(x)
             if t is not None and (not image or image[-1] != t):
                 image.append(t)
         merged.setdefault(tuple(image), []).extend(provenance)
-    return Fan._from_rows(gamma.edges, ((k, 1, tuple(f)) for k, f in merged.items()), fan._source)
+    rows = ((k, 1, tuple(f)) for k, f in merged.items())
+    return Fan._of(*_sort_rows(gamma.edges, rows, fan._rows.source))

@@ -1,3 +1,7 @@
+import random
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 from tropfan import (
@@ -12,7 +16,7 @@ from tropfan import (
     verify_matroid_axioms,
 )
 
-from oracles import circuits_by_pairs
+from oracles import circuits_by_ordered_pairs, circuits_by_pairs, rank_global_by_ordered_pairs
 
 
 def cycle_systems(g: Graph):
@@ -149,3 +153,63 @@ def test_empty_bases_rejected():
     report = verify_matroid_axioms(SetSystem(("a",), members=()), "B")
     assert not report.holds
     assert report.counterexample == ("B-nonempty",)
+
+
+def subsets(ground) -> list[frozenset]:
+    return [frozenset(c) for k in range(len(ground) + 1) for c in combinations(ground, k)]
+
+
+def random_rank_tables(rng: random.Random, count: int) -> list[SetSystem]:
+    """Rank tables on up to five elements: half grow by 0 or 1 over their
+    largest one-smaller subset, so R1' and R2' hold and R3' is what can
+    fail; the rest are arbitrary values from 0 to the set's size, plus one
+    in every other table, so that R1' or R2' can fail first."""
+    systems = []
+    for i in range(count):
+        ground = tuple("abcde"[: rng.randint(1, 5)])
+        rank = {}
+        for s in subsets(ground):
+            if i % 2:
+                rank[s] = rng.randint(0, len(s) + i % 4 // 3)
+            else:
+                below = max((rank[s - {x}] for x in s), default=0)
+                rank[s] = below + (rng.random() < 0.5 if s else 0)
+        systems.append(SetSystem(ground, rank=rank))
+    return systems
+
+
+def random_circuit_families(rng: random.Random, count: int) -> list[SetSystem]:
+    """Families of nonempty subsets of up to five elements: half with
+    their proper supersets dropped, so C1 holds and C2 is what can fail."""
+    systems = []
+    for i in range(count):
+        ground = tuple("abcde"[: rng.randint(1, 5)])
+        family = {s for s in subsets(ground) if s and rng.random() < 0.3}
+        if i % 2 == 0:
+            family = {s for s in family if not any(t < s for t in family)}
+        systems.append(SetSystem(ground, members=tuple(sorted(family, key=sorted))))
+    return systems
+
+
+def test_unordered_scans_report_what_the_ordered_pair_scans_report():
+    """R3' and C2 are symmetric and hold for a set paired with itself, so
+    scanning each unordered pair once finds the same first counterexample
+    as scanning every ordered pair: whole reports agree on seeded random
+    rank tables and circuit families, failing ones included, and on every
+    graph with at most four vertices."""
+    rng = random.Random(20191)
+    graphs = list(all_graphs((2, 3, 4, 5)))
+    rank_systems = random_rank_tables(rng, 600)
+    rank_systems += [SetSystem(tuple(g.edges), rank=rank_table(g)) for g in graphs]
+    circuit_systems = random_circuit_families(rng, 600)
+    circuit_systems += [SetSystem(tuple(g.edges), members=tuple(circuits(g))) for g in graphs]
+    kinds = Counter()
+    for system in rank_systems:
+        report = verify_matroid_axioms(system, "R'")
+        assert report == rank_global_by_ordered_pairs(system), system
+        kinds[report.counterexample[0] if report.counterexample else "R' holds"] += 1
+    for system in circuit_systems:
+        report = verify_matroid_axioms(system, "C")
+        assert report == circuits_by_ordered_pairs(system), system
+        kinds[report.counterexample[0] if report.counterexample else "C holds"] += 1
+    assert min(kinds[k] for k in ("R1'", "R2'", "R3'", "R' holds", "C1", "C2", "C holds")) >= 20, kinds

@@ -1,14 +1,14 @@
-"""One balancing index per masks column.
+"""What balancing reads, kept once per ``_Rows``.
 
 ``is_balanced`` reads a fan's purity verdict, the star of each
-codimension-one face and whether its maximal cones are certified off an
-index that the fan's reweighted copies share, and keeps each face's
-layer-test verdict by the tuple of its star's weights.  These tests hold
+codimension-one face and whether its maximal cones are certified off the
+fan's ``_Rows``, which its reweighted copies share, and keeps each face's
+layer-test verdict there by the tuple of its star's weights.  These tests hold
 it to the per-call body it replaced (``oracles.balance_per_call``): the
 same verdict and first failing face on Bergman fans, on every single-cone
 doubling, on copies of copies and copies balanced before their base fan,
 and on moduli fans and their projections.  They check that the copies
-share one index and a fan built again gets its own, that the stars are
+share one ``_Rows`` and a fan built again gets its own, that the stars are
 built once and each (face, star weights) layer test runs once, and that
 a memoised verdict does not let a call skip the certificate."""
 
@@ -55,7 +55,7 @@ def test_every_single_cone_doubling_matches_the_per_call_body(m):
             assert verdict(fan) == balance_per_call(fan) == (True, None)
         doubled = fan.with_weights({rays: 2})
         for heavy in (doubled, doubled.with_weights({rays: 3})):
-            assert heavy._balancing is fan._balancing
+            assert heavy._rows is fan._rows
             balanced, face = verdict(heavy)
             assert (balanced, face) == balance_per_call(heavy)
             assert not balanced and face.dim == sigma.dim - 1
@@ -92,17 +92,17 @@ def test_copies_share_one_index_and_a_rebuilt_fan_gets_its_own():
     heavy = fan.with_weights({maximal[0].rayset: 2})
     heavier = heavy.with_weights({maximal[1].rayset: 3})
     rebuilt = Fan(fan.ambient, fan.cones)
-    assert heavy._balancing is fan._balancing
-    assert heavier._balancing is fan._balancing
-    assert rebuilt._balancing is not fan._balancing
+    assert heavy._rows is fan._rows
+    assert heavier._rows is fan._rows
+    assert rebuilt._rows is not fan._rows
     assert not verdict(heavier)[0]
-    assert fan._balancing.stars is not None and rebuilt._balancing.stars is None
+    assert "stars" in vars(fan._rows) and "stars" not in vars(rebuilt._rows)
     assert verdict(rebuilt) == (True, None)
 
     def stars(f):
         # the rows over each face, picked from a column holding its own row numbers
-        rows = range(len(f._masks))
-        return [(t, pick(rows), added) for t, pick, added in f._balancing.stars]
+        rows = range(len(f._rows.masks))
+        return [(t, pick(rows), added) for t, pick, added in f._rows.stars]
 
     assert stars(rebuilt) == stars(fan)
 
@@ -172,14 +172,14 @@ def test_a_memoised_verdict_does_not_skip_the_certificate(monkeypatch):
     k5 = complete_fan(5)
     heavy = reweightings(k5, 1)[0]
     assert is_balanced(k5).balanced and not is_balanced(heavy).balanced
-    index = k5._balancing
-    verdicts = dict(index.verdicts)
-    index.certified = False
+    rows = k5._rows
+    verdicts = dict(rows.verdicts)
+    del rows.certified
     monkeypatch.setattr(ila, "saturation", lambda rows: [[-x for x in r] for r in rows])
     for fan in (k5, heavy):
         with pytest.raises(RuntimeError, match="basis"):
             is_balanced(fan)
-        assert not index.certified and index.verdicts == verdicts
+        assert "certified" not in vars(rows) and rows.verdicts == verdicts
     monkeypatch.undo()
     assert is_balanced(k5).balanced
-    assert index.certified is True
+    assert vars(rows)["certified"] is True

@@ -300,7 +300,7 @@ def test_fan_missing_a_face_is_refused(k4):
     fan = bergman_fan(k4)
     broken = Fan(fan.ambient, [fan.cones_of_dim(2)[0]])
     for read in (
-        lambda: broken._maximal,
+        lambda: broken._rows.maximal,
         lambda: broken.is_pure,
         lambda: is_balanced(broken),
         lambda: fans_equal(broken, fan),
@@ -417,7 +417,7 @@ def test_reweighted_fan_equals_the_fan_built_from_its_cones():
     assert reweighted.cones == rebuilt.cones
     top = reweighted.cones_of_dim(fan.max_dim)
     assert top == rebuilt.cones_of_dim(fan.max_dim)
-    assert reweighted._maximal == rebuilt._maximal
+    assert reweighted._rows.maximal == rebuilt._rows.maximal
     assert reweighted.census() == rebuilt.census() == fan.census()
     assert [c.weight for c in top].count(1) == len(maximal) - 2
     assert reweighted.cone_with_rayset(maximal[7].rayset).weight == 3

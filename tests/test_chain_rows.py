@@ -1,20 +1,20 @@
-"""Chains kept as edge masks in cone order, and one certificate per masks column.
+"""Chains kept as edge masks in cone order, and one certificate per ``_Rows``.
 
 A chain fan's columns come straight from a walk over the allowed flats in
 ray order, which yields the chains in cone order with their ray ids; they
-must equal the columns that the sorting row builder, ``Fan._from_rows``,
+must equal the columns that the sorting row builder, ``_sort_rows``,
 lays out from the same chains given in another order.  A fan's provenance
 column holds each source chain as the ascending tuple of its flats' edge
 masks over the fan's source graph, and the row check on the chain's masks
 is its one check; ``Cone.provenance`` turns them into validating
-``ChainOfFlats`` at the API's edge, each distinct flat built once per fan,
+``ChainOfFlats`` at the API's edge, each distinct flat built once per ``_Rows``,
 and the CLI's fan documents build no ``Flat`` at all.  The provenance
 tests rebuild every chain from its masks through fresh ``Flat``s and the
 validating constructor, for Bergman fans, moduli fans and their
 projections, fibers included; a walk that yields a chain that is not
 nested must be refused.  ``is_balanced`` certifies every maximal row in
-one loop on a masks column's first call and then sets a flag in the
-balancing index that reweighted copies share, so the certificate tests
+one loop on its first call on a ``_Rows``, which records the certificate
+for the reweighted copies that share it, so the certificate tests
 count ``saturation`` calls across reweightings and check that a failed
 certificate raises every time and records nothing."""
 
@@ -76,8 +76,8 @@ def assert_rows_are_walked_chains(fan, g: Graph):
     the source graph g, and its ``Cone`` gets it back as the chain rebuilt
     from the masks."""
     chain = fresh_chains(g)
-    assert fan._source == g
-    for row, masks in zip(fan._provenance, fan._masks):
+    assert fan._rows.source == g
+    for row, masks in zip(fan._rows.provenance, fan._rows.masks):
         assert len(row) == 1 and type(row[0]) is tuple
         assert row[0] is masks
     for cone in fan.cones:
@@ -91,11 +91,11 @@ def assert_fibers_are_walked_chains(image, fan, g: Graph, gamma: Graph):
     chain = fresh_chains(g)
     positions = [i for i, e in enumerate(g.edges) if e in gamma.edge_index]
     fibers: dict[tuple, list] = {}
-    for masks in fan._masks:
+    for masks in fan._rows.masks:
         fibers.setdefault(image_masks(masks, positions), []).append(masks)
-    assert sorted(fibers) == sorted(image._masks)
-    assert image._source is fan._source
-    for row in image._provenance:
+    assert sorted(fibers) == sorted(image._rows.masks)
+    assert image._rows.source is fan._rows.source
+    for row in image._rows.provenance:
         assert all(type(c) is tuple and all(type(x) is int for x in c) for c in row)
     for cone in image.cones:
         assert cone.provenance == tuple(chain(m) for m in fibers[cone.masks]), cone.masks
@@ -133,8 +133,8 @@ def test_fan_from_cones_keeps_the_chains_as_mask_tuples(k4):
     flats' graph, and hands back equal chains."""
     fan = bergman_fan(k4)
     rebuilt = bergman.Fan(k4.edges, fan.cones)
-    assert rebuilt._provenance == fan._provenance
-    assert rebuilt._source == k4
+    assert rebuilt._rows.provenance == fan._rows.provenance
+    assert rebuilt._rows.source == k4
     assert [c.provenance for c in rebuilt.cones] == [c.provenance for c in fan.cones]
 
 
@@ -148,7 +148,7 @@ def test_fan_from_cones_refuses_chains_of_two_graphs(k4):
     # an equal graph built apart is the same source
     twin = Graph(k4.labels, k4.edges)
     cones[5] = bergman.Cone(k4.edges, cones[5].masks, 1, (fresh_chains(twin)(cones[5].masks),))
-    assert bergman.Fan(k4.edges, cones)._provenance == fan._provenance
+    assert bergman.Fan(k4.edges, cones)._rows.provenance == fan._rows.provenance
 
 
 @pytest.mark.parametrize("build", ["bergman", "moduli"])
@@ -180,12 +180,13 @@ def assert_walk_matches_the_row_sort(fan):
     builder lays out from the same rows in a shuffled order: masks, ray
     ids, the rays' masks and coordinates in their order, weights,
     provenance, the rows of each dimension and the source graph."""
-    rows = list(zip(fan._masks, fan._weights, fan._provenance))
+    rows = list(zip(fan._rows.masks, fan._weights, fan._rows.provenance))
     random.Random(len(rows)).shuffle(rows)
-    sorted_fan = bergman.Fan._from_rows(fan.ambient, rows, fan._source)
-    for column in ("_masks", "_ray_ids", "_weights", "_provenance", "_by_dim", "max_dim", "_source"):
-        assert getattr(fan, column) == getattr(sorted_fan, column), (fan.ambient, column)
-    assert list(fan._coords.items()) == list(sorted_fan._coords.items()), fan.ambient
+    sorted_fan = bergman.Fan._of(*bergman._sort_rows(fan.ambient, rows, fan._rows.source))
+    assert fan._weights == sorted_fan._weights, fan.ambient
+    for column in ("masks", "ray_ids", "provenance", "by_dim", "max_dim", "source"):
+        assert getattr(fan._rows, column) == getattr(sorted_fan._rows, column), (fan.ambient, column)
+    assert list(fan._rows.coords.items()) == list(sorted_fan._rows.coords.items()), fan.ambient
 
 
 def test_walked_bergman_columns_match_the_row_sort():
@@ -231,19 +232,21 @@ def test_fan_documents_build_no_flat(flats_made, tmp_path):
 
 def test_cones_build_each_flat_once_per_fan(flats_made):
     """Reading a fan's cones, or its projection's, builds one ``Flat`` per
-    distinct mask of its provenance; reading them again, or a reweighted
-    copy's, builds none."""
+    distinct mask of its provenance; reading them again, a reweighted
+    copy's or the fan's identity image's, builds none."""
     g = Graph.complete(range(2, 7))
     fan = bergman_fan(g)
     image = project_fan(fan, cycle_on(g.labels))
     for f in (fan, image):
         flats_made.clear()
         cones = f.cones
-        assert sorted(flats_made) == sorted({x for row in f._provenance for c in row for x in c})
+        assert sorted(flats_made) == sorted({x for row in f._rows.provenance for c in row for x in c})
         flats_made.clear()
-        assert f.cones_of_dim(2) == cones[f._by_dim[2].start : f._by_dim[2].stop]
+        assert f.cones_of_dim(2) == cones[f._rows.by_dim[2].start : f._rows.by_dim[2].stop]
         f.with_weights({}).cones  # a reweighted copy shares the fan's flats
         assert flats_made == []
+    project_fan(fan, g).cones  # and so does the identity image
+    assert flats_made == []
 
 
 def test_psi_radial_to_cof_equals_a_fresh_chain():
@@ -269,7 +272,7 @@ def test_psi_radial_to_cof_equals_a_fresh_chain():
 
 
 # ---------------------------------------------------------------------------
-# One certificate per masks column
+# One certificate per _Rows
 
 
 @pytest.fixture
@@ -301,7 +304,7 @@ def test_reweighted_fans_certify_each_maximal_cone_once(saturation_calls):
     assert certified == len(k5.cones_of_dim(k5.max_dim)) == 180
     for fan in reweightings(k5):
         assert not is_balanced(fan).balanced
-        assert fan._balancing is k5._balancing
+        assert fan._rows is k5._rows
     assert len(saturation_calls) == certified
     # reweightings first, then the fan: still each cone once in all
     saturation_calls.clear()
@@ -312,7 +315,7 @@ def test_reweighted_fans_certify_each_maximal_cone_once(saturation_calls):
     assert is_balanced(k5).balanced
     counts = Counter(saturation_calls)
     assert len(counts) == len(saturation_calls) == 180
-    assert k5._balancing.certified is True
+    assert vars(k5._rows)["certified"] is True
 
 
 def test_a_failed_certificate_raises_every_time_and_records_nothing(monkeypatch):
@@ -323,8 +326,8 @@ def test_a_failed_certificate_raises_every_time_and_records_nothing(monkeypatch)
     for fan in (k5, heavy, k5, heavy):
         with pytest.raises(RuntimeError, match="basis"):
             is_balanced(fan)
-        assert not k5._balancing.certified
-        assert heavy._balancing is k5._balancing
+        assert "certified" not in vars(k5._rows)
+        assert heavy._rows is k5._rows
     monkeypatch.undo()
     assert not is_balanced(heavy).balanced
     assert is_balanced(k5).balanced

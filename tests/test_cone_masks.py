@@ -68,11 +68,18 @@ def not_cones(k4):
                 QuotientVector(k4.edges, (0, -1, 0, 0, 0, 0)),
             ]
         ),
+        "int member": frozenset([1]),
+        "edge member": frozenset([k4.edges[0]]),
+        "ray and coordinates": frozenset([ray, ray.coords]),
     }
 
 
 @pytest.mark.parametrize(
-    "name", ["zero vector", "Fraction vector", "foreign ambient", "foreign length", "non-nested pair"]
+    "name",
+    [
+        "zero vector", "Fraction vector", "foreign ambient", "foreign length", "non-nested pair",
+        "int member", "edge member", "ray and coordinates",
+    ],
 )
 def test_ray_sets_of_no_cone_are_not_found_and_not_reweighted(k4, k4_fan, name):
     rays = not_cones(k4)[name]
@@ -169,18 +176,26 @@ def test_row_builder_refuses_a_chain_given_twice(k4):
 
 
 def test_reweighting_shares_every_column_but_the_weights(k4_fan):
-    """``with_weights`` makes a new weights column and shares the masks,
-    provenance and ray ids columns, the ray coordinates, both indexes and
-    the balancing index; each fan makes its own ``Cone`` objects, with its
-    own weights."""
+    """``with_weights`` makes a new weights column and shares the fan's
+    ``_Rows``; each fan makes its own ``Cone`` objects, with its own
+    weights."""
     sigma = k4_fan.cones_of_dim(2)[3]
     heavy = k4_fan.with_weights({sigma.rayset: 2})
-    for column in ("_masks", "_provenance", "_ray_ids", "_coords", "_index", "_mask_of", "_balancing"):
-        assert getattr(heavy, column) is getattr(k4_fan, column), column
+    assert heavy._rows is k4_fan._rows
     assert heavy._weights != k4_fan._weights
     assert heavy.cone_with_rayset(sigma.rayset).weight == 2
     assert k4_fan.cone_with_rayset(sigma.rayset) is sigma and sigma.weight == 1
     assert [c.weight for c in heavy.cones_of_dim(heavy.max_dim)].count(2) == 1
+
+
+def test_a_fan_holds_its_rows_and_weights_alone(k4, k4_fan):
+    """A built fan, a reweighted copy and an identity image each hold
+    their ambient and dimension, the shared ``_Rows``, a weights column and
+    their own ``Cone`` objects, and nothing else."""
+    sigma = k4_fan.cones_of_dim(2)[3]
+    built = Fan(k4.edges, k4_fan.cones)
+    for fan in (k4_fan, built, k4_fan.with_weights({sigma.rayset: 2}), project_fan(k4_fan, k4)):
+        assert set(vars(fan)) == {"ambient", "max_dim", "_rows", "_weights", "_made"}
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +227,7 @@ def assert_matches(fan: Fan, cones: dict):
     assert fan.cones == built.cones
     assert set(fan.cones) == set(given)
     assert [c.provenance for c in fan.cones] == [c.provenance for c in built.cones]
-    assert fan._maximal == built._maximal
+    assert fan._rows.maximal == built._rows.maximal
     assert fan.rays == built.rays
     assert fan_json_text(fan) == json.dumps(fan_to_json(fan), indent=2)
 

@@ -70,7 +70,7 @@ def test_reweighted_k5_fans_keep_their_ray_ids(step):
     fan = bergman_fan(Graph.complete(range(2, 7)))
     changed = fan.cones[1::step]
     heavy = fan.with_weights({c.rayset: 2 + i % 3 for i, c in enumerate(changed)})
-    assert heavy._ray_ids is fan._ray_ids
+    assert heavy._rows.ray_ids is fan._rows.ray_ids
     assert sum(c.weight > 1 for c in heavy.cones) == len(changed) > 10
     assert_writes_like_oracle(heavy)
 
@@ -149,18 +149,26 @@ def test_complete_moduli_documents_encode_the_shared_body_once(n, tmp_path, monk
     assert calls == [fan, projected]
 
 
-def test_identity_image_with_other_weights_is_encoded_on_its_own():
-    """An identity image shares every column of a reweighted radial fan but
+def test_identity_image_with_other_weights_is_encoded_on_its_own(monkeypatch):
+    """An identity image is on the rows of a reweighted radial fan but
     carries weight one: its text is not the radial fan's, so the document
     encodes it."""
+    calls = []
+
+    def counted(fan, *args, **kwargs):
+        calls.append(fan)
+        return fan_json_chunks(fan, *args, **kwargs)
+
     target = Graph.complete(range(2, 6))
     base = moduli_fan_rad(5)
     heavy = base.with_weights({c.rayset: 2 for c in base.cones_of_dim(base.max_dim)[::3]})
     projected = project_fan(heavy, target)
-    assert projected._masks is heavy._masks and projected._coords is heavy._coords
+    assert projected._rows is heavy._rows
     assert projected._weights != heavy._weights
-    assert not cli._same_body(heavy, projected)
+    monkeypatch.setattr(cli, "fan_json_chunks", counted)
     doc = "".join(cli._moduli_json_chunks(5, target, heavy, projected))
+    assert calls == [heavy, projected]
+    monkeypatch.undo()
     assert doc == separately_encoded(5, target, heavy, projected)
     assert doc.count('"weight": 2') == len(base.cones_of_dim(base.max_dim)[::3])
 

@@ -193,10 +193,10 @@ def assert_same_moduli_fan(n, gamma, typed, cones=True):
     compared too."""
     fan = moduli_fan_rad(n, gamma)
     oracle = moduli_fan_by_types(gamma, *typed)
-    assert fan._masks == oracle._masks, gamma.edges
+    assert fan._rows.masks == oracle._rows.masks, gamma.edges
     assert fan._weights == oracle._weights, gamma.edges
-    assert fan._provenance == oracle._provenance, gamma.edges
-    assert fan._source == oracle._source, gamma.edges
+    assert fan._rows.provenance == oracle._rows.provenance, gamma.edges
+    assert fan._rows.source == oracle._rows.source, gamma.edges
     if cones:
         assert fan.cones == oracle.cones, gamma.edges
         assert [c.provenance for c in fan.cones] == [c.provenance for c in oracle.cones]

@@ -1,9 +1,8 @@
 """Projection shares what it does not change.
 
 Onto every edge of its ambient, ``project_fan`` returns the source fan's
-rows as they are: the image shares the masks, ray-id, ray-coordinate and
-provenance columns, the source graph and the balancing index, and gets a
-new all-ones weights column and empty caches.  Onto a proper subgraph it
+rows as they are: the image is a fan on the source's ``_Rows``, with a
+new all-ones weights column and no ``Cone`` made yet.  Onto a proper subgraph it
 merges each fiber as source row numbers and sorts the images.  Both must
 equal the sorting route kept in ``oracles.project_by_sorting``, which
 traces every row, joins each fiber's chains and sorts every image, as
@@ -11,13 +10,10 @@ columns and as ``Cone``s, a reweighted source included."""
 
 import pytest
 
-from tropfan import Graph, bergman_fan, moduli_fan_rad, project_fan
+from tropfan import Cone, Graph, bergman_fan, moduli_fan_rad, project_fan
 
 from oracles import project_by_sorting
 from test_cone_masks import K33, cycle_on, path_on
-
-SHARED = ("_masks", "_ray_ids", "_provenance", "_coords", "_source", "_balancing", "_by_dim")
-
 
 def complete(m: int) -> Graph:
     return Graph.complete(range(2, m + 2))
@@ -25,8 +21,8 @@ def complete(m: int) -> Graph:
 
 def columns(fan) -> tuple:
     return (
-        fan.ambient, fan._source, list(fan._coords.items()), fan._ray_ids,
-        fan._masks, fan._weights, fan._provenance, fan.max_dim, fan._by_dim,
+        fan.ambient, fan._rows.source, list(fan._rows.coords.items()), fan._rows.ray_ids,
+        fan._rows.masks, fan._weights, fan._rows.provenance, fan.max_dim, fan._rows.by_dim,
     )
 
 
@@ -44,7 +40,7 @@ def test_identity_image_is_the_sorting_route_on_complete_graphs(m):
     fan = bergman_fan(k)
     image = project_fan(fan, k)
     assert columns(image) == columns(project_by_sorting(fan, k))
-    assert all(image._masks[i] is fan._masks[i] for i in (0, -1))
+    assert all(image._rows.masks[i] is fan._rows.masks[i] for i in (0, -1))
 
 
 @pytest.mark.parametrize("name", ["complete", "K33", "path", "cycle"])
@@ -58,20 +54,19 @@ def test_moduli_images_are_the_sorting_route(name):
     fan = moduli_fan_rad(7, gamma)
     image = project_fan(fan, gamma)
     assert columns(image) == columns(project_by_sorting(fan, gamma))
-    assert (image._masks is fan._masks) == (name == "complete")
+    assert (image._rows.masks is fan._rows.masks) == (name == "complete")
 
 
 def test_identity_image_shares_the_source_columns():
     fan = reweighted_k5()
-    fan.cones  # a cached tuple of Cones, with the source's weights
+    cones = fan.cones  # Cones with the source's weights, and the flats they hold
     image = project_fan(fan, complete(5))
-    for name in SHARED:
-        assert getattr(image, name) is getattr(fan, name), name
-    assert image._weights == (1,) * len(fan._masks) != fan._weights
-    assert image._made == image._flats == {}
-    assert image._made is not fan._made and image._flats is not fan._flats
-    assert "cones" not in image.__dict__
-    assert fan.cones[0] is fan._made[0]  # the source keeps its own caches
+    assert image._rows is fan._rows
+    assert image._weights == (1,) * len(fan._rows.masks) != fan._weights
+    assert image._made == {} and image._made is not fan._made
+    assert image._rows.flats  # shared with the source, as a reweighted copy's are
+    assert image.cones == tuple(Cone(c.ambient, c.masks, 1, c.provenance) for c in cones)
+    assert fan.cones[0] is fan._made[0] is cones[0]  # the source keeps its own Cones
 
 
 @pytest.mark.parametrize("m", range(1, 6))
@@ -104,11 +99,11 @@ def test_proper_image_shares_each_single_rows_provenance(m):
     k = complete(m)
     fan = bergman_fan(k)
     image = project_fan(fan, cycle_on(k.labels))
-    source = {id(p) for p in fan._provenance}
-    singles = [p for p in image._provenance if len(p) == 1]
-    merged = [p for p in image._provenance if len(p) > 1]
+    source = {id(p) for p in fan._rows.provenance}
+    singles = [p for p in image._rows.provenance if len(p) == 1]
+    merged = [p for p in image._rows.provenance if len(p) > 1]
     assert singles and merged
     assert all(id(p) in source for p in singles)
     assert not any(id(p) in source for p in merged)
-    order = {p[0]: r for r, p in enumerate(fan._provenance)}
+    order = {p[0]: r for r, p in enumerate(fan._rows.provenance)}
     assert all([order[c] for c in p] == sorted(order[c] for c in p) for p in merged)
